@@ -1,11 +1,10 @@
 //! Telemetry overhead benchmarks.
 //!
-//! The acceptance bar for the registry design is that an instrumented-but-
-//! untraced simulation stays within a few percent of the pre-registry
-//! throughput. Since every counter now *is* a registry cell, the honest
-//! comparison is the simulator as-is (counters only, tracing off) against
-//! the simulator with the sampled event trace enabled, plus
-//! microbenchmarks of the primitives themselves (counter increment,
+//! The simulator counts into a plain `SimStats` and writes the registry
+//! only when a snapshot is taken, so the per-step telemetry cost is the
+//! event trace: the comparison is the simulator as-is (counters only,
+//! tracing off) against the simulator with the sampled event trace enabled,
+//! plus microbenchmarks of the primitives themselves (counter increment,
 //! histogram record, sampled event record).
 
 use criterion::{criterion_group, criterion_main, Criterion};

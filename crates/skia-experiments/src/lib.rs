@@ -154,7 +154,7 @@ impl Workload {
     ) -> SimStats {
         assert!(trace.len() >= steps, "recorded trace shorter than request");
         let mut sim = Simulator::new(&self.program, config);
-        sim.run_batched(trace, steps, skia_runner::chunk_size())
+        sim.run(trace.window(0, steps))
     }
 
     /// [`Workload::run_trace`] with full telemetry export (the replay
@@ -168,14 +168,7 @@ impl Workload {
         trace_config: Option<TraceConfig>,
     ) -> (SimStats, Snapshot) {
         assert!(trace.len() >= steps, "recorded trace shorter than request");
-        skia_frontend::run_instrumented_batched(
-            &self.program,
-            config,
-            trace_config,
-            trace,
-            steps,
-            skia_runner::chunk_size(),
-        )
+        skia_frontend::run_instrumented(&self.program, config, trace_config, trace.window(0, steps))
     }
 
     /// Run one *sampled* simulation over a pre-recorded trace: every slice
@@ -195,14 +188,7 @@ impl Workload {
         fault: Option<SampleFault>,
     ) -> SimStats {
         SAMPLING_TOTALS.note_plan(plan);
-        skia_frontend::run_plan(
-            &self.program,
-            &config,
-            trace,
-            plan,
-            skia_runner::chunk_size(),
-            fault,
-        )
+        skia_frontend::run_plan(&self.program, &config, trace, plan, fault)
     }
 
     /// [`Workload::run_sampled_trace`] plus the synthetic estimate
@@ -216,14 +202,7 @@ impl Workload {
         fault: Option<SampleFault>,
     ) -> (SimStats, Snapshot) {
         SAMPLING_TOTALS.note_plan(plan);
-        skia_frontend::run_plan_instrumented(
-            &self.program,
-            &config,
-            trace,
-            plan,
-            skia_runner::chunk_size(),
-            fault,
-        )
+        skia_frontend::run_plan_instrumented(&self.program, &config, trace, plan, fault)
     }
 
     /// Run one simulation, recording its telemetry into `emitter` when the

@@ -1,11 +1,10 @@
 //! Figure-binary stdout is frozen: every paper table and figure prints
-//! byte-identical output to the goldens captured from the per-step kernel
-//! before the batched replay kernel landed.
+//! byte-identical output to the committed goldens.
 //!
-//! `SimStats` equality (see `batched_equivalence.rs`) covers the simulator
-//! core; this suite covers everything between the simulator and the paper —
-//! sweep drivers, averaging, table formatting — at the 2000-step CI scale,
-//! serially and on a thread pool with a deliberately odd chunk size. To
+//! The oracle lockstep harness covers the simulator core; this suite covers
+//! everything between the simulator and the paper — sweep drivers,
+//! averaging, table formatting — at the 2000-step CI scale, serially and on
+//! a thread pool. To
 //! re-bless after an *intentional* results change, rerun each binary with
 //! `SKIA_STEPS=2000 SKIA_CACHE=0 SKIA_THREADS=1` and overwrite
 //! `tests/golden_stdout/<name>.stdout`.
@@ -38,17 +37,11 @@ fn golden(name: &str) -> Vec<u8> {
 }
 
 /// Run one figure binary at CI scale and return its stdout bytes.
-/// `chunk` of `None` leaves the batched kernel at its default chunk size.
-fn run(name: &str, exe: &str, threads: &str, chunk: Option<&str>) -> Vec<u8> {
-    let mut cmd = Command::new(exe);
-    cmd.env("SKIA_STEPS", "2000")
+fn run(name: &str, exe: &str, threads: &str) -> Vec<u8> {
+    let out = Command::new(exe)
+        .env("SKIA_STEPS", "2000")
         .env("SKIA_CACHE", "0")
-        .env("SKIA_THREADS", threads);
-    match chunk {
-        Some(c) => cmd.env("SKIA_CHUNK", c),
-        None => cmd.env_remove("SKIA_CHUNK"),
-    };
-    let out = cmd
+        .env("SKIA_THREADS", threads)
         .output()
         .unwrap_or_else(|e| panic!("{name} failed to spawn: {e}"));
     assert!(
@@ -59,31 +52,29 @@ fn run(name: &str, exe: &str, threads: &str, chunk: Option<&str>) -> Vec<u8> {
     out.stdout
 }
 
-fn assert_matches_golden(threads: &str, chunk: Option<&str>) {
+fn assert_matches_golden(threads: &str) {
     let mut diverged = Vec::new();
     for (name, exe) in FIGURES {
-        let got = run(name, exe, threads, chunk);
+        let got = run(name, exe, threads);
         if got != golden(name) {
             diverged.push(name);
         }
     }
     assert!(
         diverged.is_empty(),
-        "stdout diverged from golden (threads={threads}, chunk={chunk:?}): {diverged:?}\n\
+        "stdout diverged from golden (threads={threads}): {diverged:?}\n\
          If the results change is intentional, re-bless per the module docs."
     );
 }
 
-/// Serial, default chunk size: the exact configuration the goldens were
-/// captured under, now flowing through the batched kernel.
+/// Serial: the exact configuration the goldens were captured under.
 #[test]
 fn figures_match_golden_serial() {
-    assert_matches_golden("1", None);
+    assert_matches_golden("1");
 }
 
-/// Thread pool plus a deliberately odd chunk size: neither parallel sweep
-/// scheduling nor chunk-boundary placement may leak into the tables.
+/// Thread pool: parallel sweep scheduling may not leak into the tables.
 #[test]
-fn figures_match_golden_threaded_odd_chunk() {
-    assert_matches_golden("4", Some("257"));
+fn figures_match_golden_threaded() {
+    assert_matches_golden("4");
 }

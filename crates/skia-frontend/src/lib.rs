@@ -43,9 +43,8 @@ pub mod telemetry;
 pub use bpu::{Bpu, PredictedBlock, PredictedBranch};
 pub use config::{BtbMode, FrontendConfig};
 pub use sampling::{run_plan, run_plan_instrumented};
-pub use sim::{BatchFault, SampleFault, Simulator};
+pub use sim::{SampleFault, Simulator};
 pub use stats::SimStats;
-pub use telemetry::{FrontendTelemetry, SimCounters};
 
 /// Run a complete simulation: generate nothing, just wire a program, a trace
 /// and a configuration together.
@@ -76,8 +75,9 @@ pub fn run(
 /// registry counter, the standing histograms, and (when `trace_config` is
 /// `Some`) the sampled event trace.
 ///
-/// The returned [`SimStats`] and the snapshot's counters are materialized
-/// from the same registry cells, so they agree by construction.
+/// The snapshot's counters are written from the returned [`SimStats`], so
+/// they agree by construction. Recorded traces pass
+/// `trace.window(0, steps)`.
 ///
 /// [`Snapshot`]: skia_telemetry::Snapshot
 pub fn run_instrumented(
@@ -91,30 +91,6 @@ pub fn run_instrumented(
         sim.enable_trace(tc);
     }
     let stats = sim.run(trace);
-    let snapshot = sim.snapshot();
-    (stats, snapshot)
-}
-
-/// [`run_instrumented`] over the batched replay kernel
-/// ([`Simulator::run_batched`]): byte-identical stats and snapshot, chunked
-/// column consumption. Sweep drivers use this for recorded traces.
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is 0 or the recording is shorter than `steps`.
-pub fn run_instrumented_batched(
-    program: &skia_workloads::Program,
-    config: FrontendConfig,
-    trace_config: Option<skia_telemetry::TraceConfig>,
-    trace: &skia_workloads::RecordedTrace,
-    steps: usize,
-    chunk_size: usize,
-) -> (SimStats, skia_telemetry::Snapshot) {
-    let mut sim = Simulator::new(program, config);
-    if let Some(tc) = trace_config {
-        sim.enable_trace(tc);
-    }
-    let stats = sim.run_batched(trace, steps, chunk_size);
     let snapshot = sim.snapshot();
     (stats, snapshot)
 }

@@ -10,7 +10,7 @@
 //! s)` computed in `u128`, which for the degenerate plan (`w == s ==
 //! total`) returns `c` unchanged — the whole-trace identity needs no
 //! special case, and the `sampled_vs_full` proptest pins the resulting
-//! byte-exact equality against [`Simulator::run_batched`].
+//! byte-exact equality against a full [`Simulator::run`].
 //!
 //! ## Field exhaustiveness
 //!
@@ -19,7 +19,7 @@
 //! `..` rest pattern. Adding a field to any of them breaks this module's
 //! compilation instead of silently leaking warmup state into measurements
 //! or dropping the field from estimates — the same forcing function the
-//! `for_each_sim_counter!` table provides for the registry.
+//! `for_each_sim_counter!` table provides for the registry names.
 //!
 //! ## State carryover
 //!
@@ -46,7 +46,7 @@ use skia_workloads::{Program, RecordedTrace, SamplingPlan};
 use crate::config::FrontendConfig;
 use crate::sim::{SampleFault, Simulator};
 use crate::stats::SimStats;
-use crate::telemetry::FrontendTelemetry;
+use crate::telemetry::SimHistograms;
 
 /// Simulate every slice of `plan` and return the weighted whole-trace
 /// [`SimStats`] estimate.
@@ -60,15 +60,13 @@ use crate::telemetry::FrontendTelemetry;
 /// # Panics
 ///
 /// Panics if the plan fails [`SamplingPlan::validate`] against its own
-/// `total_steps`, the plan is longer than the recording, or `chunk_size`
-/// is 0.
+/// `total_steps` or the plan is longer than the recording.
 #[must_use]
 pub fn run_plan(
     program: &Program,
     config: &FrontendConfig,
     trace: &RecordedTrace,
     plan: &SamplingPlan,
-    chunk_size: usize,
     fault: Option<SampleFault>,
 ) -> SimStats {
     plan.validate(plan.total_steps);
@@ -80,7 +78,7 @@ pub fn run_plan(
     let mut ftq_means: Vec<(f64, u64)> = Vec::with_capacity(plan.slices.len());
     let mut sim = Simulator::new(program, config.clone());
     for slice in &plan.slices {
-        let s = sim.run_slice(trace, slice, chunk_size, fault);
+        let s = sim.run_slice(trace, slice, fault);
         add_scaled(&mut est, &s, slice.weight_steps, slice.simulate as u64);
         ftq_means.push((s.mean_ftq_occupancy, slice.weight_steps));
     }
@@ -106,32 +104,21 @@ pub fn run_plan(
 /// hold the weighted estimates, the `sampling.*` counters identify the
 /// exact plan (fingerprint, slice count, step accounting), and
 /// `sampling.active = 1` marks it as sampled. Histograms and TAGE pull
-/// stats are per-slice artifacts with no sound whole-trace reconstruction,
-/// so they are absent rather than misleading.
+/// stats are per-slice artifacts with no sound whole-trace reconstruction:
+/// the standing histograms are present but empty, so the snapshot keeps
+/// the shape of a full run's, and the TAGE counters are absent.
 #[must_use]
 pub fn run_plan_instrumented(
     program: &Program,
     config: &FrontendConfig,
     trace: &RecordedTrace,
     plan: &SamplingPlan,
-    chunk_size: usize,
     fault: Option<SampleFault>,
 ) -> (SimStats, Snapshot) {
-    let stats = run_plan(program, config, trace, plan, chunk_size, fault);
+    let stats = run_plan(program, config, trace, plan, fault);
     let mut reg = MetricRegistry::new();
-    let tel = FrontendTelemetry::register(&mut reg);
-    tel.c.store_from(&stats);
-    for (c, v) in tel.btb_miss_by_kind.iter().zip(stats.btb_misses_by_kind) {
-        c.set(v);
-    }
-    stats.l1i.register_into(&mut reg, "l1i");
-    stats.l2.register_into(&mut reg, "l2");
-    stats.l3.register_into(&mut reg, "l3");
-    if let Some(skia) = &stats.skia {
-        skia.register_into(&mut reg);
-    }
-    reg.set_gauge("sim.mean_ftq_occupancy", stats.mean_ftq_occupancy);
-    reg.set_gauge("sim.ipc", stats.ipc());
+    stats.register_into(&mut reg);
+    SimHistograms::default().register_into(&mut reg);
     register_plan(&mut reg, plan);
     (stats, reg.snapshot())
 }

@@ -9,11 +9,14 @@
 //! actually formed and their lines actually prefetched, so L1-I pollution by
 //! wrong-path FDIP traffic is mechanistic.
 //!
-//! Every counter lives in a [`MetricRegistry`] owned by the simulator; the
-//! hot path increments plain-cell [`skia_telemetry::Counter`] handles (see
-//! [`crate::telemetry`]) and [`SimStats`] is materialized from the registry
-//! on demand, so the legacy stats struct and the exported snapshot are the
-//! same numbers by construction.
+//! [`Simulator::step`] is the one per-step body. Its counters are the
+//! fields of a simulator-owned [`SimStats`], incremented directly, plus
+//! three simulator-owned [`LocalHistogram`](skia_telemetry::LocalHistogram)s; [`Simulator::stats`] adds the
+//! computed quantities (cycles, cache levels, Skia, FTQ mean) on demand.
+//! The telemetry [`MetricRegistry`] is written only when
+//! [`Simulator::snapshot`] is taken, from that same [`SimStats`], so the
+//! stats struct and the exported snapshot are the same numbers by
+//! construction.
 
 use std::collections::VecDeque;
 
@@ -24,25 +27,13 @@ use skia_workloads::{Program, RecordedTrace, SliceJob, TraceStep};
 
 use crate::bpu::{Bpu, PredictedBlock};
 use crate::config::FrontendConfig;
-use crate::stats::{ResteerCause, ResteerStage, SimStats};
-use crate::telemetry::{FrontendTelemetry, SimAccum};
-
-/// Deliberate batched-kernel bugs, plantable via
-/// [`Simulator::plant_batch_fault`] to prove the byte-exact equivalence
-/// gates actually detect batching mistakes (the same discipline as
-/// `skia-oracle`'s `OracleFault` knobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchFault {
-    /// Drain the per-chunk telemetry accumulator twice at every chunk
-    /// boundary, double-counting every pending delta — the classic
-    /// accumulator-lifecycle bug a batched kernel can introduce.
-    DoubleFlush,
-}
+use crate::stats::{ResteerStage, SimStats};
+use crate::telemetry::{SimHistograms, SBB_LIFETIME};
 
 /// Deliberate sampled-replay bugs, passable to
 /// [`Simulator::run_slice`] to prove the sampled-vs-full error-bound
-/// harness actually detects a broken sampling pipeline (the [`BatchFault`]
-/// discipline applied to phase sampling).
+/// harness actually detects a broken sampling pipeline (the discipline of
+/// `skia-oracle`'s `OracleFault` knobs applied to phase sampling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleFault {
     /// Skip the warmup replay entirely: every measured window starts from
@@ -55,10 +46,10 @@ pub enum SampleFault {
 /// Cumulative state captured at the warmup/measure boundary of a sampled
 /// slice. A plan's slices replay through **one** simulator in trace order
 /// (state carryover — see [`crate::sampling::run_plan`]), so at a boundary
-/// every counter — registry cells, cache hierarchy, Skia — already holds
-/// the earlier slices' measured work plus this slice's (muted-but-state-
-/// changing) warmup. The whole cumulative picture is baselined here and
-/// subtracted after the measure, leaving exactly the measured window.
+/// every counter — simulator counts, cache hierarchy, Skia — already holds
+/// the earlier slices' work plus this slice's warmup. The whole cumulative
+/// picture is baselined here and subtracted after the measure, leaving
+/// exactly the measured window.
 #[derive(Debug, Clone)]
 struct MeasureBase {
     /// `decode_free` at measure start (the slice-local cycle origin).
@@ -82,6 +73,17 @@ const AVG_INSN_BYTES: u64 = 4;
 /// window plus a ≤15-byte terminator straddling one more line boundary —
 /// 3 lines at the standing 64-byte window, with one spare.
 const MAX_BLOCK_LINES: usize = 4;
+
+/// `sum / count`, or 0 when empty — the arithmetic of
+/// `HistogramSnapshot::mean`, so the FTQ mean in [`SimStats`] equals the
+/// exported histogram's mean bit for bit.
+fn mean(sum: u64, count: u64) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
+    }
+}
 
 /// The (line address, pre-fetch L1-I residency) pairs of one block, stored
 /// inline. Blocks are formed once per IAG cycle — including on every
@@ -131,13 +133,16 @@ pub struct Simulator<'p> {
     config: FrontendConfig,
     bpu: Bpu<'p>,
     hier: Hierarchy,
+    /// Written only by [`Simulator::snapshot`]; between snapshots it holds
+    /// just the event trace and the SBB-lifetime histogram `skia-core`
+    /// records into.
     registry: MetricRegistry,
-    tel: FrontendTelemetry,
-    /// Hot-path metric deltas, drained into `tel` whenever stats are
-    /// observed (finalize/stats/snapshot) and at batch boundaries.
-    acc: SimAccum,
-    /// Planted batched-kernel bug, if any (test harness only).
-    batch_fault: Option<BatchFault>,
+    /// The counter store. Every incremented `u64` field is live; the
+    /// computed fields are filled in by [`Simulator::stats`].
+    counts: SimStats,
+    hists: SimHistograms,
+    /// Event trace handle, when tracing is enabled.
+    trace: Option<EventTrace>,
     iag_cycle: u64,
     decode_free: u64,
     /// Decode-completion times of in-flight FTQ entries.
@@ -154,10 +159,9 @@ impl<'p> Simulator<'p> {
     pub fn new(program: &'p Program, config: FrontendConfig) -> Self {
         let start = program.functions()[0].entry;
         let mut registry = MetricRegistry::new();
-        let tel = FrontendTelemetry::register(&mut registry);
         let mut bpu = Bpu::new(&config, start, program.branch_table());
         if let Some(skia) = &mut bpu.skia {
-            skia.attach_telemetry(tel.sbb_lifetime.clone(), None);
+            skia.attach_telemetry(registry.histogram(SBB_LIFETIME), None);
         }
         Simulator {
             bpu,
@@ -165,9 +169,9 @@ impl<'p> Simulator<'p> {
             program,
             config,
             registry,
-            tel,
-            acc: SimAccum::default(),
-            batch_fault: None,
+            counts: SimStats::default(),
+            hists: SimHistograms::default(),
+            trace: None,
             iag_cycle: 0,
             decode_free: 0,
             ftq: VecDeque::new(),
@@ -181,65 +185,30 @@ impl<'p> Simulator<'p> {
     /// second call returns the existing trace.
     pub fn enable_trace(&mut self, config: TraceConfig) -> EventTrace {
         let trace = self.registry.enable_trace(config);
-        self.tel.trace = Some(trace.clone());
+        self.trace = Some(trace.clone());
         if let Some(skia) = &mut self.bpu.skia {
-            skia.attach_telemetry(self.tel.sbb_lifetime.clone(), Some(trace.clone()));
+            skia.attach_telemetry(self.registry.histogram(SBB_LIFETIME), Some(trace.clone()));
         }
         trace
     }
 
-    /// Replay a trace to completion and return the statistics.
+    /// Replay a step stream to completion and return the statistics.
+    /// Recorded traces replay as `run(trace.window(0, steps))`.
     pub fn run(&mut self, trace: impl Iterator<Item = TraceStep>) -> SimStats {
         for step in trace {
-            self.replay_step(&step);
+            self.step(&step);
         }
-        self.finalize()
-    }
-
-    /// Replay the first `steps` steps of a recorded trace through the
-    /// batched kernel and return the statistics.
-    ///
-    /// Steps are consumed chunk-by-chunk straight from the trace's columns
-    /// ([`RecordedTrace::chunks`]); the per-step telemetry accumulator is
-    /// drained once per chunk boundary instead of once at finalization.
-    /// Both differences are exact — the chunk concatenation is bit-identical
-    /// to `replay().take(steps)` and the accumulator drain commutes — so
-    /// the result equals [`Simulator::run`] over the same stream byte for
-    /// byte. The `batched_equivalence` suite and the oracle lockstep
-    /// harness enforce that equality; [`Simulator::plant_batch_fault`]
-    /// proves they can tell when it breaks.
-    ///
-    /// The per-step [`Simulator::run`] stays the entry point for
-    /// oracle-lockstep (which compares full stats after every step) and
-    /// live-walk iterators; sweeps over recorded traces use this path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is 0 or the recording is shorter than
-    /// `steps`.
-    pub fn run_batched(
-        &mut self,
-        trace: &RecordedTrace,
-        steps: usize,
-        chunk_size: usize,
-    ) -> SimStats {
-        for chunk in trace.chunks(steps, chunk_size) {
-            for step in chunk {
-                self.replay_step(&step);
-            }
-            self.flush_chunk();
-        }
-        self.finalize()
+        self.stats()
     }
 
     /// Replay one sampling slice — warmup-then-measure — and return the
     /// statistics of the *measured window only*.
     ///
     /// The warmup window `[skip, skip+warmup)` replays through the normal
-    /// per-step path but is **muted**: its telemetry deltas are discarded
-    /// (never flushed) while its architectural effect — trained predictors,
-    /// filled caches, a populated SBB — persists into the measured window,
-    /// which is the whole point of warmup.
+    /// per-step path; its architectural effect — trained predictors, filled
+    /// caches, a populated SBB — persists into the measured window, which is
+    /// the whole point of warmup, while its counts fall out with the
+    /// measure-boundary baseline below.
     ///
     /// Slices of one plan run through **one** simulator in trace order
     /// (state carryover): the working set a slice accumulates in the BTB,
@@ -254,23 +223,21 @@ impl<'p> Simulator<'p> {
     /// the cycle ledger is re-originated at the boundary the same way.
     ///
     /// Called with the degenerate slice (`skip = warmup = 0`, `simulate =
-    /// steps`) on a fresh simulator this is [`Simulator::run_batched`] byte
-    /// for byte: same chunk cadence, same finalization arithmetic against
-    /// an all-zero baseline. The `sampled_vs_full` proptest pins that
-    /// equality.
+    /// steps`) on a fresh simulator this is [`Simulator::run`] over
+    /// `trace.window(0, steps)` byte for byte: the same steps, and the same
+    /// closing arithmetic against an all-zero baseline. The
+    /// `sampled_vs_full` proptest pins that equality.
     ///
     /// `fault` plants a deliberate sampling bug (see [`SampleFault`]);
     /// production runners pass `None`.
     ///
     /// # Panics
     ///
-    /// Panics if `chunk_size` is 0 or the slice's measure window extends
-    /// past the recording.
+    /// Panics if the slice's measure window extends past the recording.
     pub fn run_slice(
         &mut self,
         trace: &RecordedTrace,
         slice: &SliceJob,
-        chunk_size: usize,
         fault: Option<SampleFault>,
     ) -> SimStats {
         let measure_start = slice.measure_start();
@@ -295,141 +262,93 @@ impl<'p> Simulator<'p> {
             self.bpu.resteer(entry_pc, entered_by_branch);
         }
         for step in trace.window(warm_lo, measure_start) {
-            self.replay_step(&step);
+            self.step(&step);
         }
-        // Mute the warmup: drop its pending deltas instead of flushing.
-        self.acc = SimAccum::default();
         let base = MeasureBase {
             cycle_base: self.decode_free,
-            ftq_sum: self.tel.ftq_occupancy.sum(),
-            ftq_count: self.tel.ftq_occupancy.count(),
+            ftq_sum: self.hists.ftq_occupancy.sum(),
+            ftq_count: self.hists.ftq_occupancy.count(),
             prior: self.stats(),
         };
-        for chunk in trace.chunks_range(measure_start, slice.measure_end(), chunk_size) {
-            for step in chunk {
-                self.replay_step(&step);
-            }
-            self.flush_chunk();
+        for step in trace.window(measure_start, slice.measure_end()) {
+            self.step(&step);
         }
-        self.finalize_measured(&base)
+        self.measured_since(&base)
     }
 
-    /// [`Simulator::finalize`] against a measure-boundary baseline: every
+    /// [`Simulator::stats`] against a measure-boundary baseline: every
     /// cumulative counter has the prior history subtracted, the cycle
     /// ledger is re-originated at the boundary, and the FTQ mean comes from
     /// the histogram's windowed (sum, count) difference. With an all-zero
-    /// baseline this is `finalize` exactly.
-    fn finalize_measured(&mut self, base: &MeasureBase) -> SimStats {
-        let now = self.stats(); // flushes pending deltas first
-        let mut stats = crate::sampling::sim_stats_delta(&now, &base.prior);
-        let retire_floor = stats
-            .instructions
-            .div_ceil(u64::from(self.config.retire_width));
+    /// baseline this is `stats` exactly.
+    fn measured_since(&self, base: &MeasureBase) -> SimStats {
+        let mut stats = crate::sampling::sim_stats_delta(&self.stats(), &base.prior);
         // `decode_free` is monotone, so the subtraction cannot underflow.
-        let measured_frontier = self.decode_free - base.cycle_base;
-        stats.cycles = measured_frontier.max(retire_floor) + u64::from(self.config.backend_depth);
-        let d_sum = self.tel.ftq_occupancy.sum().wrapping_sub(base.ftq_sum);
-        let d_count = self.tel.ftq_occupancy.count() - base.ftq_count;
-        // Same arithmetic as `HistogramSnapshot::mean`, so the degenerate
-        // slice (zero base) reproduces the full run's mean bit for bit.
-        stats.mean_ftq_occupancy = if d_count == 0 {
-            0.0
-        } else {
-            d_sum as f64 / d_count as f64
-        };
+        stats.cycles = self.cycles(stats.instructions, self.decode_free - base.cycle_base);
+        stats.mean_ftq_occupancy = mean(
+            self.hists.ftq_occupancy.sum().wrapping_sub(base.ftq_sum),
+            self.hists.ftq_occupancy.count() - base.ftq_count,
+        );
         stats
     }
 
-    /// The shared per-step body of [`Simulator::run`] and
-    /// [`Simulator::run_batched`]: retirement accounting plus lockstep
-    /// verification of one trace step.
+    /// Replay one trace step: retirement accounting plus lockstep
+    /// verification. The simulator's only per-step body.
     #[inline]
-    fn replay_step(&mut self, step: &TraceStep) {
-        self.acc.branches += 1;
-        self.acc.instructions += u64::from(step.insns);
+    pub fn step(&mut self, step: &TraceStep) {
+        self.counts.branches += 1;
+        self.counts.instructions += u64::from(step.insns);
         if step.taken {
-            self.acc.taken_branches += 1;
+            self.counts.taken_branches += 1;
         }
         self.verify_step(step);
     }
 
-    /// Drain the telemetry accumulator at a batch boundary — and, when a
-    /// [`BatchFault`] is planted, misbehave on purpose first.
-    fn flush_chunk(&mut self) {
-        if self.batch_fault == Some(BatchFault::DoubleFlush) {
-            // Flush a ghost copy of the pending deltas before the real
-            // drain: every pending counter lands twice.
-            let mut ghost = self.acc.clone();
-            ghost.flush_into(&self.tel);
-        }
-        self.acc.flush_into(&self.tel);
+    /// The closed-form cycle count: the decode frontier or the retire-width
+    /// floor, whichever binds, plus the back-end depth.
+    fn cycles(&self, instructions: u64, frontier: u64) -> u64 {
+        let retire_floor = instructions.div_ceil(u64::from(self.config.retire_width));
+        frontier.max(retire_floor) + u64::from(self.config.backend_depth)
     }
 
-    /// Plant a deliberate batching bug (see [`BatchFault`]). Test-harness
-    /// API: the equivalence and lockstep suites use this to prove they
-    /// detect batched-kernel regressions; production runners never call it.
-    pub fn plant_batch_fault(&mut self, fault: BatchFault) {
-        self.batch_fault = Some(fault);
-    }
-
-    fn finalize(&mut self) -> SimStats {
-        self.acc.flush_into(&self.tel);
-        let retire_floor = self
-            .tel
-            .c
-            .instructions
-            .get()
-            .div_ceil(u64::from(self.config.retire_width));
-        let cycles = self.decode_free.max(retire_floor) + u64::from(self.config.backend_depth);
-        self.tel.c.cycles.set(cycles);
-        self.stats()
-    }
-
-    /// Materialize the current counters into a [`SimStats`]. `cycles` is 0
-    /// until the run finalizes (as before the registry existed).
+    /// The statistics so far: the live counts plus the computed fields
+    /// (cycles, cache levels, Skia, mean FTQ occupancy). Pure — calling it
+    /// twice returns the same value.
     #[must_use]
-    pub fn stats(&mut self) -> SimStats {
-        self.acc.flush_into(&self.tel);
-        let mut stats = SimStats::default();
-        self.tel.c.materialize_into(&mut stats);
-        for (i, c) in self.tel.btb_miss_by_kind.iter().enumerate() {
-            stats.btb_misses_by_kind[i] = c.get();
+    pub fn stats(&self) -> SimStats {
+        SimStats {
+            cycles: self.cycles(self.counts.instructions, self.decode_free),
+            l1i: self.hier.l1i_stats(),
+            l2: self.hier.l2_stats(),
+            l3: self.hier.l3_stats(),
+            skia: self.bpu.skia.as_ref().map(|s| s.stats()),
+            mean_ftq_occupancy: mean(
+                self.hists.ftq_occupancy.sum(),
+                self.hists.ftq_occupancy.count(),
+            ),
+            ..self.counts.clone()
         }
-        stats.l1i = self.hier.l1i_stats();
-        stats.l2 = self.hier.l2_stats();
-        stats.l3 = self.hier.l3_stats();
-        stats.skia = self.bpu.skia.as_ref().map(|s| s.stats());
-        stats.mean_ftq_occupancy = self.tel.ftq_occupancy.snapshot().mean();
-        stats
     }
 
-    /// Export the pull-model component stats (cache levels, predictors,
-    /// Skia) into the registry and materialize everything into a
-    /// [`Snapshot`] — the `--emit-json` payload.
+    /// Write the statistics, the predictor pull stats and the standing
+    /// histograms into the registry and materialize it into a
+    /// [`Snapshot`] — the `--emit-json` payload. Idempotent.
     #[must_use]
     pub fn snapshot(&mut self) -> Snapshot {
-        self.hier
-            .l1i_stats()
-            .register_into(&mut self.registry, "l1i");
-        self.hier.l2_stats().register_into(&mut self.registry, "l2");
-        self.hier.l3_stats().register_into(&mut self.registry, "l3");
+        self.stats().register_into(&mut self.registry);
+        self.hists.register_into(&mut self.registry);
         let (tage_preds, tage_miss) = self.bpu.tage_stats();
         self.registry.set_counter("tage.predictions", tage_preds);
         self.registry.set_counter("tage.mispredictions", tage_miss);
-        if let Some(skia) = &self.bpu.skia {
-            skia.stats().register_into(&mut self.registry);
-        }
-        let stats = self.stats();
-        self.registry
-            .set_gauge("sim.mean_ftq_occupancy", stats.mean_ftq_occupancy);
-        self.registry.set_gauge("sim.ipc", stats.ipc());
         self.registry.snapshot()
     }
 
-    /// The metric registry (e.g. to register experiment-level metrics into
-    /// the same snapshot).
-    pub fn registry_mut(&mut self) -> &mut MetricRegistry {
-        &mut self.registry
+    /// Record an event if tracing is enabled (one branch otherwise).
+    #[inline]
+    fn event(&self, cycle: u64, kind: EventKind, pc: u64, arg: u64) {
+        if let Some(t) = &self.trace {
+            t.record(cycle, kind, pc, arg);
+        }
     }
 
     // -- block formation & timing ------------------------------------------
@@ -445,7 +364,7 @@ impl<'p> Simulator<'p> {
             self.iag_cycle = self.iag_cycle.max(head);
         }
         self.iag_cycle += 1;
-        self.acc.ftq_occupancy.record(self.ftq.len() as u64);
+        self.hists.ftq_occupancy.record(self.ftq.len() as u64);
 
         let block = self.bpu.predict_block();
         self.issue_block(block)
@@ -458,17 +377,17 @@ impl<'p> Simulator<'p> {
         let frontier =
             (self.iag_cycle + u64::from(self.config.fetch_to_decode)).max(self.decode_free);
         if frontier > self.decode_free {
-            self.acc.idle_resteer_cycles += frontier - self.decode_free;
+            self.counts.idle_resteer_cycles += frontier - self.decode_free;
         }
         let decode_start = frontier.max(fill_done);
         if decode_start > frontier {
-            self.acc.idle_icache_cycles += decode_start - frontier;
+            self.counts.idle_icache_cycles += decode_start - frontier;
         }
         let bytes = block.end.saturating_sub(block.start).max(1);
         let decode_cycles = bytes
             .div_ceil(u64::from(self.config.decode_width) * AVG_INSN_BYTES)
             .max(1);
-        self.acc.decode_busy_cycles += decode_cycles;
+        self.counts.decode_busy_cycles += decode_cycles;
         self.decode_free = decode_start + decode_cycles;
         self.ftq.push_back(self.decode_free);
 
@@ -486,15 +405,13 @@ impl<'p> Simulator<'p> {
     /// Drive the Skia shadow-decode hooks for a formed block and record the
     /// batch-size histogram + event.
     fn shadow_decode(&mut self, block: &PredictedBlock) {
-        if self.bpu.skia.is_none() {
+        let Some(skia) = &mut self.bpu.skia else {
             return;
-        }
-        if let Some(skia) = &mut self.bpu.skia {
-            skia.set_cycle(self.iag_cycle);
-        }
+        };
+        skia.set_cycle(self.iag_cycle);
         let inserted = self.bpu.shadow_decode(self.program, block) as u64;
-        self.acc.shadow_batch.record(inserted);
-        self.tel.event(
+        self.hists.shadow_batch.record(inserted);
+        self.event(
             self.iag_cycle,
             EventKind::ShadowDecode,
             block.start,
@@ -515,8 +432,7 @@ impl<'p> Simulator<'p> {
             let (resident, lat) = self.hier.fetch_line_tracking(la, true);
             max_latency = max_latency.max(lat);
             lines.push(la, resident);
-            self.tel
-                .event(self.iag_cycle, EventKind::PrefetchIssue, la, u64::from(lat));
+            self.event(self.iag_cycle, EventKind::PrefetchIssue, la, u64::from(lat));
             if la >= last {
                 break;
             }
@@ -582,33 +498,21 @@ impl<'p> Simulator<'p> {
                     self.commit_aligned(step, &b);
                     if correct {
                         if b.from_sbb {
-                            self.acc.sbb_rescues += 1;
-                            self.tel
-                                .event(self.iag_cycle, EventKind::SbbRescue, step.branch_pc, 0);
+                            self.counts.sbb_rescues += 1;
+                            self.event(self.iag_cycle, EventKind::SbbRescue, step.branch_pc, 0);
                         }
                         return;
                     }
                     // Wrong direction or wrong target: late resteer.
-                    let cause = if b.taken != step.taken {
-                        ResteerCause::Direction
-                    } else {
-                        ResteerCause::Target
-                    };
                     match step.kind {
-                        BranchKind::DirectCond => self.acc.cond_mispredicts += 1,
-                        BranchKind::Return => self.acc.return_mispredicts += 1,
+                        BranchKind::DirectCond => self.counts.cond_mispredicts += 1,
+                        BranchKind::Return => self.counts.return_mispredicts += 1,
                         BranchKind::IndirectJmp | BranchKind::IndirectCall => {
-                            self.acc.indirect_mispredicts += 1;
+                            self.counts.indirect_mispredicts += 1;
                         }
                         _ => {}
                     }
-                    self.do_resteer(
-                        &pending,
-                        ResteerStage::Execute,
-                        cause,
-                        step.next_pc,
-                        step.taken,
-                    );
+                    self.do_resteer(&pending, ResteerStage::Execute, step.next_pc, step.taken);
                     return;
                 }
             }
@@ -625,9 +529,9 @@ impl<'p> Simulator<'p> {
 
     fn kind_counters(&mut self, kind: BranchKind) {
         match kind {
-            BranchKind::DirectCond => self.acc.cond_branches += 1,
+            BranchKind::DirectCond => self.counts.cond_branches += 1,
             BranchKind::IndirectJmp | BranchKind::IndirectCall => {
-                self.acc.indirect_branches += 1;
+                self.counts.indirect_branches += 1;
             }
             _ => {}
         }
@@ -671,29 +575,29 @@ impl<'p> Simulator<'p> {
         if self.bpu.btb_resident(step.branch_pc) {
             return;
         }
-        self.acc.btb_misses += 1;
+        self.counts.btb_misses += 1;
         let idx = BranchKind::ALL
             .iter()
             .position(|&k| k == step.kind)
             .expect("kind in table");
-        self.acc.btb_miss_by_kind[idx] += 1;
-        self.tel.event(
+        self.counts.btb_misses_by_kind[idx] += 1;
+        self.event(
             self.iag_cycle,
             EventKind::BtbMiss,
             step.branch_pc,
             idx as u64,
         );
         if step.taken {
-            self.acc.btb_miss_taken += 1;
+            self.counts.btb_miss_taken += 1;
             if step.kind.sbb_eligible() {
-                self.acc.btb_miss_rescuable += 1;
+                self.counts.btb_miss_rescuable += 1;
                 if self
                     .bpu
                     .skia
                     .as_ref()
                     .is_some_and(|s| s.ever_inserted(step.branch_pc))
                 {
-                    self.acc.rescuable_seen_before += 1;
+                    self.counts.rescuable_seen_before += 1;
                 }
             }
         }
@@ -704,7 +608,7 @@ impl<'p> Simulator<'p> {
             .find(|&&(a, _)| a == la)
             .map_or_else(|| self.hier.l1i_contains(step.branch_pc), |&(_, r)| r);
         if resident_before {
-            self.acc.btb_miss_l1i_resident += 1;
+            self.counts.btb_miss_l1i_resident += 1;
         }
     }
 
@@ -721,14 +625,14 @@ impl<'p> Simulator<'p> {
                 if self.bpu.ras_top_is(step.next_pc) {
                     ResteerStage::Decode
                 } else {
-                    self.acc.return_mispredicts += 1;
+                    self.counts.return_mispredicts += 1;
                     ResteerStage::Execute
                 }
             }
             // The decoder identifies a conditional; a decode-time late
             // predict rescues it only if TAGE agrees it is taken.
             BranchKind::DirectCond => {
-                self.acc.cond_mispredicts += 1;
+                self.counts.cond_mispredicts += 1;
                 if self.bpu.tage_would_predict(step.branch_pc, true) {
                     ResteerStage::Decode
                 } else {
@@ -740,26 +644,20 @@ impl<'p> Simulator<'p> {
                 if self.bpu.ittage_would_predict(step.branch_pc, step.next_pc) {
                     ResteerStage::Decode
                 } else {
-                    self.acc.indirect_mispredicts += 1;
+                    self.counts.indirect_mispredicts += 1;
                     ResteerStage::Execute
                 }
             }
         };
         // Wrong path first (the shadow between mispredict and detection),
         // then repair, then commit on the corrected state.
-        self.do_resteer(
-            &pending,
-            stage,
-            ResteerCause::UnknownBranch,
-            step.next_pc,
-            true,
-        );
+        self.do_resteer(&pending, stage, step.next_pc, true);
         self.commit_unpredicted(step);
     }
 
     /// The decoder found no branch where the SBB said there was one.
     fn resteer_bogus(&mut self, pending: &InFlight, bogus_pc: u64) {
-        self.acc.bogus_resteers += 1;
+        self.counts.bogus_resteers += 1;
         if let Some(skia) = &mut self.bpu.skia {
             skia.set_cycle(self.iag_cycle);
             skia.note_bogus(bogus_pc);
@@ -768,13 +666,7 @@ impl<'p> Simulator<'p> {
         // strictly after it guarantees forward progress even if wrong-path
         // shadow decoding re-inserts the same bogus entry (the decoder has
         // established there is no branch *at* this address).
-        self.do_resteer(
-            pending,
-            ResteerStage::Decode,
-            ResteerCause::BogusShadow,
-            bogus_pc + 1,
-            false,
-        );
+        self.do_resteer(pending, ResteerStage::Decode, bogus_pc + 1, false);
     }
 
     /// Simulate the wrong-path shadow, repair the IAG, charge the bubble.
@@ -782,18 +674,16 @@ impl<'p> Simulator<'p> {
         &mut self,
         pending: &InFlight,
         stage: ResteerStage,
-        cause: ResteerCause,
         resume_pc: u64,
         entered_by_branch: bool,
     ) {
-        let _ = cause;
         let detect = match stage {
             ResteerStage::Decode => {
-                self.acc.decode_resteers += 1;
+                self.counts.decode_resteers += 1;
                 pending.decode_start + 1
             }
             ResteerStage::Execute => {
-                self.acc.exec_resteers += 1;
+                self.counts.exec_resteers += 1;
                 pending.decode_start + u64::from(self.config.exec_detect)
             }
         };
@@ -806,8 +696,8 @@ impl<'p> Simulator<'p> {
         for _ in 0..wp_blocks {
             let blk = self.bpu.predict_block();
             let lines = self.prefetch_lines(&blk);
-            self.acc.wrong_path_prefetches += lines.len() as u64;
-            self.acc.wrong_path_blocks += 1;
+            self.counts.wrong_path_prefetches += lines.len() as u64;
+            self.counts.wrong_path_blocks += 1;
             self.shadow_decode(&blk);
         }
 
@@ -823,13 +713,12 @@ impl<'p> Simulator<'p> {
         // The repair bubble: from the mispredicted block's formation to the
         // IAG restart.
         let repair_latency = self.iag_cycle.saturating_sub(pending.iag_cycle);
-        self.acc.resteer_latency.record(repair_latency);
+        self.hists.resteer_latency.record(repair_latency);
         let stage_arg = match stage {
             ResteerStage::Decode => 0,
             ResteerStage::Execute => 1,
         };
-        self.tel
-            .event(detect, EventKind::Resteer, resume_pc, stage_arg);
+        self.event(detect, EventKind::Resteer, resume_pc, stage_arg);
     }
 }
 

@@ -4,19 +4,6 @@ use skia_core::SkiaStats;
 use skia_isa::BranchKind;
 use skia_uarch::cache::CacheStats;
 
-/// Why the front-end resteered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResteerCause {
-    /// A taken branch the BPU did not know about (BTB and SBB both missed).
-    UnknownBranch,
-    /// Conditional direction mispredicted.
-    Direction,
-    /// Indirect or return target mispredicted.
-    Target,
-    /// The SBB supplied a branch that does not exist on the true path.
-    BogusShadow,
-}
-
 /// Where the resteer was detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResteerStage {

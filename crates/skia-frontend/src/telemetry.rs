@@ -1,22 +1,23 @@
 //! Telemetry wiring between the simulator and [`skia_telemetry`].
 //!
-//! The single source of truth for the counter set is the
-//! `for_each_sim_counter!` field↔name table below: it generates the
-//! [`SimCounters`] handle struct, the registration code, and the
-//! [`SimStats`] materialization, so the registry snapshot and the legacy
-//! stats struct can never drift apart. The simulator increments the handles
-//! on its hot path (one `Rc<Cell<u64>>` store each — no locks, no name
-//! lookups) and [`SimStats`] is rebuilt from the registry on demand.
+//! The simulator counts into a plain [`SimStats`] and three plain
+//! [`LocalHistogram`]s; its hot path never touches the registry. The
+//! registry is written when a snapshot is taken, by
+//! [`SimStats::register_into`] and `SimHistograms::register_into`. The
+//! single source of truth for the scalar counter names is the
+//! `for_each_sim_counter!` field↔name table below, which generates the
+//! scalar half of [`SimStats::register_into`], so a live run and a sampled
+//! estimate export under the same names.
 
 use skia_isa::BranchKind;
-use skia_telemetry::{Counter, EventKind, EventTrace, Histogram, LocalHistogram, MetricRegistry};
+use skia_telemetry::{LocalHistogram, MetricRegistry};
 
 use crate::stats::SimStats;
 
 /// Apply a macro to every `(SimStats u64 field, metric name)` pair.
 ///
-/// `cycles` is included even though it is computed (not incremented): the
-/// simulator `set`s it during finalization so the snapshot carries it too.
+/// `cycles` is included even though it is computed (not incremented):
+/// [`SimStats::register_into`] exports whatever the struct holds.
 macro_rules! for_each_sim_counter {
     ($apply:ident) => {
         $apply! {
@@ -47,99 +48,36 @@ macro_rules! for_each_sim_counter {
     };
 }
 
-macro_rules! define_sim_counters {
+macro_rules! define_register_into {
     ($(($field:ident, $name:literal)),+ $(,)?) => {
-        /// One registered [`Counter`] handle per scalar `u64` field of
-        /// [`SimStats`].
-        #[derive(Debug, Clone)]
-        pub struct SimCounters {
-            $(
-                #[doc = concat!("Handle for `", $name, "`.")]
-                pub $field: Counter,
-            )+
-        }
+        /// Every `(metric name, field accessor)` pair of the table.
+        #[cfg(test)]
+        const SIM_COUNTERS: &[(&str, fn(&SimStats) -> u64)] =
+            &[$(($name, |s| s.$field)),+];
 
-        impl SimCounters {
-            /// The registered metric names, in [`SimStats`] field order.
-            pub const NAMES: &'static [&'static str] = &[$($name),+];
-
-            /// Register (or look up) every counter in `reg`.
-            #[must_use]
-            pub fn register(reg: &mut MetricRegistry) -> Self {
-                SimCounters { $($field: reg.counter($name),)+ }
-            }
-
-            /// Copy the current counter values into the matching
-            /// [`SimStats`] fields.
-            pub fn materialize_into(&self, stats: &mut SimStats) {
-                $(stats.$field = self.$field.get();)+
-            }
-
-            /// Set every counter from the matching [`SimStats`] fields —
-            /// the reverse of [`SimCounters::materialize_into`]. Sampled
-            /// runs use this to rebuild a registry snapshot around an
-            /// estimated stats struct, so `--emit-json` payloads keep one
-            /// shape whether a run was full or sampled.
-            pub fn store_from(&self, stats: &SimStats) {
-                $(self.$field.set(stats.$field);)+
-            }
-        }
-    };
-}
-for_each_sim_counter!(define_sim_counters);
-
-macro_rules! define_sim_accum {
-    ($(($field:ident, $name:literal)),+ $(,)?) => {
-        /// Batch-local mirror of every hot-path metric: plain `u64` fields
-        /// instead of `Rc<Cell>` handles and [`LocalHistogram`]s instead of
-        /// shared [`Histogram`]s. The simulator increments this on its hot
-        /// path and [`SimAccum::flush_into`] drains it into the registry
-        /// handles — an exact operation (counter adds commute; histogram
-        /// absorb is record-equivalent), so batching the flush is
-        /// unobservable in [`SimStats`] or any snapshot.
-        ///
-        /// `cycles` is present for macro uniformity but never incremented:
-        /// it is computed and `set` directly at finalization.
-        #[derive(Debug, Clone, Default)]
-        pub struct SimAccum {
-            $(
-                #[doc = concat!("Pending delta for `", $name, "`.")]
-                pub $field: u64,
-            )+
-            /// Pending per-kind BTB-miss deltas ([`BranchKind::ALL`] order).
-            pub btb_miss_by_kind: [u64; 6],
-            /// Pending `ftq.occupancy` records.
-            pub ftq_occupancy: LocalHistogram,
-            /// Pending `resteer.repair_latency` records.
-            pub resteer_latency: LocalHistogram,
-            /// Pending `shadow_decode.batch_size` records.
-            pub shadow_batch: LocalHistogram,
-        }
-
-        impl SimAccum {
-            /// Drain every pending delta into the shared handles, leaving
-            /// this accumulator empty.
-            pub fn flush_into(&mut self, tel: &FrontendTelemetry) {
-                $(
-                    if self.$field != 0 {
-                        tel.c.$field.add(self.$field);
-                        self.$field = 0;
-                    }
-                )+
-                for (c, v) in tel.btb_miss_by_kind.iter().zip(&mut self.btb_miss_by_kind) {
-                    if *v != 0 {
-                        c.add(*v);
-                        *v = 0;
-                    }
+        impl SimStats {
+            /// Upsert these statistics into `reg` under the snapshot names:
+            /// every table counter, the per-kind BTB misses, the three cache
+            /// levels, the Skia counters when attached, and the
+            /// `sim.mean_ftq_occupancy` and `sim.ipc` gauges.
+            pub fn register_into(&self, reg: &mut MetricRegistry) {
+                $(reg.set_counter($name, self.$field);)+
+                for (&kind, &n) in BranchKind::ALL.iter().zip(&self.btb_misses_by_kind) {
+                    reg.set_counter(btb_miss_kind_name(kind), n);
                 }
-                tel.ftq_occupancy.absorb(&mut self.ftq_occupancy);
-                tel.resteer_latency.absorb(&mut self.resteer_latency);
-                tel.shadow_batch.absorb(&mut self.shadow_batch);
+                self.l1i.register_into(reg, "l1i");
+                self.l2.register_into(reg, "l2");
+                self.l3.register_into(reg, "l3");
+                if let Some(skia) = &self.skia {
+                    skia.register_into(reg);
+                }
+                reg.set_gauge("sim.mean_ftq_occupancy", self.mean_ftq_occupancy);
+                reg.set_gauge("sim.ipc", self.ipc());
             }
         }
     };
 }
-for_each_sim_counter!(define_sim_accum);
+for_each_sim_counter!(define_register_into);
 
 /// Metric name of the per-kind BTB-miss counter for `kind`.
 #[must_use]
@@ -154,95 +92,90 @@ pub fn btb_miss_kind_name(kind: BranchKind) -> &'static str {
     }
 }
 
-/// Every handle the simulator records through: the [`SimCounters`] set, the
-/// per-kind BTB miss breakdown, the four standing histograms, and the
-/// (optional) event trace.
-#[derive(Debug, Clone)]
-pub struct FrontendTelemetry {
-    /// Scalar counters mirroring [`SimStats`].
-    pub c: SimCounters,
-    /// BTB misses by [`BranchKind`] (order of [`BranchKind::ALL`]).
-    pub btb_miss_by_kind: [Counter; 6],
+/// Registry name of the SBB entry-residency histogram (cycles, closed on
+/// eviction/invalidation). `skia-core` records into it directly through
+/// its telemetry attachment.
+pub(crate) const SBB_LIFETIME: &str = "sbb.entry_lifetime";
+
+/// The simulator's standing histograms, recorded without sharing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SimHistograms {
     /// FTQ occupancy sampled at every block formation.
-    pub ftq_occupancy: Histogram,
+    pub ftq_occupancy: LocalHistogram,
     /// Resteer repair bubble (cycles from the mispredicted block's formation
     /// to the IAG restart).
-    pub resteer_latency: Histogram,
+    pub resteer_latency: LocalHistogram,
     /// Shadow branches inserted per shadow-decode invocation.
-    pub shadow_batch: Histogram,
-    /// SBB entry residency in cycles (closed on eviction/invalidation;
-    /// recorded by `skia-core` through its attachment).
-    pub sbb_lifetime: Histogram,
-    /// Event trace handle, when tracing is enabled.
-    pub trace: Option<EventTrace>,
+    pub shadow_batch: LocalHistogram,
 }
 
-impl FrontendTelemetry {
-    /// Register every frontend metric in `reg`. Tracing starts disabled;
-    /// [`crate::Simulator::enable_trace`] turns it on.
-    #[must_use]
-    pub fn register(reg: &mut MetricRegistry) -> Self {
-        FrontendTelemetry {
-            c: SimCounters::register(reg),
-            btb_miss_by_kind: BranchKind::ALL.map(|k| reg.counter(btb_miss_kind_name(k))),
-            ftq_occupancy: reg.histogram("ftq.occupancy"),
-            resteer_latency: reg.histogram("resteer.repair_latency"),
-            shadow_batch: reg.histogram("shadow_decode.batch_size"),
-            sbb_lifetime: reg.histogram("sbb.entry_lifetime"),
-            trace: reg.trace(),
-        }
-    }
-
-    /// Record an event if tracing is enabled (one branch otherwise).
-    #[inline]
-    pub fn event(&self, cycle: u64, kind: EventKind, pc: u64, arg: u64) {
-        if let Some(t) = &self.trace {
-            t.record(cycle, kind, pc, arg);
-        }
+impl SimHistograms {
+    /// Overwrite the registry's standing histograms with these contents and
+    /// make sure [`SBB_LIFETIME`] exists, so every snapshot carries the same
+    /// four histograms. Idempotent: nothing is drained.
+    pub fn register_into(&self, reg: &mut MetricRegistry) {
+        reg.histogram("ftq.occupancy").set(&self.ftq_occupancy);
+        reg.histogram("resteer.repair_latency")
+            .set(&self.resteer_latency);
+        reg.histogram("shadow_decode.batch_size")
+            .set(&self.shadow_batch);
+        reg.histogram(SBB_LIFETIME);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use skia_telemetry::TraceConfig;
+    use skia_workloads::{Program, ProgramSpec, Walker};
+
     use super::*;
+    use crate::{FrontendConfig, Simulator};
 
     #[test]
-    fn names_are_distinct_and_registered() {
-        let mut reg = MetricRegistry::new();
-        let tel = FrontendTelemetry::register(&mut reg);
-        // 23 scalar + 6 per-kind counters, all distinct.
-        assert_eq!(SimCounters::NAMES.len(), 23);
-        assert_eq!(reg.counter_count(), 23 + 6);
-        tel.c.btb_misses.add(3);
-        tel.btb_miss_by_kind[0].inc();
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("btb.misses"), Some(3));
-        assert_eq!(snap.counter("btb.miss_kind.direct_cond"), Some(1));
-        assert!(snap.histogram("ftq.occupancy").is_some());
+    fn names_are_distinct() {
+        let names: BTreeSet<_> = SIM_COUNTERS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names.len(), SIM_COUNTERS.len());
+        assert_eq!(SIM_COUNTERS.len(), 23);
     }
 
+    /// After a real Skia-on run with event tracing on, the snapshot agrees
+    /// with `SimStats` name by name, and taking it twice changes nothing.
     #[test]
-    fn materialize_round_trips_every_field() {
-        let mut reg = MetricRegistry::new();
-        let tel = FrontendTelemetry::register(&mut reg);
-        // Give every counter a distinct value via its registry name.
-        for (i, name) in SimCounters::NAMES.iter().enumerate() {
-            reg.counter(name).set(100 + i as u64);
+    fn snapshot_matches_stats_and_is_idempotent() {
+        let program = Program::generate(&ProgramSpec {
+            functions: 120,
+            ..ProgramSpec::default()
+        });
+        let mut sim = Simulator::new(&program, FrontendConfig::alder_lake_with_skia());
+        sim.enable_trace(TraceConfig::default());
+        let stats = sim.run(Walker::new(&program, 3, 6).take(4_000));
+        let snap = sim.snapshot();
+
+        assert!(stats.skia.is_some() && stats.btb_misses > 0 && stats.cycles > 0);
+        for &(name, field) in SIM_COUNTERS {
+            assert_eq!(snap.counter(name), Some(field(&stats)), "{name}");
         }
-        let mut stats = SimStats::default();
-        tel.c.materialize_into(&mut stats);
-        assert_eq!(stats.instructions, 100);
-        assert_eq!(stats.cycles, 101);
-        assert_eq!(stats.wrong_path_prefetches, 100 + 22);
-        // And the registry snapshot agrees with the struct, name by name.
-        let snap = reg.snapshot();
+        for (i, &kind) in BranchKind::ALL.iter().enumerate() {
+            let name = btb_miss_kind_name(kind);
+            assert_eq!(
+                snap.counter(name),
+                Some(stats.btb_misses_by_kind[i]),
+                "{name}"
+            );
+        }
         assert_eq!(
-            snap.counter("sim.taken_branches"),
-            Some(stats.taken_branches)
+            snap.gauges.get("sim.mean_ftq_occupancy"),
+            Some(&stats.mean_ftq_occupancy)
         );
+        assert!(!snap.events.is_empty());
         assert_eq!(
-            snap.counter("decode.busy_cycles"),
-            Some(stats.decode_busy_cycles)
+            snap.histogram("ftq.occupancy").map(|h| h.mean()),
+            Some(stats.mean_ftq_occupancy)
         );
+
+        assert_eq!(sim.snapshot(), snap);
+        assert_eq!(sim.stats(), stats);
     }
 }

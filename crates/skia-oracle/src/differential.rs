@@ -12,16 +12,9 @@
 //! (which contains the program seed and the trace seed) plus the step
 //! index at which the two simulators first disagreed.
 //!
-//! After the per-step comparison the same case is replayed once more
-//! through the production batched kernel
-//! ([`Simulator::run_batched`]) at a case-derived chunk size; its final
-//! [`SimStats`] must equal the per-step run's byte for byte, so every
-//! corpus case doubles as a batching-equivalence witness.
-//!
 //! [`OracleFault`] injects deliberate bugs into the oracle (stale BTB LRU,
-//! ignored retired bit) — or, for [`OracleFault::BatchDoubleFlush`], into
-//! the production batched kernel — so the harness can prove it actually
-//! catches divergences.
+//! ignored retired bit, broken head/tail decode) so the harness can prove
+//! it actually catches divergences.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -29,10 +22,10 @@ use std::rc::Rc;
 
 use skia_core::{SbbConfig, SkiaConfig};
 use skia_frontend::config::{BtbMode, FrontendConfig};
-use skia_frontend::{BatchFault, SimStats, Simulator};
+use skia_frontend::{SimStats, Simulator};
 use skia_telemetry::{Snapshot, TraceConfig};
 use skia_uarch::btb::BtbConfig;
-use skia_workloads::{Layout, Program, ProgramSpec, RecordedTrace, TraceStep, Walker};
+use skia_workloads::{Layout, Program, ProgramSpec, TraceStep, Walker};
 
 use crate::ref_sbd::SbdFault;
 use crate::ref_sim::{RefBtbStore, RefSimulator};
@@ -146,21 +139,15 @@ pub enum OracleFault {
     /// Reference head extraction walks from the last valid start instead of
     /// the policy-chosen one (§3.2 selection broken).
     HeadChoosesLastStart,
-    /// The *production* batched kernel drains its telemetry accumulator
-    /// twice at every chunk boundary ([`BatchFault::DoubleFlush`]). Unlike
-    /// the other knobs this faults the real simulator, proving the
-    /// batched-vs-per-step comparison catches batching bugs.
-    BatchDoubleFlush,
 }
 
 impl OracleFault {
     /// Every knob, for exhaustive fault-injection sweeps.
-    pub const ALL: [OracleFault; 5] = [
+    pub const ALL: [OracleFault; 4] = [
         OracleFault::StaleBtbLru,
         OracleFault::IgnoreRetiredBit,
         OracleFault::TailSkipFirstByte,
         OracleFault::HeadChoosesLastStart,
-        OracleFault::BatchDoubleFlush,
     ];
 
     /// Stable kebab-case tag, used in fuzz replay tokens.
@@ -170,7 +157,6 @@ impl OracleFault {
             OracleFault::IgnoreRetiredBit => "ignore-retired-bit",
             OracleFault::TailSkipFirstByte => "tail-skip-first-byte",
             OracleFault::HeadChoosesLastStart => "head-chooses-last-start",
-            OracleFault::BatchDoubleFlush => "batch-double-flush",
         }
     }
 
@@ -297,7 +283,6 @@ pub fn run_case(
     let program = Program::generate(&case.spec());
     let config = case.config();
 
-    let batched_config = config.clone();
     let mut sim = Simulator::new(&program, config.clone());
     let trace = sim.enable_trace(TraceConfig {
         capacity: 1 << 20,
@@ -327,8 +312,7 @@ pub fn run_case(
                 skia.sbd_mut().fault = Some(SbdFault::HeadChoosesLastStart);
             }
         }
-        // Planted into the batched production run below, not the oracle.
-        Some(OracleFault::BatchDoubleFlush) | None => {}
+        None => {}
     }
 
     let steps: Vec<TraceStep> = Walker::new(&program, case.trace_seed, 5)
@@ -345,9 +329,8 @@ pub fn run_case(
     };
 
     for (i, step) in steps.iter().enumerate() {
-        // `run` finalizes on every call; repeated finalization recomputes
-        // the same closed-form cycle count, so per-step stats are exact.
-        let real = sim.run(std::iter::once(*step));
+        sim.step(step);
+        let real = sim.stats();
         oracle.step(step);
         let ours = oracle.stats_now();
         if real != ours {
@@ -397,27 +380,6 @@ pub fn run_case(
                 oracle_events.len()
             ),
         };
-        return Err(report(case.steps, detail));
-    }
-
-    // Batched-kernel lockstep: replay the identical stream through
-    // `run_batched` and require the final stats to match the per-step run
-    // byte for byte. The chunk size is case-derived so the corpus sweeps
-    // boundary placements; `SKIA_CHUNK` is deliberately ignored here — a
-    // replay token must reproduce bit-for-bit in any environment.
-    let final_per_step = sim.run(std::iter::empty());
-    let chunk = 1 + (case.spec_seed % 499) as usize;
-    let recorded = RecordedTrace::record(&program, case.trace_seed, 5, case.steps);
-    let mut batched_sim = Simulator::new(&program, batched_config);
-    if fault == Some(OracleFault::BatchDoubleFlush) {
-        batched_sim.plant_batch_fault(BatchFault::DoubleFlush);
-    }
-    let batched = batched_sim.run_batched(&recorded, case.steps, chunk);
-    if batched != final_per_step {
-        let detail = format!(
-            "batched kernel mismatch (chunk size {chunk}):\n  {}",
-            diff_stats(&batched, &final_per_step).join("\n  ")
-        );
         return Err(report(case.steps, detail));
     }
 

@@ -24,27 +24,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Default batched-replay chunk size (steps per chunk). 4k steps keeps the
-/// chunk's column slices and the simulator's accumulator comfortably inside
-/// L2 while amortizing the per-chunk telemetry drain to noise.
-pub const DEFAULT_CHUNK: usize = 4096;
-
-/// Resolve the batched-replay chunk size for sweep jobs.
-///
-/// The `SKIA_CHUNK` environment variable overrides [`DEFAULT_CHUNK`]
-/// (equivalence tests sweep it; results are byte-identical at any value).
-/// Unparsable or zero values warn and fall back to the default.
-#[must_use]
-pub fn chunk_size() -> usize {
-    if let Ok(v) = std::env::var("SKIA_CHUNK") {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => eprintln!("warning: SKIA_CHUNK={v} is not a positive integer; using default"),
-        }
-    }
-    DEFAULT_CHUNK
-}
-
 /// Resolve the worker-thread count for a sweep.
 ///
 /// Priority: an explicit `flag` (from `--threads`) wins; otherwise the
@@ -67,10 +46,9 @@ pub fn thread_count(flag: Option<usize>) -> usize {
 }
 
 /// Phase-sampling knobs resolved from the environment, dependency-free so
-/// every binary resolves them identically (the `SKIA_CHUNK`/`SKIA_THREADS`
-/// pattern). The sweep engines translate this into a
-/// `skia_workloads::SamplingConfig`; `None` fields mean "use the scaled
-/// default for the run length".
+/// every binary resolves them identically (the `SKIA_THREADS` pattern). The
+/// sweep engines translate this into a `skia_workloads::SamplingConfig`;
+/// `None` fields mean "use the scaled default for the run length".
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SamplingEnv {
     /// `SKIA_SAMPLE=1`: simulate sampled (weighted representative slices)
@@ -87,7 +65,7 @@ pub struct SamplingEnv {
 }
 
 /// Resolve the sampling knobs from `SKIA_SAMPLE*` environment variables.
-/// Unparsable values warn and fall back to the default, like `SKIA_CHUNK`.
+/// Unparsable values warn and fall back to the default, like `SKIA_THREADS`.
 #[must_use]
 pub fn sampling_env() -> SamplingEnv {
     SamplingEnv {

@@ -35,31 +35,11 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Inner {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Inner {
-    fn default() -> Self {
-        Inner {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
 /// A shared-handle streaming histogram (see the module docs for the bucket
-/// scheme). Clones share state, like [`crate::Counter`].
+/// scheme): a [`LocalHistogram`] behind an `Rc<RefCell>`. Clones share
+/// state, like [`crate::Counter`].
 #[derive(Debug, Clone, Default)]
-pub struct Histogram(Rc<RefCell<Inner>>);
+pub struct Histogram(Rc<RefCell<LocalHistogram>>);
 
 impl Histogram {
     /// A fresh, unregistered histogram (components under test use this;
@@ -72,27 +52,13 @@ impl Histogram {
     /// Record one measurement.
     #[inline]
     pub fn record(&self, v: u64) {
-        let mut h = self.0.borrow_mut();
-        h.buckets[bucket_index(v)] += 1;
-        h.count += 1;
-        h.sum = h.sum.wrapping_add(v);
-        h.min = h.min.min(v);
-        h.max = h.max.max(v);
+        self.0.borrow_mut().record(v);
     }
 
     /// Total recorded measurements.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.0.borrow().count
-    }
-
-    /// Wrapping sum of every recorded value. Together with
-    /// [`Histogram::count`] this lets a caller compute the mean of a *window*
-    /// of records by differencing two observations — sampled replay uses
-    /// this for per-slice FTQ occupancy.
-    #[must_use]
-    pub fn sum(&self) -> u64 {
-        self.0.borrow().sum
     }
 
     /// Fold another histogram's contents into this one.
@@ -111,53 +77,24 @@ impl Histogram {
         h.max = h.max.max(o.max);
     }
 
-    /// Drain a [`LocalHistogram`]'s contents into this one and reset it.
-    ///
-    /// Byte-exact: the result equals having called [`Histogram::record`]
-    /// directly for every value the local one saw (bucket counts, count, and
-    /// wrapping sum add; min/max fold, with an empty local's `u64::MAX` min
-    /// leaving ours untouched).
-    pub fn absorb(&self, local: &mut LocalHistogram) {
-        if local.count == 0 {
-            return;
-        }
-        let mut h = self.0.borrow_mut();
-        for (dst, src) in h.buckets.iter_mut().zip(local.buckets.iter()) {
-            *dst += src;
-        }
-        h.count += local.count;
-        h.sum = h.sum.wrapping_add(local.sum);
-        h.min = h.min.min(local.min);
-        h.max = h.max.max(local.max);
-        *local = LocalHistogram::new();
+    /// Overwrite this histogram's contents with a copy of `local`'s — the
+    /// snapshot-time bridge for owners that record into a
+    /// [`LocalHistogram`]. Idempotent: `local` is left untouched.
+    pub fn set(&self, local: &LocalHistogram) {
+        self.0.borrow_mut().clone_from(local);
     }
 
     /// Materialize into an owned, serializable form.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let h = self.0.borrow();
-        let buckets = h
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_bounds(i).0, c))
-            .collect();
-        HistogramSnapshot {
-            buckets,
-            count: h.count,
-            sum: h.sum,
-            min: if h.count == 0 { 0 } else { h.min },
-            max: h.max,
-        }
+        self.0.borrow().snapshot()
     }
 }
 
 /// An unshared histogram accumulator: the same bucket scheme as
 /// [`Histogram`] but plain fields — no `Rc`, no `RefCell` borrow per
-/// record. Hot loops record into one of these and periodically drain it
-/// into a shared [`Histogram`] via [`Histogram::absorb`]; the drain is
-/// exact, so batching records this way is unobservable in any snapshot.
+/// record. Hot loops record into one of these and copy it into a shared
+/// [`Histogram`] via [`Histogram::set`] when a snapshot is taken.
 #[derive(Debug, Clone)]
 pub struct LocalHistogram {
     buckets: [u64; BUCKETS],
@@ -196,10 +133,38 @@ impl LocalHistogram {
         self.max = self.max.max(v);
     }
 
-    /// Total recorded measurements since the last drain.
+    /// Total recorded measurements.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Wrapping sum of every recorded value. Together with
+    /// [`LocalHistogram::count`] this lets a caller compute the mean of a
+    /// *window* of records by differencing two observations — sampled
+    /// replay uses this for per-slice FTQ occupancy.
+    #[must_use]
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Materialize into an owned, serializable form.
+    #[must_use]
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (bucket_bounds(i).0, c))
+            .collect();
+        HistogramSnapshot {
+            buckets,
+            count: self.count,
+            sum: self.sum,
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
+        }
     }
 }
 
@@ -305,24 +270,21 @@ mod tests {
     }
 
     #[test]
-    fn absorb_equals_direct_records() {
+    fn set_copies_a_local_histogram_without_draining_it() {
         let direct = Histogram::new();
-        let batched = Histogram::new();
         let mut local = LocalHistogram::new();
-        let values = [0u64, 1, 1, 5, 64, 1000, u64::MAX];
-        for (i, &v) in values.iter().enumerate() {
+        for v in [0u64, 1, 1, 5, 64, 1000, u64::MAX] {
             direct.record(v);
             local.record(v);
-            if i % 3 == 2 {
-                batched.absorb(&mut local);
-            }
         }
-        batched.absorb(&mut local);
-        assert_eq!(direct.snapshot(), batched.snapshot());
-        // Drained local is empty again; absorbing it is a no-op.
-        assert_eq!(local.count(), 0);
-        batched.absorb(&mut local);
-        assert_eq!(direct.snapshot(), batched.snapshot());
+        let shared = Histogram::new();
+        shared.record(7); // overwritten, not merged
+        shared.set(&local);
+        assert_eq!(shared.snapshot(), direct.snapshot());
+        assert_eq!(local.snapshot(), direct.snapshot());
+        // Setting again is idempotent.
+        shared.set(&local);
+        assert_eq!(shared.snapshot(), direct.snapshot());
     }
 
     #[test]

@@ -165,52 +165,7 @@ impl RecordedTrace {
     /// walk from the same seed.
     #[must_use]
     pub fn replay(&self) -> Replay<'_> {
-        Replay {
-            trace: self,
-            idx: 0,
-            end: self.len(),
-            block_start: self.first_block_start,
-        }
-    }
-
-    /// Chunked replay of the first `steps` steps: successive bounded
-    /// [`Replay`] iterators of at most `chunk_size` steps each, whose
-    /// concatenation is bit-identical to `replay().take(steps)`.
-    ///
-    /// Chunk boundaries need no scan to establish: the `block_start` of a
-    /// chunk's first step is `next_pc` of the step before it (the walker
-    /// chaining invariant), so each chunk is an independent column-slice
-    /// view — the batched simulation kernel consumes these, and tests
-    /// replay individual chunks in isolation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is 0 or `steps > len()`.
-    #[must_use]
-    pub fn chunks(&self, steps: usize, chunk_size: usize) -> Chunks<'_> {
-        self.chunks_range(0, steps, chunk_size)
-    }
-
-    /// Chunked replay of the half-open step window `[lo, hi)` — the
-    /// mid-trace generalization of [`RecordedTrace::chunks`] that SimPoint
-    /// slices consume. The first chunk's opening `block_start` comes from
-    /// the chaining invariant (`next_pc[lo-1]`), so starting mid-trace
-    /// costs one column read, not a prefix scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size` is 0, `lo > hi`, or `hi > len()`.
-    #[must_use]
-    pub fn chunks_range(&self, lo: usize, hi: usize, chunk_size: usize) -> Chunks<'_> {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        assert!(lo <= hi, "window start past its end");
-        assert!(hi <= self.len(), "chunked replay longer than recording");
-        Chunks {
-            trace: self,
-            lo,
-            end: hi,
-            chunk_size,
-        }
+        self.window(0, self.len())
     }
 
     /// The replay entry state at step `lo`: the block-start PC of the step
@@ -236,9 +191,10 @@ impl RecordedTrace {
     }
 
     /// Replay of the half-open step window `[lo, hi)`: bit-identical to
-    /// `replay().skip(lo).take(hi - lo)` but O(1) to position (the opening
-    /// `block_start` is chained from `next_pc[lo-1]`). Sampling warmup
-    /// windows use this.
+    /// `replay().skip(lo).take(hi - lo)` but O(1) to position — the opening
+    /// `block_start` is chained from `next_pc[lo-1]` (the walker chaining
+    /// invariant), so no prefix is scanned. Full runs replay `[0, steps)`;
+    /// sampled slices replay their warmup and measure windows.
     ///
     /// # Panics
     ///
@@ -260,52 +216,13 @@ impl RecordedTrace {
     }
 }
 
-/// Iterator of bounded [`Replay`] chunks (see [`RecordedTrace::chunks`]).
-#[derive(Debug, Clone)]
-pub struct Chunks<'t> {
-    trace: &'t RecordedTrace,
-    lo: usize,
-    end: usize,
-    chunk_size: usize,
-}
-
-impl<'t> Iterator for Chunks<'t> {
-    type Item = Replay<'t>;
-
-    fn next(&mut self) -> Option<Replay<'t>> {
-        let lo = self.lo;
-        if lo >= self.end {
-            return None;
-        }
-        let hi = (lo + self.chunk_size).min(self.end);
-        self.lo = hi;
-        Some(Replay {
-            trace: self.trace,
-            idx: lo,
-            end: hi,
-            block_start: if lo == 0 {
-                self.trace.first_block_start
-            } else {
-                self.trace.next_pc[lo - 1]
-            },
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = (self.end - self.lo.min(self.end)).div_ceil(self.chunk_size);
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for Chunks<'_> {}
-
 /// Iterator over a [`RecordedTrace`]. Pure column reads.
 #[derive(Debug, Clone)]
 pub struct Replay<'t> {
     trace: &'t RecordedTrace,
     idx: usize,
     /// One past the last step this iterator yields (`len()` for a full
-    /// replay; a chunk boundary for [`RecordedTrace::chunks`]).
+    /// replay; the window end for [`RecordedTrace::window`]).
     end: usize,
     /// `block_start` of the step about to be yielded (chained).
     block_start: u64,

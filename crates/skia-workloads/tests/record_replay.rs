@@ -69,23 +69,40 @@ proptest! {
         prop_assert_eq!(long.prefix(short), fresh);
     }
 
-    /// Chunked replay is a pure partition of the step stream: concatenating
-    /// the steps of `chunks(steps, chunk_size)` equals `replay().take(steps)`
-    /// for any chunk size, including sizes around and beyond the length.
+    /// Window replay is a pure slice of the step stream: `window(lo, hi)`
+    /// equals `replay().skip(lo).take(hi - lo)` for any `lo ≤ hi ≤ len`,
+    /// and `entry_at(lo)` is the state step `lo` chains from — the
+    /// previous step's `next_pc` and `taken` bit (the program entry,
+    /// entered by a branch, at `lo == 0`). Every simulation replays
+    /// through windows, and sampled slices re-sync the front-end from
+    /// `entry_at`, so both rest on this property.
     #[test]
-    fn chunks_concatenate_to_the_replay_stream(
+    fn window_and_entry_follow_the_chaining_invariant(
         prog_seed in any::<u64>(),
         walk_seed in any::<u64>(),
         bolted in any::<bool>(),
-        steps in 0usize..900,
-        chunk in 1usize..1100,
+        len in 1usize..900,
+        a in any::<usize>(),
+        b in any::<usize>(),
     ) {
         let program = Program::generate(&small_spec(prog_seed, bolted));
-        let trace = RecordedTrace::record(&program, walk_seed, 6, 900);
-        let whole: Vec<_> = trace.replay().take(steps).collect();
-        let chunked: Vec<_> = trace.chunks(steps, chunk).flatten().collect();
-        prop_assert_eq!(chunked, whole);
-        prop_assert_eq!(trace.chunks(steps, chunk).count(), steps.div_ceil(chunk));
+        let trace = RecordedTrace::record(&program, walk_seed, 6, len);
+        let (lo, hi) = {
+            let (x, y) = (a % (len + 1), b % (len + 1));
+            (x.min(y), x.max(y))
+        };
+        let all: Vec<_> = trace.replay().collect();
+        let expected: Vec<_> = all.iter().copied().skip(lo).take(hi - lo).collect();
+        prop_assert_eq!(trace.window(lo, hi).collect::<Vec<_>>(), expected);
+
+        let chained = match lo {
+            0 => (all[0].block_start, true),
+            _ => (all[lo - 1].next_pc, all[lo - 1].taken),
+        };
+        prop_assert_eq!(trace.entry_at(lo), chained);
+        if let Some(step) = all.get(lo) {
+            prop_assert_eq!(trace.entry_at(lo).0, step.block_start);
+        }
     }
 
     /// RNG isolation: recording a trace mid-walk must not perturb an
@@ -108,35 +125,6 @@ proptest! {
         observed.extend(interleaved.take(600 - pause_at));
         prop_assert_eq!(observed, reference);
     }
-}
-
-/// Each chunk opens at the walker-chaining invariant's boundary: its first
-/// step's `block_start` equals the previous chunk's final `next_pc`, with no
-/// scan over the skipped prefix. Exercises the edge sizes explicitly.
-#[test]
-fn chunk_boundaries_chain_without_scanning() {
-    let program = Program::generate(&small_spec(5, false));
-    let trace = RecordedTrace::record(&program, 42, 6, 1000);
-    for chunk_size in [1usize, 7, 250, 999, 1000, 1001] {
-        let chunks: Vec<Vec<_>> = trace
-            .chunks(1000, chunk_size)
-            .map(Iterator::collect)
-            .collect();
-        assert_eq!(chunks.len(), 1000usize.div_ceil(chunk_size));
-        for pair in chunks.windows(2) {
-            let prev_last = pair[0].last().expect("chunks are non-empty");
-            let next_first = pair[1].first().expect("chunks are non-empty");
-            assert_eq!(
-                next_first.block_start, prev_last.next_pc,
-                "chunk_size={chunk_size}"
-            );
-        }
-    }
-    // Degenerate shapes: zero steps yields no chunks; an oversized chunk
-    // yields exactly one covering the whole request.
-    assert_eq!(trace.chunks(0, 64).count(), 0);
-    let all: Vec<_> = trace.chunks(1000, 4096).flatten().collect();
-    assert_eq!(all.len(), 1000);
 }
 
 /// Replaying twice from one recording yields identical streams — replay holds
