@@ -1,8 +1,8 @@
 //! Simulate-phase throughput and span-layer overhead.
 //!
 //! `sim_per_step_20k` is the raw number behind the manifest's
-//! `sim.steps_per_sec`: one `Simulator::run` over a window of a
-//! pre-recorded trace (the sweep simulate-phase hot path — no walker, no
+//! `sim.steps_per_sec`: one `Simulator::run` over a pre-recorded
+//! trace (the sweep simulate-phase hot path — no walker, no
 //! RNG, no cache). The span benchmarks bound the
 //! observability tax: a disabled span must cost about one atomic load (no
 //! allocation, no clock read), an enabled span one clock pair plus a
@@ -23,7 +23,7 @@ fn replay_simulate(c: &mut Criterion) {
     c.bench_function("sim_per_step_20k", |b| {
         b.iter(|| {
             let mut sim = Simulator::new(&program, FrontendConfig::alder_lake_with_skia());
-            sim.run(trace.window(0, STEPS)).cycles
+            sim.run(trace.replay()).cycles
         })
     });
 }

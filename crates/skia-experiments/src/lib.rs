@@ -13,19 +13,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use skia_core::SkiaConfig;
-use skia_frontend::{FrontendConfig, SampleFault, SimStats, Simulator};
+use skia_frontend::{FrontendConfig, SimStats, Simulator};
 use skia_telemetry::{Snapshot, TraceConfig};
 use skia_workloads::profiles::PAPER_BENCHMARKS;
 use skia_workloads::{
-    load_or_record_trace, profile, Profile, Program, RecordedTrace, SamplingConfig, SamplingPlan,
-    TraceCacheOutcome, Walker,
+    load_or_record_trace, profile, Profile, Program, RecordedTrace, TraceCacheOutcome, Walker,
 };
 
-pub mod pins;
 pub mod report;
 
 pub use skia_frontend::stats::geomean;
-pub use skia_runner::{sampling_env, thread_count, SamplingEnv, SweepReport};
+pub use skia_runner::{thread_count, SweepReport};
 
 /// Default trace length (true-path basic blocks) per benchmark run.
 ///
@@ -35,37 +33,29 @@ pub use skia_runner::{sampling_env, thread_count, SamplingEnv, SweepReport};
 pub const DEFAULT_STEPS: usize = 400_000;
 
 /// Resolve the step budget: `SKIA_STEPS` env var overrides the default so
-/// quick sanity runs and long calibration runs use the same binaries.
+/// quick sanity runs and long calibration runs use the same binaries. A
+/// value that is not a positive integer exits with status 2, like a bad
+/// `--threads`: running the default instead would print a plausible table
+/// for a run nobody asked for.
 #[must_use]
 pub fn steps_from_env() -> usize {
-    std::env::var("SKIA_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_STEPS)
+    let value = std::env::var_os("SKIA_STEPS").map(|v| v.to_string_lossy().into_owned());
+    parse_steps(value.as_deref()).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
 }
 
-/// Materialize the [`SamplingConfig`] for a `steps`-long run from resolved
-/// `SKIA_SAMPLE*` knobs: the scaled [`SamplingConfig::for_steps`] default,
-/// with each explicitly-set knob overriding its field. An explicit interval
-/// rescales the default warmup (one tenth of the interval, matching
-/// [`SamplingConfig::for_steps`]) unless warmup was itself set.
-#[must_use]
-pub fn sampling_config_for(steps: usize, env: &SamplingEnv) -> SamplingConfig {
-    let mut cfg = SamplingConfig::for_steps(steps);
-    if let Some(i) = env.interval {
-        cfg.interval = i;
-        cfg.warmup = i / 10;
+/// The testable core of [`steps_from_env`]: unset means [`DEFAULT_STEPS`],
+/// and anything but a positive integer is an error naming `SKIA_STEPS`.
+fn parse_steps(value: Option<&str>) -> Result<usize, String> {
+    let Some(v) = value else {
+        return Ok(DEFAULT_STEPS);
+    };
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("SKIA_STEPS={v:?}: not a positive integer")),
     }
-    if let Some(k) = env.k {
-        cfg.k = k;
-    }
-    if let Some(w) = env.warmup {
-        cfg.warmup = w;
-    }
-    if let Some(s) = env.seed {
-        cfg.seed = s;
-    }
-    cfg
 }
 
 /// A materialized benchmark: profile + generated program.
@@ -154,7 +144,7 @@ impl Workload {
     ) -> SimStats {
         assert!(trace.len() >= steps, "recorded trace shorter than request");
         let mut sim = Simulator::new(&self.program, config);
-        sim.run(trace.window(0, steps))
+        sim.run(trace.replay().take(steps))
     }
 
     /// [`Workload::run_trace`] with full telemetry export (the replay
@@ -168,41 +158,12 @@ impl Workload {
         trace_config: Option<TraceConfig>,
     ) -> (SimStats, Snapshot) {
         assert!(trace.len() >= steps, "recorded trace shorter than request");
-        skia_frontend::run_instrumented(&self.program, config, trace_config, trace.window(0, steps))
-    }
-
-    /// Run one *sampled* simulation over a pre-recorded trace: every slice
-    /// of `plan` is replayed warmup-then-measure and the returned stats are
-    /// the weighted whole-trace estimate (see `skia_frontend::sampling`).
-    /// With the degenerate plan this equals [`Workload::run_trace`] byte
-    /// for byte.
-    ///
-    /// `fault` plants a deliberate sampling bug for harness validation;
-    /// production callers pass `None`.
-    #[must_use]
-    pub fn run_sampled_trace(
-        &self,
-        config: FrontendConfig,
-        trace: &RecordedTrace,
-        plan: &SamplingPlan,
-        fault: Option<SampleFault>,
-    ) -> SimStats {
-        SAMPLING_TOTALS.note_plan(plan);
-        skia_frontend::run_plan(&self.program, &config, trace, plan, fault)
-    }
-
-    /// [`Workload::run_sampled_trace`] plus the synthetic estimate
-    /// [`Snapshot`] carrying `sampling.*` plan provenance.
-    #[must_use]
-    pub fn run_sampled_instrumented_trace(
-        &self,
-        config: FrontendConfig,
-        trace: &RecordedTrace,
-        plan: &SamplingPlan,
-        fault: Option<SampleFault>,
-    ) -> (SimStats, Snapshot) {
-        SAMPLING_TOTALS.note_plan(plan);
-        skia_frontend::run_plan_instrumented(&self.program, &config, trace, plan, fault)
+        skia_frontend::run_instrumented(
+            &self.program,
+            config,
+            trace_config,
+            trace.replay().take(steps),
+        )
     }
 
     /// Run one simulation, recording its telemetry into `emitter` when the
@@ -291,33 +252,6 @@ struct SimTotals {
 static SIM_TOTALS: SimTotals = SimTotals {
     steps: AtomicU64::new(0),
     busy_micros: AtomicU64::new(0),
-};
-
-/// Process-wide sampled-run totals, surfaced by [`JsonEmitter::finish`] as
-/// `sampling.*` counters so an emitted payload proves whether (and how
-/// much) phase sampling ran: jobs sampled, steps actually replayed, and
-/// steps the estimates stand for. `represented / replayed` is the realized
-/// compression factor the CI sampling-smoke job asserts on.
-struct SamplingTotals {
-    jobs: AtomicU64,
-    replayed_steps: AtomicU64,
-    represented_steps: AtomicU64,
-}
-
-impl SamplingTotals {
-    fn note_plan(&self, plan: &SamplingPlan) {
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        self.replayed_steps
-            .fetch_add(plan.replayed_steps() as u64, Ordering::Relaxed);
-        self.represented_steps
-            .fetch_add(plan.total_steps as u64, Ordering::Relaxed);
-    }
-}
-
-static SAMPLING_TOTALS: SamplingTotals = SamplingTotals {
-    jobs: AtomicU64::new(0),
-    replayed_steps: AtomicU64::new(0),
-    represented_steps: AtomicU64::new(0),
 };
 
 /// Process-wide [`RecordedTrace`] memo keyed by benchmark name, holding the
@@ -524,7 +458,6 @@ struct SweepJob {
 pub struct Sweep {
     threads: usize,
     quiet: bool,
-    sampling: Option<SamplingEnv>,
     jobs: Vec<SweepJob>,
 }
 
@@ -535,31 +468,15 @@ impl Sweep {
         Sweep {
             threads,
             quiet: false,
-            sampling: None,
             jobs: Vec::new(),
         }
     }
 
-    /// An empty sweep sized by the parsed [`Args`], with phase sampling
-    /// armed when `SKIA_SAMPLE=1` is set (every experiment binary gets the
-    /// sampled fast path through the same env contract as `SKIA_STEPS`).
+    /// An empty sweep on the worker count the parsed [`Args`] resolve
+    /// (`--threads` > `SKIA_THREADS` > cores).
     #[must_use]
     pub fn from_args(args: &Args) -> Sweep {
-        let env = sampling_env();
-        let mut sweep = Sweep::new(args.thread_count());
-        if env.enabled {
-            sweep.sampling = Some(env);
-        }
-        sweep
-    }
-
-    /// Force sampled simulation with the given knobs (harnesses and the
-    /// sampling probe; experiment binaries get this from `SKIA_SAMPLE*`
-    /// via [`Sweep::from_args`]).
-    #[must_use]
-    pub fn sampled(mut self, env: SamplingEnv) -> Sweep {
-        self.sampling = Some(env);
-        self
+        Sweep::new(args.thread_count())
     }
 
     /// Suppress the stderr timing summary (benches and tests).
@@ -649,46 +566,16 @@ impl Sweep {
         // -- simulate phase --------------------------------------------------
         let _simulate_span = skia_telemetry::span("sweep.simulate");
         let tc = emitter.trace_config();
-        let sampling = &self.sampling;
         let (timed, report) = skia_runner::run_timed(&self.jobs, self.threads, |_, job| {
             let _g = skia_telemetry::span_with(|| format!("sim.job:{}", job.bench));
             let w = workload(&job.bench);
             let trace = &traces[index[job.bench.as_str()]];
-            // Sampled path: build the plan (a pure function of trace +
-            // knobs, so thread- and order-invariant) and replay only its
-            // slices. Returns the steps actually replayed so the
-            // throughput totals report real work, not represented work.
-            if let Some(env) = sampling {
-                let cfg = sampling_config_for(job.steps, env);
-                let plan = SamplingPlan::build(trace, job.steps, &cfg);
-                let replayed = plan.replayed_steps() as u64;
-                let (stats, snapshot) = match tc {
-                    None => (
-                        w.run_sampled_trace(job.config.clone(), trace, &plan, None),
-                        None,
-                    ),
-                    Some(_) => {
-                        let (stats, snap) = w.run_sampled_instrumented_trace(
-                            job.config.clone(),
-                            trace,
-                            &plan,
-                            None,
-                        );
-                        (stats, Some(snap))
-                    }
-                };
-                return (stats, snapshot, replayed);
-            }
             match tc {
-                None => (
-                    w.run_trace(job.config.clone(), trace, job.steps),
-                    None,
-                    job.steps as u64,
-                ),
+                None => (w.run_trace(job.config.clone(), trace, job.steps), None),
                 Some(tc) => {
                     let (stats, snapshot) =
                         w.run_instrumented_trace(job.config.clone(), trace, job.steps, Some(tc));
-                    (stats, Some(snapshot), job.steps as u64)
+                    (stats, Some(snapshot))
                 }
             }
         });
@@ -703,7 +590,7 @@ impl Sweep {
             }
         }
         SIM_TOTALS.steps.fetch_add(
-            timed.iter().map(|t| t.value.2).sum::<u64>(),
+            self.jobs.iter().map(|job| job.steps as u64).sum::<u64>(),
             Ordering::Relaxed,
         );
         SIM_TOTALS.busy_micros.fetch_add(
@@ -712,7 +599,7 @@ impl Sweep {
         );
         let mut out = Vec::with_capacity(timed.len());
         for t in timed {
-            let (stats, snapshot, _) = t.value;
+            let (stats, snapshot) = t.value;
             if let Some(snapshot) = &snapshot {
                 emitter.record(snapshot);
             }
@@ -826,23 +713,6 @@ impl JsonEmitter {
             self.merged
                 .gauges
                 .insert("sim.steps_per_sec".into(), sim_steps as f64 / busy);
-        }
-        // Phase-sampling totals: whether sampled simulation ran, how many
-        // steps it replayed, and how many whole-trace steps the estimates
-        // stand for (represented / replayed = realized compression).
-        let sampled_jobs = SAMPLING_TOTALS.jobs.load(Ordering::Relaxed);
-        c.insert("sampling.jobs".into(), sampled_jobs);
-        if sampled_jobs > 0 {
-            let replayed = SAMPLING_TOTALS.replayed_steps.load(Ordering::Relaxed);
-            let represented = SAMPLING_TOTALS.represented_steps.load(Ordering::Relaxed);
-            c.insert("sampling.replayed_steps".into(), replayed);
-            c.insert("sampling.represented_steps".into(), represented);
-            if replayed > 0 {
-                self.merged.gauges.insert(
-                    "sampling.compression".into(),
-                    represented as f64 / replayed as f64,
-                );
-            }
         }
         // Cache I/O totals: bytes actually moved and per-column seeks issued
         // by the program/trace caches (skia-workloads process-wide meters).
@@ -981,6 +851,16 @@ mod tests {
         assert!(parse(&["--emit-json"]).is_err(), "missing value");
         assert!(parse(&["--emit-json="]).is_err(), "empty value");
         assert!(parse(&["stray"]).is_err(), "positional without names mode");
+    }
+
+    #[test]
+    fn steps_are_the_default_or_a_positive_integer() {
+        assert_eq!(parse_steps(None), Ok(DEFAULT_STEPS));
+        assert_eq!(parse_steps(Some("2000")), Ok(2000));
+        for bad in ["2k", "0", "-1", ""] {
+            let err = parse_steps(Some(bad)).expect_err(bad);
+            assert!(err.contains("SKIA_STEPS"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -2,39 +2,13 @@
 //! every field of every `SimStats` — including the f64 IPC-weighting
 //! bookkeeping — must match bitwise regardless of thread count.
 
-use skia_experiments::{SamplingEnv, StandingConfig, Sweep};
-use skia_workloads::SamplingPlan;
+use skia_experiments::{StandingConfig, Sweep};
 
 const BENCHES: [&str; 3] = ["tpcc", "voter", "kafka"];
 const STEPS: usize = 2_000;
 
 fn sweep_stats(threads: usize) -> Vec<skia_frontend::SimStats> {
     let mut sweep = Sweep::new(threads).quiet();
-    for name in BENCHES {
-        for config in [
-            StandingConfig::Btb(8192).frontend(),
-            StandingConfig::BtbPlusSkia(8192).frontend(),
-        ] {
-            sweep.add(name, config, STEPS);
-        }
-    }
-    sweep.run_collect()
-}
-
-/// A sampling environment exercising explicit overrides (not the
-/// `for_steps` defaults), so this also covers the knob-resolution path.
-fn sampling_env() -> SamplingEnv {
-    SamplingEnv {
-        enabled: true,
-        interval: Some(400),
-        k: Some(3),
-        warmup: Some(100),
-        seed: None,
-    }
-}
-
-fn sampled_sweep_stats(threads: usize) -> Vec<skia_frontend::SimStats> {
-    let mut sweep = Sweep::new(threads).quiet().sampled(sampling_env());
     for name in BENCHES {
         for config in [
             StandingConfig::Btb(8192).frontend(),
@@ -77,48 +51,6 @@ fn sweep_replay_matches_direct_live_walk() {
         .collect();
     let swept = sweep_stats(1);
     assert_eq!(direct, swept, "replayed sweep diverged from live walks");
-}
-
-/// Sampled sweeps carry the same determinism contract as full sweeps:
-/// plans are pure functions of `(trace, config)` — k-means runs serially
-/// inside each job with a seeded RNG — so the estimates must match
-/// bitwise across thread counts *and* across repeated runs in the same
-/// process.
-#[test]
-fn sampled_sweep_is_thread_count_invariant_and_repeatable() {
-    let serial = sampled_sweep_stats(1);
-    let parallel = sampled_sweep_stats(4);
-    let repeated = sampled_sweep_stats(4);
-    assert_eq!(serial.len(), BENCHES.len() * 2);
-    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(s, p, "sampled job {i} diverged between 1 and 4 threads");
-    }
-    for (i, (p, r)) in parallel.iter().zip(&repeated).enumerate() {
-        assert_eq!(p, r, "sampled job {i} diverged between repeated runs");
-    }
-}
-
-/// Rebuilding a plan from the same shared recording and environment must
-/// reproduce it exactly — slices, weights and fingerprint.
-#[test]
-fn sampling_plan_rebuild_is_exact() {
-    let trace = skia_experiments::recorded_trace("tpcc", STEPS);
-    let cfg = skia_experiments::sampling_config_for(STEPS, &sampling_env());
-    let a = SamplingPlan::build(&trace, STEPS, &cfg);
-    let b = SamplingPlan::build(&trace, STEPS, &cfg);
-    assert_eq!(a, b, "plan rebuild diverged");
-    assert_eq!(a.fingerprint(), b.fingerprint());
-    // And a different clustering seed is actually a different plan — the
-    // fingerprint is sensitive, not a constant.
-    let reseeded = SamplingPlan::build(
-        &trace,
-        STEPS,
-        &skia_workloads::SamplingConfig {
-            seed: cfg.seed ^ 1,
-            ..cfg
-        },
-    );
-    assert_ne!(a.fingerprint(), reseeded.fingerprint());
 }
 
 /// The process-wide trace memo hands every caller the same recording, and

@@ -35,15 +35,13 @@
 
 pub mod bpu;
 pub mod config;
-pub mod sampling;
 pub mod sim;
 pub mod stats;
 pub mod telemetry;
 
 pub use bpu::{Bpu, PredictedBlock, PredictedBranch};
 pub use config::{BtbMode, FrontendConfig};
-pub use sampling::{run_plan, run_plan_instrumented};
-pub use sim::{SampleFault, Simulator};
+pub use sim::Simulator;
 pub use stats::SimStats;
 
 /// Run a complete simulation: generate nothing, just wire a program, a trace
@@ -77,7 +75,7 @@ pub fn run(
 ///
 /// The snapshot's counters are written from the returned [`SimStats`], so
 /// they agree by construction. Recorded traces pass
-/// `trace.window(0, steps)`.
+/// `trace.replay().take(steps)`.
 ///
 /// [`Snapshot`]: skia_telemetry::Snapshot
 pub fn run_instrumented(

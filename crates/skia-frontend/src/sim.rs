@@ -23,46 +23,12 @@ use std::collections::VecDeque;
 use skia_isa::BranchKind;
 use skia_telemetry::{EventKind, EventTrace, MetricRegistry, Snapshot, TraceConfig};
 use skia_uarch::cache::Hierarchy;
-use skia_workloads::{Program, RecordedTrace, SliceJob, TraceStep};
+use skia_workloads::{Program, TraceStep};
 
 use crate::bpu::{Bpu, PredictedBlock};
 use crate::config::FrontendConfig;
 use crate::stats::{ResteerStage, SimStats};
 use crate::telemetry::{SimHistograms, SBB_LIFETIME};
-
-/// Deliberate sampled-replay bugs, passable to
-/// [`Simulator::run_slice`] to prove the sampled-vs-full error-bound
-/// harness actually detects a broken sampling pipeline (the discipline of
-/// `skia-oracle`'s `OracleFault` knobs applied to phase sampling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SampleFault {
-    /// Skip the warmup replay entirely: every measured window starts from
-    /// cold predictors and caches — the exact bias warmup exists to remove.
-    /// The measure window itself is unchanged, so retirement counters stay
-    /// right while miss-class counters inflate past the harness bounds.
-    SkipWarmup,
-}
-
-/// Cumulative state captured at the warmup/measure boundary of a sampled
-/// slice. A plan's slices replay through **one** simulator in trace order
-/// (state carryover — see [`crate::sampling::run_plan`]), so at a boundary
-/// every counter — simulator counts, cache hierarchy, Skia — already holds
-/// the earlier slices' work plus this slice's warmup. The whole cumulative
-/// picture is baselined here and subtracted after the measure, leaving
-/// exactly the measured window.
-#[derive(Debug, Clone)]
-struct MeasureBase {
-    /// `decode_free` at measure start (the slice-local cycle origin).
-    cycle_base: u64,
-    /// `ftq.occupancy` histogram sum at measure start.
-    ftq_sum: u64,
-    /// `ftq.occupancy` histogram count at measure start.
-    ftq_count: u64,
-    /// Full cumulative stats at measure start. `cycles` and
-    /// `mean_ftq_occupancy` are computed quantities with their own bases
-    /// above; every other field is subtracted verbatim.
-    prior: SimStats,
-}
 
 /// Average x86 instruction length assumed when estimating decode occupancy
 /// of a byte range (retirement counts are exact; this only shapes decode
@@ -193,103 +159,12 @@ impl<'p> Simulator<'p> {
     }
 
     /// Replay a step stream to completion and return the statistics.
-    /// Recorded traces replay as `run(trace.window(0, steps))`.
+    /// Recorded traces replay as `run(trace.replay().take(steps))`.
     pub fn run(&mut self, trace: impl Iterator<Item = TraceStep>) -> SimStats {
         for step in trace {
             self.step(&step);
         }
         self.stats()
-    }
-
-    /// Replay one sampling slice — warmup-then-measure — and return the
-    /// statistics of the *measured window only*.
-    ///
-    /// The warmup window `[skip, skip+warmup)` replays through the normal
-    /// per-step path; its architectural effect — trained predictors, filled
-    /// caches, a populated SBB — persists into the measured window, which is
-    /// the whole point of warmup, while its counts fall out with the
-    /// measure-boundary baseline below.
-    ///
-    /// Slices of one plan run through **one** simulator in trace order
-    /// (state carryover): the working set a slice accumulates in the BTB,
-    /// caches and SBB stays live for the next slice, and the short warmup
-    /// only re-syncs recent-phase state (TAGE histories, RAS, replacement
-    /// recency). Without carryover each slice would pay the full structure
-    /// fill from cold, which at realistic structure sizes takes far longer
-    /// than any affordable warmup and biases every miss-class counter
-    /// upward. Everything cumulative is baselined at the warmup/measure
-    /// boundary and subtracted from the result, so the returned stats cover
-    /// exactly the measured window no matter how much history precedes it;
-    /// the cycle ledger is re-originated at the boundary the same way.
-    ///
-    /// Called with the degenerate slice (`skip = warmup = 0`, `simulate =
-    /// steps`) on a fresh simulator this is [`Simulator::run`] over
-    /// `trace.window(0, steps)` byte for byte: the same steps, and the same
-    /// closing arithmetic against an all-zero baseline. The
-    /// `sampled_vs_full` proptest pins that equality.
-    ///
-    /// `fault` plants a deliberate sampling bug (see [`SampleFault`]);
-    /// production runners pass `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice's measure window extends past the recording.
-    pub fn run_slice(
-        &mut self,
-        trace: &RecordedTrace,
-        slice: &SliceJob,
-        fault: Option<SampleFault>,
-    ) -> SimStats {
-        let measure_start = slice.measure_start();
-        let warm_lo = if fault == Some(SampleFault::SkipWarmup) {
-            measure_start // cold start: the bias the harness must catch
-        } else {
-            slice.skip
-        };
-        if warm_lo < slice.measure_end() {
-            // Re-sync the IAG to the slice's entry point. With state
-            // carryover the BPU is still positioned at the previous slice's
-            // end, and lockstep requires predicted blocks to align with the
-            // true path. This is a pure position redirect — the in-flight
-            // block from before the gap is dropped and no resteer penalty
-            // is charged (the measure baseline is captured after warmup
-            // anyway). On a fresh simulator at `lo == 0` the redirect
-            // rewrites the BPU's start state with identical values, so the
-            // degenerate byte-exactness contract is untouched.
-            let (entry_pc, entered_by_branch) = trace.entry_at(warm_lo);
-            self.pending = None;
-            self.ftq.clear();
-            self.bpu.resteer(entry_pc, entered_by_branch);
-        }
-        for step in trace.window(warm_lo, measure_start) {
-            self.step(&step);
-        }
-        let base = MeasureBase {
-            cycle_base: self.decode_free,
-            ftq_sum: self.hists.ftq_occupancy.sum(),
-            ftq_count: self.hists.ftq_occupancy.count(),
-            prior: self.stats(),
-        };
-        for step in trace.window(measure_start, slice.measure_end()) {
-            self.step(&step);
-        }
-        self.measured_since(&base)
-    }
-
-    /// [`Simulator::stats`] against a measure-boundary baseline: every
-    /// cumulative counter has the prior history subtracted, the cycle
-    /// ledger is re-originated at the boundary, and the FTQ mean comes from
-    /// the histogram's windowed (sum, count) difference. With an all-zero
-    /// baseline this is `stats` exactly.
-    fn measured_since(&self, base: &MeasureBase) -> SimStats {
-        let mut stats = crate::sampling::sim_stats_delta(&self.stats(), &base.prior);
-        // `decode_free` is monotone, so the subtraction cannot underflow.
-        stats.cycles = self.cycles(stats.instructions, self.decode_free - base.cycle_base);
-        stats.mean_ftq_occupancy = mean(
-            self.hists.ftq_occupancy.sum().wrapping_sub(base.ftq_sum),
-            self.hists.ftq_occupancy.count() - base.ftq_count,
-        );
-        stats
     }
 
     /// Replay one trace step: retirement accounting plus lockstep
@@ -304,20 +179,20 @@ impl<'p> Simulator<'p> {
         self.verify_step(step);
     }
 
-    /// The closed-form cycle count: the decode frontier or the retire-width
-    /// floor, whichever binds, plus the back-end depth.
-    fn cycles(&self, instructions: u64, frontier: u64) -> u64 {
-        let retire_floor = instructions.div_ceil(u64::from(self.config.retire_width));
-        frontier.max(retire_floor) + u64::from(self.config.backend_depth)
-    }
-
     /// The statistics so far: the live counts plus the computed fields
     /// (cycles, cache levels, Skia, mean FTQ occupancy). Pure — calling it
     /// twice returns the same value.
+    ///
+    /// Cycles are closed-form: the decode frontier or the retire-width
+    /// floor, whichever binds, plus the back-end depth.
     #[must_use]
     pub fn stats(&self) -> SimStats {
+        let retire_floor = self
+            .counts
+            .instructions
+            .div_ceil(u64::from(self.config.retire_width));
         SimStats {
-            cycles: self.cycles(self.counts.instructions, self.decode_free),
+            cycles: self.decode_free.max(retire_floor) + u64::from(self.config.backend_depth),
             l1i: self.hier.l1i_stats(),
             l2: self.hier.l2_stats(),
             l3: self.hier.l3_stats(),

@@ -5,9 +5,9 @@
 //! registry is written when a snapshot is taken, by
 //! [`SimStats::register_into`] and `SimHistograms::register_into`. The
 //! single source of truth for the scalar counter names is the
-//! `for_each_sim_counter!` field↔name table below, which generates the
-//! scalar half of [`SimStats::register_into`], so a live run and a sampled
-//! estimate export under the same names.
+//! `for_each_sim_counter!` field↔name table below, which generates both the
+//! scalar half of [`SimStats::register_into`] and the table the
+//! snapshot-agreement test walks, so the two cannot drift apart.
 
 use skia_isa::BranchKind;
 use skia_telemetry::{LocalHistogram, MetricRegistry};

@@ -45,77 +45,6 @@ pub fn thread_count(flag: Option<usize>) -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Phase-sampling knobs resolved from the environment, dependency-free so
-/// every binary resolves them identically (the `SKIA_THREADS` pattern). The
-/// sweep engines translate this into a `skia_workloads::SamplingConfig`;
-/// `None` fields mean "use the scaled default for the run length".
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SamplingEnv {
-    /// `SKIA_SAMPLE=1`: simulate sampled (weighted representative slices)
-    /// instead of replaying every recorded step.
-    pub enabled: bool,
-    /// `SKIA_SAMPLE_INTERVAL`: steps per interval.
-    pub interval: Option<usize>,
-    /// `SKIA_SAMPLE_K`: cluster (slice) budget.
-    pub k: Option<usize>,
-    /// `SKIA_SAMPLE_WARMUP`: muted warmup steps per slice.
-    pub warmup: Option<usize>,
-    /// `SKIA_SAMPLE_SEED`: k-means seed.
-    pub seed: Option<u64>,
-}
-
-/// Resolve the sampling knobs from `SKIA_SAMPLE*` environment variables.
-/// Unparsable values warn and fall back to the default, like `SKIA_THREADS`.
-#[must_use]
-pub fn sampling_env() -> SamplingEnv {
-    SamplingEnv {
-        enabled: std::env::var("SKIA_SAMPLE").is_ok_and(|v| env_flag("SKIA_SAMPLE", &v)),
-        interval: env_positive("SKIA_SAMPLE_INTERVAL"),
-        k: env_positive("SKIA_SAMPLE_K"),
-        warmup: std::env::var("SKIA_SAMPLE_WARMUP")
-            .ok()
-            .and_then(|v| parse_or_warn::<usize>("SKIA_SAMPLE_WARMUP", &v)),
-        seed: std::env::var("SKIA_SAMPLE_SEED")
-            .ok()
-            .and_then(|v| parse_or_warn::<u64>("SKIA_SAMPLE_SEED", &v)),
-    }
-}
-
-/// `"1"`/`"true"` enable, `"0"`/`""`/`"false"` disable, anything else warns
-/// and disables.
-fn env_flag(name: &str, v: &str) -> bool {
-    match v {
-        "1" | "true" => true,
-        "0" | "" | "false" => false,
-        _ => {
-            eprintln!("warning: {name}={v} is not a boolean; sampling stays off");
-            false
-        }
-    }
-}
-
-/// Parse an environment variable as a positive integer, warning on junk.
-fn env_positive(name: &str) -> Option<usize> {
-    let v = std::env::var(name).ok()?;
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => {
-            eprintln!("warning: {name}={v} is not a positive integer; using default");
-            None
-        }
-    }
-}
-
-fn parse_or_warn<T: std::str::FromStr>(name: &str, v: &str) -> Option<T> {
-    match v.parse::<T>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("warning: {name}={v} does not parse; using default");
-            None
-        }
-    }
-}
-
 /// One job's result plus its wall time.
 #[derive(Debug, Clone)]
 pub struct Timed<R> {
@@ -322,27 +251,6 @@ mod tests {
     fn flag_overrides_everything() {
         assert_eq!(thread_count(Some(3)), 3);
         assert_eq!(thread_count(Some(0)), 1, "zero clamps to one");
-    }
-
-    #[test]
-    fn sampling_env_parsers() {
-        // Pure parse helpers only — mutating real env vars would race other
-        // tests in this process.
-        assert!(env_flag("X", "1"));
-        assert!(env_flag("X", "true"));
-        assert!(!env_flag("X", "0"));
-        assert!(!env_flag("X", ""));
-        assert!(!env_flag("X", "yes"), "junk warns and stays off");
-        assert_eq!(parse_or_warn::<u64>("X", "99"), Some(99));
-        assert_eq!(parse_or_warn::<u64>("X", "ninety"), None);
-        assert_eq!(
-            parse_or_warn::<usize>("X", "0"),
-            Some(0),
-            "warmup may be zero"
-        );
-        let d = SamplingEnv::default();
-        assert!(!d.enabled);
-        assert_eq!(d.interval, None);
     }
 
     #[test]

@@ -140,9 +140,8 @@ impl LocalHistogram {
     }
 
     /// Wrapping sum of every recorded value. Together with
-    /// [`LocalHistogram::count`] this lets a caller compute the mean of a
-    /// *window* of records by differencing two observations — sampled
-    /// replay uses this for per-slice FTQ occupancy.
+    /// [`LocalHistogram::count`] this gives the mean of the records without
+    /// a snapshot — the simulator's FTQ-occupancy mean uses it.
     #[must_use]
     pub fn sum(&self) -> u64 {
         self.sum

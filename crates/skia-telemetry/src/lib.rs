@@ -72,10 +72,9 @@ pub use trace::{to_chrome_trace, to_chrome_trace_full, Event, EventKind, EventTr
 
 /// FNV-1a hash of a byte slice — the repo's standing content fingerprint.
 ///
-/// The same constants back [`Snapshot::counter_features`] (whose outputs are
-/// pinned by the fuzz-corpus contract) and the sampling-plan provenance
-/// fingerprints recorded in sampled-run snapshots. Deterministic across
-/// runs and platforms.
+/// The same constants back [`Snapshot::counter_features`], whose outputs are
+/// pinned by the fuzz-corpus contract. Deterministic across runs and
+/// platforms.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

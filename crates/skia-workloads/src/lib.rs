@@ -32,7 +32,6 @@
 pub mod cache;
 pub mod profiles;
 pub mod program;
-pub mod sampling;
 pub mod side_table;
 pub mod trace;
 pub mod walker;
@@ -43,7 +42,6 @@ pub use cache::{
 };
 pub use profiles::{profile, profile_names, Profile};
 pub use program::{BasicBlock, BranchMeta, Function, Layout, Program, ProgramSpec};
-pub use sampling::{interval_bbvs, SamplingConfig, SamplingPlan, SliceJob};
 pub use side_table::{BranchRecord, BranchTable};
 pub use trace::{RecordedTrace, Replay};
 pub use walker::{TraceStep, Walker};

@@ -165,53 +165,10 @@ impl RecordedTrace {
     /// walk from the same seed.
     #[must_use]
     pub fn replay(&self) -> Replay<'_> {
-        self.window(0, self.len())
-    }
-
-    /// The replay entry state at step `lo`: the block-start PC of the step
-    /// about to execute and whether that block is entered through a taken
-    /// branch (the previous step's `taken` bit; `true` at `lo == 0`,
-    /// matching a fresh BPU positioned at the program entry). Sampled
-    /// replay uses this to re-sync the IAG when a slice jumps over a trace
-    /// gap: the values are exactly what a continuous replay would have
-    /// chained to at that index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > len()`.
-    #[must_use]
-    pub fn entry_at(&self, lo: usize) -> (u64, bool) {
-        assert!(lo <= self.len(), "entry past the recording");
-        if lo == 0 {
-            (self.first_block_start, true)
-        } else {
-            let i = lo - 1;
-            (self.next_pc[i], (self.taken[i / 64] >> (i % 64)) & 1 == 1)
-        }
-    }
-
-    /// Replay of the half-open step window `[lo, hi)`: bit-identical to
-    /// `replay().skip(lo).take(hi - lo)` but O(1) to position — the opening
-    /// `block_start` is chained from `next_pc[lo-1]` (the walker chaining
-    /// invariant), so no prefix is scanned. Full runs replay `[0, steps)`;
-    /// sampled slices replay their warmup and measure windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or `hi > len()`.
-    #[must_use]
-    pub fn window(&self, lo: usize, hi: usize) -> Replay<'_> {
-        assert!(lo <= hi, "window start past its end");
-        assert!(hi <= self.len(), "window longer than recording");
         Replay {
             trace: self,
-            idx: lo,
-            end: hi,
-            block_start: if lo == 0 {
-                self.first_block_start
-            } else {
-                self.next_pc[lo - 1]
-            },
+            idx: 0,
+            block_start: self.first_block_start,
         }
     }
 }
@@ -221,9 +178,6 @@ impl RecordedTrace {
 pub struct Replay<'t> {
     trace: &'t RecordedTrace,
     idx: usize,
-    /// One past the last step this iterator yields (`len()` for a full
-    /// replay; the window end for [`RecordedTrace::window`]).
-    end: usize,
     /// `block_start` of the step about to be yielded (chained).
     block_start: u64,
 }
@@ -234,10 +188,7 @@ impl Iterator for Replay<'_> {
     fn next(&mut self) -> Option<TraceStep> {
         let t = self.trace;
         let i = self.idx;
-        if i >= self.end {
-            return None;
-        }
-        let next_pc = t.next_pc[i];
+        let next_pc = *t.next_pc.get(i)?;
         let step = TraceStep {
             block_start: self.block_start,
             branch_pc: t.branch_pc[i],
@@ -253,7 +204,7 @@ impl Iterator for Replay<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.end - self.idx;
+        let rem = self.trace.len() - self.idx;
         (rem, Some(rem))
     }
 }

@@ -69,42 +69,6 @@ proptest! {
         prop_assert_eq!(long.prefix(short), fresh);
     }
 
-    /// Window replay is a pure slice of the step stream: `window(lo, hi)`
-    /// equals `replay().skip(lo).take(hi - lo)` for any `lo ≤ hi ≤ len`,
-    /// and `entry_at(lo)` is the state step `lo` chains from — the
-    /// previous step's `next_pc` and `taken` bit (the program entry,
-    /// entered by a branch, at `lo == 0`). Every simulation replays
-    /// through windows, and sampled slices re-sync the front-end from
-    /// `entry_at`, so both rest on this property.
-    #[test]
-    fn window_and_entry_follow_the_chaining_invariant(
-        prog_seed in any::<u64>(),
-        walk_seed in any::<u64>(),
-        bolted in any::<bool>(),
-        len in 1usize..900,
-        a in any::<usize>(),
-        b in any::<usize>(),
-    ) {
-        let program = Program::generate(&small_spec(prog_seed, bolted));
-        let trace = RecordedTrace::record(&program, walk_seed, 6, len);
-        let (lo, hi) = {
-            let (x, y) = (a % (len + 1), b % (len + 1));
-            (x.min(y), x.max(y))
-        };
-        let all: Vec<_> = trace.replay().collect();
-        let expected: Vec<_> = all.iter().copied().skip(lo).take(hi - lo).collect();
-        prop_assert_eq!(trace.window(lo, hi).collect::<Vec<_>>(), expected);
-
-        let chained = match lo {
-            0 => (all[0].block_start, true),
-            _ => (all[lo - 1].next_pc, all[lo - 1].taken),
-        };
-        prop_assert_eq!(trace.entry_at(lo), chained);
-        if let Some(step) = all.get(lo) {
-            prop_assert_eq!(trace.entry_at(lo).0, step.block_start);
-        }
-    }
-
     /// RNG isolation: recording a trace mid-walk must not perturb an
     /// independent live walker. The walker drawn to completion in one gulp
     /// must equal the walker that was interleaved with recording activity.
