@@ -1,16 +1,16 @@
 //! Telemetry overhead benchmarks.
 //!
-//! The simulator counts into a plain `SimStats` and writes the registry
-//! only when a snapshot is taken, so the per-step telemetry cost is the
-//! event trace: the comparison is the simulator as-is (counters only,
-//! tracing off) against the simulator with the sampled event trace enabled,
-//! plus microbenchmarks of the primitives themselves (counter increment,
-//! histogram record, sampled event record).
+//! The simulator counts into a plain `SimStats` and builds a `Snapshot`
+//! only when one is taken, so the per-step telemetry cost is the event
+//! trace: the comparison is the simulator as-is (counters only, tracing
+//! off) against the simulator with the sampled event trace enabled, plus
+//! microbenchmarks of the primitives themselves (histogram record, sampled
+//! event record) and of taking and serializing one snapshot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skia_bench::{bench_workload, run_sim};
 use skia_frontend::{FrontendConfig, Simulator};
-use skia_telemetry::{EventKind, MetricRegistry, TraceConfig};
+use skia_telemetry::{EventKind, EventTrace, LocalHistogram, TraceConfig};
 use skia_workloads::Walker;
 
 const STEPS: usize = 20_000;
@@ -51,18 +51,8 @@ fn sim_telemetry_off_vs_on(c: &mut Criterion) {
 }
 
 fn primitives(c: &mut Criterion) {
-    let mut reg = MetricRegistry::new();
-    let counter = reg.counter("bench.counter");
-    let hist = reg.histogram("bench.hist");
-
-    c.bench_function("counter_inc", |b| {
-        b.iter(|| {
-            counter.inc();
-            counter.get()
-        })
-    });
-
     c.bench_function("histogram_record", |b| {
+        let mut hist = LocalHistogram::new();
         let mut v = 0u64;
         b.iter(|| {
             v = v.wrapping_add(0x9E37_79B9);
@@ -71,7 +61,7 @@ fn primitives(c: &mut Criterion) {
         })
     });
 
-    let trace = reg.enable_trace(TraceConfig::sampled(64, 4096));
+    let trace = EventTrace::new(TraceConfig::sampled(64, 4096));
     c.bench_function("event_record_sampled_1_in_64", |b| {
         let mut cy = 0u64;
         b.iter(|| {
@@ -81,8 +71,14 @@ fn primitives(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("registry_snapshot", |b| {
-        b.iter(|| reg.snapshot().counters.len())
+    // One `--emit-json` run snapshot: Skia on, sampled trace, as the
+    // experiment binaries take it.
+    let (program, seed, trip) = bench_workload();
+    let mut sim = Simulator::new(&program, FrontendConfig::alder_lake_with_skia());
+    sim.enable_trace(TraceConfig::sampled(64, 16 * 1024));
+    sim.run(Walker::new(&program, seed, trip).take(STEPS));
+    c.bench_function("snapshot_to_json", |b| {
+        b.iter(|| sim.snapshot().to_json_string().len())
     });
 }
 

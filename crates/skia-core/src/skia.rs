@@ -14,7 +14,7 @@
 //! * at commit, [`Skia::mark_retired`] sets the retired bit so useful
 //!   entries outlive bogus ones, and promotion moves the branch into the BTB.
 
-use skia_telemetry::{EventKind, EventTrace, Histogram, MetricRegistry};
+use skia_telemetry::{EventKind, EventTrace, LocalHistogram};
 
 use crate::sbb::{Sbb, SbbConfig, SbbHit, SbbStats};
 use crate::sbd::{IndexPolicy, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
@@ -114,41 +114,14 @@ impl SkiaStats {
             self.bogus_uses as f64 / inserts as f64
         }
     }
-
-    /// Upsert every counter into `reg` under the `skia.` prefix (the
-    /// pull-model telemetry bridge: these structs accumulate internally and
-    /// are exported at snapshot time).
-    pub fn register_into(&self, reg: &mut MetricRegistry) {
-        reg.set_counter("skia.sbd.head_regions", self.sbd.head_regions);
-        reg.set_counter("skia.sbd.head_regions_valid", self.sbd.head_regions_valid);
-        reg.set_counter(
-            "skia.sbd.head_regions_discarded",
-            self.sbd.head_regions_discarded,
-        );
-        reg.set_counter("skia.sbd.tail_regions", self.sbd.tail_regions);
-        reg.set_counter("skia.sbd.head_branches", self.sbd.head_branches);
-        reg.set_counter("skia.sbd.tail_branches", self.sbd.tail_branches);
-        reg.set_counter("skia.sbd.valid_path_sum", self.sbd.valid_path_sum);
-        reg.set_counter("skia.sbb.u_hits", self.sbb.u_hits);
-        reg.set_counter("skia.sbb.r_hits", self.sbb.r_hits);
-        reg.set_counter("skia.sbb.lookups", self.sbb.lookups);
-        reg.set_counter("skia.sbb.u_inserts", self.sbb.u_inserts);
-        reg.set_counter("skia.sbb.r_inserts", self.sbb.r_inserts);
-        reg.set_counter("skia.sbb.retirements", self.sbb.retirements);
-        reg.set_counter("skia.sbb.evicted_unretired", self.sbb.evicted_unretired);
-        reg.set_counter("skia.filtered_known", self.filtered_known);
-        reg.set_counter("skia.bogus_uses", self.bogus_uses);
-        reg.set_counter("skia.useful_uses", self.useful_uses);
-        reg.set_gauge("skia.bogus_rate", self.bogus_rate());
-    }
 }
 
-/// Telemetry attachment: an SBB entry-lifetime histogram plus optional
+/// Skia's telemetry: the SBB entry-lifetime histogram plus optional
 /// insert/evict event tracing. The front-end advances the clock via
 /// [`Skia::set_cycle`]; lifetimes are measured in those cycles.
 #[derive(Debug, Clone, Default)]
 struct SkiaTelemetry {
-    lifetime: Histogram,
+    lifetime: LocalHistogram,
     trace: Option<EventTrace>,
     cycle: u64,
     /// Birth cycle of each live SBB entry. Touched on every SBB
@@ -187,8 +160,8 @@ pub struct Skia {
     /// Every PC ever inserted into the SBB (diagnostic side-structure, not
     /// hardware state; used to attribute misses to capacity vs. coverage).
     ever_inserted: std::collections::HashSet<u64, crate::sbd::MemoBuild>,
-    /// Telemetry attachment, when the host front-end enables it.
-    tel: Option<SkiaTelemetry>,
+    /// SBB entry lifetimes, and insert/evict events once a trace is set.
+    tel: SkiaTelemetry,
 }
 
 impl Skia {
@@ -207,29 +180,26 @@ impl Skia {
             bogus_uses: 0,
             useful_uses: 0,
             ever_inserted: std::collections::HashSet::default(),
-            tel: None,
+            tel: SkiaTelemetry::default(),
         }
     }
 
-    /// Attach telemetry: `lifetime` receives the residency (in cycles) of
-    /// every SBB entry closed after this call, and `trace` (when given)
-    /// receives `SbbInsert`/`SbbEvict` events. The host advances the clock
-    /// with [`Skia::set_cycle`].
-    pub fn attach_telemetry(&mut self, lifetime: Histogram, trace: Option<EventTrace>) {
-        self.tel = Some(SkiaTelemetry {
-            lifetime,
-            trace,
-            cycle: self.tel.as_ref().map_or(0, |t| t.cycle),
-            born: self.tel.take().map(|t| t.born).unwrap_or_default(),
-        });
+    /// Record `SbbInsert`/`SbbEvict` events into `trace` from now on.
+    pub fn set_trace(&mut self, trace: EventTrace) {
+        self.tel.trace = Some(trace);
     }
 
-    /// Advance the telemetry clock (a no-op without an attachment).
+    /// Residency, in [`Skia::set_cycle`] cycles, of every SBB entry evicted
+    /// or invalidated so far.
+    #[must_use]
+    pub fn entry_lifetimes(&self) -> &LocalHistogram {
+        &self.tel.lifetime
+    }
+
+    /// Advance the telemetry clock that stamps entry lifetimes and events.
     #[inline]
     pub fn set_cycle(&mut self, cycle: u64) {
-        if let Some(t) = &mut self.tel {
-            t.cycle = cycle;
-        }
+        self.tel.cycle = cycle;
     }
 
     /// Whether `pc` was ever inserted into the SBB during this run
@@ -345,17 +315,13 @@ impl Skia {
     pub fn note_bogus(&mut self, pc: u64) {
         self.bogus_uses += 1;
         self.sbb.invalidate(pc);
-        if let Some(t) = &mut self.tel {
-            t.note_remove(pc);
-        }
+        self.tel.note_remove(pc);
     }
 
     /// Remove an entry (e.g. on promotion into the BTB).
     pub fn invalidate(&mut self, pc: u64) {
         self.sbb.invalidate(pc);
-        if let Some(t) = &mut self.tel {
-            t.note_remove(pc);
-        }
+        self.tel.note_remove(pc);
     }
 
     /// Insert a shadow branch directly, bypassing the decoder (testing and
@@ -364,12 +330,10 @@ impl Skia {
     pub fn force_insert(&mut self, branch: &ShadowBranch) {
         let evicted = self.sbb.insert(branch);
         self.ever_inserted.insert(branch.pc);
-        if let Some(t) = &mut self.tel {
-            if let Some(victim) = evicted {
-                t.note_remove(victim);
-            }
-            t.note_insert(branch.pc);
+        if let Some(victim) = evicted {
+            self.tel.note_remove(victim);
         }
+        self.tel.note_insert(branch.pc);
     }
 
     /// Counters.
@@ -399,7 +363,7 @@ fn fill_sbb(
     sbb: &mut Sbb,
     ever_inserted: &mut std::collections::HashSet<u64, crate::sbd::MemoBuild>,
     filtered_known: &mut u64,
-    tel: &mut Option<SkiaTelemetry>,
+    tel: &mut SkiaTelemetry,
     branches: &[ShadowBranch],
     known: impl Fn(u64) -> bool,
 ) -> usize {
@@ -411,12 +375,10 @@ fn fill_sbb(
         }
         let evicted = sbb.insert(b);
         ever_inserted.insert(b.pc);
-        if let Some(t) = tel {
-            if let Some(victim) = evicted {
-                t.note_remove(victim);
-            }
-            t.note_insert(b.pc);
+        if let Some(victim) = evicted {
+            tel.note_remove(victim);
         }
+        tel.note_insert(b.pc);
         inserted += 1;
     }
     inserted
@@ -530,35 +492,20 @@ mod tests {
         use skia_telemetry::TraceConfig;
         let (line, entry, base) = line_with_head_ret();
         let mut skia = Skia::new(first_policy());
-        let lifetime = Histogram::new();
         let trace = EventTrace::new(TraceConfig::default());
-        skia.attach_telemetry(lifetime.clone(), Some(trace.clone()));
+        skia.set_trace(trace.clone());
 
         skia.set_cycle(100);
         assert_eq!(skia.on_line_entered(&line, base, entry), 1);
         skia.set_cycle(250);
         skia.note_bogus(base + 3);
 
-        let s = lifetime.snapshot();
+        let s = skia.entry_lifetimes().snapshot();
         assert_eq!(s.count, 1);
         assert_eq!(s.min, 150, "lifetime = eviction cycle - birth cycle");
         let kinds: Vec<_> = trace.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![EventKind::SbbInsert, EventKind::SbbEvict]);
         assert_eq!(trace.events()[1].arg, 150);
-    }
-
-    #[test]
-    fn stats_register_into_covers_every_counter() {
-        let (line, entry, base) = line_with_head_ret();
-        let mut skia = Skia::new(first_policy());
-        skia.on_line_entered(&line, base, entry);
-        let mut reg = MetricRegistry::new();
-        skia.stats().register_into(&mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("skia.sbd.head_regions"), Some(1));
-        assert_eq!(snap.counter("skia.sbb.u_inserts"), Some(0));
-        assert_eq!(snap.counter("skia.sbb.r_inserts"), Some(1));
-        assert!(snap.gauge("skia.bogus_rate").is_some());
     }
 
     #[test]

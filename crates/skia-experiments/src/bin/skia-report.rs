@@ -54,15 +54,27 @@ fn collect(argv: &[String]) -> ExitCode {
     let mut inputs = Vec::new();
     let mut it = argv.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().cloned(),
-            "--md" => md = it.next().cloned(),
-            "--chrome" => chrome = it.next().cloned(),
+        let slot = match a.as_str() {
+            "--out" => &mut out,
+            "--md" => &mut md,
+            "--chrome" => &mut chrome,
             _ if a.starts_with('-') => {
                 eprintln!("error: unknown flag {a}");
                 return usage();
             }
-            _ => inputs.push(a.clone()),
+            _ => {
+                inputs.push(a.clone());
+                continue;
+            }
+        };
+        // A path flag needs its value: a missing one, or the next flag in
+        // its place, is a usage error rather than a silently dropped output.
+        match it.next() {
+            Some(v) if !v.starts_with("--") => *slot = Some(v.clone()),
+            _ => {
+                eprintln!("error: {a} requires a path");
+                return usage();
+            }
         }
     }
     let Some(out) = out else {

@@ -94,7 +94,7 @@ impl Workload {
     }
 
     /// Run one simulation and also export the full telemetry [`Snapshot`]
-    /// (every registry counter, histograms, and — when `trace_config` is
+    /// (every simulator counter, histograms, and — when `trace_config` is
     /// `Some` — the sampled event trace).
     #[must_use]
     pub fn run_instrumented(
@@ -622,9 +622,10 @@ impl Sweep {
 ///
 /// When the flag is present, every [`Workload::run_emit`] call runs
 /// instrumented (with a sampled event trace) and its snapshot is merged into
-/// an aggregate; [`JsonEmitter::finish`] serializes the aggregate through
-/// serde to `<path>` (conventionally under `results/`). Without the flag the
-/// emitter is inert and `run_emit` degrades to a plain run.
+/// an aggregate; [`JsonEmitter::finish`] adds the process-wide counters and
+/// spans and writes it as JSON to `<path>` (conventionally under
+/// `results/`). Without the flag the emitter is inert and `run_emit`
+/// degrades to a plain run.
 #[derive(Debug, Default)]
 pub struct JsonEmitter {
     path: Option<PathBuf>,

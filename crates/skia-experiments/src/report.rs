@@ -17,8 +17,8 @@
 //! (property-tested in the crate's round-trip tests).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use serde::{Serialize, SerializeStruct, Serializer};
 use skia_telemetry::json::{self, JsonValue};
 use skia_telemetry::Snapshot;
 
@@ -187,10 +187,59 @@ impl Manifest {
         self.experiments.iter().map(|e| e.steps_total).sum()
     }
 
-    /// Serialize as JSON.
+    /// Serialize as compact JSON: the version, then every experiment's
+    /// fields in declaration order, with `top_counters` as a name-sorted
+    /// object (counter names are unique, so a map keeps the JSON flat; the
+    /// value ordering is restored at parse time).
     #[must_use]
     pub fn to_json_string(&self) -> String {
-        json::to_string(self)
+        let mut out = format!("{{\"version\":{MANIFEST_VERSION},\"experiments\":[");
+        for (i, e) in self.experiments.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            json::push_str(&mut out, &e.name);
+            let _ = write!(
+                out,
+                ",\"wall_ns\":{},\"runs_merged\":{},\"steps_total\":{},\"busy_ns\":{},\
+                 \"steps_per_sec\":{},\"cache_disk_hits\":{},\"cache_recorded\":{},\
+                 \"cache_bytes_read\":{},\"cache_bytes_written\":{},\"cache_seeks\":{},\
+                 \"phases\":[",
+                e.wall_ns,
+                e.runs_merged,
+                e.steps_total,
+                e.busy_ns,
+                e.steps_per_sec,
+                e.cache_disk_hits,
+                e.cache_recorded,
+                e.cache_bytes_read,
+                e.cache_bytes_written,
+                e.cache_seeks,
+            );
+            for (j, p) in e.phases.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"name\":");
+                json::push_str(&mut out, &p.name);
+                let _ = write!(
+                    out,
+                    ",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
+                    p.count, p.total_ns, p.min_ns, p.max_ns
+                );
+            }
+            out.push_str("],\"top_counters\":{");
+            let mut top: Vec<_> = e.top_counters.iter().collect();
+            top.sort();
+            for (j, (k, v)) in top.into_iter().enumerate() {
+                json::push_key(&mut out, k, j == 0);
+                let _ = write!(out, "{v}");
+            }
+            out.push_str("}}");
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Parse a manifest produced by [`Manifest::to_json_string`].
@@ -198,7 +247,8 @@ impl Manifest {
     /// # Errors
     ///
     /// Returns a message when the document is not valid JSON, is not a
-    /// manifest object, or has a version this build does not understand.
+    /// manifest object, has a version this build does not understand, or
+    /// holds a count that is not a non-negative integer below 2^53.
     pub fn from_json_str(s: &str) -> Result<Manifest, String> {
         let v = JsonValue::parse(s)?;
         let version = v
@@ -286,21 +336,22 @@ fn parse_experiment(v: &JsonValue) -> Result<ExperimentReport, String> {
         .and_then(JsonValue::as_str)
         .ok_or("experiment: missing name")?
         .to_string();
-    let u = |k: &str| v.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
+    let u = |k: &str| v.u64_field(k).map_err(|e| format!("{name}: {e}"));
     let mut phases = Vec::new();
     if let Some(arr) = v.get("phases").and_then(JsonValue::as_array) {
         for p in arr {
-            let pu = |k: &str| p.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
+            let name = p
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or("phase: missing name")?
+                .to_string();
+            let pu = |k: &str| p.u64_field(k).map_err(|e| format!("phase {name}: {e}"));
             phases.push(PhaseStat {
-                name: p
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("phase: missing name")?
-                    .to_string(),
-                count: pu("count"),
-                total_ns: pu("total_ns"),
-                min_ns: pu("min_ns"),
-                max_ns: pu("max_ns"),
+                count: pu("count")?,
+                total_ns: pu("total_ns")?,
+                min_ns: pu("min_ns")?,
+                max_ns: pu("max_ns")?,
+                name,
             });
         }
     }
@@ -316,68 +367,20 @@ fn parse_experiment(v: &JsonValue) -> Result<ExperimentReport, String> {
         top_counters.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     }
     Ok(ExperimentReport {
+        wall_ns: u("wall_ns")?,
+        runs_merged: u("runs_merged")?,
+        steps_total: u("steps_total")?,
+        busy_ns: u("busy_ns")?,
+        steps_per_sec: u("steps_per_sec")?,
+        cache_disk_hits: u("cache_disk_hits")?,
+        cache_recorded: u("cache_recorded")?,
+        cache_bytes_read: u("cache_bytes_read")?,
+        cache_bytes_written: u("cache_bytes_written")?,
+        cache_seeks: u("cache_seeks")?,
         name,
-        wall_ns: u("wall_ns"),
-        runs_merged: u("runs_merged"),
-        steps_total: u("steps_total"),
-        busy_ns: u("busy_ns"),
-        steps_per_sec: u("steps_per_sec"),
-        cache_disk_hits: u("cache_disk_hits"),
-        cache_recorded: u("cache_recorded"),
-        cache_bytes_read: u("cache_bytes_read"),
-        cache_bytes_written: u("cache_bytes_written"),
-        cache_seeks: u("cache_seeks"),
         phases,
         top_counters,
     })
-}
-
-impl Serialize for PhaseStat {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("PhaseStat", 5)?;
-        s.serialize_field("name", self.name.as_str())?;
-        s.serialize_field("count", &self.count)?;
-        s.serialize_field("total_ns", &self.total_ns)?;
-        s.serialize_field("min_ns", &self.min_ns)?;
-        s.serialize_field("max_ns", &self.max_ns)?;
-        s.end()
-    }
-}
-
-impl Serialize for ExperimentReport {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("ExperimentReport", 13)?;
-        s.serialize_field("name", self.name.as_str())?;
-        s.serialize_field("wall_ns", &self.wall_ns)?;
-        s.serialize_field("runs_merged", &self.runs_merged)?;
-        s.serialize_field("steps_total", &self.steps_total)?;
-        s.serialize_field("busy_ns", &self.busy_ns)?;
-        s.serialize_field("steps_per_sec", &self.steps_per_sec)?;
-        s.serialize_field("cache_disk_hits", &self.cache_disk_hits)?;
-        s.serialize_field("cache_recorded", &self.cache_recorded)?;
-        s.serialize_field("cache_bytes_read", &self.cache_bytes_read)?;
-        s.serialize_field("cache_bytes_written", &self.cache_bytes_written)?;
-        s.serialize_field("cache_seeks", &self.cache_seeks)?;
-        s.serialize_field("phases", &self.phases)?;
-        // Counter names are unique, so a map keeps the JSON flat; the value
-        // ordering is restored at parse time.
-        let top: BTreeMap<&str, u64> = self
-            .top_counters
-            .iter()
-            .map(|(k, v)| (k.as_str(), *v))
-            .collect();
-        s.serialize_field("top_counters", &top)?;
-        s.end()
-    }
-}
-
-impl Serialize for Manifest {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Manifest", 2)?;
-        s.serialize_field("version", &MANIFEST_VERSION)?;
-        s.serialize_field("experiments", &self.experiments)?;
-        s.end()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -619,12 +622,45 @@ mod tests {
         assert_eq!(m.total_wall_ns(), 2_500_000_000);
     }
 
+    /// The exact manifest bytes: field order, phases as an array, and
+    /// `top_counters` as a name-sorted object.
+    #[test]
+    fn manifest_json_bytes_are_pinned() {
+        // Both experiments carry the same facts under different names.
+        let facts = concat!(
+            "\"wall_ns\":1250000000,\"runs_merged\":16,\"steps_total\":400000,",
+            "\"busy_ns\":500000000,\"steps_per_sec\":800000,\"cache_disk_hits\":3,",
+            "\"cache_recorded\":1,\"cache_bytes_read\":9000,\"cache_bytes_written\":500,",
+            "\"cache_seeks\":18,\"phases\":[{\"name\":\"sim.job:tpcc\",\"count\":1,",
+            "\"total_ns\":30000,\"min_ns\":30000,\"max_ns\":30000},",
+            "{\"name\":\"sweep.simulate\",\"count\":1,\"total_ns\":500000,",
+            "\"min_ns\":500000,\"max_ns\":500000}],\"top_counters\":",
+            "{\"btb.misses\":1234,\"resteers\":99,\"sim.steps_total\":400000}}",
+        );
+        assert_eq!(
+            sample_manifest().to_json_string(),
+            format!(
+                "{{\"version\":1,\"experiments\":[{{\"name\":\"fig01\",{facts},\
+                 {{\"name\":\"table1\",{facts}]}}"
+            )
+        );
+    }
+
     #[test]
     fn manifest_rejects_garbage_and_wrong_version() {
         assert!(Manifest::from_json_str("nope").is_err());
         assert!(Manifest::from_json_str("{}").is_err());
         assert!(Manifest::from_json_str("{\"version\":999,\"experiments\":[]}").is_err());
         assert!(Manifest::from_json_str("{\"version\":1,\"experiments\":[{}]}").is_err());
+        // Counts must read back exactly: no truncated fractions.
+        for exp in [
+            "{\"name\":\"a\",\"wall_ns\":1.5}",
+            "{\"name\":\"a\",\"top_counters\":{\"x\":2.5}}",
+            "{\"name\":\"a\",\"phases\":[{\"name\":\"p\",\"count\":-1}]}",
+        ] {
+            let doc = format!("{{\"version\":1,\"experiments\":[{exp}]}}");
+            assert!(Manifest::from_json_str(&doc).is_err(), "{doc}");
+        }
     }
 
     #[test]

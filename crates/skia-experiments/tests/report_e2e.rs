@@ -144,3 +144,47 @@ fn doctored_throughput_collapse_is_flagged() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A path flag with no value, or with the next flag in its place, exits 2
+/// with the usage message instead of silently dropping that output.
+#[test]
+fn collect_rejects_a_flag_without_a_value() {
+    let dir = tmp_dir("flags");
+    let input = dir.join("fig01.telemetry.json");
+    std::fs::write(&input, "{\"counters\":{\"sim.steps_total\":2000}}").unwrap();
+    let manifest = dir.join("m.json");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_skia-report"))
+            .current_dir(&dir)
+            .arg("collect")
+            .args(args)
+            .output()
+            .expect("skia-report runs")
+    };
+
+    let ok = run(&["--out", "m.json", "fig01.telemetry.json"]);
+    assert!(ok.status.success(), "a well-formed collect succeeds");
+    std::fs::remove_file(&manifest).unwrap();
+
+    for args in [
+        &["--out", "m.json", "fig01.telemetry.json", "--chrome"][..],
+        &["--out", "--md", "x.md", "fig01.telemetry.json"],
+        &[
+            "--out",
+            "m.json",
+            "--chrome",
+            "--md",
+            "x.md",
+            "fig01.telemetry.json",
+        ],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("requires a path"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!manifest.exists(), "{args:?} wrote a manifest");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

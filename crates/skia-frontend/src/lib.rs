@@ -70,7 +70,7 @@ pub fn run(
 }
 
 /// Like [`run`], but also export the full telemetry [`Snapshot`] — every
-/// registry counter, the standing histograms, and (when `trace_config` is
+/// simulator counter, the standing histograms, and (when `trace_config` is
 /// `Some`) the sampled event trace.
 ///
 /// The snapshot's counters are written from the returned [`SimStats`], so

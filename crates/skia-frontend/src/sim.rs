@@ -11,24 +11,24 @@
 //!
 //! [`Simulator::step`] is the one per-step body. Its counters are the
 //! fields of a simulator-owned [`SimStats`], incremented directly, plus
-//! three simulator-owned [`LocalHistogram`](skia_telemetry::LocalHistogram)s; [`Simulator::stats`] adds the
-//! computed quantities (cycles, cache levels, Skia, FTQ mean) on demand.
-//! The telemetry [`MetricRegistry`] is written only when
-//! [`Simulator::snapshot`] is taken, from that same [`SimStats`], so the
-//! stats struct and the exported snapshot are the same numbers by
-//! construction.
+//! three simulator-owned [`LocalHistogram`](skia_telemetry::LocalHistogram)s;
+//! [`Simulator::stats`] adds the computed quantities (cycles, cache levels,
+//! Skia, FTQ mean) on demand. [`Simulator::snapshot`] builds a telemetry
+//! [`Snapshot`] from that same [`SimStats`], so the stats struct and the
+//! exported snapshot are the same numbers by construction.
 
 use std::collections::VecDeque;
 
+use skia_core::Skia;
 use skia_isa::BranchKind;
-use skia_telemetry::{EventKind, EventTrace, MetricRegistry, Snapshot, TraceConfig};
+use skia_telemetry::{EventKind, EventTrace, Snapshot, TraceConfig};
 use skia_uarch::cache::Hierarchy;
 use skia_workloads::{Program, TraceStep};
 
 use crate::bpu::{Bpu, PredictedBlock};
 use crate::config::FrontendConfig;
 use crate::stats::{ResteerStage, SimStats};
-use crate::telemetry::{SimHistograms, SBB_LIFETIME};
+use crate::telemetry::{self, SimHistograms};
 
 /// Average x86 instruction length assumed when estimating decode occupancy
 /// of a byte range (retirement counts are exact; this only shapes decode
@@ -99,10 +99,6 @@ pub struct Simulator<'p> {
     config: FrontendConfig,
     bpu: Bpu<'p>,
     hier: Hierarchy,
-    /// Written only by [`Simulator::snapshot`]; between snapshots it holds
-    /// just the event trace and the SBB-lifetime histogram `skia-core`
-    /// records into.
-    registry: MetricRegistry,
     /// The counter store. Every incremented `u64` field is live; the
     /// computed fields are filled in by [`Simulator::stats`].
     counts: SimStats,
@@ -124,17 +120,11 @@ impl<'p> Simulator<'p> {
     #[must_use]
     pub fn new(program: &'p Program, config: FrontendConfig) -> Self {
         let start = program.functions()[0].entry;
-        let mut registry = MetricRegistry::new();
-        let mut bpu = Bpu::new(&config, start, program.branch_table());
-        if let Some(skia) = &mut bpu.skia {
-            skia.attach_telemetry(registry.histogram(SBB_LIFETIME), None);
-        }
         Simulator {
-            bpu,
+            bpu: Bpu::new(&config, start, program.branch_table()),
             hier: Hierarchy::new(config.hierarchy),
             program,
             config,
-            registry,
             counts: SimStats::default(),
             hists: SimHistograms::default(),
             trace: None,
@@ -150,10 +140,12 @@ impl<'p> Simulator<'p> {
     /// issues, shadow decodes) and return the trace handle. Idempotent: a
     /// second call returns the existing trace.
     pub fn enable_trace(&mut self, config: TraceConfig) -> EventTrace {
-        let trace = self.registry.enable_trace(config);
-        self.trace = Some(trace.clone());
+        let trace = self
+            .trace
+            .get_or_insert_with(|| EventTrace::new(config))
+            .clone();
         if let Some(skia) = &mut self.bpu.skia {
-            skia.attach_telemetry(self.registry.histogram(SBB_LIFETIME), Some(trace.clone()));
+            skia.set_trace(trace.clone());
         }
         trace
     }
@@ -205,17 +197,22 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Write the statistics, the predictor pull stats and the standing
-    /// histograms into the registry and materialize it into a
-    /// [`Snapshot`] — the `--emit-json` payload. Idempotent.
+    /// A fresh [`Snapshot`] — the `--emit-json` payload: [`Simulator::stats`],
+    /// the standing histograms and Skia's SBB entry lifetimes, the TAGE pull
+    /// counters, and the event trace when enabled. Pure, like `stats`.
     #[must_use]
-    pub fn snapshot(&mut self) -> Snapshot {
-        self.stats().register_into(&mut self.registry);
-        self.hists.register_into(&mut self.registry);
-        let (tage_preds, tage_miss) = self.bpu.tage_stats();
-        self.registry.set_counter("tage.predictions", tage_preds);
-        self.registry.set_counter("tage.mispredictions", tage_miss);
-        self.registry.snapshot()
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = Snapshot::default();
+        self.stats().write_snapshot(&mut snap);
+        let lifetimes = self.bpu.skia.as_ref().map(Skia::entry_lifetimes);
+        self.hists.write_snapshot(&mut snap, lifetimes);
+        telemetry::write_tage(&mut snap, self.bpu.tage_stats());
+        if let Some(t) = &self.trace {
+            snap.events = t.events();
+            snap.events_seen = t.seen();
+            snap.events_dropped = t.dropped();
+        }
+        snap
     }
 
     /// Record an event if tracing is enabled (one branch otherwise).

@@ -6,7 +6,7 @@
 //! a mutator, a replay-token codec and an executor that checks invariants
 //! and differential agreement against the `skia-oracle` reference model.
 //! The engine keeps a feature-coverage set (branch-kind × offset-class ×
-//! outcome buckets from the targets, plus registry-counter magnitude
+//! outcome buckets from the targets, plus snapshot-counter magnitude
 //! buckets via [`skia_telemetry::Snapshot::counter_features`]), persists
 //! interesting inputs under `<cache root>/fuzz-corpus/<target>/` with the
 //! same versioned-file discipline as the program/trace caches, greedily

@@ -5,7 +5,7 @@
 //! differential harness ([`skia_oracle::run_case`]): production
 //! `skia-frontend` vs the reference model, full per-step `SimStats` plus
 //! the end-of-run event stream. Coverage comes from the production
-//! registry's counter snapshot ([`Snapshot::counter_features`]) plus a few
+//! simulator's counter snapshot ([`Snapshot::counter_features`]) plus a few
 //! structural buckets, so the mutator is rewarded for reaching new
 //! front-end behaviours (BTB miss kinds, SBB evictions, RAS overflow, …)
 //! rather than just new tuples.

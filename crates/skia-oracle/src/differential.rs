@@ -179,7 +179,7 @@ pub struct CaseOutcome {
     /// Tail-region phantoms (should not occur: tail decode starts at a true
     /// instruction boundary).
     pub tail_phantoms: u64,
-    /// The production simulator's final telemetry snapshot. Registry-counter
+    /// The production simulator's final telemetry snapshot. Its counter
     /// values double as a cheap behavioural-coverage signal for fuzzing.
     pub snapshot: Snapshot,
 }

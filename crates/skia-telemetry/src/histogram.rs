@@ -6,9 +6,7 @@
 //! error beyond, in 65 fixed slots — the classic HdrHistogram-lite shape,
 //! cheap enough to record on every simulated block.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 /// Number of buckets: the zero bucket plus one per possible `ilog2`.
 pub const BUCKETS: usize = 65;
@@ -35,66 +33,10 @@ pub fn bucket_index(v: u64) -> usize {
     }
 }
 
-/// A shared-handle streaming histogram (see the module docs for the bucket
-/// scheme): a [`LocalHistogram`] behind an `Rc<RefCell>`. Clones share
-/// state, like [`crate::Counter`].
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Rc<RefCell<LocalHistogram>>);
-
-impl Histogram {
-    /// A fresh, unregistered histogram (components under test use this;
-    /// simulation code gets handles from [`crate::MetricRegistry`]).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one measurement.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.borrow_mut().record(v);
-    }
-
-    /// Total recorded measurements.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count
-    }
-
-    /// Fold another histogram's contents into this one.
-    pub fn merge(&self, other: &Histogram) {
-        if Rc::ptr_eq(&self.0, &other.0) {
-            return; // merging a histogram into itself is a no-op
-        }
-        let o = other.0.borrow();
-        let mut h = self.0.borrow_mut();
-        for (dst, src) in h.buckets.iter_mut().zip(o.buckets.iter()) {
-            *dst += src;
-        }
-        h.count += o.count;
-        h.sum = h.sum.wrapping_add(o.sum);
-        h.min = h.min.min(o.min);
-        h.max = h.max.max(o.max);
-    }
-
-    /// Overwrite this histogram's contents with a copy of `local`'s — the
-    /// snapshot-time bridge for owners that record into a
-    /// [`LocalHistogram`]. Idempotent: `local` is left untouched.
-    pub fn set(&self, local: &LocalHistogram) {
-        self.0.borrow_mut().clone_from(local);
-    }
-
-    /// Materialize into an owned, serializable form.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.0.borrow().snapshot()
-    }
-}
-
-/// An unshared histogram accumulator: the same bucket scheme as
-/// [`Histogram`] but plain fields — no `Rc`, no `RefCell` borrow per
-/// record. Hot loops record into one of these and copy it into a shared
-/// [`Histogram`] via [`Histogram::set`] when a snapshot is taken.
+/// A streaming histogram accumulator (see the module docs for the bucket
+/// scheme): plain fields, no sharing, no borrow per record. Owners record
+/// into one and write its [`LocalHistogram::snapshot`] into a
+/// [`crate::Snapshot`] when one is taken.
 #[derive(Debug, Clone)]
 pub struct LocalHistogram {
     buckets: [u64; BUCKETS],
@@ -233,7 +175,7 @@ mod tests {
 
     #[test]
     fn record_and_snapshot() {
-        let h = Histogram::new();
+        let mut h = LocalHistogram::new();
         for v in [0u64, 1, 1, 2, 3, 8, 100] {
             h.record(v);
         }
@@ -250,45 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_contents() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(1);
-        a.record(5);
-        b.record(5);
-        b.record(1000);
-        a.merge(&b);
-        let s = a.snapshot();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 1000);
-        assert_eq!(s.buckets.get(&4), Some(&2)); // both 5s in [4,7]
-                                                 // Self-merge must not double-count.
-        a.merge(&a);
-        assert_eq!(a.snapshot().count, 4);
-    }
-
-    #[test]
-    fn set_copies_a_local_histogram_without_draining_it() {
-        let direct = Histogram::new();
-        let mut local = LocalHistogram::new();
-        for v in [0u64, 1, 1, 5, 64, 1000, u64::MAX] {
-            direct.record(v);
-            local.record(v);
-        }
-        let shared = Histogram::new();
-        shared.record(7); // overwritten, not merged
-        shared.set(&local);
-        assert_eq!(shared.snapshot(), direct.snapshot());
-        assert_eq!(local.snapshot(), direct.snapshot());
-        // Setting again is idempotent.
-        shared.set(&local);
-        assert_eq!(shared.snapshot(), direct.snapshot());
-    }
-
-    #[test]
     fn quantiles_are_bucket_resolution() {
-        let h = Histogram::new();
+        let mut h = LocalHistogram::new();
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -302,7 +207,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_sane() {
-        let s = Histogram::new().snapshot();
+        let s = LocalHistogram::new().snapshot();
         assert_eq!(s.count, 0);
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 0);

@@ -1,37 +1,13 @@
-//! JSON backend for the serde data model, plus a small parser for
-//! round-tripping snapshots in tests and tooling.
+//! Compact JSON: three writer helpers that snapshots, run manifests and
+//! Chrome traces build their documents from, plus a small parser for
+//! reading them back in tests and tooling.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use serde::{Serialize, SerializeMap, SerializeSeq, SerializeStruct, Serializer};
-
-/// Serialize any [`serde::Serialize`] value to a compact JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
-    value
-        .serialize(JsonSerializer { out: &mut out })
-        .expect("JSON serialization is infallible");
-    out
-}
-
-/// Infallible error placeholder (string writing cannot fail).
-#[derive(Debug)]
-pub enum Never {}
-
-/// A [`Serializer`] that renders compact JSON into a string.
-pub struct JsonSerializer<'o> {
-    out: &'o mut String,
-}
-
-/// In-progress JSON sequence/map/struct.
-pub struct JsonCompound<'o> {
-    out: &'o mut String,
-    first: bool,
-    close: char,
-}
-
-fn escape_into(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -49,171 +25,37 @@ fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn float_into(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Rust's shortest round-trip formatting; force a fractional marker so
-        // the value parses back as a float.
-        let s = format!("{v}");
-        out.push_str(&s);
-        if !s.contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
+/// Append `v` in Rust's shortest round-trip form, with a `.0` marker when
+/// that form has no fraction or exponent, so the value reads back as a
+/// float. Non-finite values, which JSON cannot express, become `null`.
+pub fn push_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
         out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
     }
 }
 
-impl SerializeSeq for JsonCompound<'_> {
-    type Ok = ();
-    type Error = Never;
-
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Never> {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        value.serialize(JsonSerializer { out: self.out })
+/// Append an object key and its colon, preceded by a comma unless it is
+/// the object's `first` key.
+pub fn push_key(out: &mut String, key: &str, first: bool) {
+    if !first {
+        out.push(',');
     }
-
-    fn end(self) -> Result<(), Never> {
-        self.out.push(self.close);
-        Ok(())
-    }
-}
-
-impl SerializeMap for JsonCompound<'_> {
-    type Ok = ();
-    type Error = Never;
-
-    fn serialize_entry<K: Serialize + ?Sized, V: Serialize + ?Sized>(
-        &mut self,
-        key: &K,
-        value: &V,
-    ) -> Result<(), Never> {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        // JSON keys must be strings: serialize the key, then string-wrap it
-        // if it did not render as one.
-        let mut k = String::new();
-        key.serialize(JsonSerializer { out: &mut k })?;
-        if k.starts_with('"') {
-            self.out.push_str(&k);
-        } else {
-            escape_into(self.out, &k);
-        }
-        self.out.push(':');
-        value.serialize(JsonSerializer { out: self.out })
-    }
-
-    fn end(self) -> Result<(), Never> {
-        self.out.push(self.close);
-        Ok(())
-    }
-}
-
-impl SerializeStruct for JsonCompound<'_> {
-    type Ok = ();
-    type Error = Never;
-
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        name: &'static str,
-        value: &T,
-    ) -> Result<(), Never> {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        escape_into(self.out, name);
-        self.out.push(':');
-        value.serialize(JsonSerializer { out: self.out })
-    }
-
-    fn end(self) -> Result<(), Never> {
-        self.out.push(self.close);
-        Ok(())
-    }
-}
-
-impl<'o> Serializer for JsonSerializer<'o> {
-    type Ok = ();
-    type Error = Never;
-    type SerializeSeq = JsonCompound<'o>;
-    type SerializeMap = JsonCompound<'o>;
-    type SerializeStruct = JsonCompound<'o>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), Never> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-
-    fn serialize_u64(self, v: u64) -> Result<(), Never> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-
-    fn serialize_i64(self, v: i64) -> Result<(), Never> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<(), Never> {
-        float_into(self.out, v);
-        Ok(())
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), Never> {
-        escape_into(self.out, v);
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<(), Never> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, v: &T) -> Result<(), Never> {
-        v.serialize(self)
-    }
-
-    fn serialize_unit(self) -> Result<(), Never> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_seq(self, _len: Option<usize>) -> Result<JsonCompound<'o>, Never> {
-        self.out.push('[');
-        Ok(JsonCompound {
-            out: self.out,
-            first: true,
-            close: ']',
-        })
-    }
-
-    fn serialize_map(self, _len: Option<usize>) -> Result<JsonCompound<'o>, Never> {
-        self.out.push('{');
-        Ok(JsonCompound {
-            out: self.out,
-            first: true,
-            close: '}',
-        })
-    }
-
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<JsonCompound<'o>, Never> {
-        self.out.push('{');
-        Ok(JsonCompound {
-            out: self.out,
-            first: true,
-            close: '}',
-        })
-    }
+    push_str(out, key);
+    out.push(':');
 }
 
 // ---------------------------------------------------------------------------
 // Parsing (for snapshot round-trips).
 // ---------------------------------------------------------------------------
+
+/// 2^53: every integer below it is exactly representable as an f64.
+const EXACT_BELOW: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -222,8 +64,8 @@ pub enum JsonValue {
     Null,
     /// `true`/`false`.
     Bool(bool),
-    /// Any number (kept as f64; u64 counters round-trip exactly below 2^53,
-    /// and integers are additionally kept verbatim in `Number::raw`).
+    /// Any number, kept as an f64: integers round-trip exactly below 2^53
+    /// (see [`JsonValue::as_u64`]).
     Number(f64),
     /// String.
     String(String),
@@ -258,13 +100,27 @@ impl JsonValue {
         }
     }
 
-    /// This value as a u64 (rounded; exact for integers below 2^53).
+    /// This value as a u64: only a non-negative integral number below
+    /// 2^53, the range in which the parsed f64 is the written integer.
+    /// Anything else (a fraction, a negative, a larger value that may have
+    /// been rounded) is `None`, never a truncation.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Number(n) if *n >= 0.0 => Some(*n as u64),
+        match *self {
+            JsonValue::Number(n) if (0.0..EXACT_BELOW).contains(&n) && n.fract() == 0.0 => {
+                Some(n as u64)
+            }
             _ => None,
         }
+    }
+
+    /// The u64 under `key` of this object: 0 when the key is absent, an
+    /// error when its value is not one [`JsonValue::as_u64`] accepts.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.get(key).map_or(Ok(0), |v| {
+            v.as_u64()
+                .ok_or_else(|| format!("{key} is not an exact u64: {v:?}"))
+        })
     }
 
     /// This value as an f64.
@@ -489,24 +345,34 @@ impl Parser<'_> {
 mod tests {
     use super::*;
 
+    fn render(f: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        f(&mut out);
+        out
+    }
+
     #[test]
     fn primitives_render() {
-        assert_eq!(to_string(&7u64), "7");
-        assert_eq!(to_string(&-3i32), "-3");
-        assert_eq!(to_string(&true), "true");
-        assert_eq!(to_string(&1.5f64), "1.5");
-        assert_eq!(to_string(&2.0f64), "2.0", "floats keep a marker");
-        assert_eq!(to_string("a\"b\n"), "\"a\\\"b\\n\"");
-        assert_eq!(to_string(&Option::<u64>::None), "null");
-        assert_eq!(to_string(&vec![1u64, 2, 3]), "[1,2,3]");
+        assert_eq!(render(|o| push_f64(o, 1.5)), "1.5");
+        assert_eq!(render(|o| push_f64(o, 2.0)), "2.0", "floats keep a marker");
+        assert_eq!(render(|o| push_f64(o, -0.25)), "-0.25");
+        assert_eq!(render(|o| push_f64(o, 1e21)), "1000000000000000000000.0");
+        assert_eq!(render(|o| push_f64(o, f64::NAN)), "null");
+        assert_eq!(render(|o| push_f64(o, f64::NEG_INFINITY)), "null");
+        assert_eq!(render(|o| push_str(o, "a\"b\n")), "\"a\\\"b\\n\"");
+        assert_eq!(render(|o| push_str(o, "\\\u{1}")), "\"\\\\\\u0001\"");
     }
 
     #[test]
     fn maps_render_with_string_keys() {
-        let mut m = BTreeMap::new();
-        m.insert(64u64, 3u64);
-        m.insert(128u64, 1u64);
-        assert_eq!(to_string(&m), "{\"64\":3,\"128\":1}");
+        let mut json = String::from("{");
+        push_key(&mut json, "64", true);
+        json.push('3');
+        push_key(&mut json, "a\"b", false);
+        json.push_str("1}");
+        assert_eq!(json, "{\"64\":3,\"a\\\"b\":1}");
+        let v = JsonValue::parse(&json).unwrap();
+        assert_eq!(v.get("a\"b").and_then(JsonValue::as_u64), Some(1));
     }
 
     #[test]
@@ -524,8 +390,26 @@ mod tests {
     #[test]
     fn large_u64_counters_round_trip() {
         // Counters live well below 2^53 in practice; check exactness there.
-        let v = (1u64 << 52) + 12345;
-        let parsed = JsonValue::parse(&to_string(&v)).unwrap();
+        let v = (1u64 << 53) - 1;
+        let parsed = JsonValue::parse(&v.to_string()).unwrap();
         assert_eq!(parsed.as_u64(), Some(v));
+    }
+
+    /// `as_u64` reads only values it can return exactly: no truncated
+    /// fractions, no negatives, nothing at or past 2^53, where a parsed
+    /// integer may already have been rounded.
+    #[test]
+    fn as_u64_rejects_inexact_values() {
+        let u = |text: &str| JsonValue::parse(text).unwrap().as_u64();
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("2000"), Some(2000));
+        assert_eq!(u("4.0"), Some(4), "an integral float is exact");
+        for text in ["1.5", "-1", "9007199254740992", "1e300", "\"7\""] {
+            assert_eq!(u(text), None, "{text}");
+        }
+        let obj = JsonValue::parse("{\"a\":3,\"b\":0.5}").unwrap();
+        assert_eq!(obj.u64_field("a"), Ok(3));
+        assert_eq!(obj.u64_field("missing"), Ok(0));
+        assert!(obj.u64_field("b").is_err());
     }
 }

@@ -1,21 +1,22 @@
 //! # skia-telemetry — structured observability for the Skia simulator
 //!
-//! Every paper figure used to be reconstructed from one monolithic stats
-//! struct mutated by hand. This crate is the substrate that replaces that
-//! plumbing:
+//! The simulator counts into plain structs on its hot path; this crate is
+//! where those numbers go when a run is reported:
 //!
-//! * [`MetricRegistry`] — named counters and gauges. A [`Counter`] is a
-//!   plain `u64` cell behind a shared handle: incrementing is one pointer
-//!   dereference, no locks, no string lookups on the hot path. Components
-//!   register once at construction and keep the handle.
-//! * [`Histogram`] — streaming log₂-bucketed distributions (FTQ occupancy,
-//!   resteer-repair latency, SBB entry lifetime, shadow-decode batch size).
+//! * [`Snapshot`] — the one telemetry store: named counters and gauges,
+//!   histogram contents, the event window and profiling spans of a run.
+//!   Components write their plain stats into a fresh snapshot when one is
+//!   taken; the snapshot writes and reads its own compact JSON (the
+//!   experiment binaries' `--emit-json` files) and merges across runs.
+//! * [`LocalHistogram`] — streaming log₂-bucketed distributions (FTQ
+//!   occupancy, resteer-repair latency, SBB entry lifetime, shadow-decode
+//!   batch size), recorded with no sharing and materialized as a
+//!   [`HistogramSnapshot`].
 //! * [`EventTrace`] — an optional bounded ring buffer of cycle-stamped
 //!   events (resteers, SBB inserts/evicts/rescues, BTB misses, prefetch
 //!   issues), sampled at a configurable rate, exportable as Chrome
-//!   `trace_event` JSON or JSONL.
-//! * [`Snapshot`] — a serde-serialized materialization of the whole
-//!   registry, written by the experiment binaries' `--emit-json`.
+//!   `trace_event` JSON or JSONL. Clones share the buffer, so a simulator
+//!   and its Skia unit record into one trace.
 //! * [`SpanGuard`] — RAII wall-clock span profiling ([`span`] module): a
 //!   process-wide, thread-aware collector of hierarchical begin/end
 //!   records bracketing pipeline phases (sweep prepare/simulate, per-job
@@ -23,31 +24,29 @@
 //!   default; the disabled path is a single atomic load. Records export as
 //!   Chrome `X` events and aggregate into per-phase rollups for run
 //!   manifests.
-//!
-//! The simulator is single-threaded by design, so handles are `Rc<Cell<_>>`
-//! — the cheapest shared-mutability primitive Rust offers. Nothing here is
-//! `Send`; a sharded multi-threaded registry would aggregate per-thread
-//! registries via [`Snapshot::merge`].
+//! * [`json`] — the writer helpers every document here is built from, and
+//!   the parser that reads them back.
 //!
 //! ## Quick taste
 //!
 //! ```rust
-//! use skia_telemetry::{MetricRegistry, TraceConfig, EventKind};
+//! use skia_telemetry::{EventKind, EventTrace, LocalHistogram, Snapshot, TraceConfig};
 //!
-//! let mut reg = MetricRegistry::new();
-//! let misses = reg.counter("btb.misses");
-//! let occ = reg.histogram("ftq.occupancy");
-//! let trace = reg.enable_trace(TraceConfig::default());
-//!
-//! // Hot path: no registry involvement, just the handles.
-//! misses.inc();
+//! // Hot path: plain values, no telemetry layer in between.
+//! let misses = 1u64;
+//! let mut occ = LocalHistogram::new();
 //! occ.record(17);
+//! let trace = EventTrace::new(TraceConfig::default());
 //! trace.record(1234, EventKind::BtbMiss, 0x4010, 0);
 //!
-//! let snap = reg.snapshot();
+//! // Snapshot time: write them under their names.
+//! let mut snap = Snapshot::default();
+//! snap.counters.insert("btb.misses".into(), misses);
+//! snap.histograms.insert("ftq.occupancy".into(), occ.snapshot());
+//! snap.events = trace.events();
 //! assert_eq!(snap.counter("btb.misses"), Some(1));
 //! let json = snap.to_json_string();
-//! let back = skia_telemetry::Snapshot::from_json_str(&json).unwrap();
+//! let back = Snapshot::from_json_str(&json).unwrap();
 //! assert_eq!(back, snap);
 //! ```
 
@@ -56,13 +55,11 @@
 
 pub mod histogram;
 pub mod json;
-pub mod registry;
 pub mod snapshot;
 pub mod span;
 pub mod trace;
 
-pub use histogram::{Histogram, HistogramSnapshot, LocalHistogram};
-pub use registry::{Counter, Gauge, MetricRegistry};
+pub use histogram::{HistogramSnapshot, LocalHistogram};
 pub use snapshot::Snapshot;
 pub use span::{
     drain_spans, init_spans_from_env, set_spans_enabled, span, span_with, spans_enabled, SpanGuard,

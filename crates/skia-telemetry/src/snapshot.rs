@@ -1,27 +1,28 @@
-//! Owned, serializable materialization of a [`crate::MetricRegistry`].
+//! The telemetry store: named counters, gauges and histograms, the event
+//! window and profiling spans of a run, and their JSON form.
 
 use std::collections::BTreeMap;
-
-use serde::{Serialize, SerializeStruct, Serializer};
+use std::fmt::Write as _;
 
 use crate::histogram::HistogramSnapshot;
 use crate::json::{self, JsonValue};
 use crate::span::{self, SpanRecord, SpanRollup};
 use crate::trace::{Event, EventKind};
 
-/// Everything a registry knew at one instant: counters, gauges, histogram
+/// Everything a run reported at one instant: counters, gauges, histogram
 /// contents, and the resident event-trace window.
 ///
-/// Snapshots are plain data — comparable, mergeable, and serializable — so
-/// experiment binaries can write them to `results/*.json` and tests can
-/// assert on them directly.
+/// Components write their plain stats into a fresh snapshot when one is
+/// taken. Snapshots are plain data — comparable, mergeable, and
+/// serializable — so experiment binaries can write them to
+/// `results/*.json` and tests can assert on them directly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
-    /// `name → value` for every registered counter.
+    /// `name → value` for every counter.
     pub counters: BTreeMap<String, u64>,
-    /// `name → value` for every registered gauge.
+    /// `name → value` for every gauge.
     pub gauges: BTreeMap<String, f64>,
-    /// `name → materialized histogram` for every registered histogram.
+    /// `name → materialized histogram` for every histogram.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Resident sampled events, oldest first (empty when tracing is off).
     pub events: Vec<Event>,
@@ -36,19 +37,19 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Value of a counter, if registered.
+    /// Value of a counter, if present.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
     }
 
-    /// Value of a gauge, if registered.
+    /// Value of a gauge, if present.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
     }
 
-    /// A histogram's materialization, if registered.
+    /// A histogram's materialization, if present.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(name)
@@ -67,7 +68,7 @@ impl Snapshot {
     /// power of two rather than on every increment). Fuzzers use the set of
     /// features seen across runs as a cheap "did this input exercise new
     /// behaviour?" signal, exactly like edge-coverage maps but over the
-    /// registry the simulator already maintains. Deterministic across runs
+    /// counters the simulator already exports. Deterministic across runs
     /// and platforms.
     #[must_use]
     pub fn counter_features(&self) -> Vec<u64> {
@@ -86,8 +87,8 @@ impl Snapshot {
 
     /// Fold another snapshot into this one: counters and histogram buckets
     /// add, gauges take the other's value when present, events concatenate.
-    /// This is the aggregation path a sharded multi-registry design would
-    /// use; today it serves multi-run accumulation in tooling.
+    /// The `--emit-json` emitter folds every run of a process into one
+    /// snapshot this way.
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -114,13 +115,68 @@ impl Snapshot {
         self.spans.extend(other.spans.iter().cloned());
     }
 
-    /// Serialize to a compact JSON string.
+    /// Serialize to a compact JSON string: the seven fields in declaration
+    /// order, names sorted, histogram bucket keys as strings.
     #[must_use]
     pub fn to_json_string(&self) -> String {
-        json::to_string(self)
+        let mut out = String::from("{\"counters\":{");
+        for (i, (k, v)) in self.counters.iter().enumerate() {
+            json::push_key(&mut out, k, i == 0);
+            let _ = write!(out, "{v}");
+        }
+        out.push_str("},\"gauges\":{");
+        for (i, (k, v)) in self.gauges.iter().enumerate() {
+            json::push_key(&mut out, k, i == 0);
+            json::push_f64(&mut out, *v);
+        }
+        out.push_str("},\"histograms\":{");
+        for (i, (k, h)) in self.histograms.iter().enumerate() {
+            json::push_key(&mut out, k, i == 0);
+            out.push_str("{\"buckets\":{");
+            for (j, (lo, c)) in h.buckets.iter().enumerate() {
+                let sep = if j == 0 { "" } else { "," };
+                let _ = write!(out, "{sep}\"{lo}\":{c}");
+            }
+            let _ = write!(
+                out,
+                "}},\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
+                h.count, h.sum, h.min, h.max
+            );
+        }
+        out.push_str("},\"events\":[");
+        for (i, e) in self.events.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let (cycle, kind, pc, arg) = (e.cycle, e.kind.name(), e.pc, e.arg);
+            let _ = write!(
+                out,
+                "{sep}{{\"cycle\":{cycle},\"kind\":\"{kind}\",\"pc\":{pc},\"arg\":{arg}}}"
+            );
+        }
+        let (seen, dropped) = (self.events_seen, self.events_dropped);
+        let _ = write!(
+            out,
+            "],\"events_seen\":{seen},\"events_dropped\":{dropped},\"spans\":["
+        );
+        for (i, s) in self.spans.iter().enumerate() {
+            out.push_str(if i == 0 { "{\"name\":" } else { ",{\"name\":" });
+            json::push_str(&mut out, &s.name);
+            let _ = write!(
+                out,
+                ",\"thread\":{},\"depth\":{},\"start_ns\":{},\"dur_ns\":{}}}",
+                s.thread, s.depth, s.start_ns, s.dur_ns
+            );
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Parse a snapshot back out of [`Snapshot::to_json_string`] output.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the document is not a snapshot object, or
+    /// when a count (counter, bucket, event or span field) is not a
+    /// non-negative integer below 2^53 that reads back exactly.
     pub fn from_json_str(s: &str) -> Result<Snapshot, String> {
         let v = JsonValue::parse(s)?;
         let obj = v.as_object().ok_or("snapshot must be a JSON object")?;
@@ -153,14 +209,8 @@ impl Snapshot {
                 snap.spans.push(parse_span(i, s)?);
             }
         }
-        snap.events_seen = obj
-            .get("events_seen")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        snap.events_dropped = obj
-            .get("events_dropped")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
+        snap.events_seen = v.u64_field("events_seen")?;
+        snap.events_dropped = v.u64_field("events_dropped")?;
         Ok(snap)
     }
 }
@@ -181,121 +231,86 @@ fn parse_histogram(name: &str, v: &JsonValue) -> Result<HistogramSnapshot, Strin
             h.buckets.insert(lo, c);
         }
     }
-    let field = |k: &str| obj.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-    h.count = field("count");
-    h.sum = field("sum");
-    h.min = field("min");
-    h.max = field("max");
+    let field = |k: &str| v.u64_field(k).map_err(|e| format!("histogram {name}: {e}"));
+    h.count = field("count")?;
+    h.sum = field("sum")?;
+    h.min = field("min")?;
+    h.max = field("max")?;
     Ok(h)
 }
 
 fn parse_span(i: usize, v: &JsonValue) -> Result<SpanRecord, String> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| format!("span {i} not an object"))?;
-    let name = obj
+    let name = v
         .get("name")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| format!("span {i} missing name"))?
         .to_string();
-    let field = |k: &str| obj.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
+    let field = |k: &str| v.u64_field(k).map_err(|e| format!("span {i}: {e}"));
     Ok(SpanRecord {
         name,
-        thread: field("thread"),
-        depth: field("depth") as u32,
-        start_ns: field("start_ns"),
-        dur_ns: field("dur_ns"),
+        thread: field("thread")?,
+        depth: u32::try_from(field("depth")?).map_err(|e| format!("span {i} depth: {e}"))?,
+        start_ns: field("start_ns")?,
+        dur_ns: field("dur_ns")?,
     })
 }
 
 fn parse_event(i: usize, v: &JsonValue) -> Result<Event, String> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| format!("event {i} not an object"))?;
-    let kind_name = obj
+    let kind_name = v
         .get("kind")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| format!("event {i} missing kind"))?;
     let kind = EventKind::from_name(kind_name)
         .ok_or_else(|| format!("event {i} has unknown kind {kind_name:?}"))?;
-    let field = |k: &str| obj.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
+    let field = |k: &str| v.u64_field(k).map_err(|e| format!("event {i}: {e}"));
+    // A pc is an address, not a count: wrong-path blocks can start at
+    // wrapped addresses near 2^64 (prefetch and shadow-decode events),
+    // past the 2^53 the parser's f64 holds exactly, so it reads back as
+    // the nearest f64 rather than failing.
+    let pc = v.get("pc").map_or(Some(0.0), JsonValue::as_f64);
+    let pc = pc
+        .filter(|n| (0.0..u64::MAX as f64).contains(n) && n.fract() == 0.0)
+        .ok_or_else(|| format!("event {i}: pc is not an address"))?;
     Ok(Event {
-        cycle: field("cycle"),
+        cycle: field("cycle")?,
         kind,
-        pc: field("pc"),
-        arg: field("arg"),
+        pc: pc as u64,
+        arg: field("arg")?,
     })
-}
-
-impl Serialize for HistogramSnapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("HistogramSnapshot", 5)?;
-        s.serialize_field("buckets", &self.buckets)?;
-        s.serialize_field("count", &self.count)?;
-        s.serialize_field("sum", &self.sum)?;
-        s.serialize_field("min", &self.min)?;
-        s.serialize_field("max", &self.max)?;
-        s.end()
-    }
-}
-
-impl Serialize for Event {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Event", 4)?;
-        s.serialize_field("cycle", &self.cycle)?;
-        s.serialize_field("kind", self.kind.name())?;
-        s.serialize_field("pc", &self.pc)?;
-        s.serialize_field("arg", &self.arg)?;
-        s.end()
-    }
-}
-
-impl Serialize for SpanRecord {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("SpanRecord", 5)?;
-        s.serialize_field("name", &self.name)?;
-        s.serialize_field("thread", &self.thread)?;
-        s.serialize_field("depth", &self.depth)?;
-        s.serialize_field("start_ns", &self.start_ns)?;
-        s.serialize_field("dur_ns", &self.dur_ns)?;
-        s.end()
-    }
-}
-
-impl Serialize for Snapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Snapshot", 7)?;
-        s.serialize_field("counters", &self.counters)?;
-        s.serialize_field("gauges", &self.gauges)?;
-        s.serialize_field("histograms", &self.histograms)?;
-        s.serialize_field("events", &self.events)?;
-        s.serialize_field("events_seen", &self.events_seen)?;
-        s.serialize_field("events_dropped", &self.events_dropped)?;
-        s.serialize_field("spans", &self.spans)?;
-        s.end()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::Histogram;
-    use crate::registry::MetricRegistry;
-    use crate::trace::TraceConfig;
+    use crate::histogram::LocalHistogram;
+    use crate::trace::{EventTrace, TraceConfig};
 
-    fn sample_snapshot() -> Snapshot {
-        let mut reg = MetricRegistry::new();
-        reg.counter("btb.misses").add(17);
-        reg.counter("blocks").add(3);
-        reg.set_gauge("ipc", 1.25);
-        let h = reg.histogram("ftq.occupancy");
-        for v in [0u64, 4, 4, 9, 31] {
+    /// A snapshot holding just these counters.
+    fn with_counters(counters: &[(&str, u64)]) -> Snapshot {
+        Snapshot {
+            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            ..Snapshot::default()
+        }
+    }
+
+    fn histogram(values: &[u64]) -> HistogramSnapshot {
+        let mut h = LocalHistogram::new();
+        for &v in values {
             h.record(v);
         }
-        let t = reg.enable_trace(TraceConfig::default());
+        h.snapshot()
+    }
+
+    fn sample_snapshot() -> Snapshot {
+        let mut snap = with_counters(&[("btb.misses", 17), ("blocks", 3)]);
+        snap.gauges.insert("ipc".into(), 1.25);
+        snap.histograms
+            .insert("ftq.occupancy".into(), histogram(&[0, 4, 4, 9, 31]));
+        let t = EventTrace::new(TraceConfig::default());
         t.record(10, EventKind::BtbMiss, 0x4000, 1);
         t.record(12, EventKind::SbbRescue, 0x4008, 0);
-        let mut snap = reg.snapshot();
+        snap.events = t.events();
+        snap.events_seen = t.seen();
         snap.spans = vec![
             SpanRecord {
                 name: "sweep.prepare".into(),
@@ -349,6 +364,50 @@ mod tests {
         );
     }
 
+    /// The exact `--emit-json` bytes: field order, integer and float
+    /// forms, `null` for a non-finite gauge, string-keyed buckets and
+    /// escaped names.
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut snap = Snapshot::default();
+        snap.counters.insert("sim.cycles".into(), 9_000);
+        snap.counters.insert("btb.misses".into(), 17);
+        snap.gauges.insert("sim.ipc".into(), 2.0);
+        snap.gauges.insert("skia.bogus_rate".into(), 0.125);
+        snap.gauges
+            .insert("sim.steps_per_sec".into(), f64::INFINITY);
+        snap.histograms
+            .insert("ftq.occupancy".into(), histogram(&[0, 4, 4, 9, 300]));
+        let trace = EventTrace::new(TraceConfig::default());
+        trace.record(10, EventKind::BtbMiss, 0x4000, 1);
+        trace.record(12, EventKind::SbbRescue, 0x4008, 0);
+        snap.events = trace.events();
+        snap.events_seen = trace.seen();
+        snap.spans = vec![SpanRecord {
+            name: "sim.job:a\"b\\c".into(),
+            thread: 1,
+            depth: 2,
+            start_ns: 1_500,
+            dur_ns: 250,
+        }];
+        assert_eq!(
+            snap.to_json_string(),
+            concat!(
+                "{\"counters\":{\"btb.misses\":17,\"sim.cycles\":9000},",
+                "\"gauges\":{\"sim.ipc\":2.0,\"sim.steps_per_sec\":null,",
+                "\"skia.bogus_rate\":0.125},",
+                "\"histograms\":{\"ftq.occupancy\":{\"buckets\":",
+                "{\"0\":1,\"4\":2,\"8\":1,\"256\":1},",
+                "\"count\":5,\"sum\":317,\"min\":0,\"max\":300}},",
+                "\"events\":[{\"cycle\":10,\"kind\":\"btb_miss\",\"pc\":16384,\"arg\":1},",
+                "{\"cycle\":12,\"kind\":\"sbb_rescue\",\"pc\":16392,\"arg\":0}],",
+                "\"events_seen\":2,\"events_dropped\":0,",
+                "\"spans\":[{\"name\":\"sim.job:a\\\"b\\\\c\",\"thread\":1,\"depth\":2,",
+                "\"start_ns\":1500,\"dur_ns\":250}]}",
+            )
+        );
+    }
+
     #[test]
     fn accessors() {
         let snap = sample_snapshot();
@@ -395,35 +454,23 @@ mod tests {
 
     #[test]
     fn histogram_merge_vs_snapshot_merge_agree() {
-        let h1 = Histogram::new();
-        let h2 = Histogram::new();
-        for v in [1u64, 2, 300] {
-            h1.record(v);
-        }
-        for v in [0u64, 2, 5000] {
-            h2.record(v);
-        }
-        // Path A: merge live histograms, then snapshot.
-        let live = Histogram::new();
-        live.merge(&h1);
-        live.merge(&h2);
-        // Path B: snapshot separately, then merge snapshots.
-        let mut reg1 = MetricRegistry::new();
-        reg1.histogram("h").merge(&h1);
-        let mut reg2 = MetricRegistry::new();
-        reg2.histogram("h").merge(&h2);
-        let mut s = reg1.snapshot();
-        s.merge(&reg2.snapshot());
-        assert_eq!(s.histogram("h"), Some(&live.snapshot()));
+        // Path A: record every value into one histogram.
+        let all = histogram(&[1, 2, 300, 0, 2, 5000]);
+        // Path B: snapshot two halves separately, then merge the snapshots.
+        let mut s = Snapshot::default();
+        s.histograms.insert("h".into(), histogram(&[1, 2, 300]));
+        let mut other = Snapshot::default();
+        other
+            .histograms
+            .insert("h".into(), histogram(&[0, 2, 5000]));
+        s.merge(&other);
+        assert_eq!(s.histogram("h"), Some(&all));
     }
 
     #[test]
     fn counter_features_bucket_by_magnitude() {
-        let mut reg = MetricRegistry::new();
-        reg.counter("a").add(3);
-        reg.counter("b").add(1);
-        reg.counter("zero"); // registered but never incremented
-        let s = reg.snapshot();
+        // "zero" is present but never incremented.
+        let s = with_counters(&[("a", 3), ("b", 1), ("zero", 0)]);
         let f = s.counter_features();
         assert_eq!(f.len(), 2, "zero counters contribute no feature");
         assert_eq!(f, s.counter_features(), "deterministic");
@@ -431,19 +478,12 @@ mod tests {
         // Same counter, same power-of-two bucket: same feature. New bucket:
         // new feature. Different counter at the same value: different
         // feature.
-        let mut reg2 = MetricRegistry::new();
-        reg2.counter("a").add(2); // still ⌊log₂⌋ = 1
-        reg2.counter("b").add(1);
-        assert_eq!(f, reg2.snapshot().counter_features());
-        let mut reg3 = MetricRegistry::new();
-        reg3.counter("a").add(4); // bucket 2 now
-        reg3.counter("b").add(1);
-        let f3 = reg3.snapshot().counter_features();
+        let same_bucket = with_counters(&[("a", 2), ("b", 1)]); // still ⌊log₂⌋ = 1
+        assert_eq!(f, same_bucket.counter_features());
+        let f3 = with_counters(&[("a", 4), ("b", 1)]).counter_features(); // bucket 2 now
         assert_ne!(f, f3);
         assert_eq!(f[1], f3[1], "counter b unchanged");
-        let mut reg4 = MetricRegistry::new();
-        reg4.counter("c").add(3);
-        assert_ne!(f[0], reg4.snapshot().counter_features()[0]);
+        assert_ne!(f[0], with_counters(&[("c", 3)]).counter_features()[0]);
     }
 
     #[test]
@@ -459,6 +499,25 @@ mod tests {
             "a span without a name must not parse silently"
         );
         assert!(Snapshot::from_json_str("{\"spans\":[7]}").is_err());
+        // Wrong-path event PCs can sit near 2^64; they read back rounded.
+        let far = "{\"events\":[{\"kind\":\"resteer\",\"pc\":18446744072699480064}]}";
+        let far = Snapshot::from_json_str(far).unwrap();
+        assert_eq!(far.events[0].pc, 18_446_744_072_699_480_064);
+        // A count the parser cannot read exactly is an error, not a silent
+        // truncation or rounding.
+        for doc in [
+            "{\"counters\":{\"x\":1.5}}",
+            "{\"counters\":{\"x\":-1}}",
+            "{\"counters\":{\"x\":9007199254740993}}",
+            "{\"events_seen\":0.5}",
+            "{\"histograms\":{\"h\":{\"count\":2.5}}}",
+            "{\"histograms\":{\"h\":{\"buckets\":{\"4\":1e300}}}}",
+            "{\"events\":[{\"kind\":\"btb_miss\",\"pc\":-4}]}",
+            "{\"spans\":[{\"name\":\"s\",\"dur_ns\":1.25}]}",
+            "{\"spans\":[{\"name\":\"s\",\"depth\":4294967296}]}",
+        ] {
+            assert!(Snapshot::from_json_str(doc).is_err(), "{doc}");
+        }
     }
 
     /// The feature hashes are part of the fuzz corpus' on-disk contract: a
@@ -466,12 +525,13 @@ mod tests {
     /// orphan every persisted corpus entry's coverage. Pin exact values.
     #[test]
     fn counter_features_are_pinned() {
-        let mut reg = MetricRegistry::new();
-        reg.counter("a").add(3);
-        reg.counter("b").add(1);
-        reg.counter("btb.misses").add(17);
-        reg.counter("sim.steps_total").add(400_000);
-        let f = reg.snapshot().counter_features();
+        let f = with_counters(&[
+            ("a", 3),
+            ("b", 1),
+            ("btb.misses", 17),
+            ("sim.steps_total", 400_000),
+        ])
+        .counter_features();
         // BTreeMap order: a, b, btb.misses, sim.steps_total.
         assert_eq!(
             f,

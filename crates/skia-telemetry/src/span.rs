@@ -16,12 +16,12 @@
 //! result or stdout byte — records flow only into telemetry snapshots,
 //! manifests, and Chrome traces.
 //!
-//! Unlike the per-run [`crate::MetricRegistry`] (single-threaded by
-//! design), the span collector is global and thread-aware: sweep workers
-//! on any thread deposit into one bounded buffer, and each record carries
-//! a small per-thread id so a Chrome trace lays the threads out as
-//! separate rows. Export goes through [`crate::trace::to_chrome_trace_full`]
-//! (`X` complete events) or, aggregated, through [`rollup`].
+//! Unlike a run's counters and event trace (single-threaded by design),
+//! the span collector is global and thread-aware: sweep workers on any
+//! thread deposit into one bounded buffer, and each record carries a small
+//! per-thread id so a Chrome trace lays the threads out as separate rows.
+//! Export goes through [`crate::trace::to_chrome_trace_full`] (`X` complete
+//! events) or, aggregated, through [`rollup`].
 
 use std::borrow::Cow;
 use std::cell::Cell;

@@ -11,6 +11,8 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+use crate::json;
+
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -217,21 +219,22 @@ pub fn to_chrome_trace_full(
     };
     if !process_name.is_empty() {
         sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{{\"name\":\"{process_name}\"}}}}"
+        out.push_str(
+            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":",
         );
+        json::push_str(&mut out, process_name);
+        out.push_str("}}");
     }
     for s in spans {
         sep(&mut out);
+        out.push_str("{\"name\":");
+        json::push_str(&mut out, &s.name);
         // Chrome's ts/dur unit is microseconds; keep ns precision as a
         // fraction (trailing .000 elided when exact).
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\
+            ",\"ph\":\"X\",\"ts\":{}.{:03},\"dur\":{}.{:03},\
              \"pid\":1,\"tid\":{},\"args\":{{\"depth\":{}}}}}",
-            s.name,
             s.start_ns / 1000,
             s.start_ns % 1000,
             s.dur_ns / 1000,
@@ -354,6 +357,29 @@ mod tests {
         let bare = to_chrome_trace_full(&[], &spans, "");
         assert!(!bare.contains("process_name"));
         assert!(bare.starts_with("{\"displayTimeUnit\""));
+    }
+
+    /// Span and process names are JSON strings, escaped like any other:
+    /// a quote or backslash in a name still yields a parseable document.
+    #[test]
+    fn chrome_trace_escapes_names() {
+        let span = crate::span::SpanRecord {
+            name: "sim.job:a\"b\\c".into(),
+            thread: 0,
+            depth: 0,
+            start_ns: 0,
+            dur_ns: 1,
+        };
+        let doc = to_chrome_trace_full(&[], &[span], "suite \"x\"");
+        let v = json::JsonValue::parse(&doc).expect("valid JSON");
+        let events = v.get("traceEvents").unwrap().as_array().unwrap();
+        let process = events[0].get("args").and_then(|a| a.get("name"));
+        assert_eq!(
+            process.and_then(json::JsonValue::as_str),
+            Some("suite \"x\"")
+        );
+        let span = events[1].get("name").and_then(json::JsonValue::as_str);
+        assert_eq!(span, Some("sim.job:a\"b\\c"));
     }
 
     #[test]

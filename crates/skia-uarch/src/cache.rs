@@ -64,17 +64,6 @@ impl CacheStats {
     pub fn misses(&self) -> u64 {
         self.demand_misses + self.prefetch_misses
     }
-
-    /// Upsert every counter into `reg` under `prefix` (e.g. `l1i`) — the
-    /// pull-model telemetry bridge for snapshot-time export.
-    pub fn register_into(&self, reg: &mut skia_telemetry::MetricRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.demand_hits"), self.demand_hits);
-        reg.set_counter(&format!("{prefix}.demand_misses"), self.demand_misses);
-        reg.set_counter(&format!("{prefix}.prefetch_hits"), self.prefetch_hits);
-        reg.set_counter(&format!("{prefix}.prefetch_misses"), self.prefetch_misses);
-        reg.set_counter(&format!("{prefix}.evictions"), self.evictions);
-        reg.set_counter(&format!("{prefix}.polluting_fills"), self.polluting_fills);
-    }
 }
 
 /// Per-line bookkeeping stored in the tag array.

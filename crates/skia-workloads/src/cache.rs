@@ -33,10 +33,10 @@ use crate::program::{BasicBlock, BranchMeta, Function, Layout, Program, ProgramS
 use crate::trace::RecordedTrace;
 
 /// Process-wide cache I/O totals, accumulated across every program and
-/// trace cache operation since process start. Atomics (not registry
-/// handles) because the cache is called from arbitrary worker threads and
-/// long before any experiment registry exists; the JSON emitter surfaces
-/// the totals as `trace_cache.*` counters at finish time.
+/// trace cache operation since process start. Atomics (not per-run
+/// counters) because the cache is called from arbitrary worker threads and
+/// long before any run's snapshot exists; the JSON emitter surfaces the
+/// totals as `trace_cache.*` counters at finish time.
 static IO_BYTES_READ: AtomicU64 = AtomicU64::new(0);
 static IO_BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
 static IO_SEEKS: AtomicU64 = AtomicU64::new(0);

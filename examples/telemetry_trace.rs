@@ -1,5 +1,5 @@
-//! Telemetry walkthrough: run an instrumented simulation, inspect the
-//! registry snapshot, and export the sampled event trace as Chrome
+//! Telemetry walkthrough: run an instrumented simulation, inspect its
+//! telemetry snapshot, and export the sampled event trace as Chrome
 //! `trace_event` JSON (loadable in `chrome://tracing` / Perfetto) and JSONL.
 //!
 //! ```text

@@ -9,9 +9,9 @@
 //! * [`frontend`] — the decoupled FDIP front-end cycle simulator.
 //! * [`core`] — Skia itself: the Shadow Branch Decoder and Shadow Branch
 //!   Buffer.
-//! * [`telemetry`] — the metric registry every layer reports into:
-//!   counters, log-bucketed histograms, and a sampled cycle-level event
-//!   trace, serializable to JSON / Chrome `trace_event` format.
+//! * [`telemetry`] — the snapshot every layer's stats are written into:
+//!   counters, gauges, log-bucketed histograms, and a sampled cycle-level
+//!   event trace, serializable to JSON / Chrome `trace_event` format.
 //!
 //! ## Quick start
 //!
@@ -54,7 +54,7 @@ pub mod prelude {
     pub use skia_core::{IndexPolicy, SbbConfig, Skia, SkiaConfig};
     pub use skia_frontend::{BtbMode, FrontendConfig, SimStats, Simulator};
     pub use skia_isa::{BranchKind, InsnKind};
-    pub use skia_telemetry::{EventKind, MetricRegistry, Snapshot, TraceConfig};
+    pub use skia_telemetry::{EventKind, Snapshot, TraceConfig};
     pub use skia_uarch::btb::BtbConfig;
     pub use skia_workloads::{profile, Layout, Program, ProgramSpec, TraceStep, Walker};
 }

@@ -176,10 +176,9 @@ fn shadow_decoder_runs_on_program_bytes() {
 
 #[test]
 fn telemetry_snapshot_agrees_with_simstats_end_to_end() {
-    // The registry snapshot and the legacy SimStats are materialized from
-    // the same counter cells; this asserts they agree counter-by-counter on
-    // a real instrumented run, and that the snapshot survives a JSON
-    // round-trip (the `--emit-json` path).
+    // The snapshot is written from the returned SimStats; this asserts
+    // they agree counter-by-counter on a real instrumented run, and that
+    // the snapshot survives a JSON round-trip (the `--emit-json` path).
     let p = profile("tpcc").unwrap();
     let mut spec = p.spec.clone();
     spec.functions = 800;
