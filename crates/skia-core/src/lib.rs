@@ -15,7 +15,9 @@
 //!   Computation* builds a per-byte instruction-length vector, *Path
 //!   Validation* walks every candidate chain that lands exactly on the
 //!   entry offset, bounding work at six valid paths and choosing a start
-//!   index by the First/Zero/Merge policy (First is the paper's best).
+//!   index by the First/Zero/Merge policy (First is the paper's best). A
+//!   `DecodeTable` holds one program's decodes, so every simulator over
+//!   the program decodes each region once.
 //! * [`sbb`] — the split SBB: a **U-SBB** for direct unconditional
 //!   jumps/calls (78-bit entries) and an **R-SBB** for returns (20-bit
 //!   entries), both 4-way LRU with the *retired-bit* eviction preference
@@ -57,5 +59,8 @@ pub mod sbd;
 pub mod skia;
 
 pub use sbb::{Sbb, SbbConfig, SbbHit, SbbStats};
-pub use sbd::{HeadDecode, IndexPolicy, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
+pub use sbd::{
+    DecodeTable, DecodedRegion, HeadDecode, IndexPolicy, ShadowBranch, ShadowDecoder,
+    ShadowDecoderStats,
+};
 pub use skia::{Skia, SkiaConfig, SkiaStats};

@@ -18,10 +18,13 @@
 //! bit is clear, so bogus branches (artifacts of wrong head-decode paths that
 //! will never commit) leave first.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use skia_isa::{BranchKind, CACHE_LINE_BYTES};
 use skia_uarch::TagArray;
 
-use crate::sbd::{MemoBuild, ShadowBranch};
+use crate::sbd::ShadowBranch;
 
 /// Bits per U-SBB entry (Fig. 12).
 pub const USBB_ENTRY_BITS: usize = 78;
@@ -104,6 +107,8 @@ impl SbbConfig {
 #[derive(Debug, Clone, Copy)]
 struct UEntry {
     target: u64,
+    /// Cycle the entry was inserted (entry-lifetime telemetry).
+    birth: u64,
     len: u8,
     is_call: bool,
     retired: bool,
@@ -113,6 +118,8 @@ struct UEntry {
 /// as the key; we keep it for introspection parity with the hardware layout.
 #[derive(Debug, Clone, Copy)]
 struct REntry {
+    /// Cycle the entry was inserted (entry-lifetime telemetry).
+    birth: u64,
     line_offset: u8,
     len: u8,
     retired: bool,
@@ -148,55 +155,128 @@ pub struct SbbStats {
     pub evicted_unretired: u64,
 }
 
+/// Line-base mask for the bitmap mirror.
+const LINE_MASK: u64 = !(CACHE_LINE_BYTES as u64 - 1);
+
+/// One cache line's bitmaps of pc byte offsets.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineBits {
+    /// Offsets resident in either half.
+    resident: u64,
+    /// Offsets ever offered for insertion.
+    ever: u64,
+}
+
+/// Per-cache-line bitmaps over a fixed run of lines, dense and indexed by
+/// line, with an ordered map for lines outside the run.
+#[derive(Debug, Clone)]
+struct LineMirror {
+    /// Base address of the first covered line.
+    first: u64,
+    covered: Vec<LineBits>,
+    outside: BTreeMap<u64, LineBits>,
+}
+
+impl LineMirror {
+    fn covering(lines: Range<u64>) -> Self {
+        let first = lines.start & LINE_MASK;
+        let n = lines
+            .end
+            .saturating_sub(first)
+            .div_ceil(CACHE_LINE_BYTES as u64);
+        LineMirror {
+            first,
+            covered: vec![LineBits::default(); n as usize],
+            outside: BTreeMap::new(),
+        }
+    }
+
+    /// Dense index of the line at `base`, when covered.
+    #[inline]
+    fn index(&self, base: u64) -> Option<usize> {
+        let i = base.wrapping_sub(self.first) / CACHE_LINE_BYTES as u64;
+        (base >= self.first && i < self.covered.len() as u64).then_some(i as usize)
+    }
+
+    #[inline]
+    fn get(&self, base: u64) -> LineBits {
+        match self.index(base) {
+            Some(i) => self.covered[i],
+            None => self.outside.get(&base).copied().unwrap_or_default(),
+        }
+    }
+
+    fn get_mut(&mut self, base: u64) -> &mut LineBits {
+        match self.index(base) {
+            Some(i) => &mut self.covered[i],
+            None => self.outside.entry(base).or_default(),
+        }
+    }
+}
+
+/// `pc`'s bit in its line's bitmaps.
+#[inline]
+fn bit(pc: u64) -> u64 {
+    1u64 << (pc & !LINE_MASK)
+}
+
 /// The split Shadow Branch Buffer.
 ///
-/// Keeps a per-cache-line bitmap mirror of resident PCs (both halves) so
-/// the BPU can scan for "the next shadow branch in this fetch window" with
-/// a hash probe and a trailing-zeros count per window line — the same
-/// service the BTB provides through its fetch-block indexing, without the
-/// ordered-tree walk an earlier `BTreeSet` mirror paid on every cycle.
+/// Keeps a per-cache-line bitmap mirror of resident PCs (both halves), so
+/// the BPU's "next shadow branch in this fetch window" scan is one bitmap
+/// read and a trailing-zeros count per window line, and the fill filter is
+/// one bit test. The mirror is a dense array over the lines given at
+/// construction (the program's code); other lines fall back to an exact
+/// ordered map. It also keeps which PCs were ever inserted.
 #[derive(Debug, Clone)]
 pub struct Sbb {
     u: TagArray<UEntry>,
     r: TagArray<REntry>,
-    /// Cache-line base → bitmap of resident pc byte offsets in that line.
-    /// Maintained as a plain set (bit set on insert, cleared on removal),
-    /// exactly mirroring TagArray residency of the union of both halves.
-    keys: std::collections::HashMap<u64, u64, MemoBuild>,
+    /// Exactly the TagArray residency of the union of both halves, plus the
+    /// ever-inserted bits.
+    mirror: LineMirror,
     config: SbbConfig,
     stats: SbbStats,
 }
 
-/// Line-base mask for the `keys` bitmap mirror.
-const LINE_MASK: u64 = !(CACHE_LINE_BYTES as u64 - 1);
-
 impl Sbb {
-    /// Build an SBB.
+    /// Build an SBB whose mirror covers no line densely.
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not divide into whole sets.
     #[must_use]
     pub fn new(config: SbbConfig) -> Self {
+        Sbb::covering(config, 0..0)
+    }
+
+    /// Build an SBB whose mirror is dense over the cache lines of `lines`
+    /// (a program's code).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry does not divide into whole sets.
+    #[must_use]
+    pub fn covering(config: SbbConfig, lines: Range<u64>) -> Self {
         assert!(config.u_entries.is_multiple_of(config.ways));
         assert!(config.r_entries.is_multiple_of(config.ways));
         Sbb {
             u: TagArray::new(config.u_entries / config.ways, config.ways),
             r: TagArray::new(config.r_entries / config.ways, config.ways),
-            keys: std::collections::HashMap::default(),
+            mirror: LineMirror::covering(lines),
             config,
             stats: SbbStats::default(),
         }
     }
 
     /// The lowest resident shadow-branch PC in `[start, limit)` — the
-    /// BPU's fetch-window scan. Touches one bitmap per window line.
+    /// BPU's fetch-window scan. Reads one bitmap per window line.
     #[must_use]
     pub fn next_key_in(&self, start: u64, limit: u64) -> Option<u64> {
         let mut base = start & LINE_MASK;
         while base < limit {
-            if let Some(&bits) = self.keys.get(&base) {
-                let mut m = bits;
+            let mut m = self.mirror.get(base).resident;
+            if m != 0 {
                 if base < start {
                     m &= !0u64 << (start - base);
                 }
@@ -212,18 +292,26 @@ impl Sbb {
         None
     }
 
-    /// Set `pc`'s bit in the bitmap mirror.
-    fn key_insert(&mut self, pc: u64) {
-        *self.keys.entry(pc & LINE_MASK).or_insert(0) |= 1u64 << (pc & !LINE_MASK);
+    /// Whether either half holds `pc` (a bit test; same answer as
+    /// [`Sbb::probe`]).
+    #[inline]
+    #[must_use]
+    pub fn contains(&self, pc: u64) -> bool {
+        self.mirror.get(pc & LINE_MASK).resident & bit(pc) != 0
     }
 
-    /// Clear `pc`'s bit in the bitmap mirror (no-op when absent).
+    /// Whether `pc` was ever offered to [`Sbb::insert`] (diagnostic; not
+    /// hardware state).
+    #[must_use]
+    pub fn ever_inserted(&self, pc: u64) -> bool {
+        self.mirror.get(pc & LINE_MASK).ever & bit(pc) != 0
+    }
+
+    /// Clear `pc`'s resident bit once neither half holds it.
     fn key_remove(&mut self, pc: u64) {
-        if let Some(m) = self.keys.get_mut(&(pc & LINE_MASK)) {
-            *m &= !(1u64 << (pc & !LINE_MASK));
-            if *m == 0 {
-                self.keys.remove(&(pc & LINE_MASK));
-            }
+        let in_u = self.u.probe(self.u.set_of(pc), pc).is_some();
+        if !in_u && self.r.probe(self.r.set_of(pc), pc).is_none() {
+            self.mirror.get_mut(pc & LINE_MASK).resident &= !bit(pc);
         }
     }
 
@@ -287,75 +375,65 @@ impl Sbb {
         None
     }
 
-    /// Insert a shadow branch found by the SBD.
+    /// Insert a shadow branch found by the SBD (see [`Sbb::insert_at`]),
+    /// stamped with birth cycle 0. Returns the PC of the entry this
+    /// insertion displaced, if a *different* entry was evicted.
+    pub fn insert(&mut self, branch: &ShadowBranch) -> Option<u64> {
+        self.insert_at(branch, 0).map(|(pc, _)| pc)
+    }
+
+    /// Insert a shadow branch found by the SBD, born at `cycle`.
     ///
     /// Jumps and calls go to the U-SBB, returns to the R-SBB. Eviction
-    /// prefers entries whose retired bit is clear. Returns the PC of the
-    /// entry this insertion displaced, if a *different* entry was evicted
-    /// (telemetry uses this to close SBB entry lifetimes).
-    pub fn insert(&mut self, branch: &ShadowBranch) -> Option<u64> {
-        match branch.kind {
+    /// prefers entries whose retired bit is clear. Overwriting the entry
+    /// already at `branch.pc` keeps its birth. Returns the PC and birth
+    /// cycle of the entry this insertion displaced, if a *different* entry
+    /// was evicted (telemetry uses this to close SBB entry lifetimes).
+    pub fn insert_at(&mut self, branch: &ShadowBranch, cycle: u64) -> Option<(u64, u64)> {
+        let pc = branch.pc;
+        self.mirror.get_mut(pc & LINE_MASK).ever |= bit(pc);
+        let retired_aware = self.config.retired_aware;
+        // `(tag, birth, retired)` of the entry the insert displaced, if any.
+        let displaced = match branch.kind {
             BranchKind::DirectUncond | BranchKind::Call => {
-                let Some(target) = branch.target else {
-                    return None; // direct branch without a target cannot help FDIP
-                };
-                let set = self.u.set_of(branch.pc);
+                // A direct branch without a target cannot help FDIP.
+                let target = branch.target?;
+                let set = self.u.set_of(pc);
                 self.stats.u_inserts += 1;
-                let retired_aware = self.config.retired_aware;
-                let evicted = self.u.insert_with(
-                    set,
-                    branch.pc,
-                    UEntry {
-                        target,
-                        len: branch.len,
-                        is_call: branch.kind == BranchKind::Call,
-                        retired: false,
-                    },
-                    |e| retired_aware && !e.retired,
-                );
-                self.key_insert(branch.pc);
-                if let Some((tag, old)) = evicted {
-                    if tag != branch.pc {
-                        self.key_remove(tag);
-                        if !old.retired {
-                            self.stats.evicted_unretired += 1;
-                        }
-                        return Some(tag);
-                    }
-                }
-                None
+                let entry = UEntry {
+                    target,
+                    birth: self.u.probe(set, pc).map_or(cycle, |e| e.birth),
+                    len: branch.len,
+                    is_call: branch.kind == BranchKind::Call,
+                    retired: false,
+                };
+                self.u
+                    .insert_with(set, pc, entry, |e| retired_aware && !e.retired)
+                    .map(|(tag, o)| (tag, o.birth, o.retired))
             }
             BranchKind::Return => {
-                let set = self.r.set_of(branch.pc);
+                let set = self.r.set_of(pc);
                 self.stats.r_inserts += 1;
-                let retired_aware = self.config.retired_aware;
-                let evicted = self.r.insert_with(
-                    set,
-                    branch.pc,
-                    REntry {
-                        line_offset: branch.line_offset,
-                        len: branch.len,
-                        retired: false,
-                    },
-                    |e| retired_aware && !e.retired,
-                );
-                self.key_insert(branch.pc);
-                if let Some((tag, old)) = evicted {
-                    if tag != branch.pc {
-                        self.key_remove(tag);
-                        if !old.retired {
-                            self.stats.evicted_unretired += 1;
-                        }
-                        return Some(tag);
-                    }
-                }
-                None
+                let entry = REntry {
+                    birth: self.r.probe(set, pc).map_or(cycle, |e| e.birth),
+                    line_offset: branch.line_offset,
+                    len: branch.len,
+                    retired: false,
+                };
+                self.r
+                    .insert_with(set, pc, entry, |e| retired_aware && !e.retired)
+                    .map(|(tag, o)| (tag, o.birth, o.retired))
             }
-            _ => {
-                debug_assert!(false, "SBD must only produce SBB-eligible branches");
-                None
-            }
+            // Not SBB-eligible (the SBD never produces these): not held.
+            _ => return None,
+        };
+        self.mirror.get_mut(pc & LINE_MASK).resident |= bit(pc);
+        let (victim, birth, retired) = displaced.filter(|&(tag, ..)| tag != pc)?;
+        self.key_remove(victim);
+        if !retired {
+            self.stats.evicted_unretired += 1;
         }
+        Some((victim, birth))
     }
 
     /// Mark the entry at `pc` retired (called when a branch whose prediction
@@ -380,17 +458,19 @@ impl Sbb {
     }
 
     /// Remove the entry at `pc` (on promotion into the BTB, so the SBB slot
-    /// can hold a different shadow branch).
-    pub fn invalidate(&mut self, pc: u64) {
+    /// can hold a different shadow branch). Returns the removed entry's
+    /// birth cycle.
+    pub fn invalidate(&mut self, pc: u64) -> Option<u64> {
         let uset = self.u.set_of(pc);
-        if self.u.invalidate(uset, pc).is_some() {
-            self.key_remove(pc);
-            return;
-        }
-        let rset = self.r.set_of(pc);
-        if self.r.invalidate(rset, pc).is_some() {
-            self.key_remove(pc);
-        }
+        let birth = match self.u.invalidate(uset, pc) {
+            Some(e) => e.birth,
+            None => {
+                let rset = self.r.set_of(pc);
+                self.r.invalidate(rset, pc)?.birth
+            }
+        };
+        self.key_remove(pc);
+        Some(birth)
     }
 
     /// `(U-SBB valid, R-SBB valid)` entry counts.
@@ -518,5 +598,107 @@ mod tests {
         let half = SbbConfig::default().scaled(0.5);
         assert_eq!(half.u_entries, 384);
         assert_eq!(half.r_entries, 1012);
+    }
+
+    #[test]
+    fn entries_carry_their_birth_cycle() {
+        let mut s = Sbb::new(SbbConfig {
+            u_entries: 2,
+            r_entries: 2,
+            ways: 2,
+            retired_aware: true,
+        });
+        let jmp = |pc| sb(pc, BranchKind::DirectUncond, Some(pc + 1));
+        assert_eq!(s.insert_at(&jmp(0x10), 5), None);
+        // An overwrite keeps the first birth.
+        assert_eq!(s.insert_at(&jmp(0x10), 9), None);
+        assert_eq!(s.insert_at(&jmp(0x20), 7), None);
+        assert_eq!(s.insert_at(&jmp(0x30), 11), Some((0x10, 5)), "LRU victim");
+        assert_eq!(s.invalidate(0x20), Some(7));
+        assert_eq!(s.invalidate(0x20), None);
+        assert!(s.ever_inserted(0x20) && !s.ever_inserted(0x40));
+    }
+
+    #[test]
+    fn pcs_outside_the_covered_lines_take_the_exact_fallback() {
+        let mut s = Sbb::covering(SbbConfig::default(), 0x1000..0x1040);
+        let inside = sb(0x1008, BranchKind::Return, None);
+        let below = sb(0x0FF8, BranchKind::Return, None);
+        let above = sb(0x1041, BranchKind::Call, Some(0x9000));
+        for b in [&inside, &below, &above] {
+            s.insert(b);
+            assert!(s.contains(b.pc) && s.ever_inserted(b.pc));
+        }
+        assert_eq!(s.mirror.outside.len(), 2, "two lines in the fallback");
+        assert_eq!(s.next_key_in(0x0FC0, 0x1080), Some(0x0FF8));
+        assert_eq!(s.next_key_in(0x0FF9, 0x1080), Some(0x1008));
+        assert_eq!(s.next_key_in(0x1009, 0x1080), Some(0x1041));
+        s.invalidate(0x1041);
+        assert!(!s.contains(0x1041) && s.ever_inserted(0x1041));
+        assert_eq!(s.next_key_in(0x1009, 0x1080), None);
+    }
+
+    /// The pc space of the mirror proptest: one line below the covered
+    /// run, the four covered lines, one line above.
+    const SPACE_BASE: u64 = 0x0FC0;
+    const COVERED: std::ops::Range<u64> = 0x1000..0x1100;
+    const SPACE_BYTES: u64 = 6 * 64;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// After every operation the mirror equals the TagArray residency
+        /// of both halves, `next_key_in` equals a brute-force scan, and the
+        /// ever-inserted bits equal a reference set.
+        #[test]
+        fn line_mirror_tracks_residency_and_ever_inserted(
+            ops in proptest::collection::vec((0u8..6, 0u64..SPACE_BYTES), 1..160),
+        ) {
+            let mut s = Sbb::covering(
+                SbbConfig {
+                    u_entries: 8,
+                    r_entries: 8,
+                    ways: 2,
+                    retired_aware: true,
+                },
+                COVERED,
+            );
+            let mut ever = std::collections::BTreeSet::new();
+            for (cycle, &(op, off)) in ops.iter().enumerate() {
+                let pc = SPACE_BASE + off;
+                match op {
+                    0..=2 => {
+                        let kind = [BranchKind::DirectUncond, BranchKind::Call, BranchKind::Return]
+                            [usize::from(op)];
+                        let target = (kind != BranchKind::Return).then_some(pc + 0x100);
+                        ever.insert(pc);
+                        s.insert_at(&sb(pc, kind, target), cycle as u64);
+                    }
+                    3 => {
+                        s.lookup(pc);
+                    }
+                    4 => {
+                        s.invalidate(pc);
+                    }
+                    _ => s.mark_retired(pc),
+                }
+                let resident: std::collections::BTreeSet<u64> = s
+                    .u
+                    .iter()
+                    .map(|(_, tag, _)| tag)
+                    .chain(s.r.iter().map(|(_, tag, _)| tag))
+                    .collect();
+                for p in SPACE_BASE..SPACE_BASE + SPACE_BYTES {
+                    proptest::prop_assert_eq!(s.contains(p), resident.contains(&p), "pc {:#x}", p);
+                    proptest::prop_assert_eq!(s.ever_inserted(p), ever.contains(&p), "pc {:#x}", p);
+                }
+                for start in (SPACE_BASE..SPACE_BASE + SPACE_BYTES).step_by(5) {
+                    for limit in [start + 1, start + 64, start + 130] {
+                        let brute = resident.range(start..limit).next().copied();
+                        proptest::prop_assert_eq!(s.next_key_in(start, limit), brute);
+                    }
+                }
+            }
+        }
     }
 }

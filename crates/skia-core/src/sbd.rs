@@ -20,11 +20,16 @@
 //!    validate, the line is discarded as too ambiguous. The surviving path
 //!    whose start index matches the [`IndexPolicy`] supplies the shadow
 //!    branches.
+//!
+//! A region's decode is a pure function of the line bytes, the offset, the
+//! policy and the bound. [`ShadowDecoder`] decodes and counts; a
+//! [`DecodeTable`] holds one program's decodes so that every simulator over
+//! the program decodes each region once.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::OnceLock;
 
-use skia_isa::{decode, BranchKind, DecodeError, InsnKind};
+use skia_isa::{decode, BranchKind, DecodeError, InsnKind, CACHE_LINE_BYTES};
 
 /// Which validated path supplies the decoded shadow branches (§3.2.2,
 /// "Valid Index" optimization).
@@ -87,6 +92,32 @@ pub struct HeadDecode {
     pub discarded: bool,
 }
 
+/// The compact outcome of decoding one shadow region: the branches the SBB
+/// is filled with, plus the two facts the head counters need. This is what a
+/// [`DecodeTable`] slot holds ([`HeadDecode`] without its per-path lists).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DecodedRegion {
+    /// Shadow branches, in ascending pc order.
+    pub branches: Box<[ShadowBranch]>,
+    /// Validated head paths (`HeadDecode::valid_starts.len()`); 0 for tails.
+    pub valid_paths: u8,
+    /// Whether a head region was discarded for exceeding the path bound.
+    pub discarded: bool,
+}
+
+impl From<HeadDecode> for DecodedRegion {
+    fn from(hd: HeadDecode) -> Self {
+        DecodedRegion {
+            // An exact-size copy rather than `into_boxed_slice`: shrinking
+            // the grown `Vec` in place would leave a hole beside every
+            // long-lived table entry.
+            branches: hd.branches.as_slice().into(),
+            valid_paths: hd.valid_starts.len() as u8,
+            discarded: hd.discarded,
+        }
+    }
+}
+
 /// Aggregate SBD counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShadowDecoderStats {
@@ -106,40 +137,13 @@ pub struct ShadowDecoderStats {
     pub valid_path_sum: u64,
 }
 
-/// Entry bound for the head- and tail-decode memos: at ~100 bytes per
-/// cached [`HeadDecode`] this is ≈13 MB, enough that paper-scale programs
-/// (thousands of functions, each contributing a handful of distinct
-/// `(line, entry)` pairs) stay memo-resident instead of thrashing. Each
-/// memo is cleared wholesale when full (re-decoding is cheap; bookkeeping
-/// an LRU here would cost more than it saves). The bound only affects
-/// speed, never results: memo hits replay the exact stat increments of a
-/// fresh decode.
-const HEAD_MEMO_CAP: usize = 128 * 1024;
-
-/// The decoder: configuration plus counters. Decoding itself is pure.
+/// The decoder: configuration plus counters. Decoding itself is pure; every
+/// call decodes its region afresh and counts it.
 #[derive(Debug, Clone)]
 pub struct ShadowDecoder {
     policy: IndexPolicy,
     max_valid_paths: usize,
     stats: ShadowDecoderStats,
-    /// Memo for [`decode_head`]: FDIP re-fetches the same hot lines at the
-    /// same entry points constantly, and head decoding (per-offset Index
-    /// Computation + Path Validation) is the most expensive thing the SBD
-    /// does. Keyed by `(line base, entry offset, [`key_hash`] of the head
-    /// bytes)` — see [`key_hash`] for the stable-content contract that lets
-    /// release builds skip the hash. Results are pure given the key and the
-    /// fixed policy, so hits replay the stat increments and return a shared
-    /// `Arc` handle (no per-hit allocation).
-    ///
-    /// [`decode_head`]: ShadowDecoder::decode_head
-    head_memo: HashMap<(u64, u32, u64), Arc<HeadDecode>, MemoBuild>,
-    /// Memo for [`decode_tail`], same scheme as `head_memo`: keyed by
-    /// `(line base, exit offset, [`key_hash`] of the tail bytes)`. Tail decoding
-    /// is a pure linear decode, so a hit returns a shared handle and
-    /// replays the identical stat increments.
-    ///
-    /// [`decode_tail`]: ShadowDecoder::decode_tail
-    tail_memo: HashMap<(u64, u32, u64), Arc<Vec<ShadowBranch>>, MemoBuild>,
 }
 
 impl Default for ShadowDecoder {
@@ -147,113 +151,6 @@ impl Default for ShadowDecoder {
         ShadowDecoder::new(IndexPolicy::First, 6)
     }
 }
-
-/// Content hash for the memo keys: FNV-1a-style mixing over 8-byte words
-/// (regions are at most a cache line, so this is a handful of multiplies
-/// instead of one per byte — the hash runs on every decode call). The
-/// length is folded in so a short region never collides with a longer one
-/// sharing a prefix.
-fn content_hash(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ (bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        hash ^= u64::from_le_bytes(c.try_into().unwrap());
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut tail: u64 = 0;
-    for &b in chunks.remainder() {
-        tail = (tail << 8) | u64::from(b);
-    }
-    hash ^= tail;
-    hash.wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// The content component of a memo key.
-///
-/// The decoders' memo contract is that the bytes at a given line base are
-/// stable for the decoder's lifetime — true for every production caller,
-/// which decodes lines of one immutable [`skia_workloads::Program`]. Debug
-/// builds key on the full content hash anyway, so any caller that violates
-/// the contract (two different lines at one address fed to one decoder)
-/// is caught by the `head_memo_distinguishes_content_at_same_address`
-/// test rather than silently aliasing. Release builds skip the hash: on a
-/// memo hit it is the only reader of the line bytes, so skipping it keeps
-/// hot hits from touching program memory at all.
-#[inline]
-fn key_hash(bytes: &[u8]) -> u64 {
-    if cfg!(debug_assertions) {
-        content_hash(bytes)
-    } else {
-        0
-    }
-}
-
-/// Shared empty result for zero-length head regions, so the hot early-out
-/// in [`ShadowDecoder::decode_head`] never allocates.
-fn empty_head() -> &'static Arc<HeadDecode> {
-    static EMPTY: std::sync::OnceLock<Arc<HeadDecode>> = std::sync::OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(HeadDecode::default()))
-}
-
-/// FNV-1a table hasher for the memo maps. The memos are consulted on every
-/// shadow-decoded block, and std's default SipHash shows up in profiles;
-/// the keys already contain a content hash, so a fast non-keyed hasher
-/// loses nothing (the maps are never exposed to untrusted keys).
-#[derive(Clone)]
-pub(crate) struct FnvTableHasher(u64);
-
-impl Default for FnvTableHasher {
-    fn default() -> Self {
-        FnvTableHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl FnvTableHasher {
-    /// One word-sized FNV round plus a xor-shift fold. Memo keys are tuples
-    /// of word-sized integers (line bases have their low 6 bits zero), and a
-    /// single multiply only propagates entropy upward — the fold brings the
-    /// high bits back down so hashbrown's low-bit bucket index sees them.
-    #[inline]
-    fn mix(&mut self, n: u64) {
-        let x = (self.0 ^ n).wrapping_mul(0x0000_0100_0000_01b3);
-        self.0 = x ^ (x >> 32);
-    }
-}
-
-impl std::hash::Hasher for FnvTableHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.mix(u64::from(n));
-    }
-
-    fn write_u16(&mut self, n: u16) {
-        self.mix(u64::from(n));
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.mix(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-}
-
-pub(crate) type MemoBuild = std::hash::BuildHasherDefault<FnvTableHasher>;
 
 impl ShadowDecoder {
     /// Create a decoder with the given index policy and valid-path bound
@@ -265,8 +162,6 @@ impl ShadowDecoder {
             policy,
             max_valid_paths,
             stats: ShadowDecoderStats::default(),
-            head_memo: HashMap::default(),
-            tail_memo: HashMap::default(),
         }
     }
 
@@ -293,306 +188,414 @@ impl ShadowDecoder {
         line: &[u8],
         line_base: u64,
         exit_offset: usize,
-    ) -> Arc<Vec<ShadowBranch>> {
-        Arc::clone(self.decode_tail_memo(line, line_base, exit_offset))
+    ) -> Vec<ShadowBranch> {
+        let found = tail_branches(line, line_base, exit_offset);
+        self.stats.tail_regions += 1;
+        self.stats.tail_branches += found.len() as u64;
+        found
     }
 
-    /// [`ShadowDecoder::decode_tail`] without the `Arc` clone: the hot
-    /// caller (one invocation per formed block) only iterates the result,
-    /// and skipping the refcount round-trip keeps the memo-hit path free of
-    /// a dirty cache line on the shared allocation.
+    /// [`ShadowDecoder::decode_tail`] in the compact form a
+    /// [`DecodeTable`] stores.
     pub fn decode_tail_ref(
         &mut self,
         line: &[u8],
         line_base: u64,
         exit_offset: usize,
-    ) -> &[ShadowBranch] {
-        self.decode_tail_memo(line, line_base, exit_offset)
+    ) -> DecodedRegion {
+        let region = tail_region(line, line_base, exit_offset);
+        self.count_tail(&region);
+        region
     }
 
-    fn decode_tail_memo(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        exit_offset: usize,
-    ) -> &Arc<Vec<ShadowBranch>> {
-        self.stats.tail_regions += 1;
-        let key = (
-            line_base,
-            exit_offset as u32,
-            key_hash(&line[exit_offset.min(line.len())..]),
-        );
-        // Cap check up front so the single-lookup `entry` below can insert
-        // unconditionally. Clearing is never observable: memo hits replay
-        // the exact stat increments of a fresh decode.
-        if self.tail_memo.len() >= HEAD_MEMO_CAP {
-            self.tail_memo.clear();
-        }
-        let found = self
-            .tail_memo
-            .entry(key)
-            .or_insert_with(|| Arc::new(Self::decode_tail_uncached(line, line_base, exit_offset)));
-        self.stats.tail_branches += found.len() as u64;
-        found
-    }
-
-    /// The actual tail linear decode (no stats, no memo).
-    fn decode_tail_uncached(line: &[u8], line_base: u64, exit_offset: usize) -> Vec<ShadowBranch> {
-        let mut found = Vec::new();
-        let mut off = exit_offset;
-        while off < line.len() {
-            match decode::decode(&line[off..]) {
-                Ok(d) => {
-                    if let InsnKind::Branch(b) = d.kind {
-                        if b.kind.sbb_eligible() {
-                            let pc = line_base + off as u64;
-                            found.push(ShadowBranch {
-                                pc,
-                                len: d.len,
-                                kind: b.kind,
-                                target: b.target(pc, d.len),
-                                line_offset: off as u8,
-                            });
-                        }
-                        if b.kind.is_unconditional() {
-                            // Control cannot fall past an unconditional
-                            // branch; bytes beyond it belong to a new decode
-                            // context we cannot anchor. Continue anyway:
-                            // the next byte *is* a known boundary (the next
-                            // instruction starts right after), matching the
-                            // paper's "decode until the end of the line".
-                        }
-                    }
-                    off += usize::from(d.len);
-                }
-                Err(DecodeError::Truncated(_)) | Err(DecodeError::TooLong) => break,
-                Err(DecodeError::InvalidOpcode) => break,
-            }
-        }
-        found
-    }
-
-    /// Decode the **head** shadow region of `line`: bytes `0..entry_offset`.
+    /// Decode the **head** shadow region of `line` (one cache line): bytes
+    /// `0..entry_offset`.
     ///
     /// Runs Index Computation + Path Validation and extracts branches from
-    /// the path selected by the [`IndexPolicy`]. Results are memoized per
-    /// `(line base, entry offset, head bytes)`: a memo hit replays the same
-    /// stat increments a fresh decode would make, so counters are identical
-    /// with and without the memo.
-    pub fn decode_head(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        entry_offset: usize,
-    ) -> Arc<HeadDecode> {
-        Arc::clone(self.decode_head_memo(line, line_base, entry_offset))
+    /// the path selected by the [`IndexPolicy`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region (`entry_offset`, clamped to the line) is longer
+    /// than a cache line.
+    pub fn decode_head(&mut self, line: &[u8], line_base: u64, entry_offset: usize) -> HeadDecode {
+        let hd = head_decode(
+            self.policy,
+            self.max_valid_paths,
+            line,
+            line_base,
+            entry_offset,
+        );
+        self.count_head_outcome(hd.discarded, hd.valid_starts.len(), hd.branches.len());
+        hd
     }
 
-    /// [`ShadowDecoder::decode_head`] without the `Arc` clone (see
-    /// [`ShadowDecoder::decode_tail_ref`] for why the hot path wants this).
+    /// [`ShadowDecoder::decode_head`] in the compact form a
+    /// [`DecodeTable`] stores.
     pub fn decode_head_ref(
         &mut self,
         line: &[u8],
         line_base: u64,
         entry_offset: usize,
-    ) -> &HeadDecode {
-        self.decode_head_memo(line, line_base, entry_offset)
+    ) -> DecodedRegion {
+        let region = DecodedRegion::from(head_decode(
+            self.policy,
+            self.max_valid_paths,
+            line,
+            line_base,
+            entry_offset,
+        ));
+        self.count_head(&region);
+        region
     }
 
-    fn decode_head_memo(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        entry_offset: usize,
-    ) -> &Arc<HeadDecode> {
+    /// Count one head-region decode whose outcome is `region`: the counters
+    /// a fresh [`ShadowDecoder::decode_head`] of that region adds.
+    pub fn count_head(&mut self, region: &DecodedRegion) {
+        self.count_head_outcome(
+            region.discarded,
+            usize::from(region.valid_paths),
+            region.branches.len(),
+        );
+    }
+
+    /// Count one tail-region decode whose outcome is `region`.
+    pub fn count_tail(&mut self, region: &DecodedRegion) {
+        self.stats.tail_regions += 1;
+        self.stats.tail_branches += region.branches.len() as u64;
+    }
+
+    /// The head counters, from the outcome alone, so a fresh decode and a
+    /// [`DecodeTable`] read count identically.
+    fn count_head_outcome(&mut self, discarded: bool, valid_paths: usize, branches: usize) {
         self.stats.head_regions += 1;
-        let entry = entry_offset.min(line.len());
-        if entry == 0 {
-            return empty_head();
-        }
-        let key = (line_base, entry as u32, key_hash(&line[..entry]));
-        // Cap check up front so the single-lookup `entry` below can insert
-        // unconditionally (clearing is unobservable; see the memo docs).
-        if self.head_memo.len() >= HEAD_MEMO_CAP {
-            self.head_memo.clear();
-        }
-        let (policy, max_valid_paths) = (self.policy, self.max_valid_paths);
-        let hd = self.head_memo.entry(key).or_insert_with(|| {
-            Arc::new(Self::decode_head_uncached(
-                policy,
-                max_valid_paths,
-                line,
-                line_base,
-                entry,
-            ))
-        });
-        Self::record_head_stats(&mut self.stats, hd);
-        hd
-    }
-
-    /// The stat increments one head decode contributes (beyond
-    /// `head_regions`, charged by the caller) — derived from the outcome so
-    /// memo hits and fresh decodes count identically by construction.
-    fn record_head_stats(stats: &mut ShadowDecoderStats, hd: &HeadDecode) {
-        if hd.discarded {
-            stats.head_regions_discarded += 1;
-        } else if !hd.valid_starts.is_empty() {
-            stats.head_regions_valid += 1;
-            stats.valid_path_sum += hd.valid_starts.len() as u64;
-            stats.head_branches += hd.branches.len() as u64;
-        }
-    }
-
-    /// The actual Index Computation + Path Validation (no stats, no memo).
-    fn decode_head_uncached(
-        policy: IndexPolicy,
-        max_valid_paths: usize,
-        line: &[u8],
-        line_base: u64,
-        entry: usize,
-    ) -> HeadDecode {
-        // Phase 1: Index Computation. lengths[i] = instruction length when
-        // decoding from byte i, or 0 if no valid instruction starts there.
-        // An instruction is only usable on a path if it ends at or before
-        // the entry point (the path must *align* with the entry).
-        let mut lengths = vec![0u8; entry];
-        for (i, slot) in lengths.iter_mut().enumerate() {
-            if let Ok(d) = decode::decode(&line[i..]) {
-                if i + usize::from(d.len) <= entry {
-                    *slot = d.len;
-                }
-            }
-        }
-
-        // Phase 2: Path Validation. Walk each start index; valid iff the
-        // chain lands exactly on `entry`. Paths that run into an offset
-        // already visited by an earlier valid path *merge* into it (§3.2.2);
-        // the ambiguity bound counts distinct non-merging path families —
-        // a line is only "too ambiguous" when many chains coexist without
-        // ever converging.
-        let mut valid_starts: Vec<u8> = Vec::new();
-        let mut last_index: Vec<u8> = Vec::new(); // final hop start per path
-        let mut families = 0usize;
-        let mut on_valid_path = vec![false; entry];
-        let mut discarded = false;
-        for start in 0..entry {
-            let mut pos = start;
-            let mut last = start;
-            let mut merged = false;
-            let valid = loop {
-                if pos == entry {
-                    break true;
-                }
-                if on_valid_path[pos] {
-                    merged = true;
-                    // The remainder of this chain is an already-validated
-                    // path, so it is valid by construction; its last hop is
-                    // irrelevant for the merge index (an earlier family
-                    // already recorded the shared suffix).
-                    break true;
-                }
-                let len = lengths[pos];
-                if len == 0 {
-                    break false;
-                }
-                last = pos;
-                pos += usize::from(len);
-                if pos > entry {
-                    break false;
-                }
-            };
-            if valid {
-                if !merged {
-                    families += 1;
-                    if families > max_valid_paths {
-                        discarded = true;
-                        break;
-                    }
-                }
-                valid_starts.push(start as u8);
-                if merged {
-                    last_index.push(pos as u8); // merge point
-                } else {
-                    last_index.push(last as u8);
-                }
-                // Mark every offset on this path as visited.
-                let mut p = start;
-                while p < entry && !on_valid_path[p] {
-                    on_valid_path[p] = true;
-                    let l = lengths[p];
-                    if l == 0 {
-                        break;
-                    }
-                    p += usize::from(l);
-                }
-            }
-        }
-
         if discarded {
-            return HeadDecode {
-                branches: Vec::new(),
-                valid_starts,
-                chosen_start: None,
-                discarded: true,
-            };
+            self.stats.head_regions_discarded += 1;
+        } else if valid_paths > 0 {
+            self.stats.head_regions_valid += 1;
+            self.stats.valid_path_sum += valid_paths as u64;
+            self.stats.head_branches += branches as u64;
         }
-        if valid_starts.is_empty() {
-            return HeadDecode::default();
-        }
+    }
+}
 
-        let chosen = match policy {
-            IndexPolicy::First => valid_starts[0],
-            // "upon finding a valid path, byte decoding begins starting from
-            // index zero" — even when the zero path itself did not validate;
-            // extraction below stops at the first undecodable byte.
-            IndexPolicy::Zero => 0,
-            IndexPolicy::Merge => {
-                // The most common recent (final-hop) index among all valid
-                // paths: where they converge. Decode starts there.
-                let mut best = (0usize, last_index[0]);
-                for &cand in &last_index {
-                    let count = last_index.iter().filter(|&&x| x == cand).count();
-                    if count > best.0 || (count == best.0 && cand < best.1) {
-                        best = (count, cand);
-                    }
-                }
-                best.1
-            }
-        };
+/// A tail region's compact decode (tail decoding has no policy).
+fn tail_region(line: &[u8], line_base: u64, exit_offset: usize) -> DecodedRegion {
+    DecodedRegion {
+        branches: tail_branches(line, line_base, exit_offset)
+            .as_slice()
+            .into(),
+        ..DecodedRegion::default()
+    }
+}
 
-        // Extract branches along the chosen path.
-        let mut branches = Vec::new();
-        let mut pos = usize::from(chosen);
-        while pos < entry {
-            let len = lengths[pos];
-            if len == 0 {
-                // Only reachable under the Zero policy when the zero path
-                // itself was not among the validated ones.
-                break;
-            }
-            if let Ok(d) = decode::decode(&line[pos..]) {
+/// The tail linear decode.
+fn tail_branches(line: &[u8], line_base: u64, exit_offset: usize) -> Vec<ShadowBranch> {
+    let mut found = Vec::new();
+    let mut off = exit_offset;
+    while off < line.len() {
+        match decode::decode(&line[off..]) {
+            Ok(d) => {
                 if let InsnKind::Branch(b) = d.kind {
+                    // Control cannot fall past an unconditional branch, but
+                    // the next byte is still a known boundary, so decoding
+                    // continues to the end of the line (the paper's rule).
                     if b.kind.sbb_eligible() {
-                        let pc = line_base + pos as u64;
-                        branches.push(ShadowBranch {
+                        let pc = line_base + off as u64;
+                        found.push(ShadowBranch {
                             pc,
                             len: d.len,
                             kind: b.kind,
                             target: b.target(pc, d.len),
-                            line_offset: pos as u8,
+                            line_offset: off as u8,
                         });
                     }
                 }
+                off += usize::from(d.len);
             }
-            pos += usize::from(len);
+            Err(DecodeError::Truncated(_) | DecodeError::TooLong | DecodeError::InvalidOpcode) => {
+                break
+            }
         }
+    }
+    found
+}
 
-        HeadDecode {
-            branches,
-            valid_starts,
-            chosen_start: Some(chosen),
-            discarded: false,
+/// Index Computation + Path Validation over `line[..entry_offset]`.
+fn head_decode(
+    policy: IndexPolicy,
+    max_valid_paths: usize,
+    line: &[u8],
+    line_base: u64,
+    entry_offset: usize,
+) -> HeadDecode {
+    let entry = entry_offset.min(line.len());
+    assert!(
+        entry <= CACHE_LINE_BYTES,
+        "a head region lies within one cache line (entry offset {entry})"
+    );
+    if entry == 0 {
+        return HeadDecode::default();
+    }
+    // Phase 1: Index Computation. lengths[i] = instruction length when
+    // decoding from byte i, or 0 if no valid instruction starts there.
+    // An instruction is only usable on a path if it ends at or before
+    // the entry point (the path must *align* with the entry).
+    let mut lengths = vec![0u8; entry];
+    for (i, slot) in lengths.iter_mut().enumerate() {
+        if let Ok(d) = decode::decode(&line[i..]) {
+            if i + usize::from(d.len) <= entry {
+                *slot = d.len;
+            }
         }
+    }
+
+    // Phase 2: Path Validation. Walk each start index; valid iff the
+    // chain lands exactly on `entry`. Paths that run into an offset
+    // already visited by an earlier valid path *merge* into it (§3.2.2);
+    // the ambiguity bound counts distinct non-merging path families —
+    // a line is only "too ambiguous" when many chains coexist without
+    // ever converging.
+    let mut valid_starts: Vec<u8> = Vec::new();
+    let mut last_index: Vec<u8> = Vec::new(); // final hop start per path
+    let mut families = 0usize;
+    let mut on_valid_path = vec![false; entry];
+    let mut discarded = false;
+    for start in 0..entry {
+        let mut pos = start;
+        let mut last = start;
+        let mut merged = false;
+        let valid = loop {
+            if pos == entry {
+                break true;
+            }
+            if on_valid_path[pos] {
+                merged = true;
+                // The remainder of this chain is an already-validated
+                // path, so it is valid by construction; its last hop is
+                // irrelevant for the merge index (an earlier family
+                // already recorded the shared suffix).
+                break true;
+            }
+            let len = lengths[pos];
+            if len == 0 {
+                break false;
+            }
+            last = pos;
+            pos += usize::from(len);
+            if pos > entry {
+                break false;
+            }
+        };
+        if valid {
+            if !merged {
+                families += 1;
+                if families > max_valid_paths {
+                    discarded = true;
+                    break;
+                }
+            }
+            valid_starts.push(start as u8);
+            if merged {
+                last_index.push(pos as u8); // merge point
+            } else {
+                last_index.push(last as u8);
+            }
+            // Mark every offset on this path as visited.
+            let mut p = start;
+            while p < entry && !on_valid_path[p] {
+                on_valid_path[p] = true;
+                let l = lengths[p];
+                if l == 0 {
+                    break;
+                }
+                p += usize::from(l);
+            }
+        }
+    }
+
+    if discarded {
+        return HeadDecode {
+            branches: Vec::new(),
+            valid_starts,
+            chosen_start: None,
+            discarded: true,
+        };
+    }
+    if valid_starts.is_empty() {
+        return HeadDecode::default();
+    }
+
+    let chosen = match policy {
+        IndexPolicy::First => valid_starts[0],
+        // "upon finding a valid path, byte decoding begins starting from
+        // index zero" — even when the zero path itself did not validate;
+        // extraction below stops at the first undecodable byte.
+        IndexPolicy::Zero => 0,
+        IndexPolicy::Merge => merge_index(&last_index),
+    };
+
+    // Extract branches along the chosen path.
+    let mut branches = Vec::new();
+    let mut pos = usize::from(chosen);
+    while pos < entry {
+        let len = lengths[pos];
+        if len == 0 {
+            // Only reachable under the Zero policy when the zero path
+            // itself was not among the validated ones.
+            break;
+        }
+        if let Ok(d) = decode::decode(&line[pos..]) {
+            if let InsnKind::Branch(b) = d.kind {
+                if b.kind.sbb_eligible() {
+                    let pc = line_base + pos as u64;
+                    branches.push(ShadowBranch {
+                        pc,
+                        len: d.len,
+                        kind: b.kind,
+                        target: b.target(pc, d.len),
+                        line_offset: pos as u8,
+                    });
+                }
+            }
+        }
+        pos += usize::from(len);
+    }
+
+    HeadDecode {
+        branches,
+        valid_starts,
+        chosen_start: Some(chosen),
+        discarded: false,
+    }
+}
+
+/// The Merge policy's start: the most common recent (final-hop) index among
+/// the valid paths — where they converge — and the lowest such index on a
+/// tie. Final hops lie inside one cache line, so one count per line offset
+/// (plus the line end) makes this linear.
+fn merge_index(last_index: &[u8]) -> u8 {
+    let mut counts = [0u8; CACHE_LINE_BYTES + 1];
+    for &i in last_index {
+        counts[usize::from(i)] += 1;
+    }
+    let mut best = 0usize;
+    for (i, &c) in counts.iter().enumerate() {
+        if c > counts[best] {
+            best = i;
+        }
+    }
+    best as u8
+}
+
+/// The lazily decoded regions of one static branch: its block's head and
+/// the tail after it.
+#[derive(Debug, Default)]
+struct BranchRegions {
+    head: OnceLock<DecodedRegion>,
+    tail: OnceLock<DecodedRegion>,
+}
+
+/// One program's shadow-region decodes under one index policy and path
+/// bound, shared by every simulator over the program.
+///
+/// A decode depends only on the line bytes, the offset, the policy and the
+/// bound, so each region is decoded once and then read by every job and
+/// thread that simulates the program. The table has one lazily filled slot
+/// per static branch, holding the head region at its block's start and the
+/// tail region after it; a slot allocates only when first used (about a
+/// quarter of a program's branches are, in a 100k-step run). The caller
+/// maps a region to its slot, and must always map a slot to the same region;
+/// regions without a slot (bogus SBB targets and exits) are decoded afresh
+/// with a [`ShadowDecoder`].
+#[derive(Debug)]
+pub struct DecodeTable {
+    policy: IndexPolicy,
+    max_valid_paths: usize,
+    lines: Range<u64>,
+    slots: Box<[OnceLock<Box<BranchRegions>>]>,
+}
+
+impl DecodeTable {
+    /// An empty table of `slots` slots for a program whose code spans the
+    /// cache lines of `lines`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_valid_paths` is zero.
+    #[must_use]
+    pub fn new(
+        policy: IndexPolicy,
+        max_valid_paths: usize,
+        slots: usize,
+        lines: Range<u64>,
+    ) -> Self {
+        assert!(max_valid_paths >= 1);
+        DecodeTable {
+            policy,
+            max_valid_paths,
+            lines,
+            slots: (0..slots).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    fn regions(&self, slot: usize) -> &BranchRegions {
+        self.slots[slot].get_or_init(Box::default)
+    }
+
+    /// The index policy every head region is decoded under.
+    #[must_use]
+    pub fn policy(&self) -> IndexPolicy {
+        self.policy
+    }
+
+    /// The valid-path bound every head region is decoded under.
+    #[must_use]
+    pub fn max_valid_paths(&self) -> usize {
+        self.max_valid_paths
+    }
+
+    /// The address range of the program's cache lines.
+    #[must_use]
+    pub fn lines(&self) -> Range<u64> {
+        self.lines.clone()
+    }
+
+    /// The head region held in `slot`: the bytes before `entry_offset` of
+    /// the line `line` returns as `(line base, bytes)`. `line` runs only on
+    /// the slot's first use.
+    pub fn head(
+        &self,
+        slot: usize,
+        entry_offset: usize,
+        line: impl FnOnce() -> (u64, [u8; CACHE_LINE_BYTES]),
+    ) -> &DecodedRegion {
+        self.regions(slot).head.get_or_init(|| {
+            let (line_base, bytes) = line();
+            head_decode(
+                self.policy,
+                self.max_valid_paths,
+                &bytes,
+                line_base,
+                entry_offset,
+            )
+            .into()
+        })
+    }
+
+    /// The tail region held in `slot`: the bytes from `exit_offset` to the
+    /// end of the line `line` returns. `line` runs only on the slot's first
+    /// use.
+    pub fn tail(
+        &self,
+        slot: usize,
+        exit_offset: usize,
+        line: impl FnOnce() -> (u64, [u8; CACHE_LINE_BYTES]),
+    ) -> &DecodedRegion {
+        self.regions(slot).tail.get_or_init(|| {
+            let (line_base, bytes) = line();
+            tail_region(&bytes, line_base, exit_offset)
+        })
     }
 }
 
@@ -837,71 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn head_memo_hit_replays_identical_stats_and_result() {
-        // One valid region, one discarded region, one empty region: decode
-        // each twice and require result equality plus exactly doubled stats.
-        let valid = pad_to_line({
-            let mut b = Vec::new();
-            encode::call_rel32(&mut b, 0x40);
-            encode::nop_exact(&mut b, 3);
-            b
-        });
-        let discarded = pad_to_line(vec![0x31, 0xC3]);
-
-        let mut once = ShadowDecoder::new(IndexPolicy::First, 1);
-        let mut twice = ShadowDecoder::new(IndexPolicy::First, 1);
-        for sbd in [&mut once, &mut twice] {
-            let a = sbd.decode_head(&valid, 0x8000, 8);
-            assert_eq!(a.chosen_start, Some(0));
-            let b = sbd.decode_head(&discarded, 0x9000, 2);
-            assert!(b.discarded);
-            sbd.decode_head(&valid, 0x8000, 0);
-        }
-        // Second pass on `twice` hits the memo for every region.
-        let a2 = twice.decode_head(&valid, 0x8000, 8);
-        assert_eq!(
-            a2.branches,
-            ShadowDecoder::decode_head_uncached(IndexPolicy::First, 1, &valid, 0x8000, 8).branches
-        );
-        let b2 = twice.decode_head(&discarded, 0x9000, 2);
-        assert!(b2.discarded);
-        twice.decode_head(&valid, 0x8000, 0);
-
-        let s1 = once.stats();
-        let s2 = twice.stats();
-        assert_eq!(s2.head_regions, 2 * s1.head_regions);
-        assert_eq!(s2.head_regions_valid, 2 * s1.head_regions_valid);
-        assert_eq!(s2.head_regions_discarded, 2 * s1.head_regions_discarded);
-        assert_eq!(s2.head_branches, 2 * s1.head_branches);
-        assert_eq!(s2.valid_path_sum, 2 * s1.valid_path_sum);
-    }
-
-    /// Debug-only: release memo keys rely on the stable-content contract
-    /// (see [`key_hash`]) instead of hashing the bytes.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn head_memo_distinguishes_content_at_same_address() {
-        // Same (base, entry) but different bytes must not alias: the first
-        // line has a call in the head region, the second has only nops.
-        let with_call = pad_to_line({
-            let mut b = Vec::new();
-            encode::call_rel32(&mut b, 0x40);
-            encode::nop_exact(&mut b, 3);
-            b
-        });
-        let nops_only = pad_to_line({
-            let mut b = Vec::new();
-            encode::nop_exact(&mut b, 8);
-            b
-        });
-        let mut sbd = ShadowDecoder::default();
-        let a = sbd.decode_head(&with_call, 0x8000, 8);
-        assert_eq!(a.branches.len(), 1);
-        let b = sbd.decode_head(&nops_only, 0x8000, 8);
-        assert!(b.branches.is_empty(), "different content, different result");
-    }
-
-    #[test]
     fn tail_max_length_instruction_at_exact_line_end_decodes_through() {
         // A 15-byte instruction (14 operand-size prefixes + NOP) ending
         // exactly at the line boundary: the tail walk decodes it and stops
@@ -999,5 +937,85 @@ mod tests {
         assert_eq!(s.head_regions, 1);
         assert_eq!(s.tail_regions, 1);
         assert!(s.head_branches + s.tail_branches >= 1);
+    }
+
+    #[test]
+    fn merge_policy_breaks_count_ties_toward_the_lowest_index() {
+        // Fig. 8 bytes: the xor path's final hop starts at 0, the ret path's
+        // at 1, one path each. The tie goes to index 0, whose xor holds no
+        // branch, so the bogus ret at byte 1 stays hidden.
+        let line = pad_to_line(vec![0x31, 0xC3]);
+        let mut sbd = ShadowDecoder::new(IndexPolicy::Merge, 6);
+        let hd = sbd.decode_head(&line, 0, 2);
+        assert_eq!(hd.valid_starts, vec![0, 1]);
+        assert_eq!(hd.chosen_start, Some(0));
+        assert!(hd.branches.is_empty());
+        assert_eq!(merge_index(&[5, 3, 5, 3, 9]), 3, "two-way tie");
+        assert_eq!(
+            merge_index(&[7, 2, 7]),
+            7,
+            "a higher count beats a lower index"
+        );
+    }
+
+    /// The nested scan the count array replaced.
+    fn merge_index_by_nested_scan(last_index: &[u8]) -> u8 {
+        let mut best = (0usize, last_index[0]);
+        for &cand in last_index {
+            let count = last_index.iter().filter(|&&x| x == cand).count();
+            if count > best.0 || (count == best.0 && cand < best.1) {
+                best = (count, cand);
+            }
+        }
+        best.1
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn merge_count_array_agrees_with_nested_scan(
+            last_index in proptest::collection::vec(0u8..65, 1..64),
+        ) {
+            proptest::prop_assert_eq!(
+                merge_index(&last_index),
+                merge_index_by_nested_scan(&last_index)
+            );
+        }
+    }
+
+    #[test]
+    fn decode_table_slots_hold_fresh_decodes_and_decode_once() {
+        let line = pad_to_line({
+            let mut b = Vec::new();
+            encode::call_rel32(&mut b, 0x40);
+            encode::nop_exact(&mut b, 3);
+            encode::jmp_rel8(&mut b, 4);
+            encode::ret(&mut b);
+            b
+        });
+        let base = 0x8000;
+        for policy in IndexPolicy::ALL {
+            for bound in [1, 6] {
+                let table = DecodeTable::new(policy, bound, 2, base..base + 64);
+                let mut fresh = ShadowDecoder::new(policy, bound);
+                let mut counted = ShadowDecoder::new(policy, bound);
+                let calls = std::cell::Cell::new(0);
+                let line_fn = || {
+                    calls.set(calls.get() + 1);
+                    (base, <[u8; CACHE_LINE_BYTES]>::try_from(&line[..]).unwrap())
+                };
+                for _ in 0..3 {
+                    let hd = fresh.decode_head(&line, base, 8);
+                    let head = table.head(1, 8, line_fn);
+                    assert_eq!(*head, DecodedRegion::from(hd));
+                    counted.count_head(head);
+                    let tail = fresh.decode_tail(&line, base, 10);
+                    let region = table.tail(1, 10, line_fn);
+                    assert_eq!(region.branches[..], tail[..]);
+                    counted.count_tail(region);
+                }
+                assert_eq!(calls.get(), 2, "one line read per slot, not per use");
+                assert_eq!(counted.stats(), fresh.stats());
+            }
+        }
     }
 }

@@ -14,10 +14,14 @@
 //! * at commit, [`Skia::mark_retired`] sets the retired bit so useful
 //!   entries outlive bogus ones, and promotion moves the branch into the BTB.
 
+use std::ops::Range;
+use std::sync::Arc;
+
+use skia_isa::CACHE_LINE_BYTES;
 use skia_telemetry::{EventKind, EventTrace, LocalHistogram};
 
 use crate::sbb::{Sbb, SbbConfig, SbbHit, SbbStats};
-use crate::sbd::{IndexPolicy, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
+use crate::sbd::{DecodeTable, IndexPolicy, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
 
 /// Complete Skia configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,32 +122,28 @@ impl SkiaStats {
 
 /// Skia's telemetry: the SBB entry-lifetime histogram plus optional
 /// insert/evict event tracing. The front-end advances the clock via
-/// [`Skia::set_cycle`]; lifetimes are measured in those cycles.
+/// [`Skia::set_cycle`]; lifetimes are measured in those cycles from the
+/// birth cycle each SBB entry carries.
 #[derive(Debug, Clone, Default)]
 struct SkiaTelemetry {
     lifetime: LocalHistogram,
     trace: Option<EventTrace>,
     cycle: u64,
-    /// Birth cycle of each live SBB entry. Touched on every SBB
-    /// insert/evict, so it shares the memo maps' fast FNV hasher.
-    born: std::collections::HashMap<u64, u64, crate::sbd::MemoBuild>,
 }
 
 impl SkiaTelemetry {
-    fn note_insert(&mut self, pc: u64) {
-        self.born.entry(pc).or_insert(self.cycle);
+    fn note_insert(&self, pc: u64) {
         if let Some(t) = &self.trace {
             t.record(self.cycle, EventKind::SbbInsert, pc, 0);
         }
     }
 
-    fn note_remove(&mut self, pc: u64) {
-        if let Some(birth) = self.born.remove(&pc) {
-            let life = self.cycle.saturating_sub(birth);
-            self.lifetime.record(life);
-            if let Some(t) = &self.trace {
-                t.record(self.cycle, EventKind::SbbEvict, pc, life);
-            }
+    /// Close the lifetime of the entry at `pc`, born at `birth`.
+    fn note_remove(&mut self, pc: u64, birth: u64) {
+        let life = self.cycle.saturating_sub(birth);
+        self.lifetime.record(life);
+        if let Some(t) = &self.trace {
+            t.record(self.cycle, EventKind::SbbEvict, pc, life);
         }
     }
 }
@@ -154,32 +154,54 @@ pub struct Skia {
     config: SkiaConfig,
     sbd: ShadowDecoder,
     sbb: Sbb,
+    /// The simulated program's shared decodes, when attached.
+    table: Option<Arc<DecodeTable>>,
     filtered_known: u64,
     bogus_uses: u64,
     useful_uses: u64,
-    /// Every PC ever inserted into the SBB (diagnostic side-structure, not
-    /// hardware state; used to attribute misses to capacity vs. coverage).
-    ever_inserted: std::collections::HashSet<u64, crate::sbd::MemoBuild>,
     /// SBB entry lifetimes, and insert/evict events once a trace is set.
     tel: SkiaTelemetry,
 }
 
 impl Skia {
-    /// Build Skia from its configuration.
+    /// Build Skia from its configuration. Every shadow region is decoded
+    /// afresh.
     #[must_use]
     pub fn new(config: SkiaConfig) -> Self {
+        Skia::build(config, None, 0..0)
+    }
+
+    /// Build Skia for one program: head and tail regions that have a slot
+    /// in `table` are decoded once there and shared, and the SBB's mirror
+    /// covers the table's lines.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` was built for another index policy or path bound.
+    #[must_use]
+    pub fn with_table(config: SkiaConfig, table: Arc<DecodeTable>) -> Self {
+        assert_eq!(
+            (table.policy(), table.max_valid_paths()),
+            (config.index_policy, config.max_valid_paths),
+            "decode table built for another policy or path bound"
+        );
+        let lines = table.lines();
+        Skia::build(config, Some(table), lines)
+    }
+
+    fn build(config: SkiaConfig, table: Option<Arc<DecodeTable>>, lines: Range<u64>) -> Self {
         let sbb_config = SbbConfig {
             retired_aware: config.retired_bit_replacement,
             ..config.sbb
         };
         Skia {
             sbd: ShadowDecoder::new(config.index_policy, config.max_valid_paths),
-            sbb: Sbb::new(sbb_config),
+            sbb: Sbb::covering(sbb_config, lines),
+            table,
             config,
             filtered_known: 0,
             bogus_uses: 0,
             useful_uses: 0,
-            ever_inserted: std::collections::HashSet::default(),
             tel: SkiaTelemetry::default(),
         }
     }
@@ -207,13 +229,7 @@ impl Skia {
     /// coverage gaps).
     #[must_use]
     pub fn ever_inserted(&self, pc: u64) -> bool {
-        self.ever_inserted.contains(&pc)
-    }
-
-    /// Number of distinct PCs ever inserted into the SBB this run.
-    #[must_use]
-    pub fn ever_inserted_count(&self) -> usize {
-        self.ever_inserted.len()
+        self.sbb.ever_inserted(pc)
     }
 
     /// Configuration.
@@ -242,18 +258,8 @@ impl Skia {
         if !self.config.head || entry_offset == 0 {
             return 0;
         }
-        // Split borrow: the decoded result stays a reference into the SBD
-        // memo (no per-call `Arc` refcount round-trip) while `fill` mutates
-        // the disjoint SBB-side fields.
-        let hd = self.sbd.decode_head_ref(line, line_base, entry_offset);
-        fill_sbb(
-            &mut self.sbb,
-            &mut self.ever_inserted,
-            &mut self.filtered_known,
-            &mut self.tel,
-            &hd.branches,
-            known,
-        )
+        let region = self.sbd.decode_head_ref(line, line_base, entry_offset);
+        self.fill(&region.branches, known)
     }
 
     /// Tail-decode hook: the FTQ entry leaves its last line at
@@ -274,10 +280,69 @@ impl Skia {
         if !self.config.tail || exit_offset >= line.len() {
             return 0;
         }
-        let branches = self.sbd.decode_tail_ref(line, line_base, exit_offset);
+        let region = self.sbd.decode_tail_ref(line, line_base, exit_offset);
+        self.fill(&region.branches, known)
+    }
+
+    /// [`Skia::on_line_entered_filtered`] through the decode table: `slot`
+    /// names the head region's table slot, if it has one, and `line`
+    /// supplies `(line base, bytes)` only when the region must be decoded.
+    pub fn on_block_entered(
+        &mut self,
+        entry_offset: usize,
+        slot: impl FnOnce() -> Option<usize>,
+        line: impl FnOnce() -> (u64, [u8; CACHE_LINE_BYTES]),
+        known: impl Fn(u64) -> bool,
+    ) -> usize {
+        if !self.config.head || entry_offset == 0 {
+            return 0;
+        }
+        if let Some((table, i)) = self.table.as_deref().zip(slot()) {
+            let region = table.head(i, entry_offset, line);
+            self.sbd.count_head(region);
+            return fill_sbb(
+                &mut self.sbb,
+                &mut self.filtered_known,
+                &mut self.tel,
+                &region.branches,
+                known,
+            );
+        }
+        let (line_base, bytes) = line();
+        self.on_line_entered_filtered(&bytes, line_base, entry_offset, known)
+    }
+
+    /// [`Skia::on_line_exited_filtered`] through the decode table (see
+    /// [`Skia::on_block_entered`]).
+    pub fn on_block_exited(
+        &mut self,
+        exit_offset: usize,
+        slot: impl FnOnce() -> Option<usize>,
+        line: impl FnOnce() -> (u64, [u8; CACHE_LINE_BYTES]),
+        known: impl Fn(u64) -> bool,
+    ) -> usize {
+        if !self.config.tail || exit_offset >= CACHE_LINE_BYTES {
+            return 0;
+        }
+        if let Some((table, i)) = self.table.as_deref().zip(slot()) {
+            let region = table.tail(i, exit_offset, line);
+            self.sbd.count_tail(region);
+            return fill_sbb(
+                &mut self.sbb,
+                &mut self.filtered_known,
+                &mut self.tel,
+                &region.branches,
+                known,
+            );
+        }
+        let (line_base, bytes) = line();
+        self.on_line_exited_filtered(&bytes, line_base, exit_offset, known)
+    }
+
+    /// Fill the SBB with freshly decoded branches.
+    fn fill(&mut self, branches: &[ShadowBranch], known: impl Fn(u64) -> bool) -> usize {
         fill_sbb(
             &mut self.sbb,
-            &mut self.ever_inserted,
             &mut self.filtered_known,
             &mut self.tel,
             branches,
@@ -314,24 +379,22 @@ impl Skia {
     /// such branch exists on the true path). The entry is dropped.
     pub fn note_bogus(&mut self, pc: u64) {
         self.bogus_uses += 1;
-        self.sbb.invalidate(pc);
-        self.tel.note_remove(pc);
+        self.invalidate(pc);
     }
 
     /// Remove an entry (e.g. on promotion into the BTB).
     pub fn invalidate(&mut self, pc: u64) {
-        self.sbb.invalidate(pc);
-        self.tel.note_remove(pc);
+        if let Some(birth) = self.sbb.invalidate(pc) {
+            self.tel.note_remove(pc, birth);
+        }
     }
 
     /// Insert a shadow branch directly, bypassing the decoder (testing and
     /// fault-injection aid — e.g. poisoning the SBB with adversarial
     /// entries to validate front-end robustness).
     pub fn force_insert(&mut self, branch: &ShadowBranch) {
-        let evicted = self.sbb.insert(branch);
-        self.ever_inserted.insert(branch.pc);
-        if let Some(victim) = evicted {
-            self.tel.note_remove(victim);
+        if let Some((victim, birth)) = self.sbb.insert_at(branch, self.tel.cycle) {
+            self.tel.note_remove(victim, birth);
         }
         self.tel.note_insert(branch.pc);
     }
@@ -355,13 +418,12 @@ impl Skia {
     }
 }
 
-/// Insert decoded shadow branches into the SBB (the body of the two
-/// shadow-decode hooks). A free function over `Skia`'s disjoint fields so
-/// the branch list may remain borrowed from the SBD memo while the SBB side
-/// mutates.
+/// Insert decoded shadow branches into the SBB (the body of the
+/// shadow-decode hooks), skipping those `known` or already held. A free
+/// function over `Skia`'s disjoint fields so the branch list may stay
+/// borrowed from the decode table while the SBB side mutates.
 fn fill_sbb(
     sbb: &mut Sbb,
-    ever_inserted: &mut std::collections::HashSet<u64, crate::sbd::MemoBuild>,
     filtered_known: &mut u64,
     tel: &mut SkiaTelemetry,
     branches: &[ShadowBranch],
@@ -369,14 +431,12 @@ fn fill_sbb(
 ) -> usize {
     let mut inserted = 0;
     for b in branches {
-        if known(b.pc) || sbb.probe(b.pc).is_some() {
+        if known(b.pc) || sbb.contains(b.pc) {
             *filtered_known += 1;
             continue;
         }
-        let evicted = sbb.insert(b);
-        ever_inserted.insert(b.pc);
-        if let Some(victim) = evicted {
-            tel.note_remove(victim);
+        if let Some((victim, birth)) = sbb.insert_at(b, tel.cycle) {
+            tel.note_remove(victim, birth);
         }
         tel.note_insert(b.pc);
         inserted += 1;

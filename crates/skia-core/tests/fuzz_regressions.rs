@@ -6,7 +6,7 @@
 //! backward jump straddling the middle. It pins the full per-policy
 //! contract of `decode_head` — including the documented `Zero` behaviour of
 //! starting extraction at byte 0 even when the zero path itself did not
-//! validate — and the memoized tail decode. The token
+//! validate — and the tail decode. The token
 //! `SKIA_FUZZ_REPLAY='shadow:45:34:<hex>' cargo test -p skia-fuzz --test
 //! fuzz` replays the same line through the production/reference pair.
 
@@ -88,7 +88,7 @@ fn zero_policy_starts_at_byte_zero_even_when_zero_path_is_invalid() {
 }
 
 #[test]
-fn tail_decode_finds_return_then_call_and_memo_hit_replays_stats() {
+fn tail_decode_finds_return_then_call_and_repeats_identically() {
     let mut d = ShadowDecoder::new(IndexPolicy::First, 6);
     let first = d.decode_tail(&line(), BASE, EXIT);
     let summary: Vec<(u64, u8, BranchKind)> = first.iter().map(|b| (b.pc, b.len, b.kind)).collect();
@@ -100,10 +100,9 @@ fn tail_decode_finds_return_then_call_and_memo_hit_replays_stats() {
         ]
     );
     let stats_once = d.stats();
-    // The memo hit must return the identical decode and replay the same
-    // stat increments a fresh decode would make.
+    // A repeat returns the identical decode and counts the same again.
     let second = d.decode_tail(&line(), BASE, EXIT);
-    assert_eq!(*first, *second);
+    assert_eq!(first, second);
     assert_eq!(d.stats().tail_regions, stats_once.tail_regions * 2);
     assert_eq!(d.stats().tail_branches, stats_once.tail_branches * 2);
 }

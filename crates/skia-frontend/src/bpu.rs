@@ -11,7 +11,9 @@
 //! which the lockstep replay makes equivalent to speculative-update with
 //! exact repair (see the crate docs for the modeling note).
 
-use skia_core::Skia;
+use std::sync::Arc;
+
+use skia_core::{DecodeTable, Skia};
 use skia_isa::BranchKind;
 use skia_uarch::btb::{Btb, IdealBtb};
 use skia_uarch::ittage::Ittage;
@@ -122,8 +124,16 @@ impl<'p> Bpu<'p> {
     /// Build the BPU from the front-end configuration. `table` is the
     /// program's precomputed branch side table (see
     /// [`Program::branch_table`](skia_workloads::Program::branch_table)).
+    /// Skia, when configured, reads shadow regions through `decode` (the
+    /// program's [`Program::decode_table`] for its policy and bound) and
+    /// decodes every region afresh without one.
     #[must_use]
-    pub fn new(config: &FrontendConfig, start_pc: u64, table: &'p BranchTable) -> Self {
+    pub fn new(
+        config: &FrontendConfig,
+        start_pc: u64,
+        table: &'p BranchTable,
+        decode: Option<Arc<DecodeTable>>,
+    ) -> Self {
         let btb = match config.btb {
             BtbMode::Finite(c) => BtbStore::Finite(Btb::new(c)),
             BtbMode::Infinite => BtbStore::Infinite(IdealBtb::new()),
@@ -131,7 +141,10 @@ impl<'p> Bpu<'p> {
         Bpu {
             btb,
             table,
-            skia: config.skia.map(Skia::new),
+            skia: config.skia.map(|c| match decode {
+                Some(d) => Skia::with_table(c, d),
+                None => Skia::new(c),
+            }),
             tage: Tage::new(config.tage.clone()),
             ittage: Ittage::new(
                 config.ittage.tables,
@@ -356,32 +369,38 @@ impl<'p> Bpu<'p> {
     /// L1-I-resident). Branches already BTB-resident are filtered. Returns
     /// the number of shadow branches inserted into the SBB (the
     /// shadow-decode batch size, recorded by telemetry).
+    ///
+    /// A region at a static block start or after a static branch is read
+    /// from its decode-table slot; any other region (a bogus SBB target or
+    /// exit) is decoded afresh.
     pub fn shadow_decode(&mut self, program: &Program, block: &PredictedBlock) -> usize {
         let Some(skia) = &mut self.skia else { return 0 };
         let filter = skia.config().filter_btb_resident;
         let btb = &self.btb;
+        let table = self.table;
         let known = |pc: u64| filter && btb.probe(pc).is_some();
         let mut inserted = 0;
         // Head region: the line containing the block's entry point, when the
         // block was entered via a taken branch mid-line.
         if block.entered_by_branch {
-            let entry_offset = (block.start % 64) as usize;
-            if entry_offset != 0 {
-                let (line_base, line) = program.line(block.start);
-                inserted += skia.on_line_entered_filtered(&line, line_base, entry_offset, known);
-            }
+            inserted += skia.on_block_entered(
+                (block.start % 64) as usize,
+                || table.block_index(block.start),
+                || program.line(block.start),
+                known,
+            );
         }
         // Tail region: the line containing the taken branch's last byte,
         // when the exit point is mid-line.
-        if let Some(b) = &block.branch {
-            if b.taken {
-                let end = b.pc + u64::from(b.len);
-                let (line_base, line) = program.line(end.saturating_sub(1));
-                let exit_offset = (end - line_base) as usize;
-                if exit_offset < line.len() {
-                    inserted += skia.on_line_exited_filtered(&line, line_base, exit_offset, known);
-                }
-            }
+        if let Some(b) = block.branch.filter(|b| b.taken) {
+            let end = b.pc + u64::from(b.len);
+            let line_base = end.saturating_sub(1) & !63;
+            inserted += skia.on_block_exited(
+                (end - line_base) as usize,
+                || table.exit_index(b.pc, b.len),
+                || program.line(line_base),
+                known,
+            );
         }
         inserted
     }
@@ -421,7 +440,7 @@ mod tests {
     }
 
     fn bpu(table: &BranchTable) -> Bpu<'_> {
-        Bpu::new(&FrontendConfig::test_small(), 0x1000, table)
+        Bpu::new(&FrontendConfig::test_small(), 0x1000, table, None)
     }
 
     #[test]
@@ -511,7 +530,7 @@ mod tests {
             ..ProgramSpec::default()
         };
         let program = Program::generate(&spec);
-        let mut b = Bpu::new(&config, 0x1000, program.branch_table());
+        let mut b = Bpu::new(&config, 0x1000, program.branch_table(), None);
         // Find a real tail opportunity: any block whose taken terminator
         // ends mid-line.
         let mut planted = None;

@@ -120,8 +120,11 @@ impl<'p> Simulator<'p> {
     #[must_use]
     pub fn new(program: &'p Program, config: FrontendConfig) -> Self {
         let start = program.functions()[0].entry;
+        let decode = config
+            .skia
+            .map(|s| program.decode_table(s.index_policy, s.max_valid_paths));
         Simulator {
-            bpu: Bpu::new(&config, start, program.branch_table()),
+            bpu: Bpu::new(&config, start, program.branch_table(), decode),
             hier: Hierarchy::new(config.hierarchy),
             program,
             config,

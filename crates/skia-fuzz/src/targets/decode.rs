@@ -4,9 +4,9 @@
 //! ways: **invariants** of the decoder itself (architectural length bound,
 //! `Truncated(n)` exactness, re-decode-at-reported-length idempotence,
 //! insensitivity to trailing bytes) and a **differential** tail decode of
-//! the bytes padded to a cache line — the production memoizing
-//! `ShadowDecoder` against the memo-free `RefShadowDecoder` must extract
-//! the same shadow branches from the same bytes.
+//! the bytes padded to a cache line — the production `ShadowDecoder`
+//! against the `RefShadowDecoder` must extract the same shadow branches
+//! from the same bytes.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -190,9 +190,8 @@ impl FuzzTarget for DecodeTarget {
         }
 
         // Differential: pad to a cache line and tail-decode from offset 0 —
-        // the memoizing production decoder and the memo-free reference must
-        // agree on every extracted shadow branch (twice, so the second pass
-        // exercises the memo-hit path).
+        // the production decoder and the reference must agree on every
+        // extracted shadow branch, on a repeat too.
         let mut line = input.clone();
         while line.len() < 64 {
             let pad = (64 - line.len()).min(8);
@@ -204,7 +203,7 @@ impl FuzzTarget for DecodeTarget {
         for pass in 0..2 {
             let p = prod.decode_tail(&line, 0x4000, 0);
             let o = oracle.decode_tail(&line, 0x4000, 0);
-            if *p != o {
+            if p != o {
                 return RunResult::fail(
                     features,
                     format!(

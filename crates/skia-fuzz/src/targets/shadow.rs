@@ -2,17 +2,18 @@
 //!
 //! Synthesized 64-byte cache lines with planted entry/exit offsets, run
 //! through the production Shadow Branch Decoder (head Index Computation +
-//! Path Validation, tail linear decode — with memoization) against the
-//! memo-free [`RefShadowDecoder`] under every index policy and two
-//! ambiguity bounds. Each region is decoded twice per decoder pair so the
-//! second pass exercises the production memo-hit path; stats must match
+//! Path Validation, tail linear decode) against the [`RefShadowDecoder`]
+//! under every index policy and two ambiguity bounds. Each region is
+//! decoded twice per decoder pair: the first pass decodes afresh, the
+//! second reads it through a [`DecodeTable`] slot — the per-program path
+//! simulators take — and counts the slot's outcome; stats must match
 //! increment-for-increment. An injected [`SbdFault`] turns this target into
 //! the fault-rediscovery proof for the decoder knobs.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use skia_core::{IndexPolicy, ShadowDecoder};
+use skia_core::{DecodeTable, DecodedRegion, IndexPolicy, ShadowDecoder};
 use skia_isa::{decode, encode, InsnKind, CACHE_LINE_BYTES};
 use skia_oracle::{RefShadowDecoder, SbdFault};
 
@@ -185,23 +186,32 @@ impl FuzzTarget for ShadowTarget {
             return RunResult::fail(features, format!("malformed line case: {input:?}"));
         }
 
+        let bytes: [u8; CACHE_LINE_BYTES] = line[..].try_into().expect("length checked above");
         for (policy, bound) in GRID {
             let mut prod = ShadowDecoder::new(policy, bound);
             let mut oracle = RefShadowDecoder::new(policy, bound);
             oracle.fault = self.fault;
+            let table = DecodeTable::new(policy, bound, 1, base..base + CACHE_LINE_BYTES as u64);
             for pass in 0..2 {
-                let ph = prod.decode_head(line, base, input.entry);
                 let oh = oracle.decode_head(line, base, input.entry);
-                if ph.branches != oh.branches
-                    || ph.valid_starts != oh.valid_starts
-                    || ph.chosen_start != oh.chosen_start
-                    || ph.discarded != oh.discarded
-                {
+                let diverged = if pass == 0 {
+                    let ph = prod.decode_head(line, base, input.entry);
+                    let same = ph.branches == oh.branches
+                        && ph.valid_starts == oh.valid_starts
+                        && ph.chosen_start == oh.chosen_start
+                        && ph.discarded == oh.discarded;
+                    (!same).then(|| format!("{ph:?}"))
+                } else {
+                    let ph = table.head(0, input.entry, || (base, bytes));
+                    prod.count_head(ph);
+                    (*ph != DecodedRegion::from(oh.clone())).then(|| format!("{ph:?}"))
+                };
+                if let Some(ph) = diverged {
                     return RunResult::fail(
                         features,
                         format!(
                             "head divergence ({policy:?}, bound {bound}, pass {pass}, entry \
-                             {}) on line {line:02x?}:\n  production {ph:?}\n  reference {oh:?}",
+                             {}) on line {line:02x?}:\n  production {ph}\n  reference {oh:?}",
                             input.entry
                         ),
                     );
@@ -253,9 +263,15 @@ impl FuzzTarget for ShadowTarget {
                     }
                 }
 
-                let pt = prod.decode_tail(line, base, input.exit);
+                let pt = if pass == 0 {
+                    prod.decode_tail(line, base, input.exit)
+                } else {
+                    let region = table.tail(0, input.exit, || (base, bytes));
+                    prod.count_tail(region);
+                    region.branches.to_vec()
+                };
                 let ot = oracle.decode_tail(line, base, input.exit);
-                if *pt != ot {
+                if pt != ot {
                     return RunResult::fail(
                         features,
                         format!(
@@ -283,8 +299,8 @@ impl FuzzTarget for ShadowTarget {
                     }
                 }
             }
-            // The memo must replay identical stat increments (asserted per
-            // policy so a skew names the policy in the detail).
+            // A table read must count exactly as a fresh decode (asserted
+            // per policy so a skew names the policy in the detail).
             if prod.stats() != oracle.stats() {
                 return RunResult::fail(
                     features,

@@ -666,6 +666,11 @@ mod tests {
     fn prefix_run_hits_length_limit() {
         let bytes = [0x66u8; 16];
         assert_eq!(decode(&bytes), Err(DecodeError::TooLong));
+        // A full 15-byte window of prefixes can never hold an opcode within
+        // the architectural limit: invalid, not truncated input.
+        assert_eq!(decode(&[0x66u8; 15]), Err(DecodeError::TooLong));
+        // One byte shorter, more input could still complete it.
+        assert_eq!(decode(&[0x66u8; 14]), Err(DecodeError::Truncated(14)));
         // 14 prefixes + one-byte opcode = 15 bytes: legal.
         let mut ok = vec![0x66u8; 14];
         ok.push(0x90);

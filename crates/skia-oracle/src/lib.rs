@@ -7,10 +7,10 @@
 //! * [`ref_uarch`] — plain-`Vec`, linear-search reference models of the BTB
 //!   (finite and infinite), with paper-literal one-tick-per-access true
 //!   LRU, and of the RAS.
-//! * [`ref_sbd`] — a memo-free reference Shadow Branch Decoder: the
-//!   two-phase head decode (§3.2) and the tail decode (§3.3) re-derived
-//!   from the paper text with no caching, differentially testing the
-//!   production decoder's head-memo fast path.
+//! * [`ref_sbd`] — a reference Shadow Branch Decoder: the two-phase head
+//!   decode (§3.2) and the tail decode (§3.3) re-derived from the paper
+//!   text with no caching, differentially testing the production decoder
+//!   and the per-program decode table simulators read regions through.
 //! * [`ref_skia`] — the reference split SBB (U-SBB/R-SBB, retired-bit
 //!   replacement of §4.3) and Skia fill/lookup/retire/bogus hooks, plus a
 //!   ground-truth cross-check that validates every decoded shadow branch

@@ -1,12 +1,13 @@
-//! Memo-free reference Shadow Branch Decoder.
+//! Reference Shadow Branch Decoder.
 //!
 //! Re-implements the paper's tail decode (§3.3) and two-phase head decode
 //! (§3.2: Index Computation + Path Validation) directly from the text, with
-//! no memoization and no stat-replay machinery — every region is decoded
-//! from the bytes every time. Running this in lockstep against the
-//! production `skia_core::ShadowDecoder` differentially tests the head-memo
-//! optimization added in PR 2: a memo bug (stale hit, stat-replay skew)
-//! shows up as a `ShadowDecoderStats` or shadow-branch divergence.
+//! no shared table and no counting from stored outcomes — every region is
+//! decoded from the bytes every time. Running this in lockstep against the
+//! production `skia_core::ShadowDecoder` and the per-program
+//! `skia_core::DecodeTable` differentially tests both: a slot holding the
+//! wrong region or a count skew shows up as a `ShadowDecoderStats` or
+//! shadow-branch divergence.
 
 use skia_core::{HeadDecode, IndexPolicy, ShadowBranch, ShadowDecoderStats};
 use skia_isa::{decode, InsnKind};
@@ -93,7 +94,7 @@ impl RefShadowDecoder {
 
     /// Head decode: Index Computation at every byte offset, Path Validation
     /// of every start index with merging-family counting, policy-chosen
-    /// extraction. Always decoded fresh — no memo.
+    /// extraction. Always decoded fresh.
     pub fn decode_head(&mut self, line: &[u8], line_base: u64, entry_offset: usize) -> HeadDecode {
         self.stats.head_regions += 1;
         let entry = entry_offset.min(line.len());
@@ -266,9 +267,9 @@ mod tests {
         bytes
     }
 
-    /// The reference decoder and the production (memoized) decoder must
-    /// agree on results and stats, including across repeated decodes of the
-    /// same region (memo-hit path).
+    /// The reference decoder and the production decoder must agree on
+    /// results and stats, including across repeated decodes of the same
+    /// region.
     #[test]
     fn agrees_with_production_decoder_across_repeats() {
         let lines = [
@@ -296,7 +297,7 @@ mod tests {
                     assert_eq!(a.discarded, b.discarded);
                     let t1 = oracle.decode_tail(line, base, 5);
                     let t2 = prod.decode_tail(line, base, 5);
-                    assert_eq!(t1, *t2);
+                    assert_eq!(t1, t2);
                 }
             }
             assert_eq!(oracle.stats(), prod.stats(), "policy {policy:?}");

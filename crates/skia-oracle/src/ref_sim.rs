@@ -4,7 +4,7 @@
 //! `skia_frontend::bpu` / `skia_frontend::sim` over the reference
 //! structures of this crate: the BTB, the split SBB and the RAS are the
 //! linear-search models from [`crate::ref_uarch`]/[`crate::ref_skia`], and
-//! the shadow decoder is the memo-free [`crate::ref_sbd`]. The
+//! the shadow decoder is the table-free [`crate::ref_sbd`]. The
 //! direction/target predictors (TAGE, ITTAGE) and the cache hierarchy are
 //! reused from `skia-uarch` *by design*: the ISSUE scopes the reference
 //! model to the BTB/U-SBB/R-SBB/RAS update-and-probe semantics, and

@@ -3,10 +3,12 @@
 //!
 //! [`RefSbb`] mirrors `skia_core::Sbb` stat-for-stat and tick-for-tick on
 //! top of the linear-search [`RefArray`]. [`RefSkia`] mirrors
-//! `skia_core::Skia`'s fill/lookup/retire/bogus hooks — including the
-//! telemetry `born`-map and the `SbbInsert`/`SbbEvict` event stream, which
-//! it writes into a shared event sink so the oracle's event order can be
-//! compared against the production trace.
+//! `skia_core::Skia`'s fill/lookup/retire/bogus hooks — including entry
+//! lifetimes, which it derives from a separate list of birth cycles (the
+//! production SBB keeps each birth in its entry), and the
+//! `SbbInsert`/`SbbEvict` event stream, which it writes into a shared event
+//! sink so the oracle's event order can be compared against the production
+//! trace.
 //!
 //! On top of the behavioural mirror, `RefSkia` cross-checks every decoded
 //! shadow branch against the generator's ground-truth metadata
@@ -265,7 +267,7 @@ pub struct RefSkia {
     useful_uses: u64,
     ever_inserted: Vec<u64>,
     cycle: u64,
-    /// Birth cycle of each live SBB entry (mirrors the telemetry map).
+    /// Birth cycle of each live SBB entry.
     born: Vec<(u64, u64)>,
     events: EventSink,
     /// Ground-truth violations (decoder disagreeing with `Program`

@@ -15,11 +15,12 @@
 //! unrelated functions), while [`Layout::Bolted`] sorts hot functions
 //! together, modeling what the BOLT binary optimizer achieves (§6.1.4).
 
-use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use skia_core::{DecodeTable, IndexPolicy};
 use skia_isa::{encode, BranchKind, CACHE_LINE_BYTES};
 
 use crate::side_table::{BranchRecord, BranchTable};
@@ -164,25 +165,40 @@ pub struct Program {
     base: u64,
     image: Vec<u8>,
     functions: Vec<Function>,
-    /// pc → (function index, block index) for every block terminator.
-    branch_index: HashMap<u64, (u32, u32)>,
-    /// block start address → (function index, block index).
-    block_index: HashMap<u64, (u32, u32)>,
     /// Dense pc-sorted branch side table (hot-path metadata lookups).
     table: BranchTable,
+    /// `(function index, block index)` of each [`BranchTable`] record, in
+    /// table order.
+    locations: Vec<(u32, u32)>,
+    /// Shadow-decode tables, built on first use.
+    decode_tables: DecodeTables,
     /// Burst-locality parameters carried from the spec for the walker.
     burst: (usize, f64),
 }
 
-/// Build the dense side table from the assembled functions. Derived data:
-/// never serialized, rebuilt on generation and cache load alike.
-fn build_branch_table(functions: &[Function]) -> BranchTable {
-    let recs: Vec<BranchRecord> = functions
+/// A program's shadow-decode tables, one per (index policy, path bound)
+/// simulated. Derived and lazily built: never serialized, and a clone
+/// starts empty.
+#[derive(Debug, Default)]
+struct DecodeTables(Mutex<Vec<Arc<DecodeTable>>>);
+
+impl Clone for DecodeTables {
+    fn clone(&self) -> Self {
+        DecodeTables::default()
+    }
+}
+
+/// Build the dense side table and its per-record `(function, block)`
+/// locations from the assembled functions. Derived data: never serialized,
+/// rebuilt on generation and cache load alike.
+fn build_branch_table(functions: &[Function]) -> (BranchTable, Vec<(u32, u32)>) {
+    let mut located: Vec<(BranchRecord, (u32, u32))> = functions
         .iter()
-        .flat_map(|f| {
-            f.blocks.iter().map(|b| {
+        .enumerate()
+        .flat_map(|(fi, f)| {
+            f.blocks.iter().enumerate().map(move |(bi, b)| {
                 let t = &b.terminator;
-                BranchRecord {
+                let rec = BranchRecord {
                     pc: t.pc,
                     block_start: b.start,
                     target: t.target,
@@ -190,11 +206,14 @@ fn build_branch_table(functions: &[Function]) -> BranchTable {
                     insns: b.insns,
                     len: t.len,
                     kind: t.kind,
-                }
+                };
+                (rec, (fi as u32, bi as u32))
             })
         })
         .collect();
-    BranchTable::from_records(recs)
+    located.sort_by_key(|(r, _)| r.pc);
+    let (recs, locations) = located.into_iter().unzip();
+    (BranchTable::from_records(recs), locations)
 }
 
 // ---------------------------------------------------------------------------
@@ -483,7 +502,6 @@ impl Program {
 
         // ---- Phase 4: assemble public structures ----
         let mut functions: Vec<Function> = Vec::with_capacity(spec.functions);
-        let mut branch_index = HashMap::new();
         let mut bias_rng = SmallRng::seed_from_u64(spec.seed ^ 0xB1A5);
         for fi in 0..spec.functions {
             let mut blocks = Vec::with_capacity(fns[fi].blocks.len());
@@ -504,7 +522,6 @@ impl Program {
                     backedge: rec.backedge,
                     bias: bias_rng.gen_range(0..=9),
                 };
-                branch_index.insert(rec.pc, (fi as u32, bi as u32));
                 blocks.push(BasicBlock {
                     start: block_addr[fi][bi],
                     insns: fns[fi].blocks[bi].selectors.len() as u32 + 1,
@@ -518,50 +535,26 @@ impl Program {
             });
         }
 
-        let mut block_index = HashMap::new();
-        for (fi, f) in functions.iter().enumerate() {
-            for (bi, b) in f.blocks.iter().enumerate() {
-                block_index.insert(b.start, (fi as u32, bi as u32));
-            }
-        }
-
-        let table = build_branch_table(&functions);
-        Program {
-            base,
-            image,
-            functions,
-            branch_index,
-            block_index,
-            table,
-            burst: (spec.burst_pool, spec.burst_prob),
-        }
+        Program::from_parts(base, image, functions, (spec.burst_pool, spec.burst_prob))
     }
 
-    /// Reassemble a program from its serialized parts (disk cache load),
-    /// rebuilding the derived `branch_index`/`block_index` maps — they are
-    /// pure functions of `functions`, so the cache never stores them.
+    /// Assemble a program from its parts (generation and disk cache load),
+    /// building the derived side table and its locations — pure functions
+    /// of `functions`, so the cache never stores them.
     pub(crate) fn from_parts(
         base: u64,
         image: Vec<u8>,
         functions: Vec<Function>,
         burst: (usize, f64),
     ) -> Self {
-        let mut branch_index = HashMap::new();
-        let mut block_index = HashMap::new();
-        for (fi, f) in functions.iter().enumerate() {
-            for (bi, b) in f.blocks.iter().enumerate() {
-                branch_index.insert(b.terminator.pc, (fi as u32, bi as u32));
-                block_index.insert(b.start, (fi as u32, bi as u32));
-            }
-        }
-        let table = build_branch_table(&functions);
+        let (table, locations) = build_branch_table(&functions);
         Program {
             base,
             image,
             functions,
-            branch_index,
-            block_index,
             table,
+            locations,
+            decode_tables: DecodeTables::default(),
             burst,
         }
     }
@@ -600,7 +593,7 @@ impl Program {
     /// Total static branch count.
     #[must_use]
     pub fn branch_count(&self) -> usize {
-        self.branch_index.len()
+        self.table.len()
     }
 
     /// Whether `addr` lies inside the image.
@@ -643,27 +636,27 @@ impl Program {
     /// there.
     #[must_use]
     pub fn branch_at(&self, pc: u64) -> Option<&BranchMeta> {
-        let &(fi, bi) = self.branch_index.get(&pc)?;
+        let (fi, bi) = self.locate_branch(pc)?;
         Some(&self.functions[fi as usize].blocks[bi as usize].terminator)
     }
 
     /// The block whose first instruction is at `pc`, if any.
     #[must_use]
     pub fn block_starting_at(&self, pc: u64) -> Option<&BasicBlock> {
-        let &(fi, bi) = self.block_index.get(&pc)?;
+        let (fi, bi) = self.locate_block(pc)?;
         Some(&self.functions[fi as usize].blocks[bi as usize])
     }
 
     /// `(function index, block index)` of the block starting at `pc`.
     #[must_use]
     pub fn locate_block(&self, pc: u64) -> Option<(u32, u32)> {
-        self.block_index.get(&pc).copied()
+        Some(self.locations[self.table.block_index(pc)?])
     }
 
     /// `(function index, block index)` of the terminator at `pc`.
     #[must_use]
     pub fn locate_branch(&self, pc: u64) -> Option<(u32, u32)> {
-        self.branch_index.get(&pc).copied()
+        Some(self.locations[self.table.index_of(pc)?])
     }
 
     /// The dense pc-sorted branch side table (built once at generation or
@@ -671,6 +664,37 @@ impl Program {
     #[must_use]
     pub fn branch_table(&self) -> &BranchTable {
         &self.table
+    }
+
+    /// The program's shadow-decode table for `policy` and `max_valid_paths`,
+    /// built empty on first request and shared by every simulator over the
+    /// program. Slot `i` holds the head region at the start of the block
+    /// that [`BranchTable`] record `i` ends and the tail region after that
+    /// branch ([`BranchTable::block_index`], [`BranchTable::exit_index`]).
+    #[must_use]
+    pub fn decode_table(&self, policy: IndexPolicy, max_valid_paths: usize) -> Arc<DecodeTable> {
+        // The list only ever grows by whole entries, so a guard poisoned by
+        // a panic elsewhere still holds a valid list.
+        let mut tables = self
+            .decode_tables
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(t) = tables
+            .iter()
+            .find(|t| t.policy() == policy && t.max_valid_paths() == max_valid_paths)
+        {
+            return Arc::clone(t);
+        }
+        let lines = self.base..self.base + (self.code_lines() * CACHE_LINE_BYTES) as u64;
+        let table = Arc::new(DecodeTable::new(
+            policy,
+            max_valid_paths,
+            self.table.len(),
+            lines,
+        ));
+        tables.push(Arc::clone(&table));
+        table
     }
 }
 
@@ -829,5 +853,76 @@ mod tests {
         let t = &f.blocks[0].terminator;
         assert_eq!(p.branch_at(t.pc).unwrap().pc, t.pc);
         assert!(p.branch_at(t.pc + 1).is_none());
+    }
+
+    #[test]
+    fn locations_answer_from_the_branch_table() {
+        let p = Program::generate(&small_spec());
+        let mut blocks = 0;
+        for (fi, f) in p.functions().iter().enumerate() {
+            for (bi, b) in f.blocks.iter().enumerate() {
+                let loc = Some((fi as u32, bi as u32));
+                assert_eq!(p.locate_block(b.start), loc);
+                assert_eq!(p.locate_branch(b.terminator.pc), loc);
+                assert_eq!(p.block_starting_at(b.start), Some(b));
+                assert_eq!(p.branch_at(b.terminator.pc), Some(&b.terminator));
+                // Addresses inside a block are neither block starts nor
+                // branches.
+                for pc in b.start + 1..b.terminator.pc {
+                    assert_eq!(p.locate_block(pc), None, "{pc:#x}");
+                    assert_eq!(p.locate_branch(pc), None, "{pc:#x}");
+                }
+                blocks += 1;
+            }
+        }
+        assert_eq!(p.branch_count(), blocks);
+        assert_eq!(p.locate_block(p.base() + p.code_bytes() as u64), None);
+        assert_eq!(p.locate_block(p.base() - 1), None);
+    }
+
+    #[test]
+    fn decode_table_equals_fresh_decodes() {
+        use skia_core::ShadowDecoder;
+        let p = Program::generate(&small_spec());
+        let table = p.branch_table();
+        let blocks: Vec<&BasicBlock> = p.functions().iter().flat_map(|f| &f.blocks).collect();
+        for policy in IndexPolicy::ALL {
+            for bound in [1, 6] {
+                let decodes = p.decode_table(policy, bound);
+                assert!(Arc::ptr_eq(&decodes, &p.decode_table(policy, bound)));
+                let mut fresh = ShadowDecoder::new(policy, bound);
+                let mut counted = ShadowDecoder::new(policy, bound);
+                // Twice: the second round reads filled slots.
+                for _ in 0..2 {
+                    for b in &blocks {
+                        let entry = (b.start % 64) as usize;
+                        if entry != 0 {
+                            let slot = table.block_index(b.start).expect("block start");
+                            let region = decodes.head(slot, entry, || p.line(b.start));
+                            let (base, line) = p.line(b.start);
+                            let hd = fresh.decode_head(&line, base, entry);
+                            assert_eq!(region.branches[..], hd.branches[..], "{:#x}", b.start);
+                            counted.count_head(region);
+                        }
+                        let t = &b.terminator;
+                        let base = (t.fallthrough - 1) & !63;
+                        let exit = (t.fallthrough - base) as usize;
+                        if exit < CACHE_LINE_BYTES {
+                            let slot = table.exit_index(t.pc, t.len).expect("static exit");
+                            let region = decodes.tail(slot, exit, || p.line(base));
+                            let (_, line) = p.line(base);
+                            let found = fresh.decode_tail(&line, base, exit);
+                            assert_eq!(region.branches[..], found[..], "{:#x}", t.pc);
+                            counted.count_tail(region);
+                        }
+                    }
+                }
+                assert_eq!(counted.stats(), fresh.stats(), "{policy:?}/{bound}");
+            }
+        }
+        assert!(!Arc::ptr_eq(
+            &p.decode_table(IndexPolicy::Merge, 6),
+            &p.clone().decode_table(IndexPolicy::Merge, 6)
+        ));
     }
 }

@@ -158,14 +158,34 @@ impl BranchTable {
         None
     }
 
+    /// Index (in pc order) of the branch at exactly `pc` (O(1) via the line
+    /// index).
+    #[must_use]
+    pub fn index_of(&self, pc: u64) -> Option<usize> {
+        let idx = self.start_index(pc);
+        (self.pcs.get(idx) == Some(&pc)).then_some(idx)
+    }
+
+    /// Index of the branch whose block starts at `start`: blocks hold no
+    /// branch before their terminator, so it is the first branch at or after
+    /// `start`, when its block begins there.
+    #[must_use]
+    pub fn block_index(&self, start: u64) -> Option<usize> {
+        let idx = self.start_index(start);
+        (self.recs.get(idx)?.block_start == start).then_some(idx)
+    }
+
+    /// Index of the branch at `pc` with encoded length `len`: the branch
+    /// whose fall-through is `pc + len`.
+    #[must_use]
+    pub fn exit_index(&self, pc: u64, len: u8) -> Option<usize> {
+        self.index_of(pc).filter(|&i| self.recs[i].len == len)
+    }
+
     /// Exact-pc record lookup (O(1) via the line index).
     #[must_use]
     pub fn record_at(&self, pc: u64) -> Option<&BranchRecord> {
-        let idx = self.start_index(pc);
-        match self.pcs.get(idx) {
-            Some(&p) if p == pc => Some(&self.recs[idx]),
-            _ => None,
-        }
+        self.index_of(pc).map(|i| &self.recs[i])
     }
 
     /// Static target of the branch at `pc`, if one exists there.
