@@ -5,12 +5,12 @@
 //! trace: the comparison is the simulator as-is (counters only, tracing
 //! off) against the simulator with the sampled event trace enabled, plus
 //! microbenchmarks of the primitives themselves (histogram record, sampled
-//! event record) and of taking and serializing one snapshot.
+//! event record) and of taking, serializing and reading back one snapshot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skia_bench::{bench_workload, run_sim};
 use skia_frontend::{FrontendConfig, Simulator};
-use skia_telemetry::{EventKind, EventTrace, LocalHistogram, TraceConfig};
+use skia_telemetry::{EventKind, EventTrace, LocalHistogram, Snapshot, TraceConfig};
 use skia_workloads::Walker;
 
 const STEPS: usize = 20_000;
@@ -79,6 +79,10 @@ fn primitives(c: &mut Criterion) {
     sim.run(Walker::new(&program, seed, trip).take(STEPS));
     c.bench_function("snapshot_to_json", |b| {
         b.iter(|| sim.snapshot().to_json_string().len())
+    });
+    let json = sim.snapshot().to_json_string();
+    c.bench_function("snapshot_from_json", |b| {
+        b.iter(|| Snapshot::from_json_str(&json).map(|s| s.events.len()))
     });
 }
 

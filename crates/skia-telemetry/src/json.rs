@@ -1,7 +1,18 @@
 //! Compact JSON: three writer helpers that snapshots, run manifests and
-//! Chrome traces build their documents from, plus a small parser for
-//! reading them back in tests and tooling.
+//! Chrome traces build their documents from, and the one reader that reads
+//! them back.
+//!
+//! The reader is a crate-private pull `Reader`: objects and arrays hand
+//! each key or element to a callback, keys without escapes are borrowed
+//! from the input, and a number stays text until its consumer reads it as
+//! an f64 or as an exact integer. [`JsonValue::parse`] builds a tree with
+//! it, for small documents such as run manifests.
+//! [`crate::Snapshot::from_json_str`] reads straight into the snapshot's
+//! typed fields instead, so reading a snapshot back costs about its file's
+//! size, where a tree cost about 14 times that (some 780 bytes per 32-byte
+//! event).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -51,11 +62,17 @@ pub fn push_key(out: &mut String, key: &str, first: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing (for snapshot round-trips).
+// Reading.
 // ---------------------------------------------------------------------------
 
 /// 2^53: every integer below it is exactly representable as an f64.
 const EXACT_BELOW: f64 = 9_007_199_254_740_992.0;
+
+/// The count rule: a non-negative integral f64 below 2^53, the range in
+/// which it is exactly the written integer.
+fn exact_count(n: f64) -> Option<u64> {
+    ((0.0..EXACT_BELOW).contains(&n) && n.fract() == 0.0).then_some(n as u64)
+}
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,17 +95,37 @@ pub enum JsonValue {
 impl JsonValue {
     /// Parse a JSON document.
     pub fn parse(s: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
+        let mut r = Reader::new(s);
+        let v = JsonValue::read(&mut r)?;
+        r.end()?;
         Ok(v)
+    }
+
+    /// Build the tree of the reader's next value.
+    fn read(r: &mut Reader<'_>) -> Result<JsonValue, String> {
+        Ok(match r.peek() {
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                r.object(|r, key| {
+                    map.insert(key.into_owned(), JsonValue::read(r)?);
+                    Ok(())
+                })?;
+                JsonValue::Object(map)
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                r.array(|r, _| {
+                    items.push(JsonValue::read(r)?);
+                    Ok(())
+                })?;
+                JsonValue::Array(items)
+            }
+            Some(b'"') => JsonValue::String(r.string()?.into_owned()),
+            Some(b'n') => r.literal("null").map(|()| JsonValue::Null)?,
+            Some(b't') => r.literal("true").map(|()| JsonValue::Bool(true))?,
+            Some(b'f') => r.literal("false").map(|()| JsonValue::Bool(false))?,
+            _ => JsonValue::Number(r.number()?.f64()),
+        })
     }
 
     /// The object under a key, if this is an object.
@@ -107,9 +144,7 @@ impl JsonValue {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
-            JsonValue::Number(n) if (0.0..EXACT_BELOW).contains(&n) && n.fract() == 0.0 => {
-                Some(n as u64)
-            }
+            JsonValue::Number(n) => exact_count(n),
             _ => None,
         }
     }
@@ -160,15 +195,56 @@ impl JsonValue {
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A number as [`Reader::number`] lexed it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Number<'a> {
+    /// Text of ASCII digits only, kept as written, so that it can be read
+    /// as an exact integer over the whole u64 range.
+    Digits(&'a str),
+    /// Any other form (a sign, a fraction or an exponent), read as an f64.
+    Float(f64),
+}
+
+impl Number<'_> {
+    /// The nearest f64.
+    pub(crate) fn f64(self) -> f64 {
+        match self {
+            // A digit run always reads as an f64; one too long for it reads
+            // as infinity.
+            Number::Digits(text) => text.parse().unwrap_or(f64::INFINITY),
+            Number::Float(n) => n,
+        }
+    }
+
+    /// The number as a count under [`JsonValue::as_u64`]'s rule: a
+    /// non-negative integer below 2^53, where `4.0` reads as 4.
+    pub(crate) fn count(self) -> Option<u64> {
+        match self {
+            Number::Digits(text) => text.parse().ok().filter(|&n: &u64| n < 1 << 53),
+            Number::Float(n) => exact_count(n),
+        }
+    }
+}
+
+/// A pull reader over one JSON document: the one lexer behind
+/// [`JsonValue::parse`] and the typed snapshot reader. Each reading method
+/// skips leading whitespace, then consumes exactly one value; objects and
+/// arrays hand each key or element to a callback that must consume its
+/// value, so a document is read without building a tree of it.
+pub(crate) struct Reader<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Reader { text, pos: 0 }
+    }
+
     fn skip_ws(&mut self) {
-        while self
-            .bytes
+        let bytes = self.text.as_bytes();
+        while bytes
             .get(self.pos)
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
@@ -176,167 +252,194 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The first byte of the next value, after whitespace; `None` at the
+    /// end of the input.
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
+        match self.peek() {
+            Some(c) if c == b => {
+                self.pos += 1;
+                Ok(())
+            }
+            other => Err(format!(
                 "expected {:?} at offset {}, found {:?}",
                 b as char,
                 self.pos,
-                self.peek().map(|c| c as char)
-            ))
+                other.map(char::from)
+            )),
         }
     }
 
-    fn lit(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
+    /// Succeed only when nothing but whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), String> {
         match self.peek() {
-            Some(b'n') => self.lit("null", JsonValue::Null),
-            Some(b't') => self.lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.lit("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.pos)),
+            None => Ok(()),
+            Some(_) => Err(format!("trailing bytes at offset {}", self.pos)),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut s = String::new();
+    /// Walk an object, calling `f` with each key in document order. `f`
+    /// must consume that key's value.
+    pub(crate) fn object(
+        &mut self,
+        mut f: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.eat(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
         loop {
+            let key = self.string()?;
+            self.eat(b':')?;
+            f(self, key)?;
             match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(());
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Bulk-consume the run up to the next quote or escape:
-                    // one UTF-8 validation per run, not per character (a
-                    // per-char from_utf8 over the whole remainder made
-                    // parsing quadratic — minutes on a 2 MB snapshot). The
-                    // run boundary is an ASCII byte, so it is always a char
-                    // boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let chunk = std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?;
-                    s.push_str(chunk);
-                    self.pos += run;
-                }
+                other => return Err(format!("expected , or }} found {other:?}")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
+    /// Walk an array, calling `f` with each element's index. `f` must
+    /// consume that element.
+    pub(crate) fn array(
+        &mut self,
+        mut f: impl FnMut(&mut Self, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(());
         }
+        let mut i = 0;
         loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
+            f(self, i)?;
+            i += 1;
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(());
                 }
                 other => return Err(format!("expected , or ] found {other:?}")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
+    /// The next value, which must be a string: borrowed from the input
+    /// when it has no escapes.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.eat(b'"')?;
+        let text = self.text;
+        let mut owned: Option<String> = None;
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                other => return Err(format!("expected , or }} found {other:?}")),
+            // Every run ends at an ASCII byte and every escape is ASCII, so
+            // each slice boundary is a char boundary.
+            let rest = &text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let chunk = &text[self.pos..self.pos + run];
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(chunk),
+                    Some(mut s) => {
+                        s.push_str(chunk);
+                        Cow::Owned(s)
+                    }
+                });
             }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(chunk);
+            self.escape(s)?;
+        }
+    }
+
+    /// Decode the escape after a backslash onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        let bytes = self.text.as_bytes();
+        let c = match bytes.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hex = bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or("truncated \\u escape")?;
+                let code =
+                    u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
+                        .map_err(|e| e.to_string())?;
+                self.pos += 4;
+                char::from_u32(code).unwrap_or('\u{FFFD}')
+            }
+            other => return Err(format!("bad escape {:?}", other.map(|&b| char::from(b)))),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The next value, which must be a number: a `-` or a digit, then any
+    /// run of digits, `.`, `e`, `E`, `+` and `-`. Text other than a digit
+    /// run must read as an f64.
+    pub(crate) fn number(&mut self) -> Result<Number<'a>, String> {
+        let first = self.peek();
+        if !matches!(first, Some(b'-' | b'0'..=b'9')) {
+            let found = first.map(char::from);
+            return Err(format!("unexpected {found:?} at offset {}", self.pos));
+        }
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        self.pos += 1;
+        while bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
+        {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            return Ok(Number::Digits(text));
+        }
+        text.parse()
+            .map(Number::Float)
+            .map_err(|e| format!("bad number {text:?}: {e}"))
+    }
+
+    /// The literal `word` (`null`, `true` or `false`).
+    fn literal(&mut self, word: &str) -> Result<(), String> {
+        self.skip_ws();
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(())
+        } else {
+            Err(format!("bad literal at offset {}", self.pos))
+        }
+    }
+
+    /// Consume the next value, which must still be valid JSON.
+    pub(crate) fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => self.object(|r, _| r.skip()),
+            Some(b'[') => self.array(|r, _| r.skip()),
+            Some(b'"') => self.string().map(drop),
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            _ => self.number().map(drop),
         }
     }
 }
@@ -385,6 +488,59 @@ mod tests {
         assert!(JsonValue::parse("{oops}").is_err());
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("12 34").is_err());
+    }
+
+    /// The reader borrows escape-free keys and strings from the input,
+    /// keeps a digit run as text, and still validates what it skips.
+    #[test]
+    fn reader_borrows_keys_and_keeps_digit_runs() {
+        let doc =
+            " {\"plain\": \"a\\nb\", \"n\": 18446744073709551615, \"rest\": [1, {\"x\": null}]} ";
+        let mut r = Reader::new(doc);
+        let mut keys = Vec::new();
+        r.object(|r, key| {
+            assert!(matches!(key, Cow::Borrowed(_)), "{key}");
+            match &*key {
+                "plain" => assert_eq!(r.string()?, Cow::<str>::Owned("a\nb".into())),
+                "n" => assert_eq!(r.number()?, Number::Digits("18446744073709551615")),
+                _ => r.skip()?,
+            }
+            keys.push(key);
+            Ok(())
+        })
+        .unwrap();
+        r.end().unwrap();
+        assert_eq!(keys, ["plain", "n", "rest"]);
+        for bad in [
+            "[1,]",
+            "{\"a\":tru}",
+            "\"open",
+            "1-2",
+            "+1",
+            ".5",
+            "{\"a\" 1}",
+        ] {
+            assert!(Reader::new(bad).skip().is_err(), "{bad}");
+        }
+        let mut r = Reader::new("1 2");
+        r.skip().unwrap();
+        assert!(r.end().is_err(), "trailing bytes");
+    }
+
+    /// A digit run reads as a count exactly up to 2^53, like `as_u64`;
+    /// other forms go through the f64 rule.
+    #[test]
+    fn number_counts_follow_as_u64() {
+        assert_eq!(
+            Number::Digits("9007199254740991").count(),
+            Some((1 << 53) - 1)
+        );
+        assert_eq!(Number::Digits("9007199254740992").count(), None);
+        assert_eq!(Number::Digits("99999999999999999999999").count(), None);
+        assert_eq!(Number::Float(4.0).count(), Some(4));
+        assert_eq!(Number::Float(-0.0).count(), Some(0));
+        assert_eq!(Number::Float(1.5).count(), None);
+        assert_eq!(Number::Digits("16").f64(), 16.0);
     }
 
     #[test]

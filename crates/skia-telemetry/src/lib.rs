@@ -25,7 +25,8 @@
 //!   Chrome `X` events and aggregate into per-phase rollups for run
 //!   manifests.
 //! * [`json`] — the writer helpers every document here is built from, and
-//!   the parser that reads them back.
+//!   the one pull reader that reads them back: [`json::JsonValue`] trees
+//!   for small documents, and snapshots straight into their typed fields.
 //!
 //! ## Quick taste
 //!

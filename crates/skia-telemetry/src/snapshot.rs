@@ -1,11 +1,12 @@
 //! The telemetry store: named counters, gauges and histograms, the event
 //! window and profiling spans of a run, and their JSON form.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::histogram::HistogramSnapshot;
-use crate::json::{self, JsonValue};
+use crate::json::{self, Number, Reader};
 use crate::span::{self, SpanRecord, SpanRollup};
 use crate::trace::{Event, EventKind};
 
@@ -172,117 +173,247 @@ impl Snapshot {
 
     /// Parse a snapshot back out of [`Snapshot::to_json_string`] output.
     ///
+    /// The document is read in one pass straight into the snapshot's
+    /// fields, without a tree of it, so an event costs its [`Event`] and no
+    /// allocation. A field whose value is not the container the writer
+    /// emits (`counters`, `gauges` and `histograms` objects, `events` and
+    /// `spans` arrays) is ignored, as are unknown keys; either must still
+    /// be valid JSON. A repeated key replaces the field it names.
+    ///
     /// # Errors
     ///
     /// Returns a message when the document is not a snapshot object, or
-    /// when a count (counter, bucket, event or span field) is not a
-    /// non-negative integer below 2^53 that reads back exactly.
+    /// when a count (counter, bucket, histogram total, event or span field)
+    /// is not a non-negative integer below 2^53 that reads back exactly.
     pub fn from_json_str(s: &str) -> Result<Snapshot, String> {
-        let v = JsonValue::parse(s)?;
-        let obj = v.as_object().ok_or("snapshot must be a JSON object")?;
-
+        let mut r = Reader::new(s);
+        if r.peek() != Some(b'{') {
+            return Err("snapshot must be a JSON object".into());
+        }
         let mut snap = Snapshot::default();
-        if let Some(counters) = obj.get("counters").and_then(JsonValue::as_object) {
-            for (k, v) in counters {
-                let n = v.as_u64().ok_or_else(|| format!("counter {k} not u64"))?;
-                snap.counters.insert(k.clone(), n);
-            }
-        }
-        if let Some(gauges) = obj.get("gauges").and_then(JsonValue::as_object) {
-            for (k, v) in gauges {
-                let n = v.as_f64().ok_or_else(|| format!("gauge {k} not f64"))?;
-                snap.gauges.insert(k.clone(), n);
-            }
-        }
-        if let Some(hists) = obj.get("histograms").and_then(JsonValue::as_object) {
-            for (k, v) in hists {
-                snap.histograms.insert(k.clone(), parse_histogram(k, v)?);
-            }
-        }
-        if let Some(events) = obj.get("events").and_then(JsonValue::as_array) {
-            for (i, e) in events.iter().enumerate() {
-                snap.events.push(parse_event(i, e)?);
-            }
-        }
-        if let Some(spans) = obj.get("spans").and_then(JsonValue::as_array) {
-            for (i, s) in spans.iter().enumerate() {
-                snap.spans.push(parse_span(i, s)?);
-            }
-        }
-        snap.events_seen = v.u64_field("events_seen")?;
-        snap.events_dropped = v.u64_field("events_dropped")?;
+        r.object(|r, key| snap.read_field(r, &key))?;
+        r.end()?;
         Ok(snap)
+    }
+
+    /// Read the value of the top-level `key` into the field it names.
+    fn read_field(&mut self, r: &mut Reader<'_>, key: &str) -> Result<(), String> {
+        match key {
+            "counters" => {
+                let mut counters = BTreeMap::new();
+                object_or_skip(r, |r, k| {
+                    let n = count(r, || format!("counter {k}"))?;
+                    counters.insert(k.into_owned(), n);
+                    Ok(())
+                })?;
+                self.counters = counters;
+            }
+            "gauges" => {
+                let mut gauges = BTreeMap::new();
+                object_or_skip(r, |r, k| {
+                    let n = r.number().map_err(|_| format!("gauge {k} not f64"))?;
+                    gauges.insert(k.into_owned(), n.f64());
+                    Ok(())
+                })?;
+                self.gauges = gauges;
+            }
+            "histograms" => {
+                let mut histograms = BTreeMap::new();
+                object_or_skip(r, |r, k| {
+                    let h = read_histogram(r, &k)?;
+                    histograms.insert(k.into_owned(), h);
+                    Ok(())
+                })?;
+                self.histograms = histograms;
+            }
+            "events" => {
+                let mut events = Vec::new();
+                array_or_skip(r, |r, i| {
+                    events.push(read_event(r, i)?);
+                    Ok(())
+                })?;
+                self.events = events;
+            }
+            "spans" => {
+                let mut spans = Vec::new();
+                array_or_skip(r, |r, i| {
+                    spans.push(read_span(r, i)?);
+                    Ok(())
+                })?;
+                self.spans = spans;
+            }
+            "events_seen" => self.events_seen = count(r, || key.into())?,
+            "events_dropped" => self.events_dropped = count(r, || key.into())?,
+            _ => r.skip()?,
+        }
+        Ok(())
     }
 }
 
-fn parse_histogram(name: &str, v: &JsonValue) -> Result<HistogramSnapshot, String> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| format!("histogram {name} not an object"))?;
-    let mut h = HistogramSnapshot::default();
-    if let Some(buckets) = obj.get("buckets").and_then(JsonValue::as_object) {
-        for (lo, c) in buckets {
-            let lo: u64 = lo
-                .parse()
-                .map_err(|e| format!("histogram {name} bucket key {lo:?}: {e}"))?;
-            let c = c
-                .as_u64()
-                .ok_or_else(|| format!("histogram {name} bucket count not u64"))?;
-            h.buckets.insert(lo, c);
-        }
+/// Walk the object that is the reader's next value, or skip a value of any
+/// other type.
+fn object_or_skip<'a>(
+    r: &mut Reader<'a>,
+    f: impl FnMut(&mut Reader<'a>, Cow<'a, str>) -> Result<(), String>,
+) -> Result<(), String> {
+    if r.peek() == Some(b'{') {
+        r.object(f)
+    } else {
+        r.skip()
     }
-    let field = |k: &str| v.u64_field(k).map_err(|e| format!("histogram {name}: {e}"));
-    h.count = field("count")?;
-    h.sum = field("sum")?;
-    h.min = field("min")?;
-    h.max = field("max")?;
+}
+
+/// Walk the array that is the reader's next value, or skip a value of any
+/// other type.
+fn array_or_skip<'a>(
+    r: &mut Reader<'a>,
+    f: impl FnMut(&mut Reader<'a>, usize) -> Result<(), String>,
+) -> Result<(), String> {
+    if r.peek() == Some(b'[') {
+        r.array(f)
+    } else {
+        r.skip()
+    }
+}
+
+/// The reader's next value as a count, under
+/// [`crate::json::JsonValue::as_u64`]'s rule, or an error naming `what`.
+fn count(r: &mut Reader<'_>, what: impl FnOnce() -> String) -> Result<u64, String> {
+    r.number()
+        .ok()
+        .and_then(Number::count)
+        .ok_or_else(|| format!("{} is not an exact u64", what()))
+}
+
+fn read_histogram(r: &mut Reader<'_>, name: &str) -> Result<HistogramSnapshot, String> {
+    if r.peek() != Some(b'{') {
+        return Err(format!("histogram {name} not an object"));
+    }
+    let mut h = HistogramSnapshot::default();
+    r.object(|r, key| {
+        let field = match &*key {
+            "buckets" => {
+                let mut buckets = BTreeMap::new();
+                object_or_skip(r, |r, lo| {
+                    let lo: u64 = lo
+                        .parse()
+                        .map_err(|e| format!("histogram {name} bucket key {lo:?}: {e}"))?;
+                    let c = count(r, || format!("histogram {name} bucket {lo}"))?;
+                    buckets.insert(lo, c);
+                    Ok(())
+                })?;
+                h.buckets = buckets;
+                return Ok(());
+            }
+            "count" => &mut h.count,
+            "sum" => &mut h.sum,
+            "min" => &mut h.min,
+            "max" => &mut h.max,
+            _ => return r.skip(),
+        };
+        *field = count(r, || format!("histogram {name}: {key}"))?;
+        Ok(())
+    })?;
     Ok(h)
 }
 
-fn parse_span(i: usize, v: &JsonValue) -> Result<SpanRecord, String> {
-    let name = v
-        .get("name")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("span {i} missing name"))?
-        .to_string();
-    let field = |k: &str| v.u64_field(k).map_err(|e| format!("span {i}: {e}"));
-    Ok(SpanRecord {
-        name,
-        thread: field("thread")?,
-        depth: u32::try_from(field("depth")?).map_err(|e| format!("span {i} depth: {e}"))?,
-        start_ns: field("start_ns")?,
-        dur_ns: field("dur_ns")?,
-    })
+fn read_span(r: &mut Reader<'_>, i: usize) -> Result<SpanRecord, String> {
+    if r.peek() != Some(b'{') {
+        return Err(format!("span {i} is not an object"));
+    }
+    let mut name = None;
+    let mut s = SpanRecord {
+        name: String::new(),
+        thread: 0,
+        depth: 0,
+        start_ns: 0,
+        dur_ns: 0,
+    };
+    r.object(|r, key| {
+        let field = match &*key {
+            "name" => {
+                let n = r
+                    .string()
+                    .map_err(|_| format!("span {i}: name not a string"))?;
+                name = Some(n.into_owned());
+                return Ok(());
+            }
+            "depth" => {
+                let depth = count(r, || format!("span {i}: depth"))?;
+                s.depth = u32::try_from(depth).map_err(|e| format!("span {i} depth: {e}"))?;
+                return Ok(());
+            }
+            "thread" => &mut s.thread,
+            "start_ns" => &mut s.start_ns,
+            "dur_ns" => &mut s.dur_ns,
+            _ => return r.skip(),
+        };
+        *field = count(r, || format!("span {i}: {key}"))?;
+        Ok(())
+    })?;
+    s.name = name.ok_or_else(|| format!("span {i} missing name"))?;
+    Ok(s)
 }
 
-fn parse_event(i: usize, v: &JsonValue) -> Result<Event, String> {
-    let kind_name = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("event {i} missing kind"))?;
-    let kind = EventKind::from_name(kind_name)
-        .ok_or_else(|| format!("event {i} has unknown kind {kind_name:?}"))?;
-    let field = |k: &str| v.u64_field(k).map_err(|e| format!("event {i}: {e}"));
-    // A pc is an address, not a count: wrong-path blocks can start at
-    // wrapped addresses near 2^64 (prefetch and shadow-decode events),
-    // past the 2^53 the parser's f64 holds exactly, so it reads back as
-    // the nearest f64 rather than failing.
-    let pc = v.get("pc").map_or(Some(0.0), JsonValue::as_f64);
-    let pc = pc
-        .filter(|n| (0.0..u64::MAX as f64).contains(n) && n.fract() == 0.0)
-        .ok_or_else(|| format!("event {i}: pc is not an address"))?;
-    Ok(Event {
-        cycle: field("cycle")?,
-        kind,
-        pc: pc as u64,
-        arg: field("arg")?,
-    })
+fn read_event(r: &mut Reader<'_>, i: usize) -> Result<Event, String> {
+    if r.peek() != Some(b'{') {
+        return Err(format!("event {i} is not an object"));
+    }
+    let mut kind = None;
+    let mut e = Event {
+        cycle: 0,
+        kind: EventKind::Resteer,
+        pc: 0,
+        arg: 0,
+    };
+    r.object(|r, key| {
+        match &*key {
+            "kind" => {
+                let name = r
+                    .string()
+                    .map_err(|_| format!("event {i}: kind not a string"))?;
+                let k = EventKind::from_name(&name)
+                    .ok_or_else(|| format!("event {i} has unknown kind {name:?}"))?;
+                kind = Some(k);
+            }
+            "pc" => {
+                e.pc = r
+                    .number()
+                    .ok()
+                    .and_then(address)
+                    .ok_or_else(|| format!("event {i}: pc is not an address"))?;
+            }
+            "cycle" => e.cycle = count(r, || format!("event {i}: cycle"))?,
+            "arg" => e.arg = count(r, || format!("event {i}: arg"))?,
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    e.kind = kind.ok_or_else(|| format!("event {i} missing kind"))?;
+    Ok(e)
 }
+
+/// An event pc. It is an address, not a count: wrong-path blocks can start
+/// at wrapped addresses near 2^64 (prefetch and shadow-decode events), so a
+/// digit run reads as an exact u64 over the whole range. Any other number
+/// form must be a non-negative integral f64 below 2^64.
+fn address(n: Number<'_>) -> Option<u64> {
+    match n {
+        Number::Digits(text) => text.parse().ok(),
+        Number::Float(n) => {
+            ((0.0..u64::MAX as f64).contains(&n) && n.fract() == 0.0).then_some(n as u64)
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::histogram::LocalHistogram;
+    use crate::json::JsonValue;
     use crate::trace::{EventTrace, TraceConfig};
 
     /// A snapshot holding just these counters.
@@ -499,7 +630,7 @@ mod tests {
             "a span without a name must not parse silently"
         );
         assert!(Snapshot::from_json_str("{\"spans\":[7]}").is_err());
-        // Wrong-path event PCs can sit near 2^64; they read back rounded.
+        // Wrong-path event PCs can sit near 2^64; they read back exactly.
         let far = "{\"events\":[{\"kind\":\"resteer\",\"pc\":18446744072699480064}]}";
         let far = Snapshot::from_json_str(far).unwrap();
         assert_eq!(far.events[0].pc, 18_446_744_072_699_480_064);
@@ -517,6 +648,26 @@ mod tests {
             "{\"spans\":[{\"name\":\"s\",\"depth\":4294967296}]}",
         ] {
             assert!(Snapshot::from_json_str(doc).is_err(), "{doc}");
+        }
+    }
+
+    /// A pc is an address, not a count: wrong-path ones near 2^64 read
+    /// back as written, not as their nearest f64 (which for `u64::MAX` is
+    /// 2^64 and no address at all).
+    #[test]
+    fn event_pcs_read_back_exactly() {
+        for pc in [u64::MAX, u64::MAX - 1, 18_446_744_072_699_481_536] {
+            let snap = Snapshot {
+                events: vec![Event {
+                    cycle: 5,
+                    kind: EventKind::PrefetchIssue,
+                    pc,
+                    arg: 1,
+                }],
+                ..Snapshot::default()
+            };
+            let back = Snapshot::from_json_str(&snap.to_json_string());
+            assert_eq!(back, Ok(snap), "pc {pc:#x}");
         }
     }
 
