@@ -16,13 +16,13 @@ use skia_bench::{bench_workload, run_sim};
 use skia_experiments::{workload, StandingConfig, Sweep};
 use skia_frontend::{FrontendConfig, Simulator};
 use skia_runner::thread_count;
-use skia_workloads::{load_or_record_trace, profile, Program, RecordedTrace};
+use skia_workloads::{load_or_record_trace_in, profile, Program, RecordedTrace};
 
 const BENCHES: [&str; 3] = ["tpcc", "voter", "kafka"];
 const STEPS: usize = 2_000;
 
 fn sweep_jobs(threads: usize) -> usize {
-    let mut sweep = Sweep::new(threads).quiet();
+    let mut sweep = Sweep::new(threads, None).quiet();
     for name in BENCHES {
         for config in [
             StandingConfig::Btb(8192).frontend(),
@@ -40,7 +40,7 @@ fn sweep_throughput(c: &mut Criterion) {
     // Warm the in-process workload memo so the benchmark measures sweep
     // execution, not first-touch program generation.
     for name in BENCHES {
-        let _ = workload(name);
+        let _ = workload(name, None);
     }
     c.bench_function("sweep_12_jobs_1_thread", |b| b.iter(|| sweep_jobs(1)));
     let n = thread_count(None);
@@ -97,23 +97,22 @@ fn trace_cache(c: &mut Criterion) {
     // later process pays (deserialize the stored columns). Uses a private
     // cache dir so the benchmark never races the default target/skia-cache.
     let dir = std::env::temp_dir().join(format!("skia-bench-trace-cache-{}", std::process::id()));
-    std::env::set_var("SKIA_CACHE", &dir);
+    let cache = Some(dir.as_path());
     let p = profile("tpcc").expect("tpcc profile");
     let program = Program::generate(&p.spec);
     let trip = p.spec.mean_trip_count;
     // Populate the cache once so the warm case is a guaranteed disk hit.
-    let _ = load_or_record_trace(&program, &p.spec, p.trace_seed, trip, STEPS);
+    let _ = load_or_record_trace_in(cache, &program, &p.spec, p.trace_seed, trip, STEPS);
     c.bench_function("trace_cache_cold_record_2k", |b| {
         b.iter(|| RecordedTrace::record(&program, p.trace_seed, trip, STEPS).len())
     });
     c.bench_function("trace_cache_warm_hit_2k", |b| {
         b.iter(|| {
-            load_or_record_trace(&program, &p.spec, p.trace_seed, trip, STEPS)
+            load_or_record_trace_in(cache, &program, &p.spec, p.trace_seed, trip, STEPS)
                 .0
                 .len()
         })
     });
-    std::env::remove_var("SKIA_CACHE");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,14 +4,14 @@
 //! with timing; this binary prints the metric table.)
 
 use skia_core::{IndexPolicy, SbbConfig, SkiaConfig};
-use skia_experiments::{geomean, row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{geomean, row, Args, StandingConfig, Sweep};
 use skia_frontend::FrontendConfig;
 
 const BENCHES: [&str; 5] = ["tpcc", "voter", "kafka", "dotty", "ycsb"];
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.filter_names(&BENCHES);
 

@@ -3,58 +3,40 @@
 //! that the synthetic workloads land in the paper's qualitative regime
 //! (L1-I MPKI > 10, high BTB miss L1-I residency, Skia speedups).
 
-use skia_experiments::{steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{Args, StandingConfig, Sweep};
 use skia_frontend::FrontendConfig;
 
 fn main() {
-    let steps = steps_from_env();
-    let args = Args::parse_with_names();
+    let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
-    let names: Vec<String> = if args.names.is_empty() {
-        args.benchmarks().iter().map(|s| s.to_string()).collect()
-    } else {
-        args.names.clone()
+    // `--bench` may also name `verilator_prebolt`, outside the paper's 16.
+    let names = match args.bench.as_deref() {
+        Some(name) => vec![name],
+        None => args.benchmarks(),
     };
 
-    let mut skia_cfg = skia_core::SkiaConfig::default();
-    if let Ok(p) = std::env::var("SKIA_POLICY") {
-        skia_cfg.index_policy = match p.as_str() {
-            "zero" => skia_core::IndexPolicy::Zero,
-            "merge" => skia_core::IndexPolicy::Merge,
-            _ => skia_core::IndexPolicy::First,
-        };
-    }
-    let verbose = std::env::var("SKIA_VERBOSE").is_ok();
-
-    // Per benchmark: base, skia, and (verbose only) the 100× SBB ceiling
-    // run, in the original serial order.
+    // Per benchmark: base, skia, and the 100× SBB ceiling run, in the
+    // original serial order.
     let mut sweep = Sweep::from_args(&args);
-    let ids: Vec<(usize, usize, Option<usize>)> = names
+    let ids: Vec<(usize, usize, usize)> = names
         .iter()
         .map(|name| {
             let base = sweep.add(name, StandingConfig::Btb(8192).frontend(), steps);
-            let skia = sweep.add(
+            let skia = sweep.add(name, StandingConfig::BtbPlusSkia(8192).frontend(), steps);
+            // Rescue ceiling: a 100× SBB shows whether the limit is SBB
+            // capacity or shadow-decode opportunity.
+            let huge = skia_core::SkiaConfig {
+                sbb: skia_core::SkiaConfig::default().sbb.scaled(100.0),
+                ..skia_core::SkiaConfig::default()
+            };
+            let ceiling = sweep.add(
                 name,
                 FrontendConfig::alder_lake_like()
                     .with_btb_entries(8192)
-                    .with_skia(skia_cfg),
+                    .with_skia(huge),
                 steps,
             );
-            let ceiling = verbose.then(|| {
-                // Rescue ceiling: a 100× SBB shows whether the limit is SBB
-                // capacity or shadow-decode opportunity.
-                let huge = skia_core::SkiaConfig {
-                    sbb: skia_core::SkiaConfig::default().sbb.scaled(100.0),
-                    ..skia_core::SkiaConfig::default()
-                };
-                sweep.add(
-                    name,
-                    FrontendConfig::alder_lake_like()
-                        .with_btb_entries(8192)
-                        .with_skia(huge),
-                    steps,
-                )
-            });
             (base, skia, ceiling)
         })
         .collect();
@@ -90,42 +72,40 @@ fn main() {
             sk.bogus_uses,
             base.cond_mpki(),
         );
-        if let Some(ceiling_id) = ceiling_id {
-            println!(
-                "    sbd: headReg={} headValid={} headDisc={} headBr={} tailReg={} tailBr={}",
-                sk.sbd.head_regions,
-                sk.sbd.head_regions_valid,
-                sk.sbd.head_regions_discarded,
-                sk.sbd.head_branches,
-                sk.sbd.tail_regions,
-                sk.sbd.tail_branches
-            );
-            println!(
-                "    sbb: uIns={} rIns={} uHits={} rHits={} filtered={} | miss breakdown: {:?}",
-                sk.sbb.u_inserts,
-                sk.sbb.r_inserts,
-                sk.sbb.u_hits,
-                sk.sbb.r_hits,
-                sk.filtered_known,
-                base.btb_misses_by_kind
-            );
-            println!(
-                "    resteers: dec={} exec={} bogus={} | missTaken={} rescuable={} wrongPathBlocks={}",
-                base.decode_resteers,
-                base.exec_resteers,
-                base.bogus_resteers,
-                base.btb_miss_taken,
-                base.btb_miss_rescuable,
-                base.wrong_path_blocks
-            );
-            let ceiling = &stats[ceiling_id];
-            println!(
-                "    ceiling: rescues/KI={:.2} (rescuable/KI={:.2}, seenBefore/KI={:.2})",
-                ceiling.sbb_rescues as f64 * 1000.0 / ceiling.instructions as f64,
-                ceiling.btb_miss_rescuable as f64 * 1000.0 / ceiling.instructions as f64,
-                ceiling.rescuable_seen_before as f64 * 1000.0 / ceiling.instructions as f64,
-            );
-        }
+        println!(
+            "    sbd: headReg={} headValid={} headDisc={} headBr={} tailReg={} tailBr={}",
+            sk.sbd.head_regions,
+            sk.sbd.head_regions_valid,
+            sk.sbd.head_regions_discarded,
+            sk.sbd.head_branches,
+            sk.sbd.tail_regions,
+            sk.sbd.tail_branches
+        );
+        println!(
+            "    sbb: uIns={} rIns={} uHits={} rHits={} filtered={} | miss breakdown: {:?}",
+            sk.sbb.u_inserts,
+            sk.sbb.r_inserts,
+            sk.sbb.u_hits,
+            sk.sbb.r_hits,
+            sk.filtered_known,
+            base.btb_misses_by_kind
+        );
+        println!(
+            "    resteers: dec={} exec={} bogus={} | missTaken={} rescuable={} wrongPathBlocks={}",
+            base.decode_resteers,
+            base.exec_resteers,
+            base.bogus_resteers,
+            base.btb_miss_taken,
+            base.btb_miss_rescuable,
+            base.wrong_path_blocks
+        );
+        let ceiling = &stats[ceiling_id];
+        println!(
+            "    ceiling: rescues/KI={:.2} (rescuable/KI={:.2}, seenBefore/KI={:.2})",
+            ceiling.sbb_rescues as f64 * 1000.0 / ceiling.instructions as f64,
+            ceiling.btb_miss_rescuable as f64 * 1000.0 / ceiling.instructions as f64,
+            ceiling.rescuable_seen_before as f64 * 1000.0 / ceiling.instructions as f64,
+        );
     }
     em.finish();
 }

@@ -6,18 +6,17 @@
 //!
 //! Development tool, not a paper figure.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use skia_experiments::{steps_from_env, workload, Args};
-use skia_frontend::FrontendConfig;
+use skia_experiments::{workload, Args, StandingConfig, Sweep};
 use skia_workloads::Walker;
 
 fn main() {
-    let args = Args::parse_with_names();
-    let name = args.names.first().cloned().unwrap_or_else(|| "tpcc".into());
-    let steps = steps_from_env();
+    let args = Args::parse();
+    let name = args.bench.as_deref().unwrap_or("tpcc");
+    let steps = args.steps;
     let mut em = args.emitter();
-    let w = workload(&name);
+    let w = workload(name, args.cache.as_deref());
     let program = &w.program;
 
     // Pass 1: execution frequency of every block (oracle trace walk).
@@ -39,10 +38,11 @@ fn main() {
         }
     }
 
-    // Pass 2: simulate baseline, recording distinct rescuable missing PCs.
-    let mut sim_cfg = FrontendConfig::alder_lake_like().with_btb_entries(8192);
-    sim_cfg.skia = Some(skia_core::SkiaConfig::default());
-    let stats = w.run_emit(sim_cfg, steps, &mut em);
+    // Pass 2: simulate the 8K-entry BTB with Skia for the dynamic
+    // rescuable-miss and rescue rates.
+    let mut sweep = Sweep::from_args(&args);
+    sweep.add(name, StandingConfig::BtbPlusSkia(8192).frontend(), steps);
+    let stats = sweep.run(&mut em).remove(0);
 
     // Index hot exits/entries by cache line for O(1) classification.
     let hot_n = 8;
@@ -94,10 +94,6 @@ fn main() {
             }
         }
     }
-
-    let seen = stats.skia.as_ref().map(|_| 0).unwrap_or(0);
-    let _ = seen;
-    let _: HashSet<u64> = HashSet::new();
 
     println!("workload {name}: {} static SBB-eligible branches", total);
     println!(

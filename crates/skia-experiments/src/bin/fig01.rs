@@ -5,11 +5,11 @@
 //! Paper's headline observation: at 8K entries ~75% of BTB misses are
 //! resident in the L1-I.
 
-use skia_experiments::{f2, pct, row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{f2, pct, row, Args, StandingConfig, Sweep};
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
     let sizes = [1024usize, 2048, 4096, 8192, 16384];

@@ -5,11 +5,11 @@
 //! Paper's shape: Skia beats spending the same 12.25 KB on BTB entries at
 //! every size until saturation near the infinite-BTB ceiling.
 
-use skia_experiments::{f2, geomean, row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{f2, geomean, row, Args, StandingConfig, Sweep};
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
     let sizes = [4096usize, 8192, 16384, 32768];

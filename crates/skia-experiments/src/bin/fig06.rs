@@ -5,12 +5,12 @@
 //! OLTP workloads (voter, sibench) are call/return heavy; kafka is
 //! conditional-heavy.
 
-use skia_experiments::{row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{row, Args, StandingConfig, Sweep};
 use skia_isa::BranchKind;
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
 

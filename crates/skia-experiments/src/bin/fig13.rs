@@ -10,11 +10,11 @@
 //! in for the checkpointed gem5 window). Divergence between the two shows
 //! how representative the measurement window is.
 
-use skia_experiments::{f2, row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{f2, row, Args, StandingConfig, Sweep};
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
     let long_steps = steps * 4;

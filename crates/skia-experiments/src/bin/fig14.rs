@@ -7,12 +7,12 @@
 //! speedometer2.0) gain least; voter and sibench gain most.
 
 use skia_core::SkiaConfig;
-use skia_experiments::{geomean, row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{geomean, row, Args, StandingConfig, Sweep};
 use skia_frontend::FrontendConfig;
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
 

@@ -2,11 +2,11 @@
 //! missing branch's cache line was L1-I-resident at prediction time
 //! (8K-entry BTB).
 
-use skia_experiments::{f2, row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{f2, row, Args, StandingConfig, Sweep};
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
 

@@ -7,11 +7,11 @@
 //! though the BTB still missed, so the Skia column reports *effective*
 //! misses (misses that actually disturbed the front-end).
 
-use skia_experiments::{f2, row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{f2, row, Args, StandingConfig, Sweep};
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
 

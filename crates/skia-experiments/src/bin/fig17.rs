@@ -5,12 +5,12 @@
 //! paper's preferred U:R entry ratio, to find the saturation point.
 
 use skia_core::{SbbConfig, SkiaConfig};
-use skia_experiments::{geomean, row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{geomean, row, Args, StandingConfig, Sweep};
 use skia_frontend::FrontendConfig;
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
 

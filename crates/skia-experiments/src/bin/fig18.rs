@@ -4,11 +4,11 @@
 //! Paper's shape: voter and sibench show the largest reductions thanks to
 //! their high direct-call/return frequency (§6.3).
 
-use skia_experiments::{row, steps_from_env, Args, StandingConfig, Sweep};
+use skia_experiments::{row, Args, StandingConfig, Sweep};
 
 fn main() {
-    let steps = steps_from_env();
     let args = Args::parse();
+    let steps = args.steps;
     let mut em = args.emitter();
     let benches = args.benchmarks();
 

@@ -23,7 +23,7 @@ fn main() {
 
     for name in names {
         let p = profile(name).expect("known benchmark");
-        let prog = skia_workloads::load_or_generate(&p.spec);
+        let prog = skia_workloads::load_or_generate_in(args.cache.as_deref(), &p.spec);
         row(&[
             p.name.to_string(),
             p.suite.to_string(),

@@ -1,13 +1,16 @@
 //! Diagnostic: trace-concentration statistics for one workload (development
-//! tool; not a paper figure). Usage: `trace_probe <benchmark>`.
-use skia_experiments::{steps_from_env, Workload};
+//! tool; not a paper figure). Usage: `trace_probe [--bench <benchmark>]`
+//! (default sibench).
+use skia_experiments::{Args, Workload};
 use skia_workloads::Walker;
 use std::collections::HashMap;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "sibench".into());
-    let steps = steps_from_env();
-    let w = Workload::by_name(&name);
+    let args = Args::parse();
+    let mut em = args.emitter();
+    let name = args.bench.as_deref().unwrap_or("sibench");
+    let steps = args.steps;
+    let w = Workload::by_name(name, args.cache.as_deref());
     let mut blocks: HashMap<u64, u64> = HashMap::new();
     let mut fns: HashMap<u32, u64> = HashMap::new();
     let mut insns = 0u64;
@@ -52,4 +55,5 @@ fn main() {
         top100 as f64 * 100.0 / total as f64
     );
     println!("kind mix: {:?} (cond,uncond,call,ret,ijmp,icall)", kinds);
+    em.finish();
 }

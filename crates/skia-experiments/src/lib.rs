@@ -7,7 +7,8 @@
 //! report formatting.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -17,7 +18,7 @@ use skia_frontend::{FrontendConfig, SimStats, Simulator};
 use skia_telemetry::{Snapshot, TraceConfig};
 use skia_workloads::profiles::PAPER_BENCHMARKS;
 use skia_workloads::{
-    load_or_record_trace, profile, Profile, Program, RecordedTrace, TraceCacheOutcome, Walker,
+    load_or_record_trace_in, profile, Profile, Program, RecordedTrace, TraceCacheOutcome, Walker,
 };
 
 pub mod report;
@@ -32,32 +33,6 @@ pub use skia_runner::{thread_count, SweepReport};
 /// workloads (the paper warms 10M and measures 100M on real ones).
 pub const DEFAULT_STEPS: usize = 400_000;
 
-/// Resolve the step budget: `SKIA_STEPS` env var overrides the default so
-/// quick sanity runs and long calibration runs use the same binaries. A
-/// value that is not a positive integer exits with status 2, like a bad
-/// `--threads`: running the default instead would print a plausible table
-/// for a run nobody asked for.
-#[must_use]
-pub fn steps_from_env() -> usize {
-    let value = std::env::var_os("SKIA_STEPS").map(|v| v.to_string_lossy().into_owned());
-    parse_steps(value.as_deref()).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    })
-}
-
-/// The testable core of [`steps_from_env`]: unset means [`DEFAULT_STEPS`],
-/// and anything but a positive integer is an error naming `SKIA_STEPS`.
-fn parse_steps(value: Option<&str>) -> Result<usize, String> {
-    let Some(v) = value else {
-        return Ok(DEFAULT_STEPS);
-    };
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("SKIA_STEPS={v:?}: not a positive integer")),
-    }
-}
-
 /// A materialized benchmark: profile + generated program.
 pub struct Workload {
     /// The profile this workload was built from.
@@ -67,16 +42,17 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Build a named benchmark.
+    /// Build a named benchmark, loading its program from the cache in
+    /// `cache` when present (`None` disables the disk cache).
     ///
     /// # Panics
     ///
     /// Panics if `name` is not one of the paper's benchmarks (or
     /// `verilator_prebolt`).
     #[must_use]
-    pub fn by_name(name: &str) -> Workload {
+    pub fn by_name(name: &str, cache: Option<&Path>) -> Workload {
         let profile = profile(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-        let program = skia_workloads::load_or_generate(&profile.spec);
+        let program = skia_workloads::load_or_generate_in(cache, &profile.spec);
         Workload { profile, program }
     }
 
@@ -93,32 +69,18 @@ impl Workload {
         sim.run(trace)
     }
 
-    /// Run one simulation and also export the full telemetry [`Snapshot`]
-    /// (every simulator counter, histograms, and — when `trace_config` is
-    /// `Some` — the sampled event trace).
+    /// Record (or load from the trace cache in `cache`) `steps` walker steps
+    /// for this workload. The cache key is the workload's program spec plus
+    /// its walker parameters, so a cached trace can never be replayed
+    /// against the wrong program.
     #[must_use]
-    pub fn run_instrumented(
+    pub fn record_trace(
         &self,
-        config: FrontendConfig,
         steps: usize,
-        trace_config: Option<TraceConfig>,
-    ) -> (SimStats, Snapshot) {
-        let trace = Walker::new(
-            &self.program,
-            self.profile.trace_seed,
-            self.profile.spec.mean_trip_count,
-        )
-        .take(steps);
-        skia_frontend::run_instrumented(&self.program, config, trace_config, trace)
-    }
-
-    /// Record (or load from the disk trace cache) `steps` walker steps for
-    /// this workload. The cache key is the workload's program spec plus its
-    /// walker parameters, so a cached trace can never be replayed against
-    /// the wrong program.
-    #[must_use]
-    pub fn record_trace(&self, steps: usize) -> (RecordedTrace, TraceCacheOutcome) {
-        load_or_record_trace(
+        cache: Option<&Path>,
+    ) -> (RecordedTrace, TraceCacheOutcome) {
+        load_or_record_trace_in(
+            cache,
             &self.program,
             &self.profile.spec,
             self.profile.trace_seed,
@@ -147,8 +109,9 @@ impl Workload {
         sim.run(trace.replay().take(steps))
     }
 
-    /// [`Workload::run_trace`] with full telemetry export (the replay
-    /// counterpart of [`Workload::run_instrumented`]).
+    /// [`Workload::run_trace`] that also exports the full telemetry
+    /// [`Snapshot`] (every simulator counter, histograms, and — when
+    /// `trace_config` is `Some` — the sampled event trace).
     #[must_use]
     pub fn run_instrumented_trace(
         &self,
@@ -165,26 +128,6 @@ impl Workload {
             trace.replay().take(steps),
         )
     }
-
-    /// Run one simulation, recording its telemetry into `emitter` when the
-    /// binary was invoked with `--emit-json <path>` (a plain [`Workload::run`]
-    /// otherwise).
-    #[must_use]
-    pub fn run_emit(
-        &self,
-        config: FrontendConfig,
-        steps: usize,
-        emitter: &mut JsonEmitter,
-    ) -> SimStats {
-        match emitter.trace_config() {
-            None => self.run(config, steps),
-            tc => {
-                let (stats, snapshot) = self.run_instrumented(config, steps, tc);
-                emitter.record(&snapshot);
-                stats
-            }
-        }
-    }
 }
 
 /// Process-wide [`Workload`] memo keyed by benchmark name.
@@ -195,8 +138,10 @@ impl Workload {
 /// once per process and shared by `Arc`. Each name gets its own cell so
 /// distinct benchmarks can generate concurrently while a second request for
 /// the *same* name blocks on the first instead of duplicating the work.
+/// The first request for a name decides which cache directory serves it;
+/// a process runs with one.
 #[must_use]
-pub fn workload(name: &str) -> Arc<Workload> {
+pub fn workload(name: &str, cache: Option<&Path>) -> Arc<Workload> {
     type Cell = Arc<OnceLock<Arc<Workload>>>;
     static MEMO: OnceLock<Mutex<HashMap<String, Cell>>> = OnceLock::new();
     let cell = {
@@ -206,7 +151,7 @@ pub fn workload(name: &str) -> Arc<Workload> {
             .expect("workload memo poisoned");
         map.entry(name.to_string()).or_default().clone()
     };
-    cell.get_or_init(|| Arc::new(Workload::by_name(name)))
+    cell.get_or_init(|| Arc::new(Workload::by_name(name, cache)))
         .clone()
 }
 
@@ -221,8 +166,6 @@ struct TraceStats {
     recorded: AtomicU64,
     /// Column bytes of live recordings.
     recorded_bytes: AtomicU64,
-    /// Requests satisfied by the in-process memo without touching disk.
-    memo_hits: AtomicU64,
     /// Sweep jobs that replayed an already-prepared trace instead of
     /// walking (jobs − unique workloads, summed over sweeps).
     replay_reuses: AtomicU64,
@@ -234,7 +177,6 @@ static TRACE_STATS: TraceStats = TraceStats {
     disk_hits: AtomicU64::new(0),
     recorded: AtomicU64::new(0),
     recorded_bytes: AtomicU64::new(0),
-    memo_hits: AtomicU64::new(0),
     replay_reuses: AtomicU64::new(0),
     prepare_micros: AtomicU64::new(0),
 };
@@ -254,111 +196,89 @@ static SIM_TOTALS: SimTotals = SimTotals {
     busy_micros: AtomicU64::new(0),
 };
 
-/// Process-wide [`RecordedTrace`] memo keyed by benchmark name, holding the
-/// longest trace requested so far for each workload (a longer request
-/// replaces the entry; shorter requests are served as exact prefixes by
-/// `Replay::take`, which walker determinism makes equal to a shorter walk).
-#[must_use]
-pub fn recorded_trace(name: &str, steps: usize) -> Arc<RecordedTrace> {
-    static MEMO: OnceLock<Mutex<HashMap<String, Arc<RecordedTrace>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(t) = memo.lock().expect("trace memo poisoned").get(name) {
-        if t.len() >= steps {
-            TRACE_STATS.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return t.clone();
-        }
-    }
-    // Record (or disk-load) outside the lock so distinct benchmarks prepare
-    // concurrently; the sweep prepare phase dedupes names, so duplicated
-    // same-name work is not a steady-state concern.
-    let w = workload(name);
-    let (trace, outcome) = w.record_trace(steps);
-    match outcome {
-        TraceCacheOutcome::DiskHit => {
-            TRACE_STATS.disk_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        TraceCacheOutcome::Recorded => {
-            TRACE_STATS.recorded.fetch_add(1, Ordering::Relaxed);
-            TRACE_STATS
-                .recorded_bytes
-                .fetch_add(trace.byte_size() as u64, Ordering::Relaxed);
-        }
-    }
-    let trace = Arc::new(trace);
-    let mut map = memo.lock().expect("trace memo poisoned");
-    let entry = map.entry(name.to_string()).or_insert_with(|| trace.clone());
-    if entry.len() < trace.len() {
-        *entry = trace.clone();
-    }
-    entry.clone()
-}
-
-/// Parsed command line of an experiment binary.
+/// The run configuration of an experiment binary: parsed once, at the edge,
+/// from its command line and environment, and passed down from here. No
+/// library crate reads the environment.
 ///
-/// Every binary accepts the same flags; unknown flags are fatal (a typo'd
-/// `--emit-jsonn` used to silently run uninstrumented):
+/// Flags (unknown flags are fatal — a typo'd `--emit-jsonn` used to silently
+/// run uninstrumented):
 ///
 /// * `--emit-json <path>` — write the merged telemetry snapshot to `path`.
-/// * `--bench <name>` — restrict the sweep to one benchmark.
-/// * `--threads <n>` — worker threads (overrides `SKIA_THREADS`; default
+/// * `--bench <name>` — restrict the run to one benchmark.
+/// * `--threads <n>` — worker threads (overrides `SKIA_THREADS`).
+///
+/// Environment knobs:
+///
+/// * `SKIA_STEPS` — trace length per run (default [`DEFAULT_STEPS`]).
+/// * `SKIA_THREADS` — worker threads (default
 ///   [`std::thread::available_parallelism`]).
-#[derive(Debug, Clone, Default)]
+/// * `SKIA_CACHE` — program and trace cache directory, by
+///   [`skia_workloads::resolve_cache_dir`]'s rule.
+/// * `SKIA_SPANS` — span profiling, `1`/`on`/`true` or `0`/`off`/`false`
+///   (default: on exactly under `--emit-json`).
+///
+/// A malformed flag or knob value exits with status 2, naming it: running
+/// the default instead would print a plausible table for a run nobody
+/// asked for.
+#[derive(Debug, Clone)]
 pub struct Args {
     /// `--emit-json` target, if given.
     pub emit_json: Option<PathBuf>,
     /// `--bench` filter, if given (validated against the known profiles).
     pub bench: Option<String>,
-    /// `--threads` override, if given.
+    /// Requested worker threads (`--threads`, else `SKIA_THREADS`); `None`
+    /// means one per core.
     pub threads: Option<usize>,
-    /// Positional benchmark names (only binaries using
-    /// [`Args::parse_with_names`] accept these).
-    pub names: Vec<String>,
+    /// Trace length (true-path basic blocks) per benchmark run.
+    pub steps: usize,
+    /// On-disk program and trace cache (`None` disables it).
+    pub cache: Option<PathBuf>,
+    /// Whether span profiling is on.
+    pub spans: bool,
+}
+
+impl Default for Args {
+    /// The configuration of a run with no flags and no knobs set.
+    fn default() -> Args {
+        Args::parse_from(&[], |_| None).expect("no flags and no knobs is a valid run")
+    }
 }
 
 impl Args {
-    /// Parse the process arguments; positional arguments are rejected.
+    /// Parse the process arguments and environment, then arm span
+    /// profiling to match. Any malformed flag or knob exits with status 2
+    /// and a usage line.
     #[must_use]
     pub fn parse() -> Args {
-        Self::parse_impl(false)
-    }
-
-    /// Parse the process arguments, collecting positional benchmark names
-    /// into [`Args::names`] (used by `calibrate` and the probes).
-    #[must_use]
-    pub fn parse_with_names() -> Args {
-        Self::parse_impl(true)
-    }
-
-    fn parse_impl(allow_names: bool) -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse_from(&argv, allow_names) {
+        match Self::parse_from(&argv, |knob| std::env::var_os(knob)) {
             Ok(args) => {
-                // Anchor the process time origin for `run.wall_seconds`,
-                // then arm the span layer: `--emit-json` turns profiling
-                // spans on by default, `SKIA_SPANS=1/0` forces either way.
+                // Anchor the process time origin for `run.wall_seconds`.
                 // Spans never write to stdout, so tables stay byte-identical.
                 let _ = skia_telemetry::span::epoch();
-                skia_telemetry::init_spans_from_env(args.emit_json.is_some());
+                skia_telemetry::set_spans_enabled(args.spans);
                 args
             }
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
-                    "usage: {} [--emit-json <path>] [--bench <name>] [--threads <n>]{}",
+                    "usage: {} [--emit-json <path>] [--bench <name>] [--threads <n>]",
                     std::env::args()
                         .next()
                         .unwrap_or_else(|| "experiment".into()),
-                    if allow_names { " [benchmark...]" } else { "" },
                 );
                 std::process::exit(2);
             }
         }
     }
 
-    /// The testable core: parse an argument list, returning a message for
-    /// the first unknown flag, missing value, or invalid benchmark.
-    fn parse_from(argv: &[String], allow_names: bool) -> Result<Args, String> {
-        let mut args = Args::default();
+    /// The testable core: parse an argument list and the knobs `env` looks
+    /// up, returning a message for the first unknown flag, missing value,
+    /// invalid benchmark, or malformed knob.
+    fn parse_from(argv: &[String], env: impl Fn(&str) -> Option<OsString>) -> Result<Args, String> {
+        let mut emit_json = None;
+        let mut bench = None;
+        let mut threads = None;
         let mut it = argv.iter();
         let take = |flag: &str,
                     inline: Option<&str>,
@@ -376,7 +296,7 @@ impl Args {
         while let Some(a) = it.next() {
             if a == "--emit-json" || a.starts_with("--emit-json=") {
                 let v = take("--emit-json", a.strip_prefix("--emit-json="), &mut it)?;
-                args.emit_json = Some(PathBuf::from(v));
+                emit_json = Some(PathBuf::from(v));
             } else if a == "--bench" || a.starts_with("--bench=") {
                 let v = take("--bench", a.strip_prefix("--bench="), &mut it)?;
                 if profile(&v).is_none() {
@@ -385,7 +305,7 @@ impl Args {
                         skia_workloads::profile_names().join(", ")
                     ));
                 }
-                args.bench = Some(v);
+                bench = Some(v);
             } else if a == "--threads" || a.starts_with("--threads=") {
                 let v = take("--threads", a.strip_prefix("--threads="), &mut it)?;
                 let n: usize = v
@@ -394,16 +314,46 @@ impl Args {
                 if n == 0 {
                     return Err("--threads 0: need at least one thread".into());
                 }
-                args.threads = Some(n);
+                threads = Some(n);
             } else if a.starts_with('-') {
                 return Err(format!("unknown flag {a}"));
-            } else if allow_names {
-                args.names.push(a.clone());
             } else {
                 return Err(format!("unexpected argument {a}"));
             }
         }
-        Ok(args)
+        let positive = |knob: &str| -> Result<Option<usize>, String> {
+            let Some(v) = env(knob) else { return Ok(None) };
+            let v = v.to_string_lossy();
+            match v.parse::<usize>() {
+                Ok(n) if n > 0 => Ok(Some(n)),
+                _ => Err(format!("{knob}={v:?}: not a positive integer")),
+            }
+        };
+        let steps = positive("SKIA_STEPS")?.unwrap_or(DEFAULT_STEPS);
+        let env_threads = positive("SKIA_THREADS")?;
+        let spans = match env("SKIA_SPANS") {
+            None => emit_json.is_some(),
+            Some(v) => {
+                let v = v.to_string_lossy();
+                match v.to_ascii_lowercase().as_str() {
+                    "1" | "on" | "true" => true,
+                    "0" | "off" | "false" => false,
+                    _ => {
+                        return Err(format!(
+                            "SKIA_SPANS={v:?}: not one of 1, on, true, 0, off, false"
+                        ))
+                    }
+                }
+            }
+        };
+        Ok(Args {
+            threads: threads.or(env_threads),
+            steps,
+            cache: skia_workloads::resolve_cache_dir(env("SKIA_CACHE").as_deref()),
+            spans,
+            emit_json,
+            bench,
+        })
     }
 
     /// The paper's 16 benchmarks, restricted by `--bench` when given.
@@ -419,12 +369,6 @@ impl Args {
             None => all.to_vec(),
             Some(b) => all.iter().copied().filter(|n| n == b).collect(),
         }
-    }
-
-    /// Resolved worker-thread count (`--threads` > `SKIA_THREADS` > cores).
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        skia_runner::thread_count(self.threads)
     }
 
     /// Build the [`JsonEmitter`] for this invocation.
@@ -457,26 +401,29 @@ struct SweepJob {
 #[derive(Debug)]
 pub struct Sweep {
     threads: usize,
+    cache: Option<PathBuf>,
     quiet: bool,
     jobs: Vec<SweepJob>,
 }
 
 impl Sweep {
-    /// An empty sweep that will run on `threads` workers.
+    /// An empty sweep that will run on `threads` workers, with programs and
+    /// traces cached in `cache` (`None` disables the disk cache).
     #[must_use]
-    pub fn new(threads: usize) -> Sweep {
+    pub fn new(threads: usize, cache: Option<PathBuf>) -> Sweep {
         Sweep {
             threads,
+            cache,
             quiet: false,
             jobs: Vec::new(),
         }
     }
 
-    /// An empty sweep on the worker count the parsed [`Args`] resolve
-    /// (`--threads` > `SKIA_THREADS` > cores).
+    /// An empty sweep on the worker count and cache directory of the
+    /// parsed [`Args`].
     #[must_use]
     pub fn from_args(args: &Args) -> Sweep {
-        Sweep::new(args.thread_count())
+        Sweep::new(skia_runner::thread_count(args.threads), args.cache.clone())
     }
 
     /// Suppress the stderr timing summary (benches and tests).
@@ -511,15 +458,15 @@ impl Sweep {
 
     /// Execute every queued job and return their stats in job order,
     /// merging telemetry into `emitter` (also in job order) when it is
-    /// enabled. Prints a runs/sec summary — and per-run wall times under
-    /// `SKIA_VERBOSE` — to stderr, never stdout.
+    /// enabled. Prints a prepare and a runs/sec summary to stderr, never
+    /// stdout.
     ///
     /// Runs in two phases. **Prepare**: the distinct workloads among the
     /// queued jobs are identified (folding each to its longest requested
     /// step count — a recorded trace serves any prefix) and their traces
-    /// are recorded once each, in parallel, through the trace cache and
-    /// process memo. **Simulate**: every job replays its workload's shared
-    /// `Arc<RecordedTrace>` — an N-config sweep walks each trace once, not
+    /// are recorded or loaded once each, in parallel, through the trace
+    /// cache. **Simulate**: every job replays its workload's shared
+    /// [`RecordedTrace`] — an N-config sweep walks each trace once, not
     /// N times, and the simulate phase is RNG- and walker-free. Replay is
     /// bit-identical to the live walk, so results are unchanged.
     pub fn run(self, emitter: &mut JsonEmitter) -> Vec<SimStats> {
@@ -538,10 +485,22 @@ impl Sweep {
                 }
             }
         }
-        let traces: Vec<Arc<RecordedTrace>> =
+        let cache = self.cache.as_deref();
+        let traces: Vec<RecordedTrace> =
             skia_runner::run_indexed(&uniq, self.threads, |_, (name, steps)| {
                 let _g = skia_telemetry::span_with(|| format!("prepare.trace:{name}"));
-                recorded_trace(name, *steps)
+                let (trace, outcome) = workload(name, cache).record_trace(*steps, cache);
+                let counter = match outcome {
+                    TraceCacheOutcome::DiskHit => &TRACE_STATS.disk_hits,
+                    TraceCacheOutcome::Recorded => {
+                        TRACE_STATS
+                            .recorded_bytes
+                            .fetch_add(trace.byte_size() as u64, Ordering::Relaxed);
+                        &TRACE_STATS.recorded
+                    }
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                trace
             });
         let reuses = (self.jobs.len() - uniq.len()) as u64;
         TRACE_STATS
@@ -568,7 +527,7 @@ impl Sweep {
         let tc = emitter.trace_config();
         let (timed, report) = skia_runner::run_timed(&self.jobs, self.threads, |_, job| {
             let _g = skia_telemetry::span_with(|| format!("sim.job:{}", job.bench));
-            let w = workload(&job.bench);
+            let w = workload(&job.bench, cache);
             let trace = &traces[index[job.bench.as_str()]];
             match tc {
                 None => (w.run_trace(job.config.clone(), trace, job.steps), None),
@@ -579,16 +538,6 @@ impl Sweep {
                 }
             }
         });
-        if !self.quiet && std::env::var("SKIA_VERBOSE").is_ok() {
-            for (i, (t, job)) in timed.iter().zip(&self.jobs).enumerate() {
-                eprintln!(
-                    "sweep[{i}]: {} {} steps in {:.3}s",
-                    job.bench,
-                    job.steps,
-                    t.wall.as_secs_f64()
-                );
-            }
-        }
         SIM_TOTALS.steps.fetch_add(
             self.jobs.iter().map(|job| job.steps as u64).sum::<u64>(),
             Ordering::Relaxed,
@@ -620,12 +569,11 @@ impl Sweep {
 
 /// `--emit-json <path>` handling for the experiment binaries.
 ///
-/// When the flag is present, every [`Workload::run_emit`] call runs
-/// instrumented (with a sampled event trace) and its snapshot is merged into
-/// an aggregate; [`JsonEmitter::finish`] adds the process-wide counters and
-/// spans and writes it as JSON to `<path>` (conventionally under
-/// `results/`). Without the flag the emitter is inert and `run_emit`
-/// degrades to a plain run.
+/// When the flag is present, [`Sweep::run`] runs every job instrumented
+/// (with a sampled event trace) and merges its snapshot into an aggregate;
+/// [`JsonEmitter::finish`] adds the process-wide counters and spans and
+/// writes it as JSON to `<path>` (conventionally under `results/`). Without
+/// the flag the emitter is inert and sweeps run plain.
 #[derive(Debug, Default)]
 pub struct JsonEmitter {
     path: Option<PathBuf>,
@@ -641,14 +589,6 @@ impl JsonEmitter {
         capacity: 16 * 1024,
         sample_every: 64,
     };
-
-    /// Build an emitter from the process arguments via the strict [`Args`]
-    /// parser: `--emit-json <path>` (or `=`-joined) enables emission, and
-    /// any unknown flag or stray positional exits with a usage message.
-    #[must_use]
-    pub fn from_args() -> JsonEmitter {
-        Args::parse().emitter()
-    }
 
     /// Whether `--emit-json` was given.
     #[must_use]
@@ -691,10 +631,6 @@ impl JsonEmitter {
         c.insert(
             "trace_cache.recorded_bytes".into(),
             TRACE_STATS.recorded_bytes.load(Ordering::Relaxed),
-        );
-        c.insert(
-            "trace.memo_hits".into(),
-            TRACE_STATS.memo_hits.load(Ordering::Relaxed),
         );
         c.insert(
             "trace.replay_reuses".into(),
@@ -810,9 +746,18 @@ pub fn pct(v: f64) -> String {
 mod tests {
     use super::*;
 
-    fn parse(argv: &[&str]) -> Result<Args, String> {
+    /// Parse `argv` against a fake environment that holds exactly `env`.
+    fn parse_env(argv: &[&str], env: &[(&str, &str)]) -> Result<Args, String> {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        Args::parse_from(&argv, false)
+        Args::parse_from(&argv, |knob| {
+            env.iter()
+                .find(|(name, _)| *name == knob)
+                .map(|(_, v)| OsString::from(v))
+        })
+    }
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_env(argv, &[])
     }
 
     #[test]
@@ -851,24 +796,52 @@ mod tests {
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--emit-json"]).is_err(), "missing value");
         assert!(parse(&["--emit-json="]).is_err(), "empty value");
-        assert!(parse(&["stray"]).is_err(), "positional without names mode");
-    }
-
-    #[test]
-    fn steps_are_the_default_or_a_positive_integer() {
-        assert_eq!(parse_steps(None), Ok(DEFAULT_STEPS));
-        assert_eq!(parse_steps(Some("2000")), Ok(2000));
-        for bad in ["2k", "0", "-1", ""] {
-            let err = parse_steps(Some(bad)).expect_err(bad);
-            assert!(err.contains("SKIA_STEPS"), "{bad:?}: {err}");
+        assert!(parse(&["stray"]).is_err(), "positional arguments");
+        for (knob, bad) in [
+            ("SKIA_THREADS", "two"),
+            ("SKIA_THREADS", "0"),
+            ("SKIA_THREADS", ""),
+            ("SKIA_SPANS", "maybe"),
+            ("SKIA_SPANS", ""),
+        ] {
+            let err = parse_env(&[], &[(knob, bad)]).expect_err(bad);
+            assert!(err.contains(knob), "{knob}={bad:?}: {err}");
         }
     }
 
     #[test]
-    fn args_names_mode_collects_positionals() {
-        let argv: Vec<String> = vec!["tpcc".into(), "voter".into()];
-        let a = Args::parse_from(&argv, true).unwrap();
-        assert_eq!(a.names, vec!["tpcc", "voter"]);
+    fn steps_are_the_default_or_a_positive_integer() {
+        let unset = parse(&[]).unwrap();
+        assert_eq!(unset.steps, DEFAULT_STEPS);
+        let steps = parse_env(&[], &[("SKIA_STEPS", "2000")]).unwrap().steps;
+        assert_eq!(steps, 2000);
+        for bad in ["2k", "0", "-1", ""] {
+            let err = parse_env(&[], &[("SKIA_STEPS", bad)]).expect_err(bad);
+            assert!(err.contains("SKIA_STEPS"), "{bad:?}: {err}");
+        }
+        // The other knobs: unset keeps the default, a valid value sets it.
+        assert_eq!(unset.threads, None, "one worker per core");
+        let threads = |argv: &[&str]| parse_env(argv, &[("SKIA_THREADS", "3")]).unwrap().threads;
+        assert_eq!(threads(&[]), Some(3));
+        assert_eq!(threads(&["--threads", "2"]), Some(2), "the flag wins");
+        let spans = |argv: &[&str], v: &str| parse_env(argv, &[("SKIA_SPANS", v)]).unwrap().spans;
+        assert!(!unset.spans, "off by default");
+        assert!(
+            parse(&["--emit-json", "x.json"]).unwrap().spans,
+            "on under --emit-json"
+        );
+        assert!(!spans(&["--emit-json", "x.json"], "0"));
+        assert!(spans(&[], "ON"));
+        assert!(unset
+            .cache
+            .as_deref()
+            .is_some_and(|dir| dir.ends_with("target/skia-cache")));
+        for off in ["0", "off", "OFF", ""] {
+            let cache = parse_env(&[], &[("SKIA_CACHE", off)]).unwrap().cache;
+            assert_eq!(cache, None, "SKIA_CACHE={off:?} disables the cache");
+        }
+        let cache = parse_env(&[], &[("SKIA_CACHE", "/tmp/c")]).unwrap().cache;
+        assert_eq!(cache, Some(PathBuf::from("/tmp/c")));
     }
 
     #[test]
@@ -882,8 +855,8 @@ mod tests {
 
     #[test]
     fn workload_memo_returns_shared_instance() {
-        let a = workload("tpcc");
-        let b = workload("tpcc");
+        let a = workload("tpcc", None);
+        let b = workload("tpcc", None);
         assert!(Arc::ptr_eq(&a, &b), "same name, same materialization");
     }
 
@@ -891,10 +864,10 @@ mod tests {
     fn sweep_matches_direct_runs_and_is_thread_invariant() {
         let config = FrontendConfig::test_small();
         let steps = 2_000;
-        let direct = workload("tpcc").run(config.clone(), steps);
+        let direct = workload("tpcc", None).run(config.clone(), steps);
 
         for threads in [1, 4] {
-            let mut sweep = Sweep::new(threads).quiet();
+            let mut sweep = Sweep::new(threads, None).quiet();
             let a = sweep.add("tpcc", config.clone(), steps);
             let b = sweep.add("voter", config.clone(), steps);
             let c = sweep.add("tpcc", config.clone(), steps);

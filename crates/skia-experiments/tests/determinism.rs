@@ -8,7 +8,7 @@ const BENCHES: [&str; 3] = ["tpcc", "voter", "kafka"];
 const STEPS: usize = 2_000;
 
 fn sweep_stats(threads: usize) -> Vec<skia_frontend::SimStats> {
-    let mut sweep = Sweep::new(threads).quiet();
+    let mut sweep = Sweep::new(threads, None).quiet();
     for name in BENCHES {
         for config in [
             StandingConfig::Btb(8192).frontend(),
@@ -42,7 +42,7 @@ fn sweep_replay_matches_direct_live_walk() {
     let direct: Vec<_> = BENCHES
         .iter()
         .flat_map(|name| {
-            let w = skia_experiments::workload(name);
+            let w = skia_experiments::workload(name, None);
             [
                 w.run(StandingConfig::Btb(8192).frontend(), STEPS),
                 w.run(StandingConfig::BtbPlusSkia(8192).frontend(), STEPS),
@@ -51,21 +51,4 @@ fn sweep_replay_matches_direct_live_walk() {
         .collect();
     let swept = sweep_stats(1);
     assert_eq!(direct, swept, "replayed sweep diverged from live walks");
-}
-
-/// The process-wide trace memo hands every caller the same recording, and
-/// upgrades in place when a longer walk is requested.
-#[test]
-fn recorded_trace_memo_shares_and_upgrades() {
-    let short = skia_experiments::recorded_trace("tatp", 500);
-    assert!(short.len() >= 500);
-    let again = skia_experiments::recorded_trace("tatp", 200);
-    assert!(
-        std::sync::Arc::ptr_eq(&short, &again),
-        "shorter request must reuse the stored recording"
-    );
-    let long = skia_experiments::recorded_trace("tatp", short.len() + 100);
-    assert!(long.len() >= short.len() + 100);
-    // The upgrade preserves the walk: the old recording is a prefix.
-    assert_eq!(long.prefix(short.len()), (*short).clone());
 }

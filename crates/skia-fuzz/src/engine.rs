@@ -124,32 +124,6 @@ impl FuzzConfig {
             shrink_budget: 300,
         }
     }
-
-    /// Environment-driven config, the `cargo test` entry point:
-    ///
-    /// - `SKIA_FUZZ_ITERS` overrides `default_iters` (CI passes a large
-    ///   value; the default keeps plain `cargo test` fast),
-    /// - `SKIA_FUZZ_SEED` overrides the fixed master seed,
-    /// - `SKIA_FUZZ_MILLIS` adds a wall-clock cap,
-    /// - the corpus persists under `<cache root>/fuzz-corpus/<target>`,
-    ///   honoring `SKIA_CACHE` exactly like the program/trace caches
-    ///   (disabled cache → in-memory corpus).
-    #[must_use]
-    pub fn from_env(target: &str, default_iters: u64) -> FuzzConfig {
-        let parse = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-        };
-        FuzzConfig {
-            seed: parse("SKIA_FUZZ_SEED").unwrap_or(0x5F3A_F022),
-            iters: parse("SKIA_FUZZ_ITERS").unwrap_or(default_iters),
-            time_budget: parse("SKIA_FUZZ_MILLIS").map(Duration::from_millis),
-            corpus_dir: skia_workloads::cache_root()
-                .map(|root| root.join("fuzz-corpus").join(target)),
-            shrink_budget: 300,
-        }
-    }
 }
 
 /// A minimized failure with everything needed to reproduce it.

@@ -27,10 +27,12 @@
 //!   R-SBB against the reference SBB, pinning the §4.3 retired-bit
 //!   replacement priority.
 //!
-//! Determinism: `SKIA_FUZZ_SEED` fixes the mutation RNG (default fixed),
-//! `SKIA_FUZZ_ITERS` the budget, so a session replays exactly. Planted
-//! oracle faults ([`skia_oracle::OracleFault`], [`skia_oracle::SbdFault`])
-//! prove the loop actually finds bugs: see `tests/fuzz.rs`.
+//! Determinism: [`FuzzConfig::seed`] fixes the mutation RNG and
+//! [`FuzzConfig::iters`] the budget, so a session replays exactly (the
+//! `cargo test` harness reads both from `SKIA_FUZZ_SEED` and
+//! `SKIA_FUZZ_ITERS`). Planted oracle faults ([`skia_oracle::OracleFault`],
+//! [`skia_oracle::SbdFault`]) prove the loop actually finds bugs: see
+//! `tests/fuzz.rs`.
 
 pub mod corpus;
 pub mod engine;

@@ -1,14 +1,20 @@
 //! The fuzzing entry points and the proof that the loop finds real bugs.
 //!
-//! Green runs: every target fuzzes under the environment-driven budget
-//! (`SKIA_FUZZ_ITERS` / `SKIA_FUZZ_MILLIS` / `SKIA_FUZZ_SEED`; small
-//! defaults keep plain `cargo test` fast, CI passes a large budget) and
-//! must find nothing — the production front-end and the oracle agree.
+//! Green runs: every target fuzzes under the budget the environment sets
+//! (`SKIA_FUZZ_ITERS` / `SKIA_FUZZ_MILLIS` / `SKIA_FUZZ_SEED`, parsed once
+//! by [`green_config`]; small defaults keep plain `cargo test` fast, CI
+//! passes a large budget) and must find nothing — the production front-end
+//! and the oracle agree.
 //!
 //! Fault rediscovery: with a planted oracle fault the same loop MUST find
 //! a divergence within the budget, minimize it, and emit a
 //! `SKIA_FUZZ_REPLAY` token that reproduces the failure (fault tag
 //! included). One test per planted knob.
+
+use std::ffi::OsString;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+use std::time::Duration;
 
 use skia_fuzz::{
     fuzz, replay, DecodeTarget, FuzzConfig, FuzzTarget, LockstepTarget, SbbTarget, ShadowTarget,
@@ -16,12 +22,82 @@ use skia_fuzz::{
 use skia_oracle::{OracleFault, SbdFault};
 
 // ---------------------------------------------------------------------------
+// Session knobs, parsed once per test process.
+// ---------------------------------------------------------------------------
+
+/// The environment's settings for green runs: mutation budget, master seed
+/// and wall-clock cap per target, and the cache root the corpus lives under.
+#[derive(Debug)]
+struct Knobs {
+    iters: Option<u64>,
+    seed: Option<u64>,
+    millis: Option<u64>,
+    cache: Option<PathBuf>,
+}
+
+/// Read the knobs `env` looks up. `SKIA_CACHE` follows the program and
+/// trace caches' rule; any other malformed value is an error naming its
+/// knob.
+fn parse_knobs(env: impl Fn(&str) -> Option<OsString>) -> Result<Knobs, String> {
+    let number = |knob: &str| -> Result<Option<u64>, String> {
+        let Some(v) = env(knob) else { return Ok(None) };
+        let v = v.to_string_lossy();
+        v.trim()
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{knob}={v:?}: not a non-negative integer"))
+    };
+    Ok(Knobs {
+        iters: number("SKIA_FUZZ_ITERS")?,
+        seed: number("SKIA_FUZZ_SEED")?,
+        millis: number("SKIA_FUZZ_MILLIS")?,
+        cache: skia_workloads::resolve_cache_dir(env("SKIA_CACHE").as_deref()),
+    })
+}
+
+/// The green-run config for `target`: the environment's knobs over
+/// `default_iters` and the fixed seed, with the corpus persisted under
+/// `<cache root>/fuzz-corpus/<target>` (in memory when caching is off).
+fn green_config(target: &str, default_iters: u64) -> FuzzConfig {
+    static KNOBS: OnceLock<Knobs> = OnceLock::new();
+    let knobs = KNOBS.get_or_init(|| {
+        parse_knobs(|knob| std::env::var_os(knob)).unwrap_or_else(|e| panic!("{e}"))
+    });
+    let base = FuzzConfig::ephemeral(knobs.iters.unwrap_or(default_iters));
+    FuzzConfig {
+        seed: knobs.seed.unwrap_or(base.seed),
+        time_budget: knobs.millis.map(Duration::from_millis),
+        corpus_dir: knobs
+            .cache
+            .as_ref()
+            .map(|root| root.join("fuzz-corpus").join(target)),
+        ..base
+    }
+}
+
+#[test]
+fn malformed_knobs_are_errors_naming_the_knob() {
+    for knob in ["SKIA_FUZZ_ITERS", "SKIA_FUZZ_SEED", "SKIA_FUZZ_MILLIS"] {
+        let err = parse_knobs(|k| (k == knob).then(|| "abc".into())).unwrap_err();
+        assert!(err.contains(knob), "{knob}: {err}");
+    }
+    let knobs = parse_knobs(|k| match k {
+        "SKIA_FUZZ_ITERS" => Some("5000".into()),
+        "SKIA_CACHE" => Some("0".into()),
+        _ => None,
+    })
+    .unwrap();
+    assert_eq!(knobs.iters, Some(5000));
+    assert_eq!((knobs.seed, knobs.millis, knobs.cache), (None, None, None));
+}
+
+// ---------------------------------------------------------------------------
 // Green runs: nothing to find when nobody is broken.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn decode_target_is_green() {
-    let report = fuzz(&mut DecodeTarget, &FuzzConfig::from_env("decode", 400));
+    let report = fuzz(&mut DecodeTarget, &green_config("decode", 400));
     assert!(
         report.failure.is_none(),
         "decode target found a real divergence:\n{}",
@@ -32,10 +108,7 @@ fn decode_target_is_green() {
 
 #[test]
 fn shadow_target_is_green() {
-    let report = fuzz(
-        &mut ShadowTarget::new(),
-        &FuzzConfig::from_env("shadow", 150),
-    );
+    let report = fuzz(&mut ShadowTarget::new(), &green_config("shadow", 150));
     assert!(
         report.failure.is_none(),
         "shadow target found a real divergence:\n{}",
@@ -46,7 +119,7 @@ fn shadow_target_is_green() {
 
 #[test]
 fn sbb_target_is_green() {
-    let report = fuzz(&mut SbbTarget::new(), &FuzzConfig::from_env("sbb", 500));
+    let report = fuzz(&mut SbbTarget::new(), &green_config("sbb", 500));
     assert!(
         report.failure.is_none(),
         "sbb target found a real divergence:\n{}",
@@ -57,10 +130,7 @@ fn sbb_target_is_green() {
 
 #[test]
 fn lockstep_target_is_green() {
-    let report = fuzz(
-        &mut LockstepTarget::new(),
-        &FuzzConfig::from_env("lockstep", 8),
-    );
+    let report = fuzz(&mut LockstepTarget::new(), &green_config("lockstep", 8));
     assert!(
         report.failure.is_none(),
         "lockstep target found a real divergence:\n{}",
@@ -163,12 +233,13 @@ fn rediscovers_ignore_retired_bit_in_sbb() {
 /// with the detail. No-op when the variable is unset.
 #[test]
 fn replay_env_case() {
-    let Ok(token) = std::env::var("SKIA_FUZZ_REPLAY") else {
+    let Some(token) = std::env::var_os("SKIA_FUZZ_REPLAY") else {
         return;
     };
+    let token = token.to_string_lossy();
     match replay(&token) {
         Ok(()) => println!("replay clean: {token}"),
-        Err(detail) => panic!("replayed failure for {token}:\n{detail}"),
+        Err(detail) => panic!("SKIA_FUZZ_REPLAY={token:?}:\n{detail}"),
     }
 }
 

@@ -11,6 +11,8 @@
 //! `replay_env_case` replays one encoded case from `SKIA_DIFF_REPLAY` — the
 //! exact command a [`skia_oracle::DivergenceReport`] prints.
 
+use std::ffi::OsString;
+
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -139,14 +141,30 @@ fn fixed_corpus_has_zero_divergences() {
     );
 }
 
+/// The random cases' master seed: the `SKIA_DIFF_SEED` setting if any,
+/// else a fixed default. A malformed value is an error naming the knob.
+fn diff_seed(setting: Option<OsString>) -> Result<u64, String> {
+    let Some(v) = setting else {
+        return Ok(0x0D1F_F5EE_D000_0001);
+    };
+    let v = v.to_string_lossy();
+    v.parse()
+        .map_err(|_| format!("SKIA_DIFF_SEED={v:?}: not a non-negative integer"))
+}
+
+#[test]
+fn diff_seed_is_the_default_or_an_integer() {
+    assert_eq!(diff_seed(None), Ok(0x0D1F_F5EE_D000_0001));
+    assert_eq!(diff_seed(Some("42".into())), Ok(42));
+    let err = diff_seed(Some("abc".into())).unwrap_err();
+    assert!(err.contains("SKIA_DIFF_SEED"), "{err}");
+}
+
 /// 32 random cases from a logged seed (set `SKIA_DIFF_SEED` to reproduce a
 /// CI run locally); each case token is printed before it runs.
 #[test]
 fn random_cases_with_logged_seed() {
-    let seed: u64 = std::env::var("SKIA_DIFF_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x0D1F_F5EE_D000_0001);
+    let seed = diff_seed(std::env::var_os("SKIA_DIFF_SEED")).unwrap_or_else(|e| panic!("{e}"));
     println!("SKIA_DIFF_SEED={seed}");
     let mut rng = SmallRng::seed_from_u64(seed);
     for i in 0..32 {
@@ -308,9 +326,10 @@ fn diff_case_codec_round_trips() {
 /// divergence report). A no-op when the variable is unset.
 #[test]
 fn replay_env_case() {
-    let Ok(token) = std::env::var("SKIA_DIFF_REPLAY") else {
+    let Some(token) = std::env::var_os("SKIA_DIFF_REPLAY") else {
         return;
     };
+    let token = token.to_string_lossy();
     let case = DiffCase::decode(&token)
         .unwrap_or_else(|| panic!("SKIA_DIFF_REPLAY holds an invalid case token: {token:?}"));
     match run_case(&case, None) {

@@ -14,9 +14,10 @@
 //! ones); each worker writes results into its job's pre-allocated slot, so
 //! collection order is the submission order by construction.
 //!
-//! Thread-count resolution (`--threads` flag > `SKIA_THREADS` env var >
-//! [`std::thread::available_parallelism`]) lives here too so every binary
-//! resolves it identically.
+//! The default thread count ([`std::thread::available_parallelism`] when no
+//! count was requested) lives here too so every caller resolves it
+//! identically; reading the request from flags or the environment is the
+//! caller's job.
 
 #![forbid(unsafe_code)]
 
@@ -24,25 +25,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Resolve the worker-thread count for a sweep.
-///
-/// Priority: an explicit `flag` (from `--threads`) wins; otherwise the
-/// `SKIA_THREADS` environment variable; otherwise
-/// [`std::thread::available_parallelism`]. Always at least 1. Unparsable
-/// values fall through to the next source with a warning rather than
-/// silently serializing a sweep.
+/// Resolve the worker-thread count for a sweep: the `requested` count if
+/// any, otherwise [`std::thread::available_parallelism`]. Always at least 1.
 #[must_use]
-pub fn thread_count(flag: Option<usize>) -> usize {
-    if let Some(n) = flag {
-        return n.max(1);
+pub fn thread_count(requested: Option<usize>) -> usize {
+    match requested {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     }
-    if let Ok(v) = std::env::var("SKIA_THREADS") {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => eprintln!("warning: SKIA_THREADS={v} is not a positive integer; using default"),
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// One job's result plus its wall time.

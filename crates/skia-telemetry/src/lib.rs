@@ -63,8 +63,8 @@ pub mod trace;
 pub use histogram::{HistogramSnapshot, LocalHistogram};
 pub use snapshot::Snapshot;
 pub use span::{
-    drain_spans, init_spans_from_env, set_spans_enabled, span, span_with, spans_enabled, SpanGuard,
-    SpanRecord, SpanRollup,
+    drain_spans, set_spans_enabled, span, span_with, spans_enabled, SpanGuard, SpanRecord,
+    SpanRollup,
 };
 pub use trace::{to_chrome_trace, to_chrome_trace_full, Event, EventKind, EventTrace, TraceConfig};
 

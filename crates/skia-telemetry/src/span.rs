@@ -11,8 +11,8 @@
 //!
 //! Profiling is **off by default** and the disabled path is a single
 //! relaxed atomic load: no clock read, no allocation, no lock. Binaries
-//! enable it from the `SKIA_SPANS` environment variable (or automatically
-//! under `--emit-json`); enabling spans never changes any simulation
+//! turn it on with [`set_spans_enabled`] (by default exactly under
+//! `--emit-json`); enabling spans never changes any simulation
 //! result or stdout byte — records flow only into telemetry snapshots,
 //! manifests, and Chrome traces.
 //!
@@ -75,22 +75,6 @@ pub fn set_spans_enabled(on: bool) {
         epoch(); // fix the origin no later than the first enable
     }
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Resolve the `SKIA_SPANS` environment knob against a default:
-/// `1`/`on`/`true` force-enable, `0`/`off`/`false` force-disable, unset or
-/// anything else yields `default_on` (binaries pass "am I emitting
-/// telemetry?"). Returns the resolved state after applying it.
-pub fn init_spans_from_env(default_on: bool) -> bool {
-    let on = match std::env::var("SKIA_SPANS") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true") => true,
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") => {
-            false
-        }
-        _ => default_on,
-    };
-    set_spans_enabled(on);
-    on
 }
 
 /// One completed span.

@@ -6,24 +6,25 @@
 //! `run_experiments.sh` sweep pays 12 × 16 generations for 16 distinct
 //! programs. This module memoizes generation on disk: the serialized
 //! program is stored under a cache directory keyed by a hash of the spec's
-//! canonical byte encoding, and [`load_or_generate`] returns the cached
+//! canonical byte encoding, and [`load_or_generate_in`] returns the cached
 //! image when present.
 //!
-//! The cache directory is `target/skia-cache/` by default; the `SKIA_CACHE`
-//! environment variable overrides it (`SKIA_CACHE=0` or `off` disables
-//! caching entirely). Cache files are versioned and embed the full
-//! canonical spec bytes, so a hash collision or a format change falls back
-//! to regeneration rather than returning a wrong program. All I/O is
-//! best-effort: an unreadable or unwritable cache only costs time, never
-//! correctness. Writes go through a temp file + rename so concurrent
-//! processes never observe a torn entry.
+//! Callers pass the cache directory (`None` disables caching);
+//! [`resolve_cache_dir`] is the one rule that turns a `SKIA_CACHE` setting
+//! into one, `target/skia-cache/` by default. Cache files are versioned and
+//! embed the full canonical spec bytes, so a hash collision or a format
+//! change falls back to regeneration rather than returning a wrong program.
+//! All I/O is best-effort: an unreadable or unwritable cache only costs
+//! time, never correctness. Writes go through a temp file + rename so
+//! concurrent processes never observe a torn entry.
 //!
 //! The serialization is hand-rolled little-endian (the derived indexes are
 //! rebuilt on load, not stored): the format is private to this module and
 //! versioned by [`FORMAT_VERSION`], so it can change freely between
 //! releases — stale files simply miss.
 
-use std::io::Write as _;
+use std::ffi::OsStr;
+use std::io::{Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -89,19 +90,12 @@ const TRACE_FORMAT_VERSION: u32 = 1;
 
 const TRACE_MAGIC: &[u8; 8] = b"SKIATRAC";
 
-/// Generate `spec`'s program, consulting the on-disk cache first.
+/// Generate `spec`'s program, consulting the cache in `dir` first (`None`
+/// disables caching).
 ///
 /// Equivalent to [`Program::generate`] in every observable way — the cached
 /// round trip reproduces the image bytes, ground-truth metadata and derived
 /// indexes exactly (asserted by the round-trip tests below).
-#[must_use]
-pub fn load_or_generate(spec: &ProgramSpec) -> Program {
-    load_or_generate_in(cache_dir().as_deref(), spec)
-}
-
-/// [`load_or_generate`] against an explicit cache directory (`None` disables
-/// caching). Separated so tests can avoid the `SKIA_CACHE` env var, which is
-/// process-global.
 #[must_use]
 pub fn load_or_generate_in(dir: Option<&Path>, spec: &ProgramSpec) -> Program {
     let Some(dir) = dir else {
@@ -118,11 +112,11 @@ pub fn load_or_generate_in(dir: Option<&Path>, spec: &ProgramSpec) -> Program {
     }
     let _g = skia_telemetry::span("program_cache.generate");
     let program = Program::generate(spec);
-    try_store(dir, &path, spec, &program);
+    store(dir, &path, &serialize(spec, &program));
     program
 }
 
-/// How [`load_or_record_trace`] satisfied a request (telemetry).
+/// How [`load_or_record_trace_in`] satisfied a request (telemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceCacheOutcome {
     /// Served from disk — possibly a prefix of a longer stored trace
@@ -134,35 +128,14 @@ pub enum TraceCacheOutcome {
     Recorded,
 }
 
-/// Record `steps` walker steps over `program`, consulting the on-disk trace
-/// cache first.
+/// Record `steps` walker steps over `program`, consulting the trace cache in
+/// `dir` first (`None` disables caching).
 ///
 /// `spec` must be the spec `program` was generated from — its canonical
 /// bytes key and verify the entry exactly as the program cache does, so a
 /// trace can never be replayed against the wrong program. A stored trace
 /// at least as long as the request serves it as a prefix; a shorter one is
 /// replaced by the longer recording.
-#[must_use]
-pub fn load_or_record_trace(
-    program: &Program,
-    spec: &ProgramSpec,
-    seed: u64,
-    mean_trip: u32,
-    steps: usize,
-) -> (RecordedTrace, TraceCacheOutcome) {
-    load_or_record_trace_in(
-        cache_dir().as_deref(),
-        program,
-        spec,
-        seed,
-        mean_trip,
-        steps,
-    )
-}
-
-/// [`load_or_record_trace`] against an explicit cache directory (`None`
-/// disables caching). Separated so tests can avoid the `SKIA_CACHE` env
-/// var, which is process-global.
 pub fn load_or_record_trace_in(
     dir: Option<&Path>,
     program: &Program,
@@ -185,54 +158,44 @@ pub fn load_or_record_trace_in(
     // which case the walk is re-recorded at the longer length below.
     {
         let _g = skia_telemetry::span("trace_cache.load");
-        if let Some(stored) = try_load_trace(&path, spec, seed, mean_trip, Some(steps)) {
-            if stored.len() >= steps {
-                return (stored, TraceCacheOutcome::DiskHit);
-            }
+        let stored = std::fs::File::open(&path)
+            .ok()
+            .and_then(|mut f| read_trace(&mut f, spec, seed, mean_trip, Some(steps)));
+        if let Some(stored) = stored.filter(|t| t.len() >= steps) {
+            return (stored, TraceCacheOutcome::DiskHit);
         }
     }
     let _g = skia_telemetry::span("trace_cache.record");
     let trace = RecordedTrace::record(program, seed, mean_trip, steps);
-    try_store_trace(dir, &path, spec, &trace);
+    store(dir, &path, &serialize_trace(spec, seed, mean_trip, &trace));
     (trace, TraceCacheOutcome::Recorded)
 }
 
-/// Resolve the cache directory: `SKIA_CACHE` env var (a path, or `0`/`off`
-/// to disable), else `skia-cache/` inside the build's target directory.
+/// The one rule for a `SKIA_CACHE` setting, shared by every program that
+/// reads the variable: unset means `skia-cache/` inside the build's target
+/// directory; `0`, `off` or an empty value disables caching (`None`);
+/// anything else is the cache directory itself.
 ///
 /// The default is anchored to the workspace rather than the working
 /// directory — `cargo test` sets each test binary's CWD to its crate root,
 /// and a CWD-relative default would scatter `target/skia-cache/` dirs
 /// across the source tree.
-fn cache_dir() -> Option<PathBuf> {
-    cache_root()
-}
-
-/// The resolved on-disk cache root, honoring `SKIA_CACHE` exactly like the
-/// program and trace caches do (`None` when caching is disabled). Other
-/// subsystems that persist derived artifacts — e.g. the fuzz corpus — anchor
-/// their directories under this root so one env var governs all of them.
 #[must_use]
-pub fn cache_root() -> Option<PathBuf> {
-    match std::env::var("SKIA_CACHE") {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") || v.is_empty() => None,
-        Ok(v) => Some(PathBuf::from(v)),
-        Err(_) => {
+pub fn resolve_cache_dir(setting: Option<&OsStr>) -> Option<PathBuf> {
+    match setting {
+        None => {
             let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
             Some(workspace.join("target").join("skia-cache"))
         }
+        Some(v) if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") => None,
+        Some(v) => Some(PathBuf::from(v)),
     }
 }
 
 /// FNV-1a 64 over the canonical spec encoding — stable across runs and
 /// platforms (unlike `DefaultHasher`, whose output is unspecified).
 fn spec_key(spec: &ProgramSpec) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &spec_bytes(spec) {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    skia_telemetry::fnv1a(&spec_bytes(spec))
 }
 
 /// Canonical byte encoding of a spec: every field in declaration order,
@@ -271,15 +234,7 @@ fn spec_bytes(spec: &ProgramSpec) -> Vec<u8> {
 /// plus the walker parameters. Step count is deliberately excluded — one
 /// entry per walk identity, serving any length up to what it stores.
 fn trace_key(spec: &ProgramSpec, seed: u64, mean_trip: u32) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for &b in &trace_ident(spec, seed, mean_trip) {
-        mix(b);
-    }
-    hash
+    skia_telemetry::fnv1a(&trace_ident(spec, seed, mean_trip))
 }
 
 /// Canonical identity bytes of a trace: spec encoding ++ seed ++ mean_trip.
@@ -515,89 +470,6 @@ fn serialize_trace(
     out
 }
 
-/// Decode a stored trace. `want` bounds how much is *materialized*: when the
-/// stored trace is longer, only the first `want` steps are parsed and the
-/// rest of each column is skipped (columns are contiguous, so the skip is
-/// pure pointer arithmetic). This keeps a cache hit O(requested) even when
-/// the stored recording is much longer — a sweep asking for 20K steps must
-/// not pay to decode a 400K-step file. The returned trace equals
-/// [`RecordedTrace::prefix`] of a full load; the structural checks (magic,
-/// version, exact identity echo, total file size) always cover the whole
-/// file, while per-element validation covers the materialized prefix.
-fn deserialize_trace(
-    bytes: &[u8],
-    spec: &ProgramSpec,
-    seed: u64,
-    mean_trip: u32,
-    want: Option<usize>,
-) -> Option<RecordedTrace> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(TRACE_MAGIC.len())? != TRACE_MAGIC || r.u32()? != TRACE_FORMAT_VERSION {
-        return None;
-    }
-    let ident = trace_ident(spec, seed, mean_trip);
-    let stored_len = usize::try_from(r.u32()?).ok()?;
-    if stored_len != ident.len() || r.take(stored_len)? != ident.as_slice() {
-        return None; // hash collision or different walk identity
-    }
-    let n = r.len(22)?;
-    let keep = match want {
-        Some(w) if w < n => w,
-        _ => n,
-    };
-    let stored_first = r.u64()?;
-    let first_block_start = if keep == 0 { 0 } else { stored_first };
-    let u64_col = |r: &mut Reader| -> Option<Vec<u64>> {
-        let col: Vec<u64> = r.take(keep * 8)?.chunks_exact(8).map(le_u64).collect();
-        r.take((n - keep) * 8)?;
-        Some(col)
-    };
-    let branch_pc = u64_col(&mut r)?;
-    let next_pc = u64_col(&mut r)?;
-    let insns: Vec<u32> = r.take(keep * 4)?.chunks_exact(4).map(le_u32).collect();
-    r.take((n - keep) * 4)?;
-    let kind = r.take(keep)?.to_vec();
-    if kind
-        .iter()
-        .any(|&k| usize::from(k) >= BranchKind::ALL.len())
-    {
-        return None; // out-of-range kind index — corrupt
-    }
-    r.take(n - keep)?;
-    let branch_len = r.take(keep)?.to_vec();
-    r.take(n - keep)?;
-    let mut taken: Vec<u64> = r
-        .take(keep.div_ceil(64) * 8)?
-        .chunks_exact(8)
-        .map(le_u64)
-        .collect();
-    r.take((n.div_ceil(64) - keep.div_ceil(64)) * 8)?;
-    if keep % 64 != 0 {
-        if let Some(last) = taken.last_mut() {
-            let stray = *last & !((1u64 << (keep % 64)) - 1);
-            if keep == n && stray != 0 {
-                return None; // stray bits past the step count — corrupt
-            }
-            // Prefix load: bits past `keep` belong to the stored tail.
-            *last &= (1u64 << (keep % 64)) - 1;
-        }
-    }
-    if r.pos != bytes.len() {
-        return None; // trailing garbage — treat as corrupt
-    }
-    Some(RecordedTrace {
-        seed,
-        mean_trip,
-        first_block_start,
-        branch_pc,
-        next_pc,
-        insns,
-        kind,
-        branch_len,
-        taken,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // File I/O (best-effort)
 // ---------------------------------------------------------------------------
@@ -608,34 +480,34 @@ fn try_load(path: &Path, spec: &ProgramSpec) -> Option<Program> {
     deserialize(&bytes, spec)
 }
 
-/// Load a stored trace, materializing at most `want` steps.
+/// Read a stored trace from `file`, materializing at most `want` steps.
 ///
-/// When the request covers the whole file the file is read and decoded in
-/// one pass. When the stored trace is longer, only the needed byte ranges —
-/// the header plus each column's prefix — are read via seeks, so a hit
-/// costs I/O and decode proportional to the *request*, not to the stored
-/// length (a 20K-step load from a 400K-step file reads ~5% of it). The
-/// structural checks still cover the whole file: magic, version, exact
-/// identity echo, and the file size implied by the stored step count.
-fn try_load_trace(
-    path: &Path,
+/// When the request covers the whole recording, the column area is read in
+/// one pass. When the stored trace is longer, only the header and each
+/// column's prefix are read, one seek and read per column, so a hit costs
+/// I/O and decode proportional to the *request*, not to the stored length
+/// (a 20K-step load from a 400K-step file reads ~5% of it). The returned
+/// trace equals [`RecordedTrace::prefix`] of a full load. The structural
+/// checks always cover the whole file — magic, version, exact identity
+/// echo, and the file size implied by the stored step count — while
+/// per-element checks cover the materialized prefix.
+fn read_trace<F: Read + Seek>(
+    file: &mut F,
     spec: &ProgramSpec,
     seed: u64,
     mean_trip: u32,
     want: Option<usize>,
 ) -> Option<RecordedTrace> {
-    use std::io::{Read as _, Seek as _, SeekFrom};
-
-    let mut f = std::fs::File::open(path).ok()?;
-    let file_len = f.metadata().ok()?.len();
+    let file_len = file.seek(SeekFrom::End(0)).ok()?;
+    file.rewind().ok()?;
     let ident = trace_ident(spec, seed, mean_trip);
     // magic + version + ident_len + ident + n + first_block_start
     let header_len = 8 + 4 + 4 + ident.len() + 8 + 8;
-    if (file_len as usize) < header_len {
+    if file_len < header_len as u64 {
         return None;
     }
     let mut head = vec![0u8; header_len];
-    f.read_exact(&mut head).ok()?;
+    file.read_exact(&mut head).ok()?;
     IO_BYTES_READ.fetch_add(header_len as u64, Ordering::Relaxed);
     let mut r = Reader { buf: &head, pos: 0 };
     if r.take(TRACE_MAGIC.len())? != TRACE_MAGIC || r.u32()? != TRACE_FORMAT_VERSION {
@@ -645,72 +517,73 @@ fn try_load_trace(
         return None; // hash collision or different walk identity
     }
     let n = usize::try_from(r.u64()?).ok()?;
+    let stored_first = r.u64()?;
     let expect = (header_len as u64)
         .checked_add((n as u64).checked_mul(22)?)?
         .checked_add((n.div_ceil(64) as u64).checked_mul(8)?)?;
     if file_len != expect {
         return None; // truncated or trailing garbage — treat as corrupt
     }
-    let keep = match want {
-        Some(w) if w < n => w,
-        _ => n,
-    };
-    if keep == n {
-        // Full load: one contiguous read of the remainder.
-        let mut rest = vec![0u8; file_len as usize - header_len];
-        f.read_exact(&mut rest).ok()?;
-        IO_BYTES_READ.fetch_add(rest.len() as u64, Ordering::Relaxed);
+    let keep = want.map_or(n, |w| w.min(n));
+    // Each column's offset in the column area, and the bytes kept of it.
+    let columns = [
+        (0, keep * 8),
+        (8 * n, keep * 8),
+        (16 * n, keep * 4),
+        (20 * n, keep),
+        (21 * n, keep),
+        (22 * n, keep.div_ceil(64) * 8),
+    ];
+    let mut buf = Vec::new();
+    let starts = if keep == n {
+        buf.resize(file_len as usize - header_len, 0);
+        file.read_exact(&mut buf).ok()?;
         IO_FULL_LOADS.fetch_add(1, Ordering::Relaxed);
-        let mut whole = head;
-        whole.extend_from_slice(&rest);
-        return deserialize_trace(&whole, spec, seed, mean_trip, want);
-    }
-    let _g = skia_telemetry::span("trace_cache.seek_prefix");
-    IO_PREFIX_LOADS.fetch_add(1, Ordering::Relaxed);
-    let stored_first = r.u64()?;
-    let first_block_start = if keep == 0 { 0 } else { stored_first };
-    // Column prefixes via seeks. Offsets are relative to the column area.
-    let base = header_len as u64;
-    let mut col = |offset: u64, len: usize| -> Option<Vec<u8>> {
-        f.seek(SeekFrom::Start(base + offset)).ok()?;
-        let mut buf = vec![0u8; len];
-        f.read_exact(&mut buf).ok()?;
-        IO_SEEKS.fetch_add(1, Ordering::Relaxed);
-        IO_BYTES_READ.fetch_add(len as u64, Ordering::Relaxed);
-        Some(buf)
+        columns.map(|(offset, _)| offset)
+    } else {
+        let _g = skia_telemetry::span("trace_cache.seek_prefix");
+        IO_PREFIX_LOADS.fetch_add(1, Ordering::Relaxed);
+        let mut starts = [0; 6];
+        for (start, &(offset, len)) in starts.iter_mut().zip(&columns) {
+            file.seek(SeekFrom::Start((header_len + offset) as u64))
+                .ok()?;
+            *start = buf.len();
+            buf.resize(*start + len, 0);
+            file.read_exact(&mut buf[*start..]).ok()?;
+            IO_SEEKS.fetch_add(1, Ordering::Relaxed);
+        }
+        starts
     };
-    let n64 = n as u64;
-    let u64s = |b: Vec<u8>| -> Vec<u64> { b.chunks_exact(8).map(le_u64).collect() };
-    let branch_pc = u64s(col(0, keep * 8)?);
-    let next_pc = u64s(col(8 * n64, keep * 8)?);
-    let insns: Vec<u32> = col(16 * n64, keep * 4)?
-        .chunks_exact(4)
-        .map(le_u32)
-        .collect();
-    let kind = col(20 * n64, keep)?;
+    IO_BYTES_READ.fetch_add(buf.len() as u64, Ordering::Relaxed);
+    let col = |i: usize| &buf[starts[i]..starts[i] + columns[i].1];
+    let u64s = |bytes: &[u8]| -> Vec<u64> { bytes.chunks_exact(8).map(le_u64).collect() };
+    let kind = col(3).to_vec();
     if kind
         .iter()
         .any(|&k| usize::from(k) >= BranchKind::ALL.len())
     {
         return None; // out-of-range kind index — corrupt
     }
-    let branch_len = col(21 * n64, keep)?;
-    let mut taken = u64s(col(22 * n64, keep.div_ceil(64) * 8)?);
-    if keep % 64 != 0 {
+    let mut taken = u64s(col(5));
+    if !keep.is_multiple_of(64) {
         if let Some(last) = taken.last_mut() {
-            // Bits past `keep` belong to the stored tail of the recording.
-            *last &= (1u64 << (keep % 64)) - 1;
+            let kept_bits = (1u64 << (keep % 64)) - 1;
+            if keep == n && *last & !kept_bits != 0 {
+                return None; // stray bits past the step count — corrupt
+            }
+            // Prefix load: bits past `keep` belong to the stored tail.
+            *last &= kept_bits;
         }
     }
     Some(RecordedTrace {
         seed,
         mean_trip,
-        first_block_start,
-        branch_pc,
-        next_pc,
-        insns,
+        first_block_start: if keep == 0 { 0 } else { stored_first },
+        branch_pc: u64s(col(0)),
+        next_pc: u64s(col(1)),
+        insns: col(2).chunks_exact(4).map(le_u32).collect(),
         kind,
-        branch_len,
+        branch_len: col(4).to_vec(),
         taken,
     })
 }
@@ -721,45 +594,22 @@ fn try_load_trace(
 /// that the rename then publishes.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn tmp_suffix() -> String {
-    format!(
-        "{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    )
-}
-
-fn try_store_trace(dir: &Path, path: &Path, spec: &ProgramSpec, trace: &RecordedTrace) {
+/// Publish one cache entry (program or trace) at `path` inside `dir`. The
+/// bytes go to a temp file named per process *and* per call, then renamed
+/// into place — atomic on POSIX, so concurrent sweeps never observe a torn
+/// entry. Best-effort: a failure leaves no temp file and only costs time.
+fn store(dir: &Path, path: &Path, bytes: &[u8]) {
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
     let tmp = dir.join(format!(
-        ".tmp-trace-{:016x}-{}",
-        trace_key(spec, trace.seed, trace.mean_trip),
-        tmp_suffix()
+        ".tmp-{}-{}-{}",
+        path.file_name().unwrap_or_default().to_string_lossy(),
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let bytes = serialize_trace(spec, trace.seed, trace.mean_trip, trace);
     let ok = std::fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(&bytes))
-        .is_ok();
-    if ok {
-        IO_BYTES_WRITTEN.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        let _ = std::fs::rename(&tmp, path);
-    } else {
-        let _ = std::fs::remove_file(&tmp);
-    }
-}
-
-fn try_store(dir: &Path, path: &Path, spec: &ProgramSpec, program: &Program) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    // Unique temp name per process *and thread of execution* so concurrent
-    // sweeps don't clobber each other mid-write; rename is atomic on POSIX.
-    let tmp = dir.join(format!(".tmp-{:016x}-{}", spec_key(spec), tmp_suffix()));
-    let bytes = serialize(spec, program);
-    let ok = std::fs::File::create(&tmp)
-        .and_then(|mut f| f.write_all(&bytes))
+        .and_then(|mut f| f.write_all(bytes))
         .is_ok();
     if ok {
         IO_BYTES_WRITTEN.fetch_add(bytes.len() as u64, Ordering::Relaxed);
@@ -771,12 +621,9 @@ fn try_store(dir: &Path, path: &Path, spec: &ProgramSpec, program: &Program) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::io::Cursor;
 
-    /// Serializes the tests that set `SKIA_CACHE`: the env var is
-    /// process-global, so the two tests below that scope it must never
-    /// overlap (every other cache test passes explicit paths).
-    static CACHE_ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use super::*;
 
     fn test_spec() -> ProgramSpec {
         ProgramSpec {
@@ -857,14 +704,9 @@ mod tests {
 
     #[test]
     fn load_or_generate_survives_corruption_and_version_bumps() {
-        // The env var is scoped to this test (under CACHE_ENV_LOCK) and
-        // restored at the end, so parallel test threads never observe the
-        // override.
-        let _env = CACHE_ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join(format!("skia-cache-robust-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let prior = std::env::var("SKIA_CACHE").ok();
-        std::env::set_var("SKIA_CACHE", &dir);
+        let cache = Some(dir.as_path());
 
         let spec = ProgramSpec {
             seed: 0xCAC4E,
@@ -877,19 +719,19 @@ mod tests {
         let reference = Program::generate(&spec);
 
         // First call populates the cache.
-        assert_programs_equal(&reference, &load_or_generate(&spec));
+        assert_programs_equal(&reference, &load_or_generate_in(cache, &spec));
         assert!(path.exists(), "store after miss");
         let good = std::fs::read(&path).unwrap();
 
         // Truncated entry: falls back to regeneration without panicking,
         // and the rewrite repairs the file.
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert_programs_equal(&reference, &load_or_generate(&spec));
+        assert_programs_equal(&reference, &load_or_generate_in(cache, &spec));
         assert_eq!(std::fs::read(&path).unwrap(), good, "repaired on reload");
 
         // Arbitrary garbage: same fallback.
         std::fs::write(&path, b"not a cache entry at all").unwrap();
-        assert_programs_equal(&reference, &load_or_generate(&spec));
+        assert_programs_equal(&reference, &load_or_generate_in(cache, &spec));
 
         // Flipped byte inside the image payload: the trailing-length check
         // still rejects or the spec echo mismatches — either way the loader
@@ -898,7 +740,7 @@ mod tests {
         let mut flipped = good.clone();
         flipped[MAGIC.len() + 4 + 4] ^= 0xFF;
         std::fs::write(&path, &flipped).unwrap();
-        assert_programs_equal(&reference, &load_or_generate(&spec));
+        assert_programs_equal(&reference, &load_or_generate_in(cache, &spec));
 
         // Version bump: an entry whose embedded format version is newer (or
         // older) misses, regenerates, and never panics.
@@ -909,17 +751,13 @@ mod tests {
             deserialize(&bumped, &spec).is_none(),
             "bumped version misses"
         );
-        assert_programs_equal(&reference, &load_or_generate(&spec));
+        assert_programs_equal(&reference, &load_or_generate_in(cache, &spec));
 
-        match prior {
-            Some(v) => std::env::set_var("SKIA_CACHE", v),
-            None => std::env::remove_var("SKIA_CACHE"),
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// An unwritable (or unreadable-for-new-entries) cache directory must
-    /// only cost time: `SKIA_CACHE` pointing at a read-only dir still
+    /// only cost time: a read-only cache dir still
     /// produces correct programs and traces, and a pre-populated entry in a
     /// read-only dir is still served.
     #[test]
@@ -927,7 +765,6 @@ mod tests {
     fn read_only_cache_dir_degrades_to_regeneration() {
         use std::os::unix::fs::PermissionsExt as _;
 
-        let _env = CACHE_ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join(format!("skia-cache-ro-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -949,25 +786,17 @@ mod tests {
             spec_key(&hot)
         ));
         let hot_reference = Program::generate(&hot);
-        try_store(&dir, &hot_path, &hot, &hot_reference);
+        store(&dir, &hot_path, &serialize(&hot, &hot_reference));
         assert!(hot_path.exists());
         std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o555)).unwrap();
 
-        let prior = std::env::var("SKIA_CACHE").ok();
-        std::env::set_var("SKIA_CACHE", &dir);
-
         // Miss in a read-only dir: generated, store fails silently.
-        assert_programs_equal(&reference, &load_or_generate(&spec));
+        assert_programs_equal(&reference, &load_or_generate_in(Some(&dir), &spec));
         // Hit in a read-only dir: served from disk.
-        assert_programs_equal(&hot_reference, &load_or_generate(&hot));
+        assert_programs_equal(&hot_reference, &load_or_generate_in(Some(&dir), &hot));
         // A nested dir that can't be created degrades the same way.
-        std::env::set_var("SKIA_CACHE", dir.join("nested"));
-        assert_programs_equal(&reference, &load_or_generate(&spec));
-
-        match prior {
-            Some(v) => std::env::set_var("SKIA_CACHE", v),
-            None => std::env::remove_var("SKIA_CACHE"),
-        }
+        let nested = dir.join("nested");
+        assert_programs_equal(&reference, &load_or_generate_in(Some(&nested), &spec));
 
         // Traces degrade the same way (explicit-dir variant, same dir).
         let program = Program::generate(&spec);
@@ -993,7 +822,7 @@ mod tests {
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 42, 8, 777);
         let bytes = serialize_trace(&spec, 42, 8, &trace);
-        let loaded = deserialize_trace(&bytes, &spec, 42, 8, None).expect("round trip");
+        let loaded = read_trace(&mut Cursor::new(&bytes), &spec, 42, 8, None).expect("round trip");
         assert_eq!(trace, loaded);
     }
 
@@ -1004,13 +833,13 @@ mod tests {
         let trace = RecordedTrace::record(&program, 42, 8, 200);
         let bytes = serialize_trace(&spec, 42, 8, &trace);
         // Different seed, different mean trip, different spec: all miss.
-        assert!(deserialize_trace(&bytes, &spec, 43, 8, None).is_none());
-        assert!(deserialize_trace(&bytes, &spec, 42, 9, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bytes), &spec, 43, 8, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bytes), &spec, 42, 9, None).is_none());
         let other = ProgramSpec {
             seed: spec.seed ^ 1,
             ..test_spec()
         };
-        assert!(deserialize_trace(&bytes, &other, 42, 8, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bytes), &other, 42, 8, None).is_none());
     }
 
     #[test]
@@ -1020,21 +849,28 @@ mod tests {
         let trace = RecordedTrace::record(&program, 7, 5, 300);
         let bytes = serialize_trace(&spec, 7, 5, &trace);
         // Truncation, a clobbered header byte, and trailing garbage.
-        assert!(deserialize_trace(&bytes[..bytes.len() - 1], &spec, 7, 5, None).is_none());
-        assert!(deserialize_trace(&bytes[1..], &spec, 7, 5, None).is_none());
+        assert!(read_trace(
+            &mut Cursor::new(&bytes[..bytes.len() - 1]),
+            &spec,
+            7,
+            5,
+            None
+        )
+        .is_none());
+        assert!(read_trace(&mut Cursor::new(&bytes[1..]), &spec, 7, 5, None).is_none());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(deserialize_trace(&trailing, &spec, 7, 5, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&trailing), &spec, 7, 5, None).is_none());
         // An out-of-range kind index in the kind column is caught.
         let mut bad_kind = bytes.clone();
         let kind_off = bytes.len() - 300 /* len */ - 300 /* kind */ - 8 * 300usize.div_ceil(64);
         bad_kind[kind_off] = 0xFF;
-        assert!(deserialize_trace(&bad_kind, &spec, 7, 5, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bad_kind), &spec, 7, 5, None).is_none());
         // Stray taken bits past the step count are caught.
         let mut bad_taken = bytes.clone();
         let last = bad_taken.len() - 1;
         bad_taken[last] |= 0x80; // bit 63 of the tail word; 300 % 64 == 44
-        assert!(deserialize_trace(&bad_taken, &spec, 7, 5, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bad_taken), &spec, 7, 5, None).is_none());
     }
 
     #[test]
@@ -1135,7 +971,7 @@ mod tests {
         bumped[TRACE_MAGIC.len()..TRACE_MAGIC.len() + 4]
             .copy_from_slice(&(TRACE_FORMAT_VERSION + 1).to_le_bytes());
         std::fs::write(&path, &bumped).unwrap();
-        assert!(deserialize_trace(&bumped, &spec, 9, 6, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bumped), &spec, 9, 6, None).is_none());
         let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 9, 6, 500);
         assert_eq!(outcome, TraceCacheOutcome::Recorded);
         assert_eq!(t, reference);
@@ -1209,7 +1045,7 @@ mod tests {
         let path = dir.join(format!("program-{key:016x}-v{FORMAT_VERSION}.bin"));
 
         let generated = Program::generate(&spec);
-        try_store(&dir, &path, &spec, &generated);
+        store(&dir, &path, &serialize(&spec, &generated));
         let cached = try_load(&path, &spec).expect("stored entry loads");
         assert_programs_equal(&generated, &cached);
         let _ = std::fs::remove_dir_all(&dir);

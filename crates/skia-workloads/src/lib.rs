@@ -37,8 +37,8 @@ pub mod trace;
 pub mod walker;
 
 pub use cache::{
-    cache_root, load_or_generate, load_or_generate_in, load_or_record_trace,
-    load_or_record_trace_in, trace_cache_io, TraceCacheIo, TraceCacheOutcome,
+    load_or_generate_in, load_or_record_trace_in, resolve_cache_dir, trace_cache_io, TraceCacheIo,
+    TraceCacheOutcome,
 };
 pub use profiles::{profile, profile_names, Profile};
 pub use program::{BasicBlock, BranchMeta, Function, Layout, Program, ProgramSpec};

@@ -12,10 +12,14 @@
 # SKIA_SPANS=1/0 force-enables/disables span profiling (default: on exactly
 # when --emit-json is passed; spans never touch stdout).
 # SKIA_CACHE points the on-disk cache somewhere else (default
-# target/skia-cache; set to 0 to disable). The cache holds BOTH generated
-# program images AND recorded branch traces: the first run of this script
-# records one trace per (workload, step-count) and every later run — and
-# every config sweep within a run — replays it instead of re-walking.
+# target/skia-cache; set to 0, off or empty to disable). The cache holds
+# BOTH generated program images AND recorded branch traces: the first run of
+# this script records one trace per (workload, step-count) and every later
+# run — and every config sweep within a run — replays it instead of
+# re-walking.
+# Every binary parses these knobs once at startup; a malformed value
+# (SKIA_THREADS=two) makes it exit 2 naming the knob, which aborts this
+# script.
 #
 # Each experiment's stderr reports the two phases separately: a
 # "prepare: ..." line (trace record/load wall time) followed by a
