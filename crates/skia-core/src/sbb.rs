@@ -18,11 +18,10 @@
 //! bit is clear, so bogus branches (artifacts of wrong head-decode paths that
 //! will never commit) leave first.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 
-use skia_isa::{BranchKind, CACHE_LINE_BYTES};
-use skia_uarch::TagArray;
+use skia_isa::BranchKind;
+use skia_uarch::{LineBitmap, TagArray};
 
 use crate::sbd::ShadowBranch;
 
@@ -155,92 +154,28 @@ pub struct SbbStats {
     pub evicted_unretired: u64,
 }
 
-/// Line-base mask for the bitmap mirror.
-const LINE_MASK: u64 = !(CACHE_LINE_BYTES as u64 - 1);
-
-/// One cache line's bitmaps of pc byte offsets.
-#[derive(Debug, Clone, Copy, Default)]
-struct LineBits {
-    /// Offsets resident in either half.
-    resident: u64,
-    /// Offsets ever offered for insertion.
-    ever: u64,
-}
-
-/// Per-cache-line bitmaps over a fixed run of lines, dense and indexed by
-/// line, with an ordered map for lines outside the run.
-#[derive(Debug, Clone)]
-struct LineMirror {
-    /// Base address of the first covered line.
-    first: u64,
-    covered: Vec<LineBits>,
-    outside: BTreeMap<u64, LineBits>,
-}
-
-impl LineMirror {
-    fn covering(lines: Range<u64>) -> Self {
-        let first = lines.start & LINE_MASK;
-        let n = lines
-            .end
-            .saturating_sub(first)
-            .div_ceil(CACHE_LINE_BYTES as u64);
-        LineMirror {
-            first,
-            covered: vec![LineBits::default(); n as usize],
-            outside: BTreeMap::new(),
-        }
-    }
-
-    /// Dense index of the line at `base`, when covered.
-    #[inline]
-    fn index(&self, base: u64) -> Option<usize> {
-        let i = base.wrapping_sub(self.first) / CACHE_LINE_BYTES as u64;
-        (base >= self.first && i < self.covered.len() as u64).then_some(i as usize)
-    }
-
-    #[inline]
-    fn get(&self, base: u64) -> LineBits {
-        match self.index(base) {
-            Some(i) => self.covered[i],
-            None => self.outside.get(&base).copied().unwrap_or_default(),
-        }
-    }
-
-    fn get_mut(&mut self, base: u64) -> &mut LineBits {
-        match self.index(base) {
-            Some(i) => &mut self.covered[i],
-            None => self.outside.entry(base).or_default(),
-        }
-    }
-}
-
-/// `pc`'s bit in its line's bitmaps.
-#[inline]
-fn bit(pc: u64) -> u64 {
-    1u64 << (pc & !LINE_MASK)
-}
-
 /// The split Shadow Branch Buffer.
 ///
-/// Keeps a per-cache-line bitmap mirror of resident PCs (both halves), so
-/// the BPU's "next shadow branch in this fetch window" scan is one bitmap
-/// read and a trailing-zeros count per window line, and the fill filter is
-/// one bit test. The mirror is a dense array over the lines given at
-/// construction (the program's code); other lines fall back to an exact
-/// ordered map. It also keeps which PCs were ever inserted.
+/// Keeps a [`LineBitmap`] of resident PCs (both halves), so the BPU's
+/// "next shadow branch in this fetch window" scan is one word read and a
+/// trailing-zeros count per window line, and the fill filter is one bit
+/// test. The bitmap is dense over the lines given at construction (the
+/// program's code); other lines fall back to an exact ordered map. A second
+/// bitmap keeps which PCs were ever inserted.
 #[derive(Debug, Clone)]
 pub struct Sbb {
     u: TagArray<UEntry>,
     r: TagArray<REntry>,
-    /// Exactly the TagArray residency of the union of both halves, plus the
-    /// ever-inserted bits.
-    mirror: LineMirror,
+    /// Exactly the TagArray residency of the union of both halves.
+    resident: LineBitmap,
+    /// Every pc ever offered to [`Sbb::insert_at`].
+    ever: LineBitmap,
     config: SbbConfig,
     stats: SbbStats,
 }
 
 impl Sbb {
-    /// Build an SBB whose mirror covers no line densely.
+    /// Build an SBB whose bitmaps cover no line densely.
     ///
     /// # Panics
     ///
@@ -250,7 +185,7 @@ impl Sbb {
         Sbb::covering(config, 0..0)
     }
 
-    /// Build an SBB whose mirror is dense over the cache lines of `lines`
+    /// Build an SBB whose bitmaps are dense over the cache lines of `lines`
     /// (a program's code).
     ///
     /// # Panics
@@ -263,33 +198,18 @@ impl Sbb {
         Sbb {
             u: TagArray::new(config.u_entries / config.ways, config.ways),
             r: TagArray::new(config.r_entries / config.ways, config.ways),
-            mirror: LineMirror::covering(lines),
+            resident: LineBitmap::covering(lines.clone()),
+            ever: LineBitmap::covering(lines),
             config,
             stats: SbbStats::default(),
         }
     }
 
-    /// The lowest resident shadow-branch PC in `[start, limit)` — the
-    /// BPU's fetch-window scan. Reads one bitmap per window line.
+    /// The pcs either half holds — the SBB side of the BPU's fetch-window
+    /// scan.
     #[must_use]
-    pub fn next_key_in(&self, start: u64, limit: u64) -> Option<u64> {
-        let mut base = start & LINE_MASK;
-        while base < limit {
-            let mut m = self.mirror.get(base).resident;
-            if m != 0 {
-                if base < start {
-                    m &= !0u64 << (start - base);
-                }
-                if limit - base < CACHE_LINE_BYTES as u64 {
-                    m &= (1u64 << (limit - base)) - 1;
-                }
-                if m != 0 {
-                    return Some(base + u64::from(m.trailing_zeros()));
-                }
-            }
-            base = base.checked_add(CACHE_LINE_BYTES as u64)?;
-        }
-        None
+    pub fn resident(&self) -> &LineBitmap {
+        &self.resident
     }
 
     /// Whether either half holds `pc` (a bit test; same answer as
@@ -297,21 +217,21 @@ impl Sbb {
     #[inline]
     #[must_use]
     pub fn contains(&self, pc: u64) -> bool {
-        self.mirror.get(pc & LINE_MASK).resident & bit(pc) != 0
+        self.resident.contains(pc)
     }
 
     /// Whether `pc` was ever offered to [`Sbb::insert`] (diagnostic; not
     /// hardware state).
     #[must_use]
     pub fn ever_inserted(&self, pc: u64) -> bool {
-        self.mirror.get(pc & LINE_MASK).ever & bit(pc) != 0
+        self.ever.contains(pc)
     }
 
     /// Clear `pc`'s resident bit once neither half holds it.
     fn key_remove(&mut self, pc: u64) {
         let in_u = self.u.probe(self.u.set_of(pc), pc).is_some();
         if !in_u && self.r.probe(self.r.set_of(pc), pc).is_none() {
-            self.mirror.get_mut(pc & LINE_MASK).resident &= !bit(pc);
+            self.resident.remove(pc);
         }
     }
 
@@ -391,7 +311,7 @@ impl Sbb {
     /// was evicted (telemetry uses this to close SBB entry lifetimes).
     pub fn insert_at(&mut self, branch: &ShadowBranch, cycle: u64) -> Option<(u64, u64)> {
         let pc = branch.pc;
-        self.mirror.get_mut(pc & LINE_MASK).ever |= bit(pc);
+        self.ever.insert(pc);
         let retired_aware = self.config.retired_aware;
         // `(tag, birth, retired)` of the entry the insert displaced, if any.
         let displaced = match branch.kind {
@@ -427,7 +347,7 @@ impl Sbb {
             // Not SBB-eligible (the SBD never produces these): not held.
             _ => return None,
         };
-        self.mirror.get_mut(pc & LINE_MASK).resident |= bit(pc);
+        self.resident.insert(pc);
         let (victim, birth, retired) = displaced.filter(|&(tag, ..)| tag != pc)?;
         self.key_remove(victim);
         if !retired {
@@ -629,16 +549,15 @@ mod tests {
             s.insert(b);
             assert!(s.contains(b.pc) && s.ever_inserted(b.pc));
         }
-        assert_eq!(s.mirror.outside.len(), 2, "two lines in the fallback");
-        assert_eq!(s.next_key_in(0x0FC0, 0x1080), Some(0x0FF8));
-        assert_eq!(s.next_key_in(0x0FF9, 0x1080), Some(0x1008));
-        assert_eq!(s.next_key_in(0x1009, 0x1080), Some(0x1041));
+        assert_eq!(s.resident().first_in(0x0FC0, 0x1080), Some(0x0FF8));
+        assert_eq!(s.resident().first_in(0x0FF9, 0x1080), Some(0x1008));
+        assert_eq!(s.resident().first_in(0x1009, 0x1080), Some(0x1041));
         s.invalidate(0x1041);
         assert!(!s.contains(0x1041) && s.ever_inserted(0x1041));
-        assert_eq!(s.next_key_in(0x1009, 0x1080), None);
+        assert_eq!(s.resident().first_in(0x1009, 0x1080), None);
     }
 
-    /// The pc space of the mirror proptest: one line below the covered
+    /// The pc space of the bitmap proptest: one line below the covered
     /// run, the four covered lines, one line above.
     const SPACE_BASE: u64 = 0x0FC0;
     const COVERED: std::ops::Range<u64> = 0x1000..0x1100;
@@ -647,11 +566,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// After every operation the mirror equals the TagArray residency
-        /// of both halves, `next_key_in` equals a brute-force scan, and the
-        /// ever-inserted bits equal a reference set.
+        /// After every operation the resident bitmap equals the TagArray
+        /// residency of both halves, its window scan equals a brute-force
+        /// scan, and the ever-inserted bits equal a reference set.
         #[test]
-        fn line_mirror_tracks_residency_and_ever_inserted(
+        fn line_bitmaps_track_residency_and_ever_inserted(
             ops in proptest::collection::vec((0u8..6, 0u64..SPACE_BYTES), 1..160),
         ) {
             let mut s = Sbb::covering(
@@ -695,7 +614,7 @@ mod tests {
                 for start in (SPACE_BASE..SPACE_BASE + SPACE_BYTES).step_by(5) {
                     for limit in [start + 1, start + 64, start + 130] {
                         let brute = resident.range(start..limit).next().copied();
-                        proptest::prop_assert_eq!(s.next_key_in(start, limit), brute);
+                        proptest::prop_assert_eq!(s.resident().first_in(start, limit), brute);
                     }
                 }
             }

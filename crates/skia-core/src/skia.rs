@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use skia_isa::CACHE_LINE_BYTES;
 use skia_telemetry::{EventKind, EventTrace, LocalHistogram};
+use skia_uarch::LineBitmap;
 
 use crate::sbb::{Sbb, SbbConfig, SbbHit, SbbStats};
 use crate::sbd::{DecodeTable, IndexPolicy, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
@@ -172,8 +173,8 @@ impl Skia {
     }
 
     /// Build Skia for one program: head and tail regions that have a slot
-    /// in `table` are decoded once there and shared, and the SBB's mirror
-    /// covers the table's lines.
+    /// in `table` are decoded once there and shared, and the SBB's bitmaps
+    /// cover the table's lines.
     ///
     /// # Panics
     ///
@@ -362,11 +363,11 @@ impl Skia {
         self.sbb.probe(pc)
     }
 
-    /// The lowest SBB-resident shadow-branch PC in `[start, limit)` (the
-    /// BPU's fetch-window scan, run in parallel with the BTB's).
+    /// The SBB-resident shadow-branch pcs: the SBB side of the BPU's
+    /// fetch-window scan, run in parallel with the BTB's.
     #[must_use]
-    pub fn next_key_in(&self, start: u64, limit: u64) -> Option<u64> {
-        self.sbb.next_key_in(start, limit)
+    pub fn sbb_resident(&self) -> &LineBitmap {
+        self.sbb.resident()
     }
 
     /// Commit hook: the branch at `pc`, predicted out of the SBB, retired.

@@ -7,7 +7,7 @@
 //! report formatting.
 
 use std::collections::HashMap;
-use std::ffi::OsString;
+use std::ffi::{OsStr, OsString};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -237,6 +237,23 @@ pub struct Args {
     pub spans: bool,
 }
 
+/// The value of an inline `<flag>=<value>` argument, byte for byte.
+fn inline_value(arg: &OsStr, flag: &str) -> Option<OsString> {
+    let rest = arg
+        .as_encoded_bytes()
+        .strip_prefix(flag.as_bytes())?
+        .strip_prefix(b"=")?;
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStrExt;
+        Some(OsStr::from_bytes(rest).to_os_string())
+    }
+    #[cfg(not(unix))]
+    {
+        Some(String::from_utf8_lossy(rest).into_owned().into())
+    }
+}
+
 impl Default for Args {
     /// The configuration of a run with no flags and no knobs set.
     fn default() -> Args {
@@ -250,7 +267,9 @@ impl Args {
     /// and a usage line.
     #[must_use]
     pub fn parse() -> Args {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let mut argv = std::env::args_os();
+        let program = argv.next();
+        let argv: Vec<OsString> = argv.collect();
         match Self::parse_from(&argv, |knob| std::env::var_os(knob)) {
             Ok(args) => {
                 // Anchor the process time origin for `run.wall_seconds`.
@@ -263,9 +282,7 @@ impl Args {
                 eprintln!("error: {msg}");
                 eprintln!(
                     "usage: {} [--emit-json <path>] [--bench <name>] [--threads <n>]",
-                    std::env::args()
-                        .next()
-                        .unwrap_or_else(|| "experiment".into()),
+                    program.map_or("experiment".into(), |p| p.to_string_lossy().into_owned()),
                 );
                 std::process::exit(2);
             }
@@ -274,40 +291,61 @@ impl Args {
 
     /// The testable core: parse an argument list and the knobs `env` looks
     /// up, returning a message for the first unknown flag, missing value,
-    /// invalid benchmark, or malformed knob.
-    fn parse_from(argv: &[String], env: impl Fn(&str) -> Option<OsString>) -> Result<Args, String> {
+    /// invalid benchmark, or malformed knob. Arguments need not be UTF-8:
+    /// an `--emit-json` path is any OS string, and any other argument that
+    /// is not UTF-8 is rejected by name.
+    fn parse_from(
+        argv: &[OsString],
+        env: impl Fn(&str) -> Option<OsString>,
+    ) -> Result<Args, String> {
+        const FLAGS: [&str; 3] = ["--emit-json", "--bench", "--threads"];
         let mut emit_json = None;
         let mut bench = None;
         let mut threads = None;
         let mut it = argv.iter();
-        let take = |flag: &str,
-                    inline: Option<&str>,
-                    it: &mut std::slice::Iter<String>|
-         -> Result<String, String> {
-            match inline {
-                Some(v) if !v.is_empty() => Ok(v.to_string()),
-                Some(_) => Err(format!("{flag} given an empty value")),
+        while let Some(arg) = it.next() {
+            // The flag, and its value when given inline as `<flag>=<value>`.
+            let known = FLAGS.into_iter().find_map(|f| {
+                if arg == f {
+                    Some((f, None))
+                } else {
+                    inline_value(arg, f).map(|v| (f, Some(v)))
+                }
+            });
+            let Some((flag, inline)) = known else {
+                let shown = arg
+                    .to_str()
+                    .map_or_else(|| format!("{arg:?}"), str::to_string);
+                return Err(if arg.as_encoded_bytes().starts_with(b"-") {
+                    format!("unknown flag {shown}")
+                } else {
+                    format!("unexpected argument {shown}")
+                });
+            };
+            let value = match inline {
+                Some(v) if v.is_empty() => return Err(format!("{flag} given an empty value")),
+                Some(v) => v,
                 None => it
                     .next()
                     .cloned()
-                    .ok_or_else(|| format!("{flag} requires a value")),
+                    .ok_or_else(|| format!("{flag} requires a value"))?,
+            };
+            if flag == "--emit-json" {
+                emit_json = Some(PathBuf::from(value));
+                continue;
             }
-        };
-        while let Some(a) = it.next() {
-            if a == "--emit-json" || a.starts_with("--emit-json=") {
-                let v = take("--emit-json", a.strip_prefix("--emit-json="), &mut it)?;
-                emit_json = Some(PathBuf::from(v));
-            } else if a == "--bench" || a.starts_with("--bench=") {
-                let v = take("--bench", a.strip_prefix("--bench="), &mut it)?;
-                if profile(&v).is_none() {
+            let Some(v) = value.to_str() else {
+                return Err(format!("{flag} {value:?}: not UTF-8"));
+            };
+            if flag == "--bench" {
+                if profile(v).is_none() {
                     return Err(format!(
                         "--bench {v}: unknown benchmark (known: {})",
                         skia_workloads::profile_names().join(", ")
                     ));
                 }
-                bench = Some(v);
-            } else if a == "--threads" || a.starts_with("--threads=") {
-                let v = take("--threads", a.strip_prefix("--threads="), &mut it)?;
+                bench = Some(v.to_string());
+            } else {
                 let n: usize = v
                     .parse()
                     .map_err(|_| format!("--threads {v}: not a positive integer"))?;
@@ -315,10 +353,6 @@ impl Args {
                     return Err("--threads 0: need at least one thread".into());
                 }
                 threads = Some(n);
-            } else if a.starts_with('-') {
-                return Err(format!("unknown flag {a}"));
-            } else {
-                return Err(format!("unexpected argument {a}"));
             }
         }
         let positive = |knob: &str| -> Result<Option<usize>, String> {
@@ -748,8 +782,12 @@ mod tests {
 
     /// Parse `argv` against a fake environment that holds exactly `env`.
     fn parse_env(argv: &[&str], env: &[(&str, &str)]) -> Result<Args, String> {
-        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        Args::parse_from(&argv, |knob| {
+        let argv: Vec<OsString> = argv.iter().map(OsString::from).collect();
+        parse_os(&argv, env)
+    }
+
+    fn parse_os(argv: &[OsString], env: &[(&str, &str)]) -> Result<Args, String> {
+        Args::parse_from(argv, |knob| {
             env.iter()
                 .find(|(name, _)| *name == knob)
                 .map(|(_, v)| OsString::from(v))
@@ -806,6 +844,49 @@ mod tests {
         ] {
             let err = parse_env(&[], &[(knob, bad)]).expect_err(bad);
             assert!(err.contains(knob), "{knob}={bad:?}: {err}");
+        }
+        #[cfg(unix)]
+        non_utf8_arguments_are_named();
+    }
+
+    /// Arguments that are not UTF-8 are rejected by name, except as an
+    /// `--emit-json` path.
+    #[cfg(unix)]
+    fn non_utf8_arguments_are_named() {
+        let os = |bytes: &[&[u8]]| -> Vec<OsString> {
+            use std::os::unix::ffi::OsStrExt;
+            bytes
+                .iter()
+                .map(|b| OsStr::from_bytes(b).to_os_string())
+                .collect()
+        };
+        for (argv, named) in [
+            (
+                os(&[b"--bench", b"tp\xffcc"]),
+                "--bench \"tp\\xFFcc\": not UTF-8",
+            ),
+            (
+                os(&[b"--bench=tp\xffcc"]),
+                "--bench \"tp\\xFFcc\": not UTF-8",
+            ),
+            (
+                os(&[b"--threads", b"2\xff"]),
+                "--threads \"2\\xFF\": not UTF-8",
+            ),
+            (
+                os(&[b"--th\xffreads", b"2"]),
+                "unknown flag \"--th\\xFFreads\"",
+            ),
+            (os(&[b"str\xffay"]), "unexpected argument \"str\\xFFay\""),
+        ] {
+            assert_eq!(parse_os(&argv, &[]).expect_err(named), named);
+        }
+        for argv in [
+            os(&[b"--emit-json", b"out\xff.json"]),
+            os(&[b"--emit-json=out\xff.json"]),
+        ] {
+            let path = parse_os(&argv, &[]).unwrap().emit_json.unwrap();
+            assert_eq!(path.as_os_str(), os(&[b"out\xff.json"])[0]);
         }
     }
 

@@ -52,3 +52,22 @@ fn stdout_is_byte_identical_with_spans_on_or_off() {
         assert!(out.stdout.is_empty(), "{knob}: no table on stdout");
     }
 }
+
+/// An argument that is not UTF-8 exits 2 with the usage line naming it,
+/// rather than panicking.
+#[cfg(unix)]
+#[test]
+fn non_utf8_bench_exits_2() {
+    use std::os::unix::ffi::OsStrExt;
+    let out = Command::new(env!("CARGO_BIN_EXE_fig01"))
+        .arg("--bench")
+        .arg(std::ffi::OsStr::from_bytes(b"tp\xffcc"))
+        .env("SKIA_CACHE", "0")
+        .output()
+        .expect("fig01 runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--bench \"tp\\xFFcc\""), "{stderr}");
+    assert!(stderr.contains("usage: "), "{stderr}");
+    assert!(out.stdout.is_empty());
+}

@@ -17,53 +17,51 @@ use skia_core::{DecodeTable, Skia};
 use skia_isa::BranchKind;
 use skia_uarch::btb::{Btb, IdealBtb};
 use skia_uarch::ittage::Ittage;
+use skia_uarch::line_bitmap::{first_set_in, LineBitmap};
 use skia_uarch::ras::ReturnAddressStack;
 use skia_uarch::tage::{Tage, TagePrediction};
 use skia_workloads::{BranchTable, Program};
 
 use crate::config::{BtbMode, FrontendConfig};
 
-/// Finite or infinite BTB behind one interface.
+/// The BTB's entries: set-associative or infinite.
 #[derive(Debug, Clone)]
-enum BtbStore {
+enum BtbArray {
     Finite(Btb),
     Infinite(IdealBtb),
 }
 
+/// Finite or infinite BTB behind one interface, with a bitmap of its
+/// resident pcs.
+#[derive(Debug, Clone)]
+struct BtbStore {
+    array: BtbArray,
+    /// Exactly the pcs `array` holds, kept in step through the evicted pc
+    /// [`Btb::insert`] returns (an [`IdealBtb`] never evicts). Every pc the
+    /// BTB can hold is a static branch (the only insert site is
+    /// `commit_branch`), so the bitmap is dense over the program's
+    /// branch-bearing lines.
+    resident: LineBitmap,
+}
+
 impl BtbStore {
     fn lookup(&mut self, pc: u64) -> Option<skia_uarch::btb::BtbEntry> {
-        match self {
-            BtbStore::Finite(b) => b.lookup(pc),
-            BtbStore::Infinite(b) => b.lookup(pc),
-        }
-    }
-
-    fn probe(&self, pc: u64) -> Option<skia_uarch::btb::BtbEntry> {
-        match self {
-            BtbStore::Finite(b) => b.probe(pc),
-            BtbStore::Infinite(b) => b.lookup(pc),
+        match &mut self.array {
+            BtbArray::Finite(b) => b.lookup(pc),
+            BtbArray::Infinite(b) => b.lookup(pc),
         }
     }
 
     fn insert(&mut self, pc: u64, kind: BranchKind, target: u64, len: u8) {
-        match self {
-            BtbStore::Finite(b) => {
-                b.insert(pc, kind, target, len);
+        match &mut self.array {
+            BtbArray::Finite(b) => {
+                if let Some(victim) = b.insert(pc, kind, target, len) {
+                    self.resident.remove(victim);
+                }
             }
-            BtbStore::Infinite(b) => b.insert(pc, kind, target, len),
+            BtbArray::Infinite(b) => b.insert(pc, kind, target, len),
         }
-    }
-
-    /// The first BTB-resident branch pc in `[start, limit)`.
-    ///
-    /// Every pc the BTB can hold is a static branch of the program (the only
-    /// insert site is `commit_branch`, fed by retired true-path branches),
-    /// so the program's dense side table enumerates the candidates in the
-    /// window — O(1) per window — and a stats-neutral probe checks residency.
-    /// Replaces the old ordered key mirror (`BTreeSet::range`) with identical
-    /// results and no per-insert maintenance.
-    fn first_resident_in(&self, table: &BranchTable, start: u64, limit: u64) -> Option<u64> {
-        table.first_matching_in(start, limit, |pc| self.probe(pc).is_some())
+        self.resident.insert(pc);
     }
 }
 
@@ -108,7 +106,7 @@ pub struct PredictedBlock {
 #[derive(Debug, Clone)]
 pub struct Bpu<'p> {
     btb: BtbStore,
-    /// The program's dense static-branch side table (window-scan candidates).
+    /// The program's dense static-branch side table (decode-table slots).
     table: &'p BranchTable,
     /// Skia mechanism, when configured.
     pub skia: Option<Skia>,
@@ -134,9 +132,12 @@ impl<'p> Bpu<'p> {
         table: &'p BranchTable,
         decode: Option<Arc<DecodeTable>>,
     ) -> Self {
-        let btb = match config.btb {
-            BtbMode::Finite(c) => BtbStore::Finite(Btb::new(c)),
-            BtbMode::Infinite => BtbStore::Infinite(IdealBtb::new()),
+        let btb = BtbStore {
+            array: match config.btb {
+                BtbMode::Finite(c) => BtbArray::Finite(Btb::new(c)),
+                BtbMode::Infinite => BtbArray::Infinite(IdealBtb::new()),
+            },
+            resident: LineBitmap::covering(table.lines()),
         };
         Bpu {
             btb,
@@ -173,13 +174,7 @@ impl<'p> Bpu<'p> {
     /// Was the branch at `pc` resident in the BTB (no state change)?
     #[must_use]
     pub fn btb_resident(&self, pc: u64) -> bool {
-        self.btb.probe(pc).is_some()
-    }
-
-    /// Was the branch at `pc` resident in the SBB (no state change)?
-    #[must_use]
-    pub fn sbb_resident(&self, pc: u64) -> bool {
-        self.skia.as_ref().is_some_and(|s| s.probe(pc).is_some())
+        self.btb.resident.contains(pc)
     }
 
     /// Form one predicted basic block from the speculative PC and advance it.
@@ -189,17 +184,14 @@ impl<'p> Bpu<'p> {
         let entered_by_branch = self.entered_by_branch;
 
         // Where is the next branch the BPU knows about? BTB and SBB are
-        // scanned in parallel (Fig. 11); the BTB wins ties. The BTB side
-        // enumerates static branches in the window via the side table (BTB
-        // keys are always real branches); the SBB side keeps its own key
-        // scan because shadow decoding can install mis-decoded pcs that are
-        // not static branches at all.
-        let cand_btb = self.btb.first_resident_in(self.table, start, limit);
-        let cand_sbb = self.skia.as_ref().and_then(|s| s.next_key_in(start, limit));
-        let branch_pc = match (cand_btb, cand_sbb) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        // scanned in parallel (Fig. 11): the lowest pc either one holds, read
+        // from the OR of their resident bitmaps line by line. The lookup
+        // below tries the BTB first, so the BTB wins ties.
+        let btb = &self.btb.resident;
+        let sbb = self.skia.as_ref().map(Skia::sbb_resident);
+        let branch_pc = first_set_in(start, limit, |base| {
+            btb.line(base) | sbb.map_or(0, |s| s.line(base))
+        });
 
         let Some(bpc) = branch_pc else {
             // No known branch in the window: sequential block to the end of
@@ -376,9 +368,9 @@ impl<'p> Bpu<'p> {
     pub fn shadow_decode(&mut self, program: &Program, block: &PredictedBlock) -> usize {
         let Some(skia) = &mut self.skia else { return 0 };
         let filter = skia.config().filter_btb_resident;
-        let btb = &self.btb;
+        let btb = &self.btb.resident;
         let table = self.table;
-        let known = |pc: u64| filter && btb.probe(pc).is_some();
+        let known = |pc: u64| filter && btb.contains(pc);
         let mut inserted = 0;
         // Head region: the line containing the block's entry point, when the
         // block was entered via a taken branch mid-line.
@@ -567,6 +559,85 @@ mod tests {
         let stats = b.skia.as_ref().unwrap().stats();
         // Tail decoding ran on the exit line.
         assert!(stats.sbd.tail_regions > 0);
+    }
+
+    /// Static branches every third byte over four lines, so a window holds
+    /// many candidates and lines outside the table exist on both sides.
+    const SCAN_BASE: u64 = 0x4000;
+    const SCAN_BYTES: u64 = 4 * 64;
+
+    fn scan_table() -> BranchTable {
+        BranchTable::from_records(
+            (SCAN_BASE..SCAN_BASE + SCAN_BYTES)
+                .step_by(3)
+                .map(|pc| rec(pc, BranchKind::DirectUncond, 2))
+                .collect(),
+        )
+    }
+
+    /// Residency by probing the BTB's entries, not its bitmap.
+    fn btb_probe(b: &Bpu<'_>, pc: u64) -> bool {
+        match &b.btb.array {
+            BtbArray::Finite(x) => x.probe(pc).is_some(),
+            BtbArray::Infinite(x) => x.lookup(pc).is_some(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The shared BTB ∥ SBB window scan equals a brute-force scan that
+        /// probes both structures at every pc of the window: the block ends
+        /// at the lowest pc either holds, and the BTB supplies it when it
+        /// holds it. The BTB bitmap equals BTB residency throughout.
+        #[test]
+        fn window_scan_matches_brute_force(
+            infinite in proptest::prelude::any::<bool>(),
+            ops in proptest::collection::vec((0u8..3, 0u64..SCAN_BYTES + 128), 1..120),
+        ) {
+            let table = scan_table();
+            let mut config = FrontendConfig::test_small();
+            config.btb = if infinite {
+                BtbMode::Infinite
+            } else {
+                BtbMode::Finite(skia_uarch::btb::BtbConfig { entries: 8, ways: 2 })
+            };
+            config.skia = Some(SkiaConfig::default());
+            let mut b = Bpu::new(&config, SCAN_BASE, &table, None);
+            for &(op, off) in &ops {
+                // Any pc from one line below the table to one line above.
+                let pc = SCAN_BASE - 64 + off;
+                match op {
+                    0 => {
+                        // Commit the static branch at or after `pc`.
+                        let bpc = SCAN_BASE + (pc.saturating_sub(SCAN_BASE) / 3 * 3);
+                        if bpc < SCAN_BASE + SCAN_BYTES {
+                            b.commit_branch(bpc, BranchKind::DirectUncond, true, 0x9000, Some(0x9000), 2, None);
+                        }
+                    }
+                    1 => b.skia.as_mut().unwrap().force_insert(&skia_core::ShadowBranch {
+                        pc,
+                        len: 1,
+                        kind: BranchKind::Return,
+                        target: None,
+                        line_offset: (pc % 64) as u8,
+                    }),
+                    _ => {
+                        let limit = pc + config.max_block_bytes;
+                        let in_sbb = |b: &Bpu<'_>, p| b.skia.as_ref().unwrap().probe(p).is_some();
+                        let brute = (pc..limit).find(|&p| btb_probe(&b, p) || in_sbb(&b, p));
+                        let from_btb = brute.is_some_and(|p| btb_probe(&b, p));
+                        b.resteer(pc, false);
+                        let blk = b.predict_block();
+                        proptest::prop_assert_eq!(blk.branch.map(|x| x.pc), brute);
+                        proptest::prop_assert_eq!(blk.branch.map(|x| !x.from_sbb), brute.map(|_| from_btb));
+                    }
+                }
+                for p in SCAN_BASE - 64..SCAN_BASE + SCAN_BYTES + 64 {
+                    proptest::prop_assert_eq!(b.btb_resident(p), btb_probe(&b, p), "pc {:#x}", p);
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //!   cycles, CACTI-style BTB scaling latency;
 //! * **approximates** the back-end as a retire-width bound plus fixed
 //!   resolution latencies, and excludes residual wrong-path *history*
-//!   corruption (repairs are exact — the checkpoint machinery in
-//!   `skia-uarch` supports inexact repair studies, but the lockstep replay
-//!   here does not need it).
+//!   corruption (repairs are exact: the lockstep replay trains at commit,
+//!   so no predictor keeps checkpoints).
 //!
 //! These boundaries are those of a front-end study; DESIGN.md §2 documents
 //! the substitution rationale.

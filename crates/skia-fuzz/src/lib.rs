@@ -47,18 +47,13 @@ pub use targets::shadow::{LineCase, ShadowTarget};
 
 use skia_oracle::{OracleFault, SbdFault};
 
-/// Stable FNV-1a hash of a feature tuple — the coverage-map key. The first
-/// element conventionally namespaces the feature class within a target.
+/// Stable FNV-1a hash of a feature tuple — the coverage-map key: FNV-1a
+/// over the parts' little-endian bytes, in order. The first element
+/// conventionally namespaces the feature class within a target.
 #[must_use]
 pub fn feature(parts: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &p in parts {
-        for b in p.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    let bytes: Vec<u8> = parts.iter().flat_map(|p| p.to_le_bytes()).collect();
+    skia_telemetry::fnv1a(&bytes)
 }
 
 /// Replay one `SKIA_FUZZ_REPLAY` token: `<target>[@fault]:<body>`.
@@ -114,5 +109,21 @@ fn parse_sbd_fault(tag: &str) -> Result<SbdFault, String> {
         "tail-skip-first-byte" => Ok(SbdFault::TailSkipFirstByte),
         "head-chooses-last-start" => Ok(SbdFault::HeadChoosesLastStart),
         _ => Err(format!("unknown fault tag {tag:?} for shadow")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::feature;
+
+    /// The corpus stores coverage keys, so `feature` must keep its values.
+    #[test]
+    fn feature_values_are_pinned() {
+        assert_eq!(feature(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(feature(&[34, 1]), 0x275e_cb3e_1997_42a6);
+        assert_eq!(
+            feature(&[u64::MAX, 0x0123_4567_89ab_cdef, 7]),
+            0x7e75_5a96_7f00_f92a
+        );
     }
 }

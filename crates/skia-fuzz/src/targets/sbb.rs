@@ -291,7 +291,7 @@ impl FuzzTarget for SbbTarget {
                 SbbOp::NextKey { slot } => {
                     let start = pc(slot);
                     let limit = start + 256;
-                    let pn = prod.next_key_in(start, limit);
+                    let pn = prod.resident().first_in(start, limit);
                     let on = oracle.next_key_at_or_after(start).filter(|&k| k < limit);
                     if pn != on {
                         return fail(

@@ -198,6 +198,15 @@ fn rediscovers_ignore_retired_bit_in_lockstep() {
 }
 
 #[test]
+fn rediscovers_fold_drops_outgoing_bit() {
+    assert_rediscovers(
+        LockstepTarget::with_fault(Some(OracleFault::FoldDropsOutgoingBit)),
+        20,
+        "lockstep@fold-drops-outgoing-bit:",
+    );
+}
+
+#[test]
 fn rediscovers_tail_skip_first_byte() {
     assert_rediscovers(
         ShadowTarget::with_fault(SbdFault::TailSkipFirstByte),

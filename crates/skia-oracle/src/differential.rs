@@ -13,8 +13,9 @@
 //! index at which the two simulators first disagreed.
 //!
 //! [`OracleFault`] injects deliberate bugs into the oracle (stale BTB LRU,
-//! ignored retired bit, broken head/tail decode) so the harness can prove
-//! it actually catches divergences.
+//! ignored retired bit, broken head/tail decode, a TAGE history fold that
+//! drops the outgoing bit) so the harness can prove it actually catches
+//! divergences.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -139,15 +140,19 @@ pub enum OracleFault {
     /// Reference head extraction walks from the last valid start instead of
     /// the policy-chosen one (§3.2 selection broken).
     HeadChoosesLastStart,
+    /// The reference TAGE's history folds ignore the bit leaving each
+    /// table's window (see [`crate::ref_predict::RefTage::drop_outgoing_bit`]).
+    FoldDropsOutgoingBit,
 }
 
 impl OracleFault {
     /// Every knob, for exhaustive fault-injection sweeps.
-    pub const ALL: [OracleFault; 4] = [
+    pub const ALL: [OracleFault; 5] = [
         OracleFault::StaleBtbLru,
         OracleFault::IgnoreRetiredBit,
         OracleFault::TailSkipFirstByte,
         OracleFault::HeadChoosesLastStart,
+        OracleFault::FoldDropsOutgoingBit,
     ];
 
     /// Stable kebab-case tag, used in fuzz replay tokens.
@@ -157,6 +162,7 @@ impl OracleFault {
             OracleFault::IgnoreRetiredBit => "ignore-retired-bit",
             OracleFault::TailSkipFirstByte => "tail-skip-first-byte",
             OracleFault::HeadChoosesLastStart => "head-chooses-last-start",
+            OracleFault::FoldDropsOutgoingBit => "fold-drops-outgoing-bit",
         }
     }
 
@@ -312,6 +318,7 @@ pub fn run_case(
                 skia.sbd_mut().fault = Some(SbdFault::HeadChoosesLastStart);
             }
         }
+        Some(OracleFault::FoldDropsOutgoingBit) => oracle.bpu.tage.drop_outgoing_bit = true,
         None => {}
     }
 

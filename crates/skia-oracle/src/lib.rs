@@ -5,8 +5,10 @@
 //! simulator:
 //!
 //! * [`ref_uarch`] — plain-`Vec`, linear-search reference models of the BTB
-//!   (finite and infinite), with paper-literal one-tick-per-access true
-//!   LRU, and of the RAS.
+//!   (finite and infinite) and the L1-I/L2/L3 ladder, with paper-literal
+//!   one-tick-per-access true LRU, and of the RAS.
+//! * [`ref_predict`] — reference TAGE and ITTAGE: a vector of tables, each
+//!   folding its own history one register at a time.
 //! * [`ref_sbd`] — a reference Shadow Branch Decoder: the two-phase head
 //!   decode (§3.2) and the tail decode (§3.3) re-derived from the paper
 //!   text with no caching, differentially testing the production decoder
@@ -25,26 +27,31 @@
 //!
 //! ## What is independently re-implemented, and what is shared
 //!
-//! The reference model re-implements everything this repository wrote from
-//! scratch for the Skia mechanism and its evaluation: the BTB/U-SBB/R-SBB
-//! replacement and probe semantics, the RAS, the shadow decoder, the block
-//! former, the verification/resteer state machine and the cycle ledger.
-//! The TAGE/ITTAGE predictors and the cache hierarchy are shared with
-//! production *on purpose*: the oracle drives them through byte-identical
-//! call sequences, so they cancel out of the comparison — any divergence
-//! must originate in the independently-written logic under test.
+//! The reference model re-implements every stateful structure of the
+//! simulated front-end: the BTB/U-SBB/R-SBB replacement and probe
+//! semantics, the L1-I/L2/L3 ladder, the TAGE/ITTAGE predictors, the RAS,
+//! the shadow decoder, the block former, the verification/resteer state
+//! machine and the cycle ledger. Production stores these structures for
+//! speed — tag arrays by field, predictor history folded in lanes, flat
+//! predictor tables, line bitmaps for the fetch-window scan — and the
+//! reference keeps the plain forms, so a bug in either representation
+//! shows up as a divergence instead of cancelling out. What is shared is
+//! stateless: configuration and geometry types, the stats types compared
+//! and the generated program and trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod differential;
+pub mod ref_predict;
 pub mod ref_sbd;
 pub mod ref_sim;
 pub mod ref_skia;
 pub mod ref_uarch;
 
 pub use differential::{run_case, CaseOutcome, DiffCase, DivergenceReport, OracleFault};
+pub use ref_predict::{RefIttage, RefTage};
 pub use ref_sbd::{RefShadowDecoder, SbdFault};
 pub use ref_sim::{RefBpu, RefSimulator};
 pub use ref_skia::{RefSbb, RefSkia};
-pub use ref_uarch::{RefArray, RefBtb, RefIdealBtb, RefRas};
+pub use ref_uarch::{RefArray, RefBtb, RefHierarchy, RefIdealBtb, RefRas};

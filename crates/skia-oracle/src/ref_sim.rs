@@ -2,15 +2,12 @@
 //!
 //! [`RefBpu`] and [`RefSimulator`] re-state the semantics of
 //! `skia_frontend::bpu` / `skia_frontend::sim` over the reference
-//! structures of this crate: the BTB, the split SBB and the RAS are the
-//! linear-search models from [`crate::ref_uarch`]/[`crate::ref_skia`], and
-//! the shadow decoder is the table-free [`crate::ref_sbd`]. The
-//! direction/target predictors (TAGE, ITTAGE) and the cache hierarchy are
-//! reused from `skia-uarch` *by design*: the ISSUE scopes the reference
-//! model to the BTB/U-SBB/R-SBB/RAS update-and-probe semantics, and
-//! driving the shared components through byte-identical call sequences
-//! makes them transparent to the comparison (a divergence can only
-//! originate in independently-implemented logic).
+//! structures of this crate: the BTB, the split SBB, the RAS and the
+//! L1-I/L2/L3 ladder are the linear-search models from
+//! [`crate::ref_uarch`]/[`crate::ref_skia`], the TAGE/ITTAGE predictors are
+//! the per-table folds of [`crate::ref_predict`], and the shadow decoder is
+//! the table-free [`crate::ref_sbd`]. Nothing stateful is shared with
+//! production; the predicted blocks are the reference's own [`RefBlock`]s.
 //!
 //! The simulator exposes a per-step API ([`RefSimulator::step`] +
 //! [`RefSimulator::stats_now`]) so the differential driver can compare
@@ -23,17 +20,14 @@ use std::collections::VecDeque;
 use skia_core::SkiaConfig;
 use skia_isa::BranchKind;
 use skia_telemetry::{Event, EventKind};
-use skia_uarch::cache::Hierarchy;
-use skia_uarch::ittage::Ittage;
-use skia_uarch::tage::Tage;
 use skia_workloads::{Program, TraceStep};
 
-use skia_frontend::bpu::{PredictedBlock, PredictedBranch};
 use skia_frontend::config::{BtbMode, FrontendConfig};
 use skia_frontend::stats::{ResteerStage, SimStats};
 
+use crate::ref_predict::{RefIttage, RefIttagePrediction, RefTage, RefTagePrediction};
 use crate::ref_skia::{EventSink, RefSkia};
-use crate::ref_uarch::{RefBtb, RefIdealBtb, RefRas};
+use crate::ref_uarch::{RefBtb, RefHierarchy, RefIdealBtb, RefRas};
 
 /// Average instruction bytes assumed by the decode-occupancy estimate
 /// (mirrors the production constant).
@@ -78,18 +72,49 @@ impl RefBtbStore {
     }
 }
 
+/// A branch the reference BPU predicted inside a block.
+#[derive(Debug, Clone, Copy)]
+pub struct RefBranch {
+    /// Branch address.
+    pub pc: u64,
+    /// Encoded length (from BTB/SBB predecode metadata).
+    pub len: u8,
+    /// Kind as recorded in the providing structure.
+    pub kind: BranchKind,
+    /// Predicted direction (`true` for unconditional kinds).
+    pub taken: bool,
+    /// Predicted next PC when taken.
+    pub target: u64,
+    /// Whether the SBB (not the BTB) supplied this branch.
+    pub from_sbb: bool,
+    tage: Option<RefTagePrediction>,
+    ittage: Option<RefIttagePrediction>,
+}
+
+/// One predicted basic block.
+#[derive(Debug, Clone)]
+pub struct RefBlock {
+    /// First instruction address.
+    pub start: u64,
+    /// First byte past the block (branch end, or scan-window end).
+    pub end: u64,
+    /// The terminating branch the BPU knows about, if any.
+    pub branch: Option<RefBranch>,
+    /// Whether the block was entered through a predicted-taken branch.
+    pub entered_by_branch: bool,
+}
+
 /// The reference BPU. Block formation, commit-time training and shadow
-/// decoding mirror the production `Bpu` call-for-call; prediction records
-/// reuse the production [`PredictedBlock`]/[`PredictedBranch`] types so the
-/// verification logic downstream is expressed over identical data.
+/// decoding mirror the production `Bpu` call-for-call.
 #[derive(Debug)]
 pub struct RefBpu {
     /// The reference BTB (public so the fault knob can be reached).
     pub btb: RefBtbStore,
     /// The reference Skia mechanism, when configured.
     pub skia: Option<RefSkia>,
-    tage: Tage,
-    ittage: Ittage,
+    /// The reference TAGE (public so the fault knob can be reached).
+    pub tage: RefTage,
+    ittage: RefIttage,
     ras: RefRas,
     spec_pc: u64,
     entered_by_branch: bool,
@@ -106,8 +131,8 @@ impl RefBpu {
         RefBpu {
             btb,
             skia: config.skia.map(|sc: SkiaConfig| RefSkia::new(sc, events)),
-            tage: Tage::new(config.tage.clone()),
-            ittage: Ittage::new(
+            tage: RefTage::new(config.tage.clone()),
+            ittage: RefIttage::new(
                 config.ittage.tables,
                 config.ittage.index_bits,
                 config.ittage.max_history,
@@ -131,7 +156,7 @@ impl RefBpu {
     }
 
     /// Form one predicted basic block and advance the speculative PC.
-    pub fn predict_block(&mut self) -> PredictedBlock {
+    pub fn predict_block(&mut self) -> RefBlock {
         let start = self.spec_pc;
         let limit = start.saturating_add(self.max_block_bytes);
         let entered_by_branch = self.entered_by_branch;
@@ -151,11 +176,10 @@ impl RefBpu {
             let end = (start | 63) + 1;
             self.spec_pc = end;
             self.entered_by_branch = false;
-            return PredictedBlock {
+            return RefBlock {
                 start,
                 end,
                 branch: None,
-                next_pc: end,
                 entered_by_branch,
             };
         };
@@ -194,13 +218,12 @@ impl RefBpu {
             }
         };
 
-        let next_pc = if taken { target } else { fallthrough };
-        self.spec_pc = next_pc;
+        self.spec_pc = if taken { target } else { fallthrough };
         self.entered_by_branch = taken;
-        PredictedBlock {
+        RefBlock {
             start,
             end: fallthrough,
-            branch: Some(PredictedBranch {
+            branch: Some(RefBranch {
                 pc: bpc,
                 len,
                 kind,
@@ -210,7 +233,6 @@ impl RefBpu {
                 tage: tage_pred,
                 ittage: it_pred,
             }),
-            next_pc,
             entered_by_branch,
         }
     }
@@ -226,7 +248,7 @@ impl RefBpu {
         actual_target: u64,
         static_target: Option<u64>,
         len: u8,
-        recorded: Option<&PredictedBranch>,
+        recorded: Option<&RefBranch>,
     ) {
         match kind {
             BranchKind::DirectCond => {
@@ -243,7 +265,7 @@ impl RefBpu {
                     Some(p) => p,
                     None => self.ittage.predict(pc),
                 };
-                self.ittage.update(pc, &pred, actual_target);
+                self.ittage.update(&pred, actual_target);
                 self.tage.push_history(true);
                 self.ittage.push_history(true);
                 if kind == BranchKind::IndirectCall {
@@ -289,7 +311,7 @@ impl RefBpu {
 
     /// Drive the shadow-decode hooks for a formed block; returns the number
     /// of SBB insertions.
-    pub fn shadow_decode(&mut self, program: &Program, block: &PredictedBlock) -> usize {
+    pub fn shadow_decode(&mut self, program: &Program, block: &RefBlock) -> usize {
         let Some(skia) = &mut self.skia else { return 0 };
         let filter = skia.config().filter_btb_resident;
         let btb = &self.btb;
@@ -350,7 +372,7 @@ struct RefCounters {
 /// (the reference keeps a plain `Vec` where production inlines an array).
 #[derive(Debug, Clone)]
 struct RefInFlight {
-    block: PredictedBlock,
+    block: RefBlock,
     iag_cycle: u64,
     decode_start: u64,
     lines: Vec<(u64, bool)>,
@@ -363,7 +385,7 @@ pub struct RefSimulator<'p> {
     config: FrontendConfig,
     /// The reference BPU (public so fault knobs can be reached).
     pub bpu: RefBpu,
-    hier: Hierarchy,
+    hier: RefHierarchy,
     c: RefCounters,
     by_kind: [u64; 6],
     /// Wrapping sum + count of the per-formed-block FTQ occupancy samples
@@ -386,7 +408,7 @@ impl<'p> RefSimulator<'p> {
         RefSimulator {
             events,
             bpu,
-            hier: Hierarchy::new(config.hierarchy),
+            hier: RefHierarchy::new(config.hierarchy),
             program,
             config,
             c: RefCounters::default(),
@@ -483,7 +505,7 @@ impl<'p> RefSimulator<'p> {
         self.issue_block(block)
     }
 
-    fn issue_block(&mut self, block: PredictedBlock) -> RefInFlight {
+    fn issue_block(&mut self, block: RefBlock) -> RefInFlight {
         let lines = self.prefetch_lines(&block);
         let fill_done = self.last_fill_done;
         let frontier =
@@ -513,7 +535,7 @@ impl<'p> RefSimulator<'p> {
         }
     }
 
-    fn shadow_decode(&mut self, block: &PredictedBlock) {
+    fn shadow_decode(&mut self, block: &RefBlock) {
         if self.bpu.skia.is_none() {
             return;
         }
@@ -529,7 +551,7 @@ impl<'p> RefSimulator<'p> {
         );
     }
 
-    fn prefetch_lines(&mut self, block: &PredictedBlock) -> Vec<(u64, bool)> {
+    fn prefetch_lines(&mut self, block: &RefBlock) -> Vec<(u64, bool)> {
         let first = block.start & !63;
         let last = block.end.saturating_sub(1).max(block.start) & !63;
         let mut lines = Vec::new();
@@ -649,7 +671,7 @@ impl<'p> RefSimulator<'p> {
         );
     }
 
-    fn commit_aligned(&mut self, step: &TraceStep, b: &PredictedBranch) {
+    fn commit_aligned(&mut self, step: &TraceStep, b: &RefBranch) {
         self.kind_counters(step.kind);
         let st = self.static_target(step.branch_pc);
         self.bpu.commit_branch(

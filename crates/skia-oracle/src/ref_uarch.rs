@@ -1,5 +1,5 @@
 //! Deliberately slow, obviously-correct reference structures for the BTB,
-//! the split SBB halves and the RAS.
+//! the split SBB halves, the instruction cache ladder and the RAS.
 //!
 //! Everything here is a plain `Vec` with linear search: no set slicing, no
 //! slot reuse tricks, no ordered mirrors. The structures implement the
@@ -190,6 +190,7 @@ impl<V> RefArray<V> {
 
 use skia_isa::BranchKind;
 use skia_uarch::btb::BtbEntry;
+use skia_uarch::cache::{CacheConfig, CacheStats, HierarchyConfig, LevelLatencies};
 
 /// Reference finite BTB: a [`RefArray`] of [`BtbEntry`] with the production
 /// geometry mapping (PC modulo sets) and plain LRU.
@@ -274,6 +275,132 @@ impl RefIdealBtb {
     }
 }
 
+/// One reference cache level: a [`RefArray`] keyed by line number whose
+/// value is the line's "filled by a prefetch and not yet demand-hit" flag.
+#[derive(Debug, Clone)]
+struct RefCache {
+    arr: RefArray<bool>,
+    line_bytes: u64,
+    stats: CacheStats,
+}
+
+impl RefCache {
+    fn new(config: CacheConfig) -> Self {
+        let sets = config.size_bytes / (config.ways * config.line_bytes);
+        RefCache {
+            arr: RefArray::new(sets, config.ways),
+            line_bytes: config.line_bytes as u64,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let line = addr / self.line_bytes;
+        self.arr.probe(self.arr.set_of(line), line).is_some()
+    }
+
+    /// Look the line up, refreshing its recency on a hit. A demand hit
+    /// clears the prefetched-unused flag; a prefetch hit does not.
+    fn lookup(&mut self, addr: u64, prefetch: bool) -> bool {
+        let line = addr / self.line_bytes;
+        let set = self.arr.set_of(line);
+        let hit = match self.arr.access(set, line) {
+            Some(unused) => {
+                if !prefetch {
+                    *unused = false;
+                }
+                true
+            }
+            None => false,
+        };
+        let counter = match (prefetch, hit) {
+            (false, true) => &mut self.stats.demand_hits,
+            (false, false) => &mut self.stats.demand_misses,
+            (true, true) => &mut self.stats.prefetch_hits,
+            (true, false) => &mut self.stats.prefetch_misses,
+        };
+        *counter += 1;
+        hit
+    }
+
+    /// Install the line unless resident, counting the displaced line.
+    fn fill(&mut self, addr: u64, prefetch: bool) {
+        let line = addr / self.line_bytes;
+        let set = self.arr.set_of(line);
+        if self.arr.probe(set, line).is_some() {
+            return;
+        }
+        if let Some((_, unused)) = self.arr.insert(set, line, prefetch) {
+            self.stats.evictions += 1;
+            if unused {
+                self.stats.polluting_fills += 1;
+            }
+        }
+    }
+}
+
+/// Reference instruction-fetch ladder: L1-I, L2 and L3 [`RefArray`]s and
+/// DRAM. A lookup that misses a level asks the next one (as a demand
+/// lookup below the L1-I) and fills the line into every level it missed.
+#[derive(Debug, Clone)]
+pub struct RefHierarchy {
+    l1i: RefCache,
+    l2: RefCache,
+    l3: RefCache,
+    latencies: LevelLatencies,
+}
+
+impl RefHierarchy {
+    /// Build the ladder from the production geometry.
+    pub fn new(config: HierarchyConfig) -> Self {
+        RefHierarchy {
+            l1i: RefCache::new(config.l1i),
+            l2: RefCache::new(config.l2),
+            l3: RefCache::new(config.l3),
+            latencies: config.latencies,
+        }
+    }
+
+    /// Whether the L1-I holds the line of `addr` (no state change).
+    pub fn l1i_contains(&self, addr: u64) -> bool {
+        self.l1i.contains(addr)
+    }
+
+    /// Fetch the line of `addr`; returns the cycles until it is usable.
+    pub fn fetch_line(&mut self, addr: u64, prefetch: bool) -> u32 {
+        if self.l1i.lookup(addr, prefetch) {
+            return self.latencies.l1_hit;
+        }
+        let latency = if self.l2.lookup(addr, false) {
+            self.latencies.l2
+        } else if self.l3.lookup(addr, false) {
+            self.l2.fill(addr, prefetch);
+            self.latencies.l3
+        } else {
+            self.l3.fill(addr, prefetch);
+            self.l2.fill(addr, prefetch);
+            self.latencies.dram
+        };
+        self.l1i.fill(addr, prefetch);
+        latency
+    }
+
+    /// L1-I counters.
+    pub fn l1i_stats(&self) -> CacheStats {
+        self.l1i.stats
+    }
+
+    /// L2 counters.
+    pub fn l2_stats(&self) -> CacheStats {
+        self.l2.stats
+    }
+
+    /// L3 counters.
+    pub fn l3_stats(&self) -> CacheStats {
+        self.l3.stats
+    }
+}
+
 /// Reference return address stack: a plain `Vec` that drops its *oldest*
 /// entry on overflow.
 ///
@@ -351,6 +478,43 @@ mod tests {
         assert!(a.access_stale(0, 1).is_some());
         let evicted = a.insert(0, 3, 30);
         assert_eq!(evicted.map(|(t, _)| t), Some(1));
+    }
+
+    /// The reference ladder equals production's on a hierarchy small
+    /// enough that every level evicts, so L2 and L3 hits, prefetch
+    /// pollution and the fills on the way back all occur.
+    #[test]
+    fn reference_ladder_equals_production() {
+        use skia_uarch::cache::Hierarchy;
+        let level = |lines: usize, ways: usize| CacheConfig {
+            size_bytes: lines * 64,
+            ways,
+            line_bytes: 64,
+        };
+        let config = HierarchyConfig {
+            l1i: level(4, 2),
+            l2: level(16, 4),
+            l3: level(32, 4),
+            latencies: LevelLatencies::default(),
+        };
+        let (mut prod, mut reference) = (Hierarchy::new(config), RefHierarchy::new(config));
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = (x % 48) * 64 + (x >> 40) % 64;
+            let prefetch = (x >> 20).is_multiple_of(3);
+            assert_eq!(prod.l1i_contains(addr), reference.l1i_contains(addr));
+            assert_eq!(
+                prod.fetch_line(addr, prefetch),
+                reference.fetch_line(addr, prefetch)
+            );
+        }
+        assert_eq!(prod.l1i_stats(), reference.l1i_stats());
+        assert_eq!(prod.l2_stats(), reference.l2_stats());
+        assert_eq!(prod.l3_stats(), reference.l3_stats());
+        assert!(reference.l3_stats().demand_hits > 0 && reference.l2_stats().polluting_fills > 0);
     }
 
     #[test]

@@ -301,6 +301,45 @@ fn broken_oracle_decoder_faults_are_caught() {
     }
 }
 
+/// The reference predictors are compared too: a TAGE history fold that
+/// ignores the outgoing bit must diverge, with Skia attached and without.
+/// The fold only changes which entries train, so it shows after a few
+/// hundred steps rather than at once.
+#[test]
+fn broken_oracle_tage_fold_is_caught() {
+    let skia_on = DiffCase {
+        spec_seed: 23,
+        functions: 100,
+        bolted: true,
+        trace_seed: 41,
+        steps: 500,
+        with_skia: true,
+        btb_sets: 8,
+        small_sbb: true,
+    };
+    let skia_off = DiffCase {
+        spec_seed: 11,
+        functions: 40,
+        bolted: false,
+        trace_seed: 40,
+        steps: 600,
+        with_skia: false,
+        btb_sets: 2,
+        small_sbb: false,
+    };
+    for case in [skia_on, skia_off] {
+        run_case(&case, None).unwrap_or_else(|report| panic!("healthy oracle diverged: {report}"));
+        let report = run_case(&case, Some(OracleFault::FoldDropsOutgoingBit))
+            .expect_err("dropped outgoing history bit must diverge");
+        let text = report.to_string();
+        assert!(
+            report.step < case.steps,
+            "caught by the per-step stats:\n{text}"
+        );
+        assert!(text.contains("SKIA_DIFF_REPLAY") && text.contains(&case.encode()));
+    }
+}
+
 /// The fault-tag codec round trips for every knob (fuzz replay tokens
 /// embed these tags).
 #[test]

@@ -69,11 +69,10 @@ pub struct BtbEntry {
 
 /// Set-associative BTB indexed by branch PC.
 ///
-/// The BPU's "where is the next branch I know about in this fetch window?"
-/// question is answered by probing the program's dense branch side table
-/// (`skia-workloads`) against [`Btb::probe`] — a resident pc is always a
-/// static branch of the program, so the BTB keeps no ordered key mirror
-/// and inserts/evictions pay no index maintenance.
+/// The BTB keeps no index of its keys. The BPU answers "where is the next
+/// branch I know about in this fetch window?" from its own
+/// [`LineBitmap`](crate::LineBitmap) of resident pcs, which it keeps in
+/// step through the evicted pc [`Btb::insert`] returns.
 #[derive(Debug, Clone)]
 pub struct Btb {
     arr: TagArray<BtbEntry>,

@@ -144,10 +144,20 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, prefetch: bool) {
         let line = self.line_of(addr);
         let set = self.set_of(line);
-        if self.arr.peek_mut(set, line).is_some() {
-            return; // already resident
+        if self.arr.probe(set, line).is_none() {
+            self.fill_absent(set, line, prefetch);
         }
-        let evicted = self.arr.insert(
+    }
+
+    /// [`Cache::fill`] of a line the caller has just seen miss: one victim
+    /// scan, no residency check.
+    fn fill_missed(&mut self, addr: u64, prefetch: bool) {
+        let line = self.line_of(addr);
+        self.fill_absent(self.set_of(line), line, prefetch);
+    }
+
+    fn fill_absent(&mut self, set: usize, line: u64, prefetch: bool) {
+        let evicted = self.arr.insert_absent(
             set,
             line,
             LineMeta {
@@ -287,18 +297,18 @@ impl Hierarchy {
         if l1_hit {
             return (true, self.latencies.l1_hit);
         }
-        // L2 lookup.
+        // L2 lookup. Each level filled below has just missed.
         let latency = if self.l2.demand_access(addr) {
             self.latencies.l2
         } else if self.l3.demand_access(addr) {
-            self.l2.fill(addr, prefetch);
+            self.l2.fill_missed(addr, prefetch);
             self.latencies.l3
         } else {
-            self.l3.fill(addr, prefetch);
-            self.l2.fill(addr, prefetch);
+            self.l3.fill_missed(addr, prefetch);
+            self.l2.fill_missed(addr, prefetch);
             self.latencies.dram
         };
-        self.l1i.fill(addr, prefetch);
+        self.l1i.fill_missed(addr, prefetch);
         (false, latency)
     }
 

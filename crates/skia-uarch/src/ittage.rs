@@ -3,35 +3,17 @@
 //!
 //! Tagged geometric-history tables store full targets with a 2-bit
 //! confidence counter; a PC-indexed base table catches the monomorphic
-//! majority. Like [`crate::tage::Tage`], history is pushed speculatively and
-//! the frontend repairs it with checkpoints on resteers — ITTAGE shares the
-//! TAGE history discipline, so we reuse the same folded-register scheme.
+//! majority. Like [`crate::tage::Tage`], it is trained at commit, folds its
+//! history with one lane per table (to the index width, 11 and 10 bits) and
+//! keeps its tagged tables in one flat vector.
 
-/// Folded history register (same arithmetic as in `tage.rs`).
-#[derive(Debug, Clone, Copy)]
-struct Folded {
-    comp: u32,
-    olen: usize,
-    /// `clen % olen`, precomputed (loop-invariant in `update`).
-    out_shift: u32,
-}
+use crate::history::FoldedHistory;
 
-impl Folded {
-    fn new(clen: usize, olen: usize) -> Self {
-        Folded {
-            comp: 0,
-            olen,
-            out_shift: (clen % olen) as u32,
-        }
-    }
+/// Most tagged tables an ITTAGE may have.
+const MAX_TABLES: usize = 8;
 
-    fn update(&mut self, new_bit: bool, old_bit: bool) {
-        self.comp = (self.comp << 1) | u32::from(new_bit);
-        self.comp ^= u32::from(old_bit) << self.out_shift;
-        self.comp ^= self.comp >> self.olen;
-        self.comp &= (1u32 << self.olen) - 1;
-    }
-}
+/// Tag width of every tagged table.
+const TAG_BITS: usize = 11;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct ItEntry {
@@ -41,68 +23,27 @@ struct ItEntry {
     useful: u8,     // 1-bit
 }
 
-#[derive(Debug, Clone)]
-struct ItTable {
-    entries: Vec<ItEntry>,
-    hist_len: usize,
-    index_bits: usize,
-    tag_bits: usize,
-    idx_fold: Folded,
-    tag_fold1: Folded,
-    tag_fold2: Folded,
-}
-
-impl ItTable {
-    fn new(hist_len: usize, index_bits: usize, tag_bits: usize) -> Self {
-        ItTable {
-            entries: vec![ItEntry::default(); 1 << index_bits],
-            hist_len,
-            index_bits,
-            tag_bits,
-            idx_fold: Folded::new(hist_len, index_bits),
-            tag_fold1: Folded::new(hist_len, tag_bits),
-            tag_fold2: Folded::new(hist_len, tag_bits - 1),
-        }
-    }
-
-    fn index(&self, pc: u64) -> usize {
-        let pc = pc >> 1;
-        ((pc as u32 ^ (pc >> self.index_bits as u32 as u64 as usize) as u32 ^ self.idx_fold.comp)
-            & ((1 << self.index_bits) - 1)) as usize
-    }
-
-    fn tag(&self, pc: u64) -> u16 {
-        let pc = pc >> 1;
-        ((pc as u32 ^ self.tag_fold1.comp ^ (self.tag_fold2.comp << 1))
-            & ((1 << self.tag_bits) - 1)) as u16
-    }
-}
-
-/// Rewind token for the speculative history.
-#[derive(Debug, Clone)]
-pub struct IttageCheckpoint {
-    folds: Vec<(u32, u32, u32)>,
-    pos: usize,
-}
-
 /// Training handle recorded at prediction time.
 #[derive(Debug, Clone, Copy)]
 pub struct IttagePrediction {
     /// Predicted target (`None` until the branch has been seen once).
     pub target: Option<u64>,
-    provider: Option<usize>,
-    indices: [u16; 8],
-    tags: [u16; 8],
+    /// The providing tagged table, if any.
+    provider: Option<u8>,
+    indices: [u16; MAX_TABLES],
+    tags: [u16; MAX_TABLES],
     base_index: u16,
 }
 
 /// The ITTAGE predictor.
 #[derive(Debug, Clone)]
 pub struct Ittage {
-    tables: Vec<ItTable>,
+    num_tables: usize,
+    index_bits: usize,
+    /// Tagged table `i`'s entry `j` is `tagged[(i << index_bits) | j]`.
+    tagged: Vec<ItEntry>,
     base: Vec<ItEntry>,
-    hist_bits: Vec<bool>,
-    hist_pos: usize,
+    history: FoldedHistory<MAX_TABLES>,
     predictions: u64,
     mispredictions: u64,
 }
@@ -116,25 +57,24 @@ impl Ittage {
     /// Panics if `num_tables` is 0 or greater than 8.
     #[must_use]
     pub fn new(num_tables: usize, index_bits: usize, max_history: usize) -> Self {
-        assert!((1..=8).contains(&num_tables));
+        assert!((1..=MAX_TABLES).contains(&num_tables));
         // Prediction metadata stores indices as u16.
         assert!(index_bits <= 16);
         let min_history = 2usize;
         let ratio =
             (max_history as f64 / min_history as f64).powf(1.0 / (num_tables.max(2) - 1) as f64);
-        let tables = (0..num_tables)
+        let lens: Vec<usize> = (0..num_tables)
             .map(|i| {
                 let h = (min_history as f64 * ratio.powi(i as i32)).round() as usize;
-                ItTable::new(h.max(i + 1), index_bits, 11)
+                h.max(i + 1)
             })
             .collect();
-        let capacity = (max_history + 1).next_power_of_two() * 8;
-        assert!(capacity.is_power_of_two(), "bit_ago relies on mask wrap");
         Ittage {
-            tables,
+            num_tables,
+            index_bits,
+            tagged: vec![ItEntry::default(); num_tables << index_bits],
             base: vec![ItEntry::default(); 1 << index_bits],
-            hist_bits: vec![false; capacity],
-            hist_pos: 0,
+            history: FoldedHistory::new(&lens, index_bits, TAG_BITS),
             predictions: 0,
             mispredictions: 0,
         }
@@ -146,75 +86,43 @@ impl Ittage {
         Ittage::new(6, 11, 320)
     }
 
-    fn bit_ago(&self, ago: usize) -> bool {
-        // `hist_bits.len()` is a power of two (asserted in `new`), so the
-        // circular wrap is a mask instead of a division.
-        let n = self.hist_bits.len();
-        self.hist_bits[(self.hist_pos + n - ago) & (n - 1)]
+    /// Tagged table `table`'s entry `index`.
+    fn entry(&self, table: usize, index: u16) -> &ItEntry {
+        &self.tagged[(table << self.index_bits) | usize::from(index)]
     }
 
-    /// Push one path/direction bit into the speculative history.
+    fn entry_mut(&mut self, table: usize, index: u16) -> &mut ItEntry {
+        &mut self.tagged[(table << self.index_bits) | usize::from(index)]
+    }
+
+    /// Push one path/direction bit into the history.
     pub fn push_history(&mut self, bit: bool) {
-        // Fixed array (≤ 8 tables): this runs once per committed branch and
-        // must not heap-allocate.
-        let mut olds = [false; 8];
-        for (i, t) in self.tables.iter().enumerate() {
-            olds[i] = self.bit_ago(t.hist_len);
-        }
-        for (t, &old) in self.tables.iter_mut().zip(&olds) {
-            t.idx_fold.update(bit, old);
-            t.tag_fold1.update(bit, old);
-            t.tag_fold2.update(bit, old);
-        }
-        let mask = self.hist_bits.len() - 1;
-        self.hist_bits[self.hist_pos] = bit;
-        self.hist_pos = (self.hist_pos + 1) & mask;
-    }
-
-    /// Capture the speculative history state.
-    #[must_use]
-    pub fn checkpoint(&self) -> IttageCheckpoint {
-        IttageCheckpoint {
-            folds: self
-                .tables
-                .iter()
-                .map(|t| (t.idx_fold.comp, t.tag_fold1.comp, t.tag_fold2.comp))
-                .collect(),
-            pos: self.hist_pos,
-        }
-    }
-
-    /// Rewind to a checkpoint taken earlier on this path.
-    pub fn restore(&mut self, cp: &IttageCheckpoint) {
-        for (t, &(a, b, c)) in self.tables.iter_mut().zip(&cp.folds) {
-            t.idx_fold.comp = a;
-            t.tag_fold1.comp = b;
-            t.tag_fold2.comp = c;
-        }
-        self.hist_pos = cp.pos;
+        self.history.push(bit);
     }
 
     /// Predict the target of the indirect branch at `pc`.
     #[must_use]
     pub fn predict(&self, pc: u64) -> IttagePrediction {
-        let mut indices = [0u16; 8];
-        let mut tags = [0u16; 8];
-        for (i, t) in self.tables.iter().enumerate() {
-            indices[i] = t.index(pc) as u16;
-            tags[i] = t.tag(pc);
+        let h = &self.history;
+        // The pc terms of every table's index and tag.
+        let p = pc >> 1;
+        let mix = p as u32 ^ (p >> self.index_bits) as u32;
+        let index_mask = (1u32 << self.index_bits) - 1;
+        let tag_mask = (1u32 << TAG_BITS) - 1;
+        let mut indices = [0u16; MAX_TABLES];
+        let mut tags = [0u16; MAX_TABLES];
+        for i in 0..self.num_tables {
+            indices[i] = ((mix ^ h.idx[i]) & index_mask) as u16;
+            tags[i] = ((p as u32 ^ h.tag1[i] ^ (h.tag2[i] << 1)) & tag_mask) as u16;
         }
         let base_index = ((pc >> 1) as usize & (self.base.len() - 1)) as u16;
 
-        let mut provider = None;
-        for i in (0..self.tables.len()).rev() {
-            let e = &self.tables[i].entries[indices[i] as usize];
-            if e.tag == tags[i] && e.confidence > 0 {
-                provider = Some(i);
-                break;
-            }
-        }
+        let provider = (0..self.num_tables).rev().find(|&i| {
+            let e = self.entry(i, indices[i]);
+            e.tag == tags[i] && e.confidence > 0
+        });
         let target = match provider {
-            Some(i) => Some(self.tables[i].entries[indices[i] as usize].target),
+            Some(i) => Some(self.entry(i, indices[i]).target),
             None => {
                 let b = &self.base[base_index as usize];
                 if b.confidence > 0 {
@@ -226,7 +134,7 @@ impl Ittage {
         };
         IttagePrediction {
             target,
-            provider,
+            provider: provider.map(|i| i as u8),
             indices,
             tags,
             base_index,
@@ -243,9 +151,9 @@ impl Ittage {
         }
 
         // Train provider (or base).
-        match pred.provider {
+        match pred.provider.map(usize::from) {
             Some(p) => {
-                let e = &mut self.tables[p].entries[pred.indices[p] as usize];
+                let e = self.entry_mut(p, pred.indices[p]);
                 if e.target == target {
                     e.confidence = (e.confidence + 1).min(3);
                     e.useful = 1;
@@ -272,9 +180,9 @@ impl Ittage {
 
         // Allocate a longer-history entry on a wrong target.
         if !correct {
-            let start = pred.provider.map_or(0, |p| p + 1);
-            for i in start..self.tables.len() {
-                let e = &mut self.tables[i].entries[pred.indices[i] as usize];
+            let start = pred.provider.map_or(0, |p| usize::from(p) + 1);
+            for i in start..self.num_tables {
+                let e = self.entry_mut(i, pred.indices[i]);
                 if e.useful == 0 {
                     *e = ItEntry {
                         tag: pred.tags[i],
@@ -348,19 +256,13 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_is_exact() {
+    fn lanes_past_the_table_count_stay_zero() {
         let mut it = Ittage::new(4, 8, 64);
-        for i in 0..40 {
+        for i in 0..100 {
             it.push_history(i % 5 == 0);
         }
-        let cp = it.checkpoint();
-        let before = it.predict(0x42);
-        for _ in 0..15 {
-            it.push_history(true);
-        }
-        it.restore(&cp);
-        let after = it.predict(0x42);
-        assert_eq!(before.indices, after.indices);
-        assert_eq!(before.tags, after.tags);
+        let p = it.predict(0x4242);
+        assert!(p.indices[4..].iter().chain(&p.tags[4..]).all(|&x| x == 0));
+        assert!(p.indices[..4].iter().any(|&x| x != 0));
     }
 }

@@ -4,15 +4,16 @@
 //!
 //! * [`tag_array`] — a generic set-associative tag array with LRU and
 //!   caller-controlled victim preference (shared by caches, the BTB and the
-//!   Shadow Branch Buffer).
+//!   Shadow Branch Buffer), stored by field.
+//! * [`line_bitmap`] — per-cache-line bitmaps of resident pcs, the BTB ∥ SBB
+//!   fetch-window scan of the BPU.
 //! * [`cache`] — instruction-side cache hierarchy (L1-I → L2 → L3 → DRAM)
 //!   with demand/prefetch fill accounting.
 //! * [`btb`] — the Branch Target Buffer with the paper's 78-bit entry layout.
-//! * [`tage`] — a TAGE-SC-L-style conditional branch predictor with
-//!   checkpointable speculative history.
+//! * [`tage`] — a TAGE-SC-L-style conditional branch predictor, trained at
+//!   commit.
 //! * [`ittage`] — an ITTAGE indirect target predictor.
 //! * [`ras`] — a repairable return address stack.
-//! * [`ftq`] — the Fetch Target Queue (bounded FIFO with occupancy stats).
 //! * [`cacti`] — an analytical SRAM access-latency model standing in for the
 //!   CACTI tool the paper uses to justify BTB scaling costs.
 //!
@@ -26,16 +27,17 @@
 pub mod btb;
 pub mod cache;
 pub mod cacti;
-pub mod ftq;
+mod history;
 pub mod ittage;
+pub mod line_bitmap;
 pub mod ras;
 pub mod tag_array;
 pub mod tage;
 
 pub use btb::{Btb, BtbConfig, BtbEntry, IdealBtb};
 pub use cache::{Cache, CacheConfig, CacheStats, Hierarchy, HierarchyConfig, LevelLatencies};
-pub use ftq::Ftq;
 pub use ittage::Ittage;
+pub use line_bitmap::LineBitmap;
 pub use ras::ReturnAddressStack;
 pub use tag_array::TagArray;
-pub use tage::{Tage, TageCheckpoint, TageConfig, TagePrediction};
+pub use tage::{Tage, TageConfig, TagePrediction};

@@ -5,14 +5,13 @@
 //! differ only in what they store per entry and in how they pick victims
 //! (the SBB prefers evicting entries whose *retired* bit is clear, §4.3).
 //! This type factors out the shared mechanics.
-
-/// One way of one set.
-#[derive(Debug, Clone)]
-struct Slot<V> {
-    tag: u64,
-    last_use: u64,
-    value: V,
-}
+//!
+//! The array is stored by field: tags, recency stamps and values in
+//! separate vectors, way `w` of set `s` at index `s * ways + w` of each. A
+//! way scan reads only the set's tags (one cache line for an 8-way set),
+//! plus the stamp of a matching way. A stamp of 0 marks an invalid way;
+//! the recency clock starts at 1 and ticks on every access and insert, so
+//! the stamps of valid ways are unique and the LRU way is unambiguous.
 
 /// A set-associative array of `V` values keyed by `(set, tag)`.
 ///
@@ -29,7 +28,11 @@ pub struct TagArray<V> {
     ///
     /// [`set_of`]: TagArray::set_of
     set_mask: u64,
-    slots: Vec<Option<Slot<V>>>,
+    tags: Vec<u64>,
+    /// Last-use tick per way; 0 for an invalid way.
+    stamps: Vec<u64>,
+    /// `Some` exactly where the stamp is non-zero.
+    values: Vec<Option<V>>,
     tick: u64,
 }
 
@@ -43,8 +46,8 @@ impl<V> TagArray<V> {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0, "tag array needs at least one set");
         assert!(ways > 0, "tag array needs at least one way");
-        let mut slots = Vec::new();
-        slots.resize_with(sets * ways, || None);
+        let mut values = Vec::new();
+        values.resize_with(sets * ways, || None);
         TagArray {
             sets,
             ways,
@@ -53,7 +56,9 @@ impl<V> TagArray<V> {
             } else {
                 0
             },
-            slots,
+            tags: vec![0; sets * ways],
+            stamps: vec![0; sets * ways],
+            values,
             tick: 0,
         }
     }
@@ -79,13 +84,13 @@ impl<V> TagArray<V> {
     /// Number of currently valid entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.stamps.iter().filter(|&&s| s != 0).count()
     }
 
     /// Whether no entry is valid.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        self.stamps.iter().all(|&s| s == 0)
     }
 
     /// Map a key to its set index: a mask when the set count is a power of
@@ -100,44 +105,37 @@ impl<V> TagArray<V> {
         }
     }
 
-    fn range(&self, set: usize) -> std::ops::Range<usize> {
+    /// Index of the valid way of `set` holding `tag`.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
         debug_assert!(set < self.sets);
-        set * self.ways..(set + 1) * self.ways
+        let ways = set * self.ways..(set + 1) * self.ways;
+        let stamps = &self.stamps[ways.clone()];
+        self.tags[ways]
+            .iter()
+            .zip(stamps)
+            .position(|(&t, &stamp)| t == tag && stamp != 0)
+            .map(|w| set * self.ways + w)
     }
 
     /// Look up without updating recency (a *probe* in hardware terms).
     #[must_use]
     pub fn probe(&self, set: usize, tag: u64) -> Option<&V> {
-        self.slots[self.range(set)]
-            .iter()
-            .flatten()
-            .find(|s| s.tag == tag)
-            .map(|s| &s.value)
+        self.values[self.find(set, tag)?].as_ref()
     }
 
     /// Look up and update recency on hit.
     pub fn access(&mut self, set: usize, tag: u64) -> Option<&mut V> {
         self.tick += 1;
-        let tick = self.tick;
-        let range = self.range(set);
-        self.slots[range]
-            .iter_mut()
-            .flatten()
-            .find(|s| s.tag == tag)
-            .map(|s| {
-                s.last_use = tick;
-                &mut s.value
-            })
+        let i = self.find(set, tag)?;
+        self.stamps[i] = self.tick;
+        self.values[i].as_mut()
     }
 
     /// Get a mutable reference without a recency update.
     pub fn peek_mut(&mut self, set: usize, tag: u64) -> Option<&mut V> {
-        let range = self.range(set);
-        self.slots[range]
-            .iter_mut()
-            .flatten()
-            .find(|s| s.tag == tag)
-            .map(|s| &mut s.value)
+        let i = self.find(set, tag)?;
+        self.values[i].as_mut()
     }
 
     /// Insert (or overwrite) an entry using plain LRU victim selection.
@@ -162,90 +160,79 @@ impl<V> TagArray<V> {
         value: V,
         prefer_evict: impl Fn(&V) -> bool,
     ) -> Option<(u64, V)> {
-        self.tick += 1;
-        let tick = self.tick;
-        let range = self.range(set);
-
         // Overwrite on tag match.
-        if let Some(slot) = self.slots[range.clone()]
-            .iter_mut()
-            .flatten()
-            .find(|s| s.tag == tag)
-        {
-            slot.last_use = tick;
-            let old = std::mem::replace(&mut slot.value, value);
-            return Some((tag, old));
+        if let Some(i) = self.find(set, tag) {
+            self.tick += 1;
+            self.stamps[i] = self.tick;
+            return self.values[i].replace(value).map(|old| (tag, old));
         }
+        self.insert_absent_with(set, tag, value, prefer_evict)
+    }
 
-        // Free slot?
-        if let Some(slot) = self.slots[range.clone()].iter_mut().find(|s| s.is_none()) {
-            *slot = Some(Slot {
-                tag,
-                last_use: tick,
-                value,
-            });
-            return None;
-        }
+    /// Insert `tag`, which the caller knows `set` does not hold, with plain
+    /// LRU victim selection — [`TagArray::insert`] without the tag-match
+    /// scan.
+    pub(crate) fn insert_absent(&mut self, set: usize, tag: u64, value: V) -> Option<(u64, V)> {
+        debug_assert!(self.find(set, tag).is_none(), "tag already resident");
+        self.insert_absent_with(set, tag, value, |_| false)
+    }
 
-        // Victim: preferred class first (oldest within it), else global LRU.
-        let victim_idx = {
-            let slice = &self.slots[range.clone()];
-            let mut best: Option<(usize, bool, u64)> = None;
-            for (i, slot) in slice.iter().enumerate() {
-                let s = slot.as_ref().expect("set is full here");
-                let preferred = prefer_evict(&s.value);
-                let candidate = (i, preferred, s.last_use);
-                best = Some(match best {
-                    None => candidate,
-                    Some(b) => {
-                        // Prefer the preferred class; within a class, older wins.
-                        let better = match (candidate.1, b.1) {
-                            (true, false) => true,
-                            (false, true) => false,
-                            _ => candidate.2 < b.2,
-                        };
-                        if better {
-                            candidate
-                        } else {
-                            b
-                        }
-                    }
-                });
+    /// The victim scan: the first free way, else the oldest way for which
+    /// `prefer_evict` holds, else the oldest way.
+    fn insert_absent_with(
+        &mut self,
+        set: usize,
+        tag: u64,
+        value: V,
+        prefer_evict: impl Fn(&V) -> bool,
+    ) -> Option<(u64, V)> {
+        self.tick += 1;
+        let start = set * self.ways;
+        let stamps = &self.stamps[start..start + self.ways];
+        // The oldest way; a free way (stamp 0) is older than any valid one,
+        // and the first free way wins among several.
+        let (mut victim, mut oldest) = (0, stamps[0]);
+        for (w, &s) in stamps.iter().enumerate().skip(1) {
+            if s < oldest {
+                (victim, oldest) = (w, s);
             }
-            range.start + best.expect("ways > 0").0
-        };
-        let old = self.slots[victim_idx].replace(Slot {
-            tag,
-            last_use: tick,
-            value,
-        });
-        old.map(|s| (s.tag, s.value))
+        }
+        if oldest != 0 {
+            // The set is full: the oldest preferred way, if any.
+            let mut preferred: Option<usize> = None;
+            for (w, &s) in stamps.iter().enumerate() {
+                let candidate = self.values[start + w].as_ref().is_some_and(&prefer_evict);
+                if candidate && preferred.is_none_or(|p| s < stamps[p]) {
+                    preferred = Some(w);
+                }
+            }
+            victim = preferred.unwrap_or(victim);
+        }
+        let i = start + victim;
+        let old_tag = std::mem::replace(&mut self.tags[i], tag);
+        self.stamps[i] = self.tick;
+        self.values[i].replace(value).map(|old| (old_tag, old))
     }
 
     /// Remove an entry, returning its value.
     pub fn invalidate(&mut self, set: usize, tag: u64) -> Option<V> {
-        let range = self.range(set);
-        for slot in &mut self.slots[range] {
-            if slot.as_ref().is_some_and(|s| s.tag == tag) {
-                return slot.take().map(|s| s.value);
-            }
-        }
-        None
+        let i = self.find(set, tag)?;
+        self.stamps[i] = 0;
+        self.values[i].take()
     }
 
     /// Clear all entries.
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
+        self.stamps.fill(0);
+        self.values.iter_mut().for_each(|v| *v = None);
     }
 
     /// Iterate over all valid `(set, tag, value)` triples.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64, &V)> + '_ {
-        self.slots.iter().enumerate().filter_map(move |(i, s)| {
-            s.as_ref()
-                .map(|slot| (i / self.ways, slot.tag, &slot.value))
-        })
+        self.values
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, v)| v.as_ref().map(|v| (i / self.ways, self.tags[i], v)))
     }
 }
 

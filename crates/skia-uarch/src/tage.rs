@@ -2,71 +2,20 @@
 //! the TAGE-SC-L predictor the paper uses as its BPU baseline (Seznec,
 //! CBP-5).
 //!
-//! The predictor supports *speculative* operation as required by a decoupled
-//! front-end: global history is pushed at prediction time with the predicted
-//! outcome, and a cheap [`TageCheckpoint`] (folded-history registers + history
-//! position) is taken per prediction so a later resteer can rewind the
-//! predictor to the mispredicted branch and continue on the correct path.
-//! Table updates use the indices/tags recorded in the [`TagePrediction`], so
-//! a delayed (decode/execute-time) update trains exactly the entries that
+//! The simulator trains at commit: [`Tage::predict`] is read-only, and the
+//! retired direction is pushed into the global history
+//! ([`Tage::push_history`]) after [`Tage::update`]. Lockstep replay makes
+//! that equivalent to speculative history with exact repair, so the model
+//! keeps no checkpoints. Table updates use the indices/tags recorded in the
+//! [`TagePrediction`], so a delayed update trains exactly the entries that
 //! produced the prediction.
+//!
+//! Every tagged table folds its history to the same three widths (index,
+//! tag, tag − 1), so the folded registers are stored by kind with one lane
+//! per table, and the tagged tables are one flat vector of
+//! `num_tables << table_index_bits` entries.
 
-/// A folded (compressed) history register, CBP-style.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Folded {
-    comp: u32,
-    olen: usize,
-    /// `clen % olen`, precomputed: `update` runs on every history push for
-    /// every table, and the modulo is loop-invariant.
-    out_shift: u32,
-}
-
-impl Folded {
-    fn new(clen: usize, olen: usize) -> Self {
-        Folded {
-            comp: 0,
-            olen,
-            out_shift: (clen % olen) as u32,
-        }
-    }
-
-    fn update(&mut self, new_bit: bool, old_bit: bool) {
-        self.comp = (self.comp << 1) | u32::from(new_bit);
-        self.comp ^= u32::from(old_bit) << self.out_shift;
-        self.comp ^= self.comp >> self.olen;
-        self.comp &= (1u32 << self.olen) - 1;
-    }
-}
-
-/// Circular global-history bit buffer sized for deep speculation. The
-/// capacity is always a power of two so index wrap is a mask, not a 64-bit
-/// division (`bit_ago` runs once per table per history push).
-#[derive(Debug, Clone)]
-struct GlobalHistory {
-    bits: Vec<bool>,
-    pos: usize,
-    mask: usize,
-}
-
-impl GlobalHistory {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity.is_power_of_two());
-        GlobalHistory {
-            bits: vec![false; capacity],
-            pos: 0,
-            mask: capacity - 1,
-        }
-    }
-
-    fn bit_ago(&self, ago: usize) -> bool {
-        self.bits[(self.pos + self.bits.len() - ago) & self.mask]
-    }
-
-    fn push(&mut self, bit: bool) {
-        self.bits[self.pos] = bit;
-        self.pos = (self.pos + 1) & self.mask;
-    }
-}
+use crate::history::FoldedHistory;
 
 /// One entry of a tagged TAGE component.
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,44 +23,6 @@ struct TageEntry {
     ctr: i8, // 3-bit signed counter, -4..=3
     tag: u16,
     useful: u8, // 2-bit
-}
-
-#[derive(Debug, Clone)]
-struct TageTable {
-    entries: Vec<TageEntry>,
-    hist_len: usize,
-    index_bits: usize,
-    tag_bits: usize,
-    idx_fold: Folded,
-    tag_fold1: Folded,
-    tag_fold2: Folded,
-}
-
-impl TageTable {
-    fn new(hist_len: usize, index_bits: usize, tag_bits: usize) -> Self {
-        TageTable {
-            entries: vec![TageEntry::default(); 1 << index_bits],
-            hist_len,
-            index_bits,
-            tag_bits,
-            idx_fold: Folded::new(hist_len, index_bits),
-            tag_fold1: Folded::new(hist_len, tag_bits),
-            tag_fold2: Folded::new(hist_len, tag_bits - 1),
-        }
-    }
-
-    fn index(&self, pc: u64) -> usize {
-        let pc = pc >> 1;
-        let mix =
-            pc ^ (pc >> self.index_bits) ^ (pc >> (2 * self.index_bits as u32 as u64 as usize));
-        ((mix as u32 ^ self.idx_fold.comp) & ((1 << self.index_bits) - 1)) as usize
-    }
-
-    fn tag(&self, pc: u64) -> u16 {
-        let pc = pc >> 1;
-        ((pc as u32 ^ self.tag_fold1.comp ^ (self.tag_fold2.comp << 1))
-            & ((1 << self.tag_bits) - 1)) as u16
-    }
 }
 
 /// Loop predictor entry (64-entry, direct mapped by PC).
@@ -190,30 +101,23 @@ const MAX_TABLES: usize = 16;
 pub struct TagePrediction {
     /// Final predicted direction.
     pub taken: bool,
-    provider: Option<usize>,
+    /// The providing tagged table, if any.
+    provider: Option<u8>,
     alt_taken: bool,
-    provider_weak: bool,
     indices: [u16; MAX_TABLES],
     tags: [u16; MAX_TABLES],
     base_index: u16,
-    from_loop: bool,
-    loop_index: usize,
-}
-
-/// Rewind token: folded registers of every table plus the history position.
-#[derive(Debug, Clone)]
-pub struct TageCheckpoint {
-    folds: Vec<(u32, u32, u32)>,
-    pos: usize,
+    loop_index: u8,
 }
 
 /// The predictor.
 #[derive(Debug, Clone)]
 pub struct Tage {
     config: TageConfig,
-    tables: Vec<TageTable>,
+    /// Tagged table `i`'s entry `j` is `tagged[(i << table_index_bits) | j]`.
+    tagged: Vec<TageEntry>,
     base: Vec<i8>, // 2-bit counters, -2..=1
-    ghist: GlobalHistory,
+    history: FoldedHistory<MAX_TABLES>,
     use_alt_on_na: i8,
     loops: Vec<LoopEntry>,
     rng: u64,
@@ -230,21 +134,20 @@ impl Tage {
         assert!(config.num_tables >= 2 && config.num_tables <= MAX_TABLES);
         // Prediction metadata stores indices as u16.
         assert!(config.table_index_bits <= 16 && config.base_index_bits <= 16);
-        let mut tables = Vec::new();
         // Geometric history lengths between min and max.
         let ratio = (config.max_history as f64 / config.min_history as f64)
             .powf(1.0 / (config.num_tables - 1) as f64);
-        for i in 0..config.num_tables {
-            let h = (config.min_history as f64 * ratio.powi(i as i32)).round() as usize;
-            let h = h.max(i + 1);
-            tables.push(TageTable::new(h, config.table_index_bits, config.tag_bits));
-        }
-        let ghist = GlobalHistory::new((config.max_history + 1).next_power_of_two() * 8);
+        let lens: Vec<usize> = (0..config.num_tables)
+            .map(|i| {
+                let h = (config.min_history as f64 * ratio.powi(i as i32)).round() as usize;
+                h.max(i + 1)
+            })
+            .collect();
         Tage {
+            tagged: vec![TageEntry::default(); config.num_tables << config.table_index_bits],
             base: vec![0; 1 << config.base_index_bits],
             loops: vec![LoopEntry::default(); 64],
-            tables,
-            ghist,
+            history: FoldedHistory::new(&lens, config.table_index_bits, config.tag_bits),
             config,
             use_alt_on_na: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
@@ -271,23 +174,39 @@ impl Tage {
         ((pc >> 1) & ((1 << self.config.base_index_bits) - 1)) as usize
     }
 
+    /// Tagged table `table`'s entry `index`.
+    fn entry(&self, table: usize, index: u16) -> &TageEntry {
+        &self.tagged[(table << self.config.table_index_bits) | usize::from(index)]
+    }
+
+    fn entry_mut(&mut self, table: usize, index: u16) -> &mut TageEntry {
+        &mut self.tagged[(table << self.config.table_index_bits) | usize::from(index)]
+    }
+
     /// Predict the direction of the conditional branch at `pc`.
     #[must_use]
     pub fn predict(&self, pc: u64) -> TagePrediction {
+        let n = self.config.num_tables;
+        let ib = self.config.table_index_bits;
+        let h = &self.history;
+        // The pc terms of every table's index and tag.
+        let p = pc >> 1;
+        let mix = (p ^ (p >> ib) ^ (p >> (2 * ib))) as u32;
+        let index_mask = (1u32 << ib) - 1;
+        let tag_mask = (1u32 << self.config.tag_bits) - 1;
         let mut indices = [0u16; MAX_TABLES];
         let mut tags = [0u16; MAX_TABLES];
-        for (i, t) in self.tables.iter().enumerate() {
-            indices[i] = t.index(pc) as u16;
-            tags[i] = t.tag(pc);
+        for i in 0..n {
+            indices[i] = ((mix ^ h.idx[i]) & index_mask) as u16;
+            tags[i] = ((p as u32 ^ h.tag1[i] ^ (h.tag2[i] << 1)) & tag_mask) as u16;
         }
         let base_index = self.base_index(pc) as u16;
         let base_taken = self.base[base_index as usize] >= 0;
 
         let mut provider = None;
         let mut alt = None;
-        for i in (0..self.tables.len()).rev() {
-            let e = &self.tables[i].entries[indices[i] as usize];
-            if e.tag == tags[i] {
+        for i in (0..n).rev() {
+            if self.entry(i, indices[i]).tag == tags[i] {
                 if provider.is_none() {
                     provider = Some(i);
                 } else {
@@ -298,91 +217,53 @@ impl Tage {
         }
 
         let alt_taken = match alt {
-            Some(i) => self.tables[i].entries[indices[i] as usize].ctr >= 0,
+            Some(i) => self.entry(i, indices[i]).ctr >= 0,
             None => base_taken,
         };
-        let (taken, provider_weak) = match provider {
+        let taken = match provider {
             Some(i) => {
-                let e = &self.tables[i].entries[indices[i] as usize];
-                let weak = e.ctr == 0 || e.ctr == -1;
-                let newly_alloc = e.useful == 0 && weak;
+                let e = self.entry(i, indices[i]);
+                let newly_alloc = e.useful == 0 && (e.ctr == 0 || e.ctr == -1);
                 if newly_alloc && self.use_alt_on_na >= 0 {
-                    (alt_taken, weak)
+                    alt_taken
                 } else {
-                    (e.ctr >= 0, weak)
+                    e.ctr >= 0
                 }
             }
-            None => (base_taken, false),
+            None => base_taken,
         };
 
         // Loop predictor override when confident.
-        let (taken, from_loop, loop_index) = if self.config.loop_predictor {
+        let (taken, loop_index) = if self.config.loop_predictor {
             // `loops` is a fixed 64-entry table; mask instead of modulo.
             let li = (pc >> 1) as usize & (self.loops.len() - 1);
             let le = &self.loops[li];
             if le.valid && le.tag == ((pc >> 7) & 0xFFFF) as u16 && le.confidence >= 3 {
                 // `current` counts taken iterations so far; the loop exits
                 // (not-taken) exactly when it reaches the learned trip count.
-                (le.current != le.trip, true, li)
+                (le.current != le.trip, li)
             } else {
-                (taken, false, li)
+                (taken, li)
             }
         } else {
-            (taken, false, 0)
+            (taken, 0)
         };
 
         TagePrediction {
             taken,
-            provider,
+            provider: provider.map(|i| i as u8),
             alt_taken,
-            provider_weak,
             indices,
             tags,
             base_index,
-            from_loop,
-            loop_index,
+            loop_index: loop_index as u8,
         }
     }
 
-    /// Push one speculative outcome bit into the global history (call once
-    /// per predicted conditional branch, with the *predicted* direction; call
-    /// with the resolved direction after a [`Tage::restore`]).
+    /// Push one outcome bit into the global history (once per retired
+    /// conditional branch, after [`Tage::update`]).
     pub fn push_history(&mut self, taken: bool) {
-        // Compute leaving bits before mutating the buffer. A fixed array —
-        // this runs once per committed branch and must not heap-allocate.
-        let mut olds = [false; MAX_TABLES];
-        for (i, t) in self.tables.iter().enumerate() {
-            olds[i] = self.ghist.bit_ago(t.hist_len);
-        }
-        for (t, &old) in self.tables.iter_mut().zip(&olds) {
-            t.idx_fold.update(taken, old);
-            t.tag_fold1.update(taken, old);
-            t.tag_fold2.update(taken, old);
-        }
-        self.ghist.push(taken);
-    }
-
-    /// Capture the speculative history state.
-    #[must_use]
-    pub fn checkpoint(&self) -> TageCheckpoint {
-        TageCheckpoint {
-            folds: self
-                .tables
-                .iter()
-                .map(|t| (t.idx_fold.comp, t.tag_fold1.comp, t.tag_fold2.comp))
-                .collect(),
-            pos: self.ghist.pos,
-        }
-    }
-
-    /// Rewind to a checkpoint taken earlier on this path.
-    pub fn restore(&mut self, cp: &TageCheckpoint) {
-        for (t, &(a, b, c)) in self.tables.iter_mut().zip(&cp.folds) {
-            t.idx_fold.comp = a;
-            t.tag_fold1.comp = b;
-            t.tag_fold2.comp = c;
-        }
-        self.ghist.pos = cp.pos;
+        self.history.push(taken);
     }
 
     /// Train the predictor with the resolved direction of a branch predicted
@@ -397,7 +278,7 @@ impl Tage {
         // Loop predictor training.
         if self.config.loop_predictor {
             let tag = ((pc >> 7) & 0xFFFF) as u16;
-            let le = &mut self.loops[pred.loop_index];
+            let le = &mut self.loops[usize::from(pred.loop_index)];
             if le.valid && le.tag == tag {
                 if taken {
                     le.current = le.current.saturating_add(1);
@@ -424,18 +305,13 @@ impl Tage {
                     valid: true,
                 };
             }
-            if pred.from_loop {
-                // The tagged tables were bypassed; still train them below.
-            }
         }
 
         let correct = pred.taken == taken;
 
-        match pred.provider {
+        match pred.provider.map(usize::from) {
             Some(p) => {
-                let (tables_before, tables_from) = self.tables.split_at_mut(p);
-                let _ = tables_before;
-                let e = &mut tables_from[0].entries[pred.indices[p] as usize];
+                let e = *self.entry(p, pred.indices[p]);
                 let provider_taken = e.ctr >= 0;
 
                 // use_alt_on_na bookkeeping for newly allocated entries.
@@ -447,6 +323,8 @@ impl Tage {
                         (self.use_alt_on_na - 1).max(-8)
                     };
                 }
+
+                let e = self.entry_mut(p, pred.indices[p]);
 
                 // Useful counter: provider differs from alt and was right.
                 if provider_taken != pred.alt_taken {
@@ -474,19 +352,20 @@ impl Tage {
         }
 
         // Allocate on misprediction (or on weak correct predictions, rarely).
-        let start = pred.provider.map_or(0, |p| p + 1);
-        if !correct && start < self.tables.len() {
+        let start = pred.provider.map_or(0, |p| usize::from(p) + 1);
+        let n = self.config.num_tables;
+        if !correct && start < n {
             let mut free = [0usize; MAX_TABLES];
             let mut nfree = 0usize;
-            for i in start..self.tables.len() {
-                if self.tables[i].entries[pred.indices[i] as usize].useful == 0 {
+            for i in start..n {
+                if self.entry(i, pred.indices[i]).useful == 0 {
                     free[nfree] = i;
                     nfree += 1;
                 }
             }
             if nfree == 0 {
-                for i in start..self.tables.len() {
-                    let e = &mut self.tables[i].entries[pred.indices[i] as usize];
+                for i in start..n {
+                    let e = self.entry_mut(i, pred.indices[i]);
                     e.useful = e.useful.saturating_sub(1);
                 }
             } else {
@@ -496,7 +375,7 @@ impl Tage {
                 } else {
                     free[0]
                 };
-                let e = &mut self.tables[pick].entries[pred.indices[pick] as usize];
+                let e = self.entry_mut(pick, pred.indices[pick]);
                 e.tag = pred.tags[pick];
                 e.ctr = if taken { 0 } else { -1 };
                 e.useful = 0;
@@ -505,14 +384,10 @@ impl Tage {
 
         // Graceful useful-bit aging.
         if self.tick & 0x3FFFF == 0 {
-            for t in &mut self.tables {
-                for e in &mut t.entries {
-                    e.useful >>= 1;
-                }
+            for e in &mut self.tagged {
+                e.useful >>= 1;
             }
         }
-
-        let _ = pred.provider_weak;
     }
 
     /// `(predictions, mispredictions)` counters.
@@ -531,17 +406,13 @@ mod tests {
         let mut wrong = 0;
         for _ in 0..reps {
             for &taken in pattern {
-                let cp = tage.checkpoint();
+                // Train at commit, as the simulator does.
                 let p = tage.predict(pc);
-                tage.push_history(p.taken);
                 if p.taken != taken {
                     wrong += 1;
-                    // Resteer: rewind the speculative history and replay the
-                    // resolved outcome, as the frontend does.
-                    tage.restore(&cp);
-                    tage.push_history(taken);
                 }
                 tage.update(pc, &p, taken);
+                tage.push_history(taken);
                 total += 1;
             }
         }
@@ -580,22 +451,15 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_roundtrip() {
+    fn lanes_past_the_table_count_stay_zero() {
         let mut t = Tage::new(TageConfig::small());
-        for i in 0..50 {
-            t.push_history(i % 3 == 0);
+        for i in 0..200 {
+            t.push_history(i % 3 != 0);
         }
-        let cp = t.checkpoint();
-        let before = t.predict(0xABCD);
-        // Wander down a wrong path.
-        for _ in 0..20 {
-            t.push_history(true);
-        }
-        t.restore(&cp);
-        let after = t.predict(0xABCD);
-        assert_eq!(before.taken, after.taken);
-        assert_eq!(before.indices, after.indices);
-        assert_eq!(before.tags, after.tags);
+        let p = t.predict(0xABCD);
+        let n = TageConfig::small().num_tables;
+        assert!(p.indices[n..].iter().chain(&p.tags[n..]).all(|&x| x == 0));
+        assert!(p.indices[..n].iter().any(|&x| x != 0));
     }
 
     #[test]

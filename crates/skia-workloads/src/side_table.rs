@@ -1,21 +1,13 @@
 //! Dense per-program branch side table.
 //!
-//! The BPU's block-formation scan asks one question every IAG cycle: *which
-//! is the first branch I know about in this fetch window?* The previous
-//! implementation answered it with an ordered mirror of resident BTB keys
-//! (`BTreeSet::range`) — O(log n) per scan plus O(log n) of maintenance on
-//! every insert and eviction, paid once per committed branch in every
-//! configuration of every sweep job.
-//!
-//! This module precomputes the static half of that question once per
-//! [`Program`](crate::Program): a flat, pc-sorted array of every branch's
-//! ground-truth record plus a dense per-cache-line index (`line →` first
-//! branch at or after the line's base). Because every branch the BTB can
-//! ever hold is a block terminator of the program (the simulator only
-//! installs retired branches), "first *resident* branch in `[start, limit)`"
-//! becomes: enumerate the handful of static branch pcs in the window —
-//! O(1) via the line index — and probe each for residency. No ordered
-//! mirror, no per-insert maintenance, no tree walk.
+//! [`BranchTable`] precomputes, once per [`Program`](crate::Program), a
+//! flat, pc-sorted array of every branch's ground-truth record plus a dense
+//! per-cache-line index (`line →` first branch at or after the line's
+//! base), so an exact-pc or block-start lookup is O(1). The simulator reads
+//! it once per commit (static targets), once per shadow-decoded region
+//! (decode-table slots), and the BPU sizes its BTB residency bitmap to the
+//! table's lines, since every branch the BTB can hold is a block
+//! terminator of the program.
 //!
 //! This is the profile-side-table discipline of AsmDB applied to the
 //! simulator's own hot loop: metadata that is a pure function of the binary
@@ -135,27 +127,12 @@ impl BranchTable {
         idx
     }
 
-    /// The first branch pc in `[start, limit)` satisfying `resident` —
-    /// the BPU's fetch-window scan, with residency supplied by the caller
-    /// (a BTB probe). Candidates are visited in ascending pc order.
+    /// The cache lines the table's branches occupy, as a byte range from
+    /// the first branch's line base to past the last branch's line (empty
+    /// for an empty table).
     #[must_use]
-    pub fn first_matching_in(
-        &self,
-        start: u64,
-        limit: u64,
-        mut resident: impl FnMut(u64) -> bool,
-    ) -> Option<u64> {
-        let mut idx = self.start_index(start);
-        while let Some(&pc) = self.pcs.get(idx) {
-            if pc >= limit {
-                return None;
-            }
-            if resident(pc) {
-                return Some(pc);
-            }
-            idx += 1;
-        }
-        None
+    pub fn lines(&self) -> std::ops::Range<u64> {
+        self.span_base..self.span_end
     }
 
     /// Index (in pc order) of the branch at exactly `pc` (O(1) via the line
@@ -213,29 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn window_scan_matches_naive_filter() {
-        let pcs = [0x1002u64, 0x1010, 0x103F, 0x1040, 0x10A0, 0x2000];
-        let table = BranchTable::from_records(pcs.iter().map(|&p| rec(p, 5)).collect());
-        let resident = |pc: u64| pc != 0x1010; // one non-resident branch
-        for start in (0x0FC0..0x2060u64).step_by(1) {
-            let limit = start + 64;
-            let naive = pcs
-                .iter()
-                .copied()
-                .find(|&p| p >= start && p < limit && resident(p));
-            assert_eq!(
-                table.first_matching_in(start, limit, resident),
-                naive,
-                "start {start:#x}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_table_never_matches() {
         let table = BranchTable::from_records(Vec::new());
         assert!(table.is_empty());
-        assert_eq!(table.first_matching_in(0, u64::MAX, |_| true), None);
+        assert!(table.lines().is_empty());
         assert_eq!(table.record_at(0x1000), None);
     }
 
@@ -260,6 +218,7 @@ mod tests {
             for b in &f.blocks {
                 let t = &b.terminator;
                 let r = table.record_at(t.pc).expect("every terminator indexed");
+                assert!(table.lines().contains(&t.pc));
                 assert_eq!(r.len, t.len);
                 assert_eq!(r.kind, t.kind);
                 assert_eq!(r.target, t.target);
@@ -272,41 +231,6 @@ mod tests {
                 let (first, last) = r.block_line_span();
                 assert!(first <= last);
                 assert_eq!(first % 64, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_scan_over_a_real_program_matches_btreeset_semantics() {
-        let p = Program::generate(&ProgramSpec {
-            functions: 40,
-            ..ProgramSpec::default()
-        });
-        let table = p.branch_table();
-        // Synthetic residency: every third branch "resident", mimicking a
-        // partially filled BTB.
-        let all: Vec<u64> = {
-            let mut v: Vec<u64> = p
-                .functions()
-                .iter()
-                .flat_map(|f| f.blocks.iter().map(|b| b.terminator.pc))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let resident_set: std::collections::BTreeSet<u64> =
-            all.iter().copied().step_by(3).collect();
-        for &start in all.iter().step_by(7) {
-            for delta in [0u64, 1, 63, 64] {
-                let s = start.saturating_sub(delta);
-                let limit = s + 64;
-                let expect = resident_set
-                    .range(s..)
-                    .next()
-                    .copied()
-                    .filter(|&x| x < limit);
-                let got = table.first_matching_in(s, limit, |pc| resident_set.contains(&pc));
-                assert_eq!(got, expect, "start {s:#x}");
             }
         }
     }
