@@ -23,8 +23,12 @@
 //!
 //! A region's decode is a pure function of the line bytes, the offset, the
 //! policy and the bound. [`ShadowDecoder`] decodes and counts; a
-//! [`DecodeTable`] holds one program's decodes so that every simulator over
-//! the program decodes each region once.
+//! [`DecodeTable`] holds one program's decodes, keyed by (line, offset), so
+//! that every simulator over the program decodes each region once. The
+//! table keeps a region as a [`DecodedRegion`] summary: the mask of its
+//! branches' line offsets, the way the R-SBB names a return by its 6-bit
+//! offset (§4.2), because the rest of each branch is re-derived from the
+//! line by [`shadow_branch_at`].
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -92,29 +96,39 @@ pub struct HeadDecode {
     pub discarded: bool,
 }
 
-/// The compact outcome of decoding one shadow region: the branches the SBB
-/// is filled with, plus the two facts the head counters need. This is what a
-/// [`DecodeTable`] slot holds ([`HeadDecode`] without its per-path lists).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// The summary of decoding one shadow region: where its branches sit in the
+/// line, plus the facts the head counters need. This is what a
+/// [`DecodeTable`] slot holds. A branch is re-derived from its line offset
+/// by [`shadow_branch_at`], as the R-SBB names a return by its 6-bit offset
+/// (§4.2).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodedRegion {
-    /// Shadow branches, in ascending pc order.
-    pub branches: Box<[ShadowBranch]>,
+    /// Bit `i` is set when a shadow branch starts at line offset `i`.
+    pub mask: u64,
+    /// Shadow branches in the region (`mask`'s population count, stored so
+    /// a read needs none).
+    pub branches: u8,
     /// Validated head paths (`HeadDecode::valid_starts.len()`); 0 for tails.
     pub valid_paths: u8,
     /// Whether a head region was discarded for exceeding the path bound.
     pub discarded: bool,
 }
 
-impl From<HeadDecode> for DecodedRegion {
-    fn from(hd: HeadDecode) -> Self {
+impl DecodedRegion {
+    /// The summary of a region whose branches are `branches`.
+    fn of(branches: &[ShadowBranch], valid_paths: usize, discarded: bool) -> Self {
         DecodedRegion {
-            // An exact-size copy rather than `into_boxed_slice`: shrinking
-            // the grown `Vec` in place would leave a hole beside every
-            // long-lived table entry.
-            branches: hd.branches.as_slice().into(),
-            valid_paths: hd.valid_starts.len() as u8,
-            discarded: hd.discarded,
+            mask: branches.iter().fold(0, |m, b| m | 1 << b.line_offset),
+            branches: branches.len() as u8,
+            valid_paths: valid_paths as u8,
+            discarded,
         }
+    }
+}
+
+impl From<&HeadDecode> for DecodedRegion {
+    fn from(hd: &HeadDecode) -> Self {
+        DecodedRegion::of(&hd.branches, hd.valid_starts.len(), hd.discarded)
     }
 }
 
@@ -203,7 +217,7 @@ impl ShadowDecoder {
         line_base: u64,
         exit_offset: usize,
     ) -> DecodedRegion {
-        let region = tail_region(line, line_base, exit_offset);
+        let region = DecodedRegion::of(&tail_branches(line, line_base, exit_offset), 0, false);
         self.count_tail(&region);
         region
     }
@@ -238,7 +252,7 @@ impl ShadowDecoder {
         line_base: u64,
         entry_offset: usize,
     ) -> DecodedRegion {
-        let region = DecodedRegion::from(head_decode(
+        let region = DecodedRegion::from(&head_decode(
             self.policy,
             self.max_valid_paths,
             line,
@@ -255,14 +269,14 @@ impl ShadowDecoder {
         self.count_head_outcome(
             region.discarded,
             usize::from(region.valid_paths),
-            region.branches.len(),
+            usize::from(region.branches),
         );
     }
 
     /// Count one tail-region decode whose outcome is `region`.
     pub fn count_tail(&mut self, region: &DecodedRegion) {
         self.stats.tail_regions += 1;
-        self.stats.tail_branches += region.branches.len() as u64;
+        self.stats.tail_branches += u64::from(region.branches);
     }
 
     /// The head counters, from the outcome alone, so a fresh decode and a
@@ -279,14 +293,24 @@ impl ShadowDecoder {
     }
 }
 
-/// A tail region's compact decode (tail decoding has no policy).
-fn tail_region(line: &[u8], line_base: u64, exit_offset: usize) -> DecodedRegion {
-    DecodedRegion {
-        branches: tail_branches(line, line_base, exit_offset)
-            .as_slice()
-            .into(),
-        ..DecodedRegion::default()
-    }
+/// The SBB-eligible branch that starts at `offset` of `line`, whose byte 0
+/// is at `line_base`, if one decodes there. Every shadow branch a region
+/// decode finds is this decode at its line offset, so a [`DecodedRegion`]'s
+/// mask names its branches exactly.
+#[must_use]
+pub fn shadow_branch_at(line: &[u8], line_base: u64, offset: usize) -> Option<ShadowBranch> {
+    let d = decode::decode(line.get(offset..)?).ok()?;
+    let InsnKind::Branch(b) = d.kind else {
+        return None;
+    };
+    let pc = line_base + offset as u64;
+    b.kind.sbb_eligible().then(|| ShadowBranch {
+        pc,
+        len: d.len,
+        kind: b.kind,
+        target: b.target(pc, d.len),
+        line_offset: offset as u8,
+    })
 }
 
 /// The tail linear decode.
@@ -296,20 +320,11 @@ fn tail_branches(line: &[u8], line_base: u64, exit_offset: usize) -> Vec<ShadowB
     while off < line.len() {
         match decode::decode(&line[off..]) {
             Ok(d) => {
-                if let InsnKind::Branch(b) = d.kind {
-                    // Control cannot fall past an unconditional branch, but
-                    // the next byte is still a known boundary, so decoding
-                    // continues to the end of the line (the paper's rule).
-                    if b.kind.sbb_eligible() {
-                        let pc = line_base + off as u64;
-                        found.push(ShadowBranch {
-                            pc,
-                            len: d.len,
-                            kind: b.kind,
-                            target: b.target(pc, d.len),
-                            line_offset: off as u8,
-                        });
-                    }
+                // Control cannot fall past an unconditional branch, but the
+                // next byte is still a known boundary, so decoding continues
+                // to the end of the line (the paper's rule).
+                if matches!(d.kind, InsnKind::Branch(_)) {
+                    found.extend(shadow_branch_at(line, line_base, off));
                 }
                 off += usize::from(d.len);
             }
@@ -445,20 +460,7 @@ fn head_decode(
             // itself was not among the validated ones.
             break;
         }
-        if let Ok(d) = decode::decode(&line[pos..]) {
-            if let InsnKind::Branch(b) = d.kind {
-                if b.kind.sbb_eligible() {
-                    let pc = line_base + pos as u64;
-                    branches.push(ShadowBranch {
-                        pc,
-                        len: d.len,
-                        kind: b.kind,
-                        target: b.target(pc, d.len),
-                        line_offset: pos as u8,
-                    });
-                }
-            }
-        }
+        branches.extend(shadow_branch_at(line, line_base, pos));
         pos += usize::from(len);
     }
 
@@ -488,37 +490,50 @@ fn merge_index(last_index: &[u8]) -> u8 {
     best as u8
 }
 
-/// The lazily decoded regions of one static branch: its block's head and
-/// the tail after it.
+/// One code line of a [`DecodeTable`]: the offsets that own a slot, and
+/// the slots themselves once the line is first used.
 #[derive(Debug, Default)]
-struct BranchRegions {
-    head: OnceLock<DecodedRegion>,
-    tail: OnceLock<DecodedRegion>,
+struct LineSlots {
+    /// Entry offsets with a head slot: static block starts not at offset 0.
+    heads: u64,
+    /// Exit offsets with a tail slot: static fall-throughs not on a line
+    /// boundary.
+    tails: u64,
+    /// One lazily decoded summary per set bit of `tails` (by rank, from
+    /// the front) and of `heads` (by rank, from the back), so finding
+    /// either takes one population count.
+    summaries: OnceLock<Box<[OnceLock<DecodedRegion>]>>,
 }
 
 /// One program's shadow-region decodes under one index policy and path
 /// bound, shared by every simulator over the program.
 ///
-/// A decode depends only on the line bytes, the offset, the policy and the
-/// bound, so each region is decoded once and then read by every job and
-/// thread that simulates the program. The table has one lazily filled slot
-/// per static branch, holding the head region at its block's start and the
-/// tail region after it; a slot allocates only when first used (about a
-/// quarter of a program's branches are, in a 100k-step run). The caller
-/// maps a region to its slot, and must always map a slot to the same region;
-/// regions without a slot (bogus SBB targets and exits) are decoded afresh
-/// with a [`ShadowDecoder`].
+/// A region's decode depends only on the line bytes, the offset, the policy
+/// and the bound, so the table keys regions by (line, offset) and decodes
+/// each one once for every job and thread that simulates the program. A
+/// head region has a slot when a static block starts at its entry offset,
+/// a tail region when a static branch falls through to its exit offset.
+/// Keying by offset also gives a slot to a bogus SBB branch that ends
+/// where a static one ends; that region decodes and counts identically
+/// either way. Other regions (bogus SBB targets and exits) have no slot
+/// and are decoded afresh with a [`ShadowDecoder`].
+///
+/// The eager part is one small entry per code line: two offset masks and a
+/// pointer set on the line's first use, when its summaries are allocated.
+/// Each summary is then decoded on its own first use.
 #[derive(Debug)]
 pub struct DecodeTable {
     policy: IndexPolicy,
     max_valid_paths: usize,
     lines: Range<u64>,
-    slots: Box<[OnceLock<Box<BranchRegions>>]>,
+    slots: Box<[LineSlots]>,
 }
 
 impl DecodeTable {
-    /// An empty table of `slots` slots for a program whose code spans the
-    /// cache lines of `lines`.
+    /// An empty table for a program whose code spans the cache lines of
+    /// `lines`, with a head slot at each of `entries` (static block starts)
+    /// and a tail slot at each of `exits` (static fall-throughs). Addresses
+    /// at a line's offset 0 or outside `lines` get no slot.
     ///
     /// # Panics
     ///
@@ -527,20 +542,45 @@ impl DecodeTable {
     pub fn new(
         policy: IndexPolicy,
         max_valid_paths: usize,
-        slots: usize,
         lines: Range<u64>,
+        entries: impl IntoIterator<Item = u64>,
+        exits: impl IntoIterator<Item = u64>,
     ) -> Self {
         assert!(max_valid_paths >= 1);
-        DecodeTable {
+        let lines = lines.start & !(LINE - 1)..lines.end;
+        let count = lines.end.saturating_sub(lines.start).div_ceil(LINE);
+        let mut table = DecodeTable {
             policy,
             max_valid_paths,
             lines,
-            slots: (0..slots).map(|_| OnceLock::new()).collect(),
+            slots: (0..count).map(|_| LineSlots::default()).collect(),
+        };
+        for addr in entries {
+            if let Some(line) = table.slots_mut(addr) {
+                line.heads |= 1 << (addr % LINE);
+            }
         }
+        for addr in exits {
+            if let Some(line) = table.slots_mut(addr) {
+                line.tails |= 1 << (addr % LINE);
+            }
+        }
+        table
     }
 
-    fn regions(&self, slot: usize) -> &BranchRegions {
-        self.slots[slot].get_or_init(Box::default)
+    /// Index into `slots` of the line holding `addr`, when covered.
+    fn line_index(&self, addr: u64) -> Option<usize> {
+        let i = addr.checked_sub(self.lines.start)? / LINE;
+        (i < self.slots.len() as u64).then_some(i as usize)
+    }
+
+    /// The line that can give `addr` a slot: covered, and `addr` off the
+    /// line's offset 0.
+    fn slots_mut(&mut self, addr: u64) -> Option<&mut LineSlots> {
+        let i = self
+            .line_index(addr)
+            .filter(|_| !addr.is_multiple_of(LINE))?;
+        Some(&mut self.slots[i])
     }
 
     /// The index policy every head region is decoded under.
@@ -561,46 +601,70 @@ impl DecodeTable {
         self.lines.clone()
     }
 
-    /// The head region held in `slot`: the bytes before `entry_offset` of
-    /// the line `line` returns as `(line base, bytes)`. `line` runs only on
-    /// the slot's first use.
+    /// The head region entered at `start` — bytes `0..start % 64` of its
+    /// line — if it has a slot. `line` returns `(line base, bytes)` for an
+    /// address; it runs only on the slot's first use.
     pub fn head(
         &self,
-        slot: usize,
-        entry_offset: usize,
-        line: impl FnOnce() -> (u64, [u8; CACHE_LINE_BYTES]),
-    ) -> &DecodedRegion {
-        self.regions(slot).head.get_or_init(|| {
-            let (line_base, bytes) = line();
-            head_decode(
-                self.policy,
-                self.max_valid_paths,
-                &bytes,
-                line_base,
-                entry_offset,
-            )
-            .into()
+        start: u64,
+        line: impl FnOnce(u64) -> (u64, [u8; CACHE_LINE_BYTES]),
+    ) -> Option<&DecodedRegion> {
+        self.summary(start, true, || {
+            let (line_base, bytes) = line(start);
+            let entry = (start - line_base) as usize;
+            let hd = head_decode(self.policy, self.max_valid_paths, &bytes, line_base, entry);
+            DecodedRegion::from(&hd)
         })
     }
 
-    /// The tail region held in `slot`: the bytes from `exit_offset` to the
-    /// end of the line `line` returns. `line` runs only on the slot's first
-    /// use.
+    /// The tail region after a branch that ends at `end` — bytes from
+    /// `end % 64` to the end of its line — if it has a slot. `line` runs
+    /// only on the slot's first use.
     pub fn tail(
         &self,
-        slot: usize,
-        exit_offset: usize,
-        line: impl FnOnce() -> (u64, [u8; CACHE_LINE_BYTES]),
-    ) -> &DecodedRegion {
-        self.regions(slot).tail.get_or_init(|| {
-            let (line_base, bytes) = line();
-            tail_region(&bytes, line_base, exit_offset)
+        end: u64,
+        line: impl FnOnce(u64) -> (u64, [u8; CACHE_LINE_BYTES]),
+    ) -> Option<&DecodedRegion> {
+        self.summary(end, false, || {
+            let (line_base, bytes) = line(end);
+            let found = tail_branches(&bytes, line_base, (end - line_base) as usize);
+            DecodedRegion::of(&found, 0, false)
         })
+    }
+
+    /// The summary in `addr`'s head (or tail) slot, decoded by `decode` on
+    /// first use.
+    fn summary(
+        &self,
+        addr: u64,
+        head: bool,
+        decode: impl FnOnce() -> DecodedRegion,
+    ) -> Option<&DecodedRegion> {
+        let line = &self.slots[self.line_index(addr)?];
+        let bit = 1u64 << (addr % LINE);
+        let mask = if head { line.heads } else { line.tails };
+        if mask & bit == 0 {
+            return None;
+        }
+        let summaries = line.summaries.get_or_init(|| {
+            let n = line.heads.count_ones() + line.tails.count_ones();
+            (0..n).map(|_| OnceLock::new()).collect()
+        });
+        let rank = (mask & (bit - 1)).count_ones() as usize;
+        let slot = if head {
+            summaries.len() - 1 - rank
+        } else {
+            rank
+        };
+        Some(summaries[slot].get_or_init(decode))
     }
 }
 
+/// Bytes per cache line, as an address stride.
+const LINE: u64 = CACHE_LINE_BYTES as u64;
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use skia_isa::encode;
 
@@ -982,8 +1046,72 @@ mod tests {
         }
     }
 
+    /// A line dense in branches: each `(pick, byte)` becomes a one-byte
+    /// return, a short jump or call opcode, a NOP, a push, or `byte`.
+    pub(crate) fn branchy_line(picks: &[(u8, u8)]) -> Vec<u8> {
+        picks
+            .iter()
+            .map(|&(pick, byte)| match pick {
+                0 | 1 => 0xC3,
+                2 => 0xEB,
+                3 => 0xE8,
+                4 => 0xE9,
+                5 => 0x90,
+                6 => 0x50,
+                _ => byte,
+            })
+            .collect()
+    }
+
+    /// The branches a summary's mask names, re-decoded from the line.
+    fn redecode(line: &[u8], base: u64, region: &DecodedRegion) -> Vec<ShadowBranch> {
+        (0..CACHE_LINE_BYTES)
+            .filter(|&off| (region.mask >> off) & 1 == 1)
+            .map(|off| shadow_branch_at(line, base, off).expect("mask bit decodes"))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// At every offset with a slot, the table's summary is the fresh
+        /// decode's outcome, its mask re-decodes to exactly the fresh branch
+        /// list, and reading it counts as the fresh decode does.
+        #[test]
+        fn table_summaries_equal_fresh_decodes(
+            picks in proptest::collection::vec((0u8..9, proptest::prelude::any::<u8>()), 64..65),
+            policy in 0usize..3,
+            bound in 1usize..8,
+        ) {
+            let line = branchy_line(&picks);
+            let policy = IndexPolicy::ALL[policy];
+            let base = 0x8040u64;
+            let bytes = <[u8; CACHE_LINE_BYTES]>::try_from(&line[..]).unwrap();
+            let every = || base..base + CACHE_LINE_BYTES as u64;
+            let table = DecodeTable::new(policy, bound, base..base + 64, every(), every());
+            let mut fresh = ShadowDecoder::new(policy, bound);
+            let mut counted = ShadowDecoder::new(policy, bound);
+            for off in 1..CACHE_LINE_BYTES {
+                let addr = base + off as u64;
+                let head = *table.head(addr, |_| (base, bytes)).expect("head slot");
+                let hd = fresh.decode_head(&line, base, off);
+                proptest::prop_assert_eq!(head, DecodedRegion::from(&hd), "entry {}", off);
+                proptest::prop_assert_eq!(usize::from(head.branches), hd.branches.len());
+                proptest::prop_assert_eq!(redecode(&line, base, &head), hd.branches);
+                counted.count_head(&head);
+
+                let tail = *table.tail(addr, |_| (base, bytes)).expect("tail slot");
+                let found = fresh.decode_tail(&line, base, off);
+                proptest::prop_assert_eq!(usize::from(tail.branches), found.len());
+                proptest::prop_assert_eq!(redecode(&line, base, &tail), found);
+                counted.count_tail(&tail);
+            }
+            proptest::prop_assert_eq!(counted.stats(), fresh.stats());
+        }
+    }
+
     #[test]
-    fn decode_table_slots_hold_fresh_decodes_and_decode_once() {
+    fn decode_table_slots_decode_once_and_only_where_keyed() {
         let line = pad_to_line({
             let mut b = Vec::new();
             encode::call_rel32(&mut b, 0x40);
@@ -992,30 +1120,39 @@ mod tests {
             encode::ret(&mut b);
             b
         });
+        let bytes = <[u8; CACHE_LINE_BYTES]>::try_from(&line[..]).unwrap();
         let base = 0x8000;
-        for policy in IndexPolicy::ALL {
-            for bound in [1, 6] {
-                let table = DecodeTable::new(policy, bound, 2, base..base + 64);
-                let mut fresh = ShadowDecoder::new(policy, bound);
-                let mut counted = ShadowDecoder::new(policy, bound);
-                let calls = std::cell::Cell::new(0);
-                let line_fn = || {
-                    calls.set(calls.get() + 1);
-                    (base, <[u8; CACHE_LINE_BYTES]>::try_from(&line[..]).unwrap())
-                };
-                for _ in 0..3 {
-                    let hd = fresh.decode_head(&line, base, 8);
-                    let head = table.head(1, 8, line_fn);
-                    assert_eq!(*head, DecodedRegion::from(hd));
-                    counted.count_head(head);
-                    let tail = fresh.decode_tail(&line, base, 10);
-                    let region = table.tail(1, 10, line_fn);
-                    assert_eq!(region.branches[..], tail[..]);
-                    counted.count_tail(region);
-                }
-                assert_eq!(calls.get(), 2, "one line read per slot, not per use");
-                assert_eq!(counted.stats(), fresh.stats());
-            }
+        // Slots: a head at 8, tails at 8 and 10; offset 0 and addresses
+        // past the lines get none.
+        let table = DecodeTable::new(
+            IndexPolicy::First,
+            6,
+            base..base + 64,
+            [base + 8, base, base + 64 + 8],
+            [base + 8, base + 10, base + 64],
+        );
+        let calls = std::cell::Cell::new(0);
+        let line_fn = |addr: u64| {
+            assert_eq!(addr & !63, base);
+            calls.set(calls.get() + 1);
+            (base, bytes)
+        };
+        for _ in 0..3 {
+            let head = table.head(base + 8, line_fn).expect("head slot");
+            assert_eq!((head.mask, head.branches), (1, 1), "the call at 0");
+            let tail = table.tail(base + 8, line_fn).expect("tail slot");
+            assert_eq!(tail.mask, 1 << 8 | 1 << 10, "jmp at 8, ret at 10");
+            assert_eq!(
+                table.tail(base + 10, line_fn).map(|t| t.mask),
+                Some(1 << 10)
+            );
         }
+        assert_eq!(calls.get(), 3, "one line read per slot, not per use");
+        for addr in [base + 9, base + 64 + 8] {
+            assert!(table.head(addr, line_fn).is_none());
+        }
+        assert!(table.head(base, line_fn).is_none());
+        assert!(table.tail(base + 9, line_fn).is_none());
+        assert!(table.tail(base + 64, line_fn).is_none());
     }
 }

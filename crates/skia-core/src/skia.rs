@@ -4,11 +4,13 @@
 //! The front-end drives this object at three points:
 //!
 //! * when an FTQ entry's cache line finishes its prefetch, the SBD examines
-//!   the line's shadow region(s) — [`Skia::on_line_entered`] for the head
-//!   region of the entry's first line, [`Skia::on_line_exited`] for the tail
-//!   region of its last line. Both run **off the critical path**; the paper
-//!   lets them take multiple cycles because shadow branches are not needed
-//!   until much later.
+//!   the line's shadow region(s) — [`Skia::on_block_entered`] for the head
+//!   region of the entry's first line, [`Skia::on_block_exited`] for the
+//!   tail region of its last line. Both run **off the critical path**; the
+//!   paper lets them take multiple cycles because shadow branches are not
+//!   needed until much later. A region is read from the program's
+//!   [`DecodeTable`] as a mask of line offsets, and the branches the SBB
+//!   lacks are re-decoded from the line at those offsets.
 //! * on every BPU lookup, [`Skia::lookup`] is probed in parallel with the
 //!   BTB; on a BTB miss it may still supply a target.
 //! * at commit, [`Skia::mark_retired`] sets the retired bit so useful
@@ -22,7 +24,10 @@ use skia_telemetry::{EventKind, EventTrace, LocalHistogram};
 use skia_uarch::LineBitmap;
 
 use crate::sbb::{Sbb, SbbConfig, SbbHit, SbbStats};
-use crate::sbd::{DecodeTable, IndexPolicy, ShadowBranch, ShadowDecoder, ShadowDecoderStats};
+use crate::sbd::{
+    shadow_branch_at, DecodeTable, DecodedRegion, IndexPolicy, ShadowBranch, ShadowDecoder,
+    ShadowDecoderStats,
+};
 
 /// Complete Skia configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,9 +177,9 @@ impl Skia {
         Skia::build(config, None, 0..0)
     }
 
-    /// Build Skia for one program: head and tail regions that have a slot
-    /// in `table` are decoded once there and shared, and the SBB's bitmaps
-    /// cover the table's lines.
+    /// Build Skia for one program: the block hooks read head and tail
+    /// regions that have a slot in `table` from there, and the SBB's
+    /// bitmaps cover the table's lines.
     ///
     /// # Panics
     ///
@@ -241,114 +246,129 @@ impl Skia {
 
     /// Head-decode hook: the FTQ entry beginning at `line_base +
     /// entry_offset` has its line resident; examine bytes `0..entry_offset`.
+    /// The region is decoded afresh.
     ///
     /// Returns the number of shadow branches inserted.
     pub fn on_line_entered(&mut self, line: &[u8], line_base: u64, entry_offset: usize) -> usize {
-        self.on_line_entered_filtered(line, line_base, entry_offset, |_| false)
-    }
-
-    /// [`Skia::on_line_entered`] with a `known` filter: branches for which
-    /// `known(pc)` returns `true` (e.g. already BTB-resident) are skipped.
-    pub fn on_line_entered_filtered(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        entry_offset: usize,
-        known: impl Fn(u64) -> bool,
-    ) -> usize {
         if !self.config.head || entry_offset == 0 {
             return 0;
         }
         let region = self.sbd.decode_head_ref(line, line_base, entry_offset);
-        self.fill(&region.branches, known)
+        self.fill(line_base, &region, || line, |_| 0)
     }
 
     /// Tail-decode hook: the FTQ entry leaves its last line at
     /// `exit_offset` (first byte after the taken branch); examine bytes
-    /// `exit_offset..`.
+    /// `exit_offset..`. The region is decoded afresh.
     pub fn on_line_exited(&mut self, line: &[u8], line_base: u64, exit_offset: usize) -> usize {
-        self.on_line_exited_filtered(line, line_base, exit_offset, |_| false)
-    }
-
-    /// [`Skia::on_line_exited`] with a `known` filter.
-    pub fn on_line_exited_filtered(
-        &mut self,
-        line: &[u8],
-        line_base: u64,
-        exit_offset: usize,
-        known: impl Fn(u64) -> bool,
-    ) -> usize {
         if !self.config.tail || exit_offset >= line.len() {
             return 0;
         }
         let region = self.sbd.decode_tail_ref(line, line_base, exit_offset);
-        self.fill(&region.branches, known)
+        self.fill(line_base, &region, || line, |_| 0)
     }
 
-    /// [`Skia::on_line_entered_filtered`] through the decode table: `slot`
-    /// names the head region's table slot, if it has one, and `line`
-    /// supplies `(line base, bytes)` only when the region must be decoded.
+    /// Head-decode hook for a block entered at `start` through a taken
+    /// branch: examine the bytes of `start`'s line before it. The region is
+    /// read from the decode table when it has a slot there and decoded
+    /// afresh otherwise. `line` returns `(line base, bytes)` for an
+    /// address and runs only when bytes are needed. Branches whose bit is
+    /// set in `known(line base)` (e.g. BTB-resident ones) are not inserted.
+    ///
+    /// Returns the number of shadow branches inserted.
     pub fn on_block_entered(
         &mut self,
-        entry_offset: usize,
-        slot: impl FnOnce() -> Option<usize>,
-        line: impl FnOnce() -> (u64, [u8; CACHE_LINE_BYTES]),
-        known: impl Fn(u64) -> bool,
+        start: u64,
+        line: impl Fn(u64) -> (u64, [u8; CACHE_LINE_BYTES]),
+        known: impl FnOnce(u64) -> u64,
     ) -> usize {
-        if !self.config.head || entry_offset == 0 {
+        let entry = (start % CACHE_LINE_BYTES as u64) as usize;
+        if !self.config.head || entry == 0 {
             return 0;
         }
-        if let Some((table, i)) = self.table.as_deref().zip(slot()) {
-            let region = table.head(i, entry_offset, line);
-            self.sbd.count_head(region);
-            return fill_sbb(
-                &mut self.sbb,
-                &mut self.filtered_known,
-                &mut self.tel,
-                &region.branches,
-                known,
-            );
-        }
-        let (line_base, bytes) = line();
-        self.on_line_entered_filtered(&bytes, line_base, entry_offset, known)
+        let region = match self.table.as_deref().and_then(|t| t.head(start, &line)) {
+            Some(region) => {
+                self.sbd.count_head(region);
+                *region
+            }
+            None => {
+                let (line_base, bytes) = line(start);
+                self.sbd.decode_head_ref(&bytes, line_base, entry)
+            }
+        };
+        self.fill(start - entry as u64, &region, || line(start).1, known)
     }
 
-    /// [`Skia::on_line_exited_filtered`] through the decode table (see
-    /// [`Skia::on_block_entered`]).
+    /// Tail-decode hook for a taken branch that ends at `end`: examine the
+    /// bytes of `end`'s line from `end` on (none when `end` starts a line).
+    /// See [`Skia::on_block_entered`].
     pub fn on_block_exited(
         &mut self,
-        exit_offset: usize,
-        slot: impl FnOnce() -> Option<usize>,
-        line: impl FnOnce() -> (u64, [u8; CACHE_LINE_BYTES]),
-        known: impl Fn(u64) -> bool,
+        end: u64,
+        line: impl Fn(u64) -> (u64, [u8; CACHE_LINE_BYTES]),
+        known: impl FnOnce(u64) -> u64,
     ) -> usize {
-        if !self.config.tail || exit_offset >= CACHE_LINE_BYTES {
+        let exit = (end % CACHE_LINE_BYTES as u64) as usize;
+        if !self.config.tail || exit == 0 {
             return 0;
         }
-        if let Some((table, i)) = self.table.as_deref().zip(slot()) {
-            let region = table.tail(i, exit_offset, line);
-            self.sbd.count_tail(region);
-            return fill_sbb(
-                &mut self.sbb,
-                &mut self.filtered_known,
-                &mut self.tel,
-                &region.branches,
-                known,
-            );
-        }
-        let (line_base, bytes) = line();
-        self.on_line_exited_filtered(&bytes, line_base, exit_offset, known)
+        let region = match self.table.as_deref().and_then(|t| t.tail(end, &line)) {
+            Some(region) => {
+                self.sbd.count_tail(region);
+                *region
+            }
+            None => {
+                let (line_base, bytes) = line(end);
+                self.sbd.decode_tail_ref(&bytes, line_base, exit)
+            }
+        };
+        self.fill(end - exit as u64, &region, || line(end).1, known)
     }
 
-    /// Fill the SBB with freshly decoded branches.
-    fn fill(&mut self, branches: &[ShadowBranch], known: impl Fn(u64) -> bool) -> usize {
-        fill_sbb(
-            &mut self.sbb,
-            &mut self.filtered_known,
-            &mut self.tel,
-            branches,
-            known,
-        )
+    /// Insert the branches of `region`, a decode of the line at
+    /// `line_base` whose bytes `line` returns, skipping those `known` or
+    /// already held.
+    ///
+    /// When every branch is held or known, nothing changes but the
+    /// filtered count, and `line` never runs. Otherwise the branches are
+    /// re-decoded from `line` in ascending offset order and each is tested
+    /// when its turn comes, so an insert that evicts a later branch of the
+    /// same region re-inserts it, as a walk over the decoded list does.
+    fn fill<L: AsRef<[u8]>>(
+        &mut self,
+        line_base: u64,
+        region: &DecodedRegion,
+        line: impl FnOnce() -> L,
+        known: impl FnOnce(u64) -> u64,
+    ) -> usize {
+        if region.mask == 0 {
+            return 0;
+        }
+        let known = known(line_base);
+        if region.mask & !(self.sbb.resident().line(line_base) | known) == 0 {
+            self.filtered_known += u64::from(region.branches);
+            return 0;
+        }
+        let line = line();
+        let mut inserted = 0;
+        let mut rest = region.mask;
+        while rest != 0 {
+            let offset = rest.trailing_zeros();
+            rest &= rest - 1;
+            let pc = line_base + u64::from(offset);
+            if (known >> offset) & 1 == 1 || self.sbb.contains(pc) {
+                self.filtered_known += 1;
+                continue;
+            }
+            let branch = shadow_branch_at(line.as_ref(), line_base, offset as usize)
+                .expect("a region's mask names the shadow branches of its line");
+            if let Some((victim, birth)) = self.sbb.insert_at(&branch, self.tel.cycle) {
+                self.tel.note_remove(victim, birth);
+            }
+            self.tel.note_insert(pc);
+            inserted += 1;
+        }
+        inserted
     }
 
     /// BPU-parallel probe (Fig. 11): consulted on (or alongside) every BTB
@@ -417,32 +437,6 @@ impl Skia {
     pub fn occupancy(&self) -> (usize, usize) {
         self.sbb.occupancy()
     }
-}
-
-/// Insert decoded shadow branches into the SBB (the body of the
-/// shadow-decode hooks), skipping those `known` or already held. A free
-/// function over `Skia`'s disjoint fields so the branch list may stay
-/// borrowed from the decode table while the SBB side mutates.
-fn fill_sbb(
-    sbb: &mut Sbb,
-    filtered_known: &mut u64,
-    tel: &mut SkiaTelemetry,
-    branches: &[ShadowBranch],
-    known: impl Fn(u64) -> bool,
-) -> usize {
-    let mut inserted = 0;
-    for b in branches {
-        if known(b.pc) || sbb.contains(b.pc) {
-            *filtered_known += 1;
-            continue;
-        }
-        if let Some((victim, birth)) = sbb.insert_at(b, tel.cycle) {
-            tel.note_remove(victim, birth);
-        }
-        tel.note_insert(b.pc);
-        inserted += 1;
-    }
-    inserted
 }
 
 #[cfg(test)]
@@ -523,10 +517,54 @@ mod tests {
     #[test]
     fn known_filter_suppresses_insertion() {
         let (line, entry, base) = line_with_head_ret();
+        let bytes = <[u8; CACHE_LINE_BYTES]>::try_from(&line[..]).unwrap();
         let mut skia = Skia::new(first_policy());
-        let n = skia.on_line_entered_filtered(&line, base, entry, |pc| pc == base + 3);
+        let n = skia.on_block_entered(base + entry as u64, |_| (base, bytes), |_| 1 << 3);
         assert_eq!(n, 0);
         assert_eq!(skia.stats().filtered_known, 1);
+        assert_eq!(
+            skia.on_block_entered(base + entry as u64, |_| (base, bytes), |_| 0),
+            1
+        );
+    }
+
+    #[test]
+    fn block_hooks_read_slots_and_decode_other_regions_afresh() {
+        let (head, entry, head_base) = line_with_head_ret();
+        let (tail, exit, tail_base) = line_with_tail_jmp();
+        let lines = |addr: u64| {
+            let (base, bytes) = if addr & !63 == head_base {
+                (head_base, &head)
+            } else {
+                (tail_base, &tail)
+            };
+            (
+                base,
+                <[u8; CACHE_LINE_BYTES]>::try_from(&bytes[..]).unwrap(),
+            )
+        };
+        let start = head_base + entry as u64;
+        let end = tail_base + exit as u64;
+        for slotted in [true, false] {
+            let slots = |addr| if slotted { vec![addr] } else { Vec::new() };
+            let table = DecodeTable::new(
+                IndexPolicy::First,
+                6,
+                head_base..tail_base + 64,
+                slots(start),
+                slots(end),
+            );
+            assert_eq!(table.head(start, lines).is_some(), slotted);
+            let mut skia = Skia::with_table(first_policy(), Arc::new(table));
+            assert_eq!(skia.on_block_entered(start, lines, |_| 0), 1);
+            assert_eq!(skia.on_block_exited(end, lines, |_| 0), 1);
+            // A branch ending on a line boundary leaves no tail region.
+            assert_eq!(skia.on_block_exited(tail_base + 64, lines, |_| 0), 0);
+            let s = skia.stats();
+            assert_eq!((s.sbd.head_regions, s.sbd.tail_regions), (1, 1));
+            assert_eq!((s.sbb.r_inserts, s.sbb.u_inserts), (1, 1));
+            assert!(skia.probe(head_base + 3).is_some() && skia.probe(end).is_some());
+        }
     }
 
     #[test]
@@ -577,5 +615,96 @@ mod tests {
         skia.mark_retired(base + exit as u64);
         assert_eq!(skia.stats().sbb.retirements, 1);
         assert_eq!(skia.stats().useful_uses, 1);
+    }
+
+    /// The reference fill: a walk over a region's decoded branch list in
+    /// which a branch known or already held is filtered and any other is
+    /// inserted.
+    fn fill_by_list(skia: &mut Skia, branches: &[ShadowBranch], known: u64) -> usize {
+        let mut inserted = 0;
+        for b in branches {
+            if (known >> b.line_offset) & 1 == 1 || skia.sbb.contains(b.pc) {
+                skia.filtered_known += 1;
+                continue;
+            }
+            if let Some((victim, birth)) = skia.sbb.insert_at(b, skia.tel.cycle) {
+                skia.tel.note_remove(victim, birth);
+            }
+            skia.tel.note_insert(b.pc);
+            inserted += 1;
+        }
+        inserted
+    }
+
+    /// Lines of the fill proptest, and the first one's base address.
+    const LINES: usize = 3;
+    const FILL_BASE: u64 = 0x4000;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// On an SBB of two 2-way sets, where a fill's inserts evict
+        /// members of its own region, the mask fill through the decode
+        /// table (slots at even offsets, fresh decodes at odd ones) leaves
+        /// the SBB, both its bitmaps, the counters, the entry lifetimes and
+        /// the event trace equal to a per-branch fill over the fresh list.
+        #[test]
+        fn mask_fill_equals_per_branch_fill(
+            picks in proptest::collection::vec((0u8..9, proptest::prelude::any::<u8>()), 192..193),
+            ops in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0usize..LINES, 1u64..64, 0u8..4, proptest::prelude::any::<u64>()),
+                1..60,
+            ),
+        ) {
+            use skia_telemetry::TraceConfig;
+            let image = crate::sbd::tests::branchy_line(&picks);
+            let line = |addr: u64| {
+                let base = addr & !63;
+                let i = (base - FILL_BASE) as usize;
+                (base, <[u8; CACHE_LINE_BYTES]>::try_from(&image[i..i + 64]).unwrap())
+            };
+            let config = SkiaConfig {
+                index_policy: IndexPolicy::First,
+                sbb: SbbConfig { u_entries: 2, r_entries: 2, ways: 2, retired_aware: true },
+                ..SkiaConfig::default()
+            };
+            let span = FILL_BASE..FILL_BASE + (LINES * 64) as u64;
+            let even = || span.clone().step_by(2);
+            let table = DecodeTable::new(config.index_policy, config.max_valid_paths, span.clone(), even(), even());
+            let mut masked = Skia::with_table(config, Arc::new(table));
+            let mut listed = Skia::build(config, None, span.clone());
+            let traces = [EventTrace::new(TraceConfig::default()), EventTrace::new(TraceConfig::default())];
+            masked.set_trace(traces[0].clone());
+            listed.set_trace(traces[1].clone());
+            for (cycle, &(head, li, off, known_sel, known_bits)) in ops.iter().enumerate() {
+                // Known words: none, all, or random bits.
+                let known = [0, 0, u64::MAX, known_bits][usize::from(known_sel)];
+                let addr = FILL_BASE + li as u64 * 64 + off;
+                masked.set_cycle(cycle as u64);
+                listed.set_cycle(cycle as u64);
+                let (base, bytes) = line(addr);
+                let (got, want) = if head {
+                    let got = masked.on_block_entered(addr, line, |_| known);
+                    let hd = listed.sbd.decode_head(&bytes, base, off as usize);
+                    (got, fill_by_list(&mut listed, &hd.branches, known))
+                } else {
+                    let got = masked.on_block_exited(addr, line, |_| known);
+                    let found = listed.sbd.decode_tail(&bytes, base, off as usize);
+                    (got, fill_by_list(&mut listed, &found, known))
+                };
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(masked.stats(), listed.stats());
+                proptest::prop_assert_eq!(masked.occupancy(), listed.occupancy());
+                for pc in span.clone() {
+                    proptest::prop_assert_eq!(masked.probe(pc), listed.probe(pc), "pc {:#x}", pc);
+                    proptest::prop_assert_eq!(masked.ever_inserted(pc), listed.ever_inserted(pc));
+                }
+                for base in span.clone().step_by(64) {
+                    proptest::prop_assert_eq!(masked.sbb_resident().line(base), listed.sbb_resident().line(base));
+                }
+            }
+            proptest::prop_assert_eq!(traces[0].events(), traces[1].events());
+            proptest::prop_assert_eq!(masked.entry_lifetimes().snapshot(), listed.entry_lifetimes().snapshot());
+        }
     }
 }

@@ -27,11 +27,7 @@ fn main() {
             *fns.entry(fi).or_default() += 1;
         }
         insns += u64::from(s.insns);
-        let idx = skia_isa::BranchKind::ALL
-            .iter()
-            .position(|&k| k == s.kind)
-            .unwrap();
-        kinds[idx] += 1;
+        kinds[s.kind.index()] += 1;
     }
     let mut counts: Vec<u64> = blocks.values().copied().collect();
     counts.sort_unstable_by(|a, b| b.cmp(a));

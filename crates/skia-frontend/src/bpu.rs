@@ -104,10 +104,8 @@ pub struct PredictedBlock {
 
 /// The BPU.
 #[derive(Debug, Clone)]
-pub struct Bpu<'p> {
+pub struct Bpu {
     btb: BtbStore,
-    /// The program's dense static-branch side table (decode-table slots).
-    table: &'p BranchTable,
     /// Skia mechanism, when configured.
     pub skia: Option<Skia>,
     tage: Tage,
@@ -118,18 +116,19 @@ pub struct Bpu<'p> {
     max_block_bytes: u64,
 }
 
-impl<'p> Bpu<'p> {
+impl Bpu {
     /// Build the BPU from the front-end configuration. `table` is the
     /// program's precomputed branch side table (see
-    /// [`Program::branch_table`](skia_workloads::Program::branch_table)).
-    /// Skia, when configured, reads shadow regions through `decode` (the
-    /// program's [`Program::decode_table`] for its policy and bound) and
-    /// decodes every region afresh without one.
+    /// [`Program::branch_table`](skia_workloads::Program::branch_table)),
+    /// whose lines the BTB residency bitmap covers. Skia, when configured,
+    /// reads shadow regions through `decode` (the program's
+    /// [`Program::decode_table`] for its policy and bound) and decodes
+    /// every region afresh without one.
     #[must_use]
     pub fn new(
         config: &FrontendConfig,
         start_pc: u64,
-        table: &'p BranchTable,
+        table: &BranchTable,
         decode: Option<Arc<DecodeTable>>,
     ) -> Self {
         let btb = BtbStore {
@@ -141,7 +140,6 @@ impl<'p> Bpu<'p> {
         };
         Bpu {
             btb,
-            table,
             skia: config.skia.map(|c| match decode {
                 Some(d) => Skia::with_table(c, d),
                 None => Skia::new(c),
@@ -358,41 +356,30 @@ impl<'p> Bpu<'p> {
 
     /// Run Skia's shadow-decode hooks for a formed block whose prefetch has
     /// completed (paper: SBD runs off the critical path once the line is
-    /// L1-I-resident). Branches already BTB-resident are filtered. Returns
-    /// the number of shadow branches inserted into the SBB (the
-    /// shadow-decode batch size, recorded by telemetry).
+    /// L1-I-resident). With `filter_btb_resident`, branches already
+    /// BTB-resident are filtered. Returns the number of shadow branches
+    /// inserted into the SBB (the shadow-decode batch size, recorded by
+    /// telemetry).
     ///
-    /// A region at a static block start or after a static branch is read
-    /// from its decode-table slot; any other region (a bogus SBB target or
+    /// A region at a static block start or static fall-through is read from
+    /// the program's decode table; any other region (a bogus SBB target or
     /// exit) is decoded afresh.
     pub fn shadow_decode(&mut self, program: &Program, block: &PredictedBlock) -> usize {
         let Some(skia) = &mut self.skia else { return 0 };
         let filter = skia.config().filter_btb_resident;
         let btb = &self.btb.resident;
-        let table = self.table;
-        let known = |pc: u64| filter && btb.contains(pc);
+        let known = |base: u64| if filter { btb.line(base) } else { 0 };
+        let line = |addr: u64| program.line(addr);
         let mut inserted = 0;
         // Head region: the line containing the block's entry point, when the
         // block was entered via a taken branch mid-line.
         if block.entered_by_branch {
-            inserted += skia.on_block_entered(
-                (block.start % 64) as usize,
-                || table.block_index(block.start),
-                || program.line(block.start),
-                known,
-            );
+            inserted += skia.on_block_entered(block.start, line, known);
         }
         // Tail region: the line containing the taken branch's last byte,
         // when the exit point is mid-line.
         if let Some(b) = block.branch.filter(|b| b.taken) {
-            let end = b.pc + u64::from(b.len);
-            let line_base = end.saturating_sub(1) & !63;
-            inserted += skia.on_block_exited(
-                (end - line_base) as usize,
-                || table.exit_index(b.pc, b.len),
-                || program.line(line_base),
-                known,
-            );
+            inserted += skia.on_block_exited(b.pc + u64::from(b.len), line, known);
         }
         inserted
     }
@@ -431,7 +418,7 @@ mod tests {
         ])
     }
 
-    fn bpu(table: &BranchTable) -> Bpu<'_> {
+    fn bpu(table: &BranchTable) -> Bpu {
         Bpu::new(&FrontendConfig::test_small(), 0x1000, table, None)
     }
 
@@ -576,7 +563,7 @@ mod tests {
     }
 
     /// Residency by probing the BTB's entries, not its bitmap.
-    fn btb_probe(b: &Bpu<'_>, pc: u64) -> bool {
+    fn btb_probe(b: &Bpu, pc: u64) -> bool {
         match &b.btb.array {
             BtbArray::Finite(x) => x.probe(pc).is_some(),
             BtbArray::Infinite(x) => x.lookup(pc).is_some(),
@@ -624,7 +611,7 @@ mod tests {
                     }),
                     _ => {
                         let limit = pc + config.max_block_bytes;
-                        let in_sbb = |b: &Bpu<'_>, p| b.skia.as_ref().unwrap().probe(p).is_some();
+                        let in_sbb = |b: &Bpu, p| b.skia.as_ref().unwrap().probe(p).is_some();
                         let brute = (pc..limit).find(|&p| btb_probe(&b, p) || in_sbb(&b, p));
                         let from_btb = brute.is_some_and(|p| btb_probe(&b, p));
                         b.resteer(pc, false);

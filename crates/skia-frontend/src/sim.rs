@@ -97,7 +97,7 @@ struct InFlight {
 pub struct Simulator<'p> {
     program: &'p Program,
     config: FrontendConfig,
-    bpu: Bpu<'p>,
+    bpu: Bpu,
     hier: Hierarchy,
     /// The counter store. Every incremented `u64` field is live; the
     /// computed fields are filled in by [`Simulator::stats`].
@@ -451,10 +451,7 @@ impl<'p> Simulator<'p> {
             return;
         }
         self.counts.btb_misses += 1;
-        let idx = BranchKind::ALL
-            .iter()
-            .position(|&k| k == step.kind)
-            .expect("kind in table");
+        let idx = step.kind.index();
         self.counts.btb_misses_by_kind[idx] += 1;
         self.event(
             self.iag_cycle,
@@ -599,7 +596,7 @@ impl<'p> Simulator<'p> {
 
 impl<'p> Simulator<'p> {
     /// Mutable access to the BPU (testing and fault-injection aid).
-    pub fn bpu_mut(&mut self) -> &mut Bpu<'p> {
+    pub fn bpu_mut(&mut self) -> &mut Bpu {
         &mut self.bpu
     }
 }

@@ -154,16 +154,10 @@ impl SimStats {
         self.idle_icache_cycles + self.idle_resteer_cycles
     }
 
-    /// BTB misses for one branch kind. Returns 0 for a kind that is absent
-    /// from [`BranchKind::ALL`] (impossible today, but a table/enum skew
-    /// should read as "no misses", not a panic).
+    /// BTB misses for one branch kind.
     #[must_use]
     pub fn btb_misses_of(&self, kind: BranchKind) -> u64 {
-        BranchKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .and_then(|idx| self.btb_misses_by_kind.get(idx).copied())
-            .unwrap_or(0)
+        self.btb_misses_by_kind[kind.index()]
     }
 
     /// Speedup of `self` over a `baseline` run of the same trace.

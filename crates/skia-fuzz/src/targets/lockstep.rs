@@ -1,12 +1,13 @@
 //! Workload-spec lockstep target.
 //!
 //! Mutated [`DiffCase`] tuples — program seed/shape, walker seed, step
-//! budget, BTB geometry, SBB pressure — through the full two-simulator
-//! differential harness ([`skia_oracle::run_case`]): production
-//! `skia-frontend` vs the reference model, full per-step `SimStats` plus
-//! the end-of-run event stream. Coverage comes from the production
-//! simulator's counter snapshot ([`Snapshot::counter_features`]) plus a few
-//! structural buckets, so the mutator is rewarded for reaching new
+//! budget, BTB geometry, SBB pressure, cache sizes — through the full
+//! two-simulator differential harness ([`skia_oracle::run_case`]):
+//! production `skia-frontend` vs the reference model, full per-step
+//! `SimStats` plus the end-of-run event stream. Coverage comes from the
+//! production simulator's counter snapshot
+//! ([`Snapshot::counter_features`](skia_telemetry::Snapshot::counter_features))
+//! plus a few structural buckets, so the mutator is rewarded for reaching new
 //! front-end behaviours (BTB miss kinds, SBB evictions, RAS overflow, …)
 //! rather than just new tuples.
 //!
@@ -70,6 +71,7 @@ impl FuzzTarget for LockstepTarget {
                 with_skia: true,
                 btb_sets: 4,
                 small_sbb: true,
+                small_caches: false,
             },
             // SBB pressure under a Bolted layout: a second, independent
             // IgnoreRetiredBit witness, and the FoldDropsOutgoingBit one.
@@ -82,6 +84,7 @@ impl FuzzTarget for LockstepTarget {
                 with_skia: true,
                 btb_sets: 8,
                 small_sbb: true,
+                small_caches: false,
             },
             // Small healthy case: cheap mutation base.
             DiffCase {
@@ -93,6 +96,7 @@ impl FuzzTarget for LockstepTarget {
                 with_skia: true,
                 btb_sets: 4,
                 small_sbb: true,
+                small_caches: false,
             },
             // Skia detached: the non-Skia half of the config space.
             DiffCase {
@@ -104,6 +108,7 @@ impl FuzzTarget for LockstepTarget {
                 with_skia: false,
                 btb_sets: 2,
                 small_sbb: false,
+                small_caches: false,
             },
         ]
     }
@@ -111,7 +116,7 @@ impl FuzzTarget for LockstepTarget {
     fn mutate(&self, base: &DiffCase, rng: &mut SmallRng) -> DiffCase {
         let mut case = *base;
         for _ in 0..rng.gen_range(1..=2usize) {
-            match rng.gen_range(0..8u32) {
+            match rng.gen_range(0..9u32) {
                 0 => case.spec_seed = rng.gen_range(0..1u64 << 32),
                 1 => case.trace_seed = rng.gen_range(0..1u64 << 32),
                 2 => case.functions = rng.gen_range(4..110usize),
@@ -119,6 +124,7 @@ impl FuzzTarget for LockstepTarget {
                 4 => case.btb_sets = [2, 4, 8, 16][rng.gen_range(0..4usize)],
                 5 => case.bolted = !case.bolted,
                 6 => case.small_sbb = !case.small_sbb,
+                7 => case.small_caches = !case.small_caches,
                 // The Skia-attached half of the space is where all the
                 // interesting machinery lives; revisit the detached half
                 // occasionally.
@@ -143,6 +149,7 @@ impl FuzzTarget for LockstepTarget {
                     u64::from(input.with_skia),
                     u64::from(input.bolted),
                     u64::from(input.small_sbb),
+                    u64::from(input.small_caches),
                     input.btb_sets as u64,
                 ]));
                 if outcome.head_phantoms > 0 {

@@ -5,15 +5,20 @@
 //! Path Validation, tail linear decode) against the [`RefShadowDecoder`]
 //! under every index policy and two ambiguity bounds. Each region is
 //! decoded twice per decoder pair: the first pass decodes afresh, the
-//! second reads it through a [`DecodeTable`] slot — the per-program path
-//! simulators take — and counts the slot's outcome; stats must match
-//! increment-for-increment. An injected [`SbdFault`] turns this target into
-//! the fault-rediscovery proof for the decoder knobs.
+//! second reads its summary from a [`DecodeTable`] slot — the per-program
+//! path simulators take — counts it, and re-decodes the branches its
+//! line-offset mask names, which must equal the reference decoder's list;
+//! stats must match increment-for-increment. A region at offset 0 has no
+//! slot, so its second pass takes the fresh summary, as simulators do. An
+//! injected [`SbdFault`] turns this target into the fault-rediscovery
+//! proof for the decoder knobs.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use skia_core::{DecodeTable, DecodedRegion, IndexPolicy, ShadowDecoder};
+use skia_core::{
+    shadow_branch_at, DecodeTable, DecodedRegion, IndexPolicy, ShadowBranch, ShadowDecoder,
+};
 use skia_isa::{decode, encode, InsnKind, CACHE_LINE_BYTES};
 use skia_oracle::{RefShadowDecoder, SbdFault};
 
@@ -85,6 +90,14 @@ fn plant_branch(bytes: &mut [u8], rng: &mut SmallRng) {
             bytes[at + i] = v;
         }
     }
+}
+
+/// The branches a summary's line-offset mask names, re-decoded from `line`.
+fn redecode(line: &[u8], base: u64, region: &DecodedRegion) -> Vec<ShadowBranch> {
+    (0..CACHE_LINE_BYTES)
+        .filter(|&off| (region.mask >> off) & 1 == 1)
+        .filter_map(|off| shadow_branch_at(line, base, off))
+        .collect()
 }
 
 impl FuzzTarget for ShadowTarget {
@@ -191,7 +204,9 @@ impl FuzzTarget for ShadowTarget {
             let mut prod = ShadowDecoder::new(policy, bound);
             let mut oracle = RefShadowDecoder::new(policy, bound);
             oracle.fault = self.fault;
-            let table = DecodeTable::new(policy, bound, 1, base..base + CACHE_LINE_BYTES as u64);
+            let (head_at, tail_at) = (base + input.entry as u64, base + input.exit as u64);
+            let lines = base..base + CACHE_LINE_BYTES as u64;
+            let table = DecodeTable::new(policy, bound, lines, [head_at], [tail_at]);
             for pass in 0..2 {
                 let oh = oracle.decode_head(line, base, input.entry);
                 let diverged = if pass == 0 {
@@ -202,9 +217,16 @@ impl FuzzTarget for ShadowTarget {
                         && ph.discarded == oh.discarded;
                     (!same).then(|| format!("{ph:?}"))
                 } else {
-                    let ph = table.head(0, input.entry, || (base, bytes));
-                    prod.count_head(ph);
-                    (*ph != DecodedRegion::from(oh.clone())).then(|| format!("{ph:?}"))
+                    let ph = match table.head(head_at, |_| (base, bytes)) {
+                        Some(ph) => {
+                            prod.count_head(ph);
+                            *ph
+                        }
+                        None => prod.decode_head_ref(line, base, input.entry),
+                    };
+                    let same =
+                        ph == DecodedRegion::from(&oh) && redecode(line, base, &ph) == oh.branches;
+                    (!same).then(|| format!("{ph:?}"))
                 };
                 if let Some(ph) = diverged {
                     return RunResult::fail(
@@ -266,9 +288,21 @@ impl FuzzTarget for ShadowTarget {
                 let pt = if pass == 0 {
                     prod.decode_tail(line, base, input.exit)
                 } else {
-                    let region = table.tail(0, input.exit, || (base, bytes));
-                    prod.count_tail(region);
-                    region.branches.to_vec()
+                    let region = match table.tail(tail_at, |_| (base, bytes)) {
+                        Some(region) => {
+                            prod.count_tail(region);
+                            *region
+                        }
+                        None => prod.decode_tail_ref(line, base, input.exit),
+                    };
+                    let found = redecode(line, base, &region);
+                    if usize::from(region.branches) != found.len() {
+                        return RunResult::fail(
+                            features,
+                            format!("tail summary miscounts its mask: {region:?}"),
+                        );
+                    }
+                    found
                 };
                 let ot = oracle.decode_tail(line, base, input.exit);
                 if pt != ot {

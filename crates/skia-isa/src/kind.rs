@@ -33,6 +33,20 @@ impl BranchKind {
         BranchKind::IndirectCall,
     ];
 
+    /// Position of this kind in [`BranchKind::ALL`] (the per-kind counter
+    /// tables' index).
+    #[must_use]
+    pub fn index(self) -> usize {
+        match self {
+            BranchKind::DirectCond => 0,
+            BranchKind::DirectUncond => 1,
+            BranchKind::Call => 2,
+            BranchKind::Return => 3,
+            BranchKind::IndirectJmp => 4,
+            BranchKind::IndirectCall => 5,
+        }
+    }
+
     /// Whether the branch target is encoded in the instruction bytes
     /// (PC-relative), i.e. computable at decode time.
     #[must_use]
@@ -126,6 +140,14 @@ impl InsnKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_round_trips_through_all() {
+        for (i, k) in BranchKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i);
+            assert_eq!(BranchKind::ALL[k.index()], k);
+        }
+    }
 
     #[test]
     fn direct_kinds_are_direct() {

@@ -24,8 +24,10 @@ use std::rc::Rc;
 use skia_core::{SbbConfig, SkiaConfig};
 use skia_frontend::config::{BtbMode, FrontendConfig};
 use skia_frontend::{SimStats, Simulator};
+use skia_isa::CACHE_LINE_BYTES;
 use skia_telemetry::{Snapshot, TraceConfig};
 use skia_uarch::btb::BtbConfig;
+use skia_uarch::cache::{CacheConfig, HierarchyConfig};
 use skia_workloads::{Layout, Program, ProgramSpec, TraceStep, Walker};
 
 use crate::ref_sbd::SbdFault;
@@ -52,6 +54,10 @@ pub struct DiffCase {
     pub btb_sets: usize,
     /// Use a deliberately tiny SBB so eviction/retired-bit policy is hot.
     pub small_sbb: bool,
+    /// Use a 1 KB L1-I, 2 KB L2 and 8 KB L3 instead of the paper's
+    /// hierarchy, so the test programs' code also hits in the L3 and
+    /// misses to DRAM.
+    pub small_caches: bool,
 }
 
 impl DiffCase {
@@ -59,7 +65,7 @@ impl DiffCase {
     /// reports and accepted by `SKIA_DIFF_REPLAY`.
     pub fn encode(&self) -> String {
         format!(
-            "{}:{}:{}:{}:{}:{}:{}:{}",
+            "{}:{}:{}:{}:{}:{}:{}:{}:{}",
             self.spec_seed,
             self.functions,
             u8::from(self.bolted),
@@ -68,6 +74,7 @@ impl DiffCase {
             u8::from(self.with_skia),
             self.btb_sets,
             u8::from(self.small_sbb),
+            u8::from(self.small_caches),
         )
     }
 
@@ -83,6 +90,7 @@ impl DiffCase {
             with_skia: it.next()? == "1",
             btb_sets: it.next()?.parse().ok()?,
             small_sbb: it.next()? == "1",
+            small_caches: it.next()? == "1",
         };
         if it.next().is_some() {
             return None;
@@ -123,6 +131,19 @@ impl DiffCase {
             }
             sc
         });
+        if self.small_caches {
+            let cache = |kb: usize, ways: usize| CacheConfig {
+                size_bytes: kb * 1024,
+                ways,
+                line_bytes: CACHE_LINE_BYTES,
+            };
+            c.hierarchy = HierarchyConfig {
+                l1i: cache(1, 4),
+                l2: cache(2, 4),
+                l3: cache(8, 8),
+                ..c.hierarchy
+            };
+        }
         c
     }
 }

@@ -33,6 +33,7 @@ fn fixed_corpus() -> Vec<DiffCase> {
             with_skia: false,
             btb_sets: 16,
             small_sbb: false,
+            small_caches: false,
         },
         // Bolted layout, no Skia, strong BTB pressure.
         DiffCase {
@@ -44,6 +45,7 @@ fn fixed_corpus() -> Vec<DiffCase> {
             with_skia: false,
             btb_sets: 4,
             small_sbb: false,
+            small_caches: false,
         },
         // Skia on, default SBB, interleaved.
         DiffCase {
@@ -55,6 +57,7 @@ fn fixed_corpus() -> Vec<DiffCase> {
             with_skia: true,
             btb_sets: 8,
             small_sbb: false,
+            small_caches: false,
         },
         // Skia on, Bolted, default SBB.
         DiffCase {
@@ -66,6 +69,7 @@ fn fixed_corpus() -> Vec<DiffCase> {
             with_skia: true,
             btb_sets: 16,
             small_sbb: false,
+            small_caches: false,
         },
         // Skia on, tiny SBB: eviction + retired-bit replacement is hot.
         DiffCase {
@@ -77,6 +81,7 @@ fn fixed_corpus() -> Vec<DiffCase> {
             with_skia: true,
             btb_sets: 8,
             small_sbb: true,
+            small_caches: false,
         },
         // Skia on, tiny SBB, tiny BTB, Bolted: maximal structure churn.
         DiffCase {
@@ -88,6 +93,7 @@ fn fixed_corpus() -> Vec<DiffCase> {
             with_skia: true,
             btb_sets: 4,
             small_sbb: true,
+            small_caches: false,
         },
         // Small program: heavy re-walks, RAS depth exercised.
         DiffCase {
@@ -99,6 +105,7 @@ fn fixed_corpus() -> Vec<DiffCase> {
             with_skia: true,
             btb_sets: 4,
             small_sbb: true,
+            small_caches: false,
         },
         // Long run for drift: any one-cycle skew compounds visibly.
         DiffCase {
@@ -110,6 +117,31 @@ fn fixed_corpus() -> Vec<DiffCase> {
             with_skia: true,
             btb_sets: 8,
             small_sbb: false,
+            small_caches: false,
+        },
+        // Small caches: L2 evictions, L3 hits and DRAM fills, Skia off and
+        // on (the paper's hierarchy holds these programs in its L2).
+        DiffCase {
+            spec_seed: 29,
+            functions: 100,
+            bolted: false,
+            trace_seed: 10,
+            steps: 900,
+            with_skia: false,
+            btb_sets: 8,
+            small_sbb: false,
+            small_caches: true,
+        },
+        DiffCase {
+            spec_seed: 31,
+            functions: 80,
+            bolted: true,
+            trace_seed: 11,
+            steps: 900,
+            with_skia: true,
+            btb_sets: 4,
+            small_sbb: true,
+            small_caches: true,
         },
     ]
 }
@@ -177,6 +209,7 @@ fn random_cases_with_logged_seed() {
             with_skia: rng.gen::<bool>(),
             btb_sets: rng.gen_range(4..32),
             small_sbb: rng.gen::<bool>(),
+            small_caches: rng.gen::<bool>(),
         };
         println!("case {i}: {}", case.encode());
         if let Err(report) = run_case(&case, None) {
@@ -204,12 +237,13 @@ proptest! {
             functions,
             bolted,
             // Derive the remaining knobs from the seed: six proptest
-            // dimensions shrink well, and these two stay exercised.
+            // dimensions shrink well, and these three stay exercised.
             trace_seed: spec_seed.rotate_left(17) ^ 0xA5A5,
             steps,
             with_skia,
             btb_sets,
             small_sbb: spec_seed & 1 == 1,
+            small_caches: spec_seed & 2 == 2,
         };
         if let Err(report) = run_case(&case, None) {
             panic!("{report}");
@@ -230,6 +264,7 @@ fn broken_oracle_stale_lru_is_caught() {
         with_skia: true,
         btb_sets: 4,
         small_sbb: false,
+        small_caches: false,
     };
     // Sanity: the healthy oracle agrees on this exact case...
     run_case(&case, None).unwrap_or_else(|report| panic!("healthy oracle diverged: {report}"));
@@ -261,6 +296,7 @@ fn broken_oracle_ignored_retired_bit_is_caught() {
         with_skia: true,
         btb_sets: 8,
         small_sbb: true,
+        small_caches: false,
     };
     run_case(&case, None).unwrap_or_else(|report| panic!("healthy oracle diverged: {report}"));
     let report = run_case(&case, Some(OracleFault::IgnoreRetiredBit))
@@ -283,6 +319,7 @@ fn broken_oracle_decoder_faults_are_caught() {
         with_skia: true,
         btb_sets: 4,
         small_sbb: false,
+        small_caches: false,
     };
     run_case(&case, None).unwrap_or_else(|report| panic!("healthy oracle diverged: {report}"));
     for fault in [
@@ -316,6 +353,7 @@ fn broken_oracle_tage_fold_is_caught() {
         with_skia: true,
         btb_sets: 8,
         small_sbb: true,
+        small_caches: false,
     };
     let skia_off = DiffCase {
         spec_seed: 11,
@@ -326,6 +364,7 @@ fn broken_oracle_tage_fold_is_caught() {
         with_skia: false,
         btb_sets: 2,
         small_sbb: false,
+        small_caches: false,
     };
     for case in [skia_on, skia_off] {
         run_case(&case, None).unwrap_or_else(|report| panic!("healthy oracle diverged: {report}"));
@@ -358,7 +397,8 @@ fn diff_case_codec_round_trips() {
     }
     assert_eq!(DiffCase::decode(""), None);
     assert_eq!(DiffCase::decode("1:2:3"), None);
-    assert_eq!(DiffCase::decode("1:2:1:4:5:1:7:0:extra"), None);
+    assert_eq!(DiffCase::decode("1:2:1:4:5:1:7:0"), None, "no cache flag");
+    assert_eq!(DiffCase::decode("1:2:1:4:5:1:7:0:1:extra"), None);
 }
 
 /// Replay one case from the `SKIA_DIFF_REPLAY` env var (printed by every

@@ -215,6 +215,7 @@ fn lockstep_return_traffic_is_live_and_divergence_free() {
         with_skia: true,
         btb_sets: 4,
         small_sbb: true,
+        small_caches: false,
     };
     let outcome = run_case(&case, None).unwrap_or_else(|r| panic!("{r}"));
     assert!(

@@ -17,7 +17,8 @@
 //!   issues), sampled at a configurable rate, exportable as Chrome
 //!   `trace_event` JSON or JSONL. Clones share the buffer, so a simulator
 //!   and its Skia unit record into one trace.
-//! * [`SpanGuard`] — RAII wall-clock span profiling ([`span`] module): a
+//! * [`SpanGuard`] — RAII wall-clock span profiling ([`span`](mod@span)
+//!   module): a
 //!   process-wide, thread-aware collector of hierarchical begin/end
 //!   records bracketing pipeline phases (sweep prepare/simulate, per-job
 //!   simulation, trace-cache I/O, oracle cases, fuzz rounds). Off by

@@ -33,7 +33,7 @@ pub struct Snapshot {
     pub events_dropped: u64,
     /// Completed profiling spans (empty unless the emitter drained the
     /// process-wide span collector into this snapshot; see
-    /// [`crate::span`]).
+    /// [`crate::span`](mod@crate::span)).
     pub spans: Vec<SpanRecord>,
 }
 

@@ -120,7 +120,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 
 /// Open a span whose name is computed lazily — the closure (and its
 /// allocation) runs only when profiling is enabled, keeping the disabled
-/// path as cheap as [`span`].
+/// path as cheap as [`span()`].
 #[inline]
 pub fn span_with<F: FnOnce() -> String>(name: F) -> SpanGuard {
     if !spans_enabled() {
@@ -185,7 +185,8 @@ pub fn drain_spans() -> Vec<SpanRecord> {
     records
 }
 
-/// Records lost to the [`MAX_RECORDS`] bound since process start.
+/// Records lost to the collector's record bound (2^18 records) since
+/// process start.
 #[must_use]
 pub fn spans_dropped() -> u64 {
     DROPPED.load(Ordering::Relaxed)

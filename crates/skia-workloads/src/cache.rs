@@ -20,18 +20,19 @@
 //!
 //! The serialization is hand-rolled little-endian (the derived indexes are
 //! rebuilt on load, not stored): the format is private to this module and
-//! versioned by [`FORMAT_VERSION`], so it can change freely between
+//! every file carries its format version, so it can change freely between
 //! releases — stale files simply miss.
 
 use std::ffi::OsStr;
 use std::io::{Read, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use skia_isa::BranchKind;
 
 use crate::program::{BasicBlock, BranchMeta, Function, Layout, Program, ProgramSpec};
-use crate::trace::RecordedTrace;
+use crate::trace::{masked_prefix, RecordedTrace};
 
 /// Process-wide cache I/O totals, accumulated across every program and
 /// trace cache operation since process start. Atomics (not per-run
@@ -46,11 +47,12 @@ static IO_PREFIX_LOADS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the process-wide cache I/O totals.
 ///
-/// `seeks` counts per-column positioned reads: a prefix-bounded trace load
-/// reads exactly one seeked range per stored column (6 columns), so
-/// `seeks == 6 * prefix_loads` when nothing else seeks. `bytes_read` /
-/// `bytes_written` count payload bytes actually moved (headers included),
-/// not file sizes — a prefix load of 5% of a file adds ~5% of its bytes.
+/// `seeks` counts positioned reads: a prefix-bounded trace load reads the
+/// index prefix where the header ends, then seeks once to each of the taken
+/// and successor columns, so `seeks == 2 * prefix_loads` when nothing else
+/// seeks. `bytes_read` / `bytes_written` count payload bytes actually moved
+/// (headers included), not file sizes — a prefix load of 5% of a file adds
+/// ~5% of its bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCacheIo {
     /// Bytes read from cache files (program + trace, headers included).
@@ -85,8 +87,9 @@ const FORMAT_VERSION: u32 = 1;
 const MAGIC: &[u8; 8] = b"SKIAPROG";
 
 /// Bumped whenever the trace columns or the walker's behaviour change;
-/// mismatched files are re-recorded.
-const TRACE_FORMAT_VERSION: u32 = 1;
+/// mismatched files are re-recorded. Version 2 stores branch-table indices
+/// and the run-time successors only.
+const TRACE_FORMAT_VERSION: u32 = 2;
 
 const TRACE_MAGIC: &[u8; 8] = b"SKIATRAC";
 
@@ -160,7 +163,7 @@ pub fn load_or_record_trace_in(
         let _g = skia_telemetry::span("trace_cache.load");
         let stored = std::fs::File::open(&path)
             .ok()
-            .and_then(|mut f| read_trace(&mut f, spec, seed, mean_trip, Some(steps)));
+            .and_then(|mut f| read_trace(&mut f, program, spec, seed, mean_trip, Some(steps)));
         if let Some(stored) = stored.filter(|t| t.len() >= steps) {
             return (stored, TraceCacheOutcome::DiskHit);
         }
@@ -275,7 +278,7 @@ fn serialize(spec: &ProgramSpec, program: &Program) -> Vec<u8> {
             let t = &b.terminator;
             out.extend_from_slice(&t.pc.to_le_bytes());
             out.push(t.len);
-            out.push(kind_code(t.kind));
+            out.push(t.kind.index() as u8);
             match t.target {
                 Some(addr) => {
                     out.push(1);
@@ -293,13 +296,6 @@ fn serialize(spec: &ProgramSpec, program: &Program) -> Vec<u8> {
         }
     }
     out
-}
-
-fn kind_code(kind: BranchKind) -> u8 {
-    BranchKind::ALL
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every BranchKind is in ALL") as u8
 }
 
 /// Infallible little-endian read of up to 4 bytes. The deserializers feed
@@ -444,27 +440,19 @@ fn serialize_trace(
     mean_trip: u32,
     trace: &RecordedTrace,
 ) -> Vec<u8> {
-    let n = trace.len();
-    let mut out = Vec::with_capacity(64 + trace.byte_size());
+    let mut out = Vec::with_capacity(96 + trace.byte_size());
     out.extend_from_slice(TRACE_MAGIC);
     out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
     let ident = trace_ident(spec, seed, mean_trip);
     out.extend_from_slice(&(ident.len() as u32).to_le_bytes());
     out.extend_from_slice(&ident);
-    out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&trace.first_block_start.to_le_bytes());
-    for &v in &trace.branch_pc {
-        out.extend_from_slice(&v.to_le_bytes());
+    out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+    out.extend_from_slice(&trace.first_block_start().to_le_bytes());
+    out.extend_from_slice(&(trace.successors.len() as u64).to_le_bytes());
+    for &i in &trace.index {
+        out.extend_from_slice(&i.to_le_bytes());
     }
-    for &v in &trace.next_pc {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    for &v in &trace.insns {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(&trace.kind);
-    out.extend_from_slice(&trace.branch_len);
-    for &w in &trace.taken {
+    for &w in trace.taken.iter().chain(&trace.successors) {
         out.extend_from_slice(&w.to_le_bytes());
     }
     out
@@ -480,19 +468,31 @@ fn try_load(path: &Path, spec: &ProgramSpec) -> Option<Program> {
     deserialize(&bytes, spec)
 }
 
-/// Read a stored trace from `file`, materializing at most `want` steps.
+/// Read a stored trace of `program` from `file`, materializing at most
+/// `want` steps.
 ///
-/// When the request covers the whole recording, the column area is read in
-/// one pass. When the stored trace is longer, only the header and each
-/// column's prefix are read, one seek and read per column, so a hit costs
-/// I/O and decode proportional to the *request*, not to the stored length
-/// (a 20K-step load from a 400K-step file reads ~5% of it). The returned
-/// trace equals [`RecordedTrace::prefix`] of a full load. The structural
-/// checks always cover the whole file — magic, version, exact identity
-/// echo, and the file size implied by the stored step count — while
-/// per-element checks cover the materialized prefix.
+/// The file holds three columns after its header: one branch-table index
+/// per step, the taken bitset, and the successors of the steps that store
+/// one. When the request covers the whole recording, the columns are read
+/// in one sequential pass. When the stored trace is longer, the loader
+/// reads the index prefix, counts the successor-bearing steps in it, then
+/// seeks to the taken and successor columns and reads only their prefixes,
+/// so a hit costs I/O and decode proportional to the *request*, not to the
+/// stored length (a 20K-step load from a 400K-step file reads ~5% of it).
+/// Columns are decoded through one bounded buffer, never a file-sized one.
+/// The returned trace equals [`RecordedTrace::prefix`] of a full load.
+///
+/// The structural checks cover the whole file — magic, version, exact
+/// identity echo, and the file size implied by the stored step and
+/// successor counts. The materialized steps must form a walk of `program`
+/// ([`RecordedTrace::is_walk_from`]): every index in range, each step
+/// chained to its predecessor's successor, unconditional branches taken,
+/// and the successors read exactly the ones the steps consume. So a
+/// corrupted index, taken bit or successor misses and is re-recorded
+/// rather than replayed as a different trace.
 fn read_trace<F: Read + Seek>(
     file: &mut F,
+    program: &Program,
     spec: &ProgramSpec,
     seed: u64,
     mean_trip: u32,
@@ -501,8 +501,8 @@ fn read_trace<F: Read + Seek>(
     let file_len = file.seek(SeekFrom::End(0)).ok()?;
     file.rewind().ok()?;
     let ident = trace_ident(spec, seed, mean_trip);
-    // magic + version + ident_len + ident + n + first_block_start
-    let header_len = 8 + 4 + 4 + ident.len() + 8 + 8;
+    // magic + version + ident_len + ident + steps + first block + successors
+    let header_len = 8 + 4 + 4 + ident.len() + 8 + 8 + 8;
     if file_len < header_len as u64 {
         return None;
     }
@@ -517,75 +517,86 @@ fn read_trace<F: Read + Seek>(
         return None; // hash collision or different walk identity
     }
     let n = usize::try_from(r.u64()?).ok()?;
-    let stored_first = r.u64()?;
-    let expect = (header_len as u64)
-        .checked_add((n as u64).checked_mul(22)?)?
-        .checked_add((n.div_ceil(64) as u64).checked_mul(8)?)?;
-    if file_len != expect {
+    let first_block_start = r.u64()?;
+    let stored = usize::try_from(r.u64()?).ok()?;
+    let taken_at = (header_len as u64).checked_add((n as u64).checked_mul(4)?)?;
+    let successors_at = taken_at.checked_add((n.div_ceil(64) as u64).checked_mul(8)?)?;
+    if file_len != successors_at.checked_add((stored as u64).checked_mul(8)?)? {
         return None; // truncated or trailing garbage — treat as corrupt
     }
     let keep = want.map_or(n, |w| w.min(n));
-    // Each column's offset in the column area, and the bytes kept of it.
-    let columns = [
-        (0, keep * 8),
-        (8 * n, keep * 8),
-        (16 * n, keep * 4),
-        (20 * n, keep),
-        (21 * n, keep),
-        (22 * n, keep.div_ceil(64) * 8),
-    ];
-    let mut buf = Vec::new();
-    let starts = if keep == n {
-        buf.resize(file_len as usize - header_len, 0);
-        file.read_exact(&mut buf).ok()?;
-        IO_FULL_LOADS.fetch_add(1, Ordering::Relaxed);
-        columns.map(|(offset, _)| offset)
+    let prefix = keep < n;
+    let _g = prefix.then(|| skia_telemetry::span("trace_cache.seek_prefix"));
+    let counter = if prefix {
+        &IO_PREFIX_LOADS
     } else {
-        let _g = skia_telemetry::span("trace_cache.seek_prefix");
-        IO_PREFIX_LOADS.fetch_add(1, Ordering::Relaxed);
-        let mut starts = [0; 6];
-        for (start, &(offset, len)) in starts.iter_mut().zip(&columns) {
-            file.seek(SeekFrom::Start((header_len + offset) as u64))
-                .ok()?;
-            *start = buf.len();
-            buf.resize(*start + len, 0);
-            file.read_exact(&mut buf[*start..]).ok()?;
+        &IO_FULL_LOADS
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    // A prefix load skips the rest of each column it reads.
+    let seek = |file: &mut F, at: u64| -> Option<()> {
+        if prefix {
+            file.seek(SeekFrom::Start(at)).ok()?;
             IO_SEEKS.fetch_add(1, Ordering::Relaxed);
         }
-        starts
+        Some(())
     };
-    IO_BYTES_READ.fetch_add(buf.len() as u64, Ordering::Relaxed);
-    let col = |i: usize| &buf[starts[i]..starts[i] + columns[i].1];
-    let u64s = |bytes: &[u8]| -> Vec<u64> { bytes.chunks_exact(8).map(le_u64).collect() };
-    let kind = col(3).to_vec();
-    if kind
-        .iter()
-        .any(|&k| usize::from(k) >= BranchKind::ALL.len())
-    {
-        return None; // out-of-range kind index — corrupt
-    }
-    let mut taken = u64s(col(5));
-    if !keep.is_multiple_of(64) {
-        if let Some(last) = taken.last_mut() {
-            let kept_bits = (1u64 << (keep % 64)) - 1;
-            if keep == n && *last & !kept_bits != 0 {
-                return None; // stray bits past the step count — corrupt
-            }
-            // Prefix load: bits past `keep` belong to the stored tail.
-            *last &= kept_bits;
-        }
-    }
-    Some(RecordedTrace {
+
+    let mut trace = RecordedTrace {
         seed,
         mean_trip,
-        first_block_start: if keep == 0 { 0 } else { stored_first },
-        branch_pc: u64s(col(0)),
-        next_pc: u64s(col(1)),
-        insns: col(2).chunks_exact(4).map(le_u32).collect(),
-        kind,
-        branch_len: col(4).to_vec(),
-        taken,
-    })
+        table: Arc::clone(program.shared_branch_table()),
+        index: read_column(file, keep, 4, le_u32)?,
+        taken: Vec::new(),
+        successors: Vec::new(),
+    };
+    // A full load reads every stored successor, and the walk check below
+    // fails unless the steps consume exactly those; a prefix load reads the
+    // ones its steps consume.
+    let kept_stored = if prefix {
+        trace.successor_count(&trace.index)?
+    } else {
+        stored
+    };
+    if kept_stored > stored {
+        return None; // the header's successor count disagrees with the steps
+    }
+    seek(file, taken_at)?;
+    trace.taken = read_column(file, keep.div_ceil(64), 8, le_u64)?;
+    seek(file, successors_at)?;
+    trace.successors = read_column(file, kept_stored, 8, le_u64)?;
+    if !prefix && trace.taken != masked_prefix(&trace.taken, n) {
+        return None; // stray bits past the step count — corrupt
+    }
+    // Prefix load: bits past `keep` belong to the stored tail.
+    trace.taken = masked_prefix(&trace.taken, keep);
+    trace.is_walk_from(first_block_start).then_some(trace)
+}
+
+/// Bytes one `read` of a column moves: columns are decoded through a
+/// bounded buffer rather than a byte copy of the whole column.
+const COLUMN_CHUNK: usize = 1 << 16;
+
+/// Read `count` little-endian elements of `width` bytes from `file`'s
+/// current position, decoding each with `parse`.
+fn read_column<F: Read, T>(
+    file: &mut F,
+    count: usize,
+    width: usize,
+    parse: impl Fn(&[u8]) -> T,
+) -> Option<Vec<T>> {
+    let bytes = count.checked_mul(width)?;
+    let mut out = Vec::with_capacity(count);
+    let mut buf = vec![0u8; bytes.min(COLUMN_CHUNK)];
+    let mut left = bytes;
+    while left > 0 {
+        let chunk = &mut buf[..left.min(COLUMN_CHUNK)];
+        file.read_exact(chunk).ok()?;
+        out.extend(chunk.chunks_exact(width).map(&parse));
+        left -= chunk.len();
+    }
+    IO_BYTES_READ.fetch_add(bytes as u64, Ordering::Relaxed);
+    Some(out)
 }
 
 /// Per-process sequence number folded into temp-file names. The process id
@@ -624,6 +635,7 @@ mod tests {
     use std::io::Cursor;
 
     use super::*;
+    use crate::walker::TraceStep;
 
     fn test_spec() -> ProgramSpec {
         ProgramSpec {
@@ -822,7 +834,8 @@ mod tests {
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 42, 8, 777);
         let bytes = serialize_trace(&spec, 42, 8, &trace);
-        let loaded = read_trace(&mut Cursor::new(&bytes), &spec, 42, 8, None).expect("round trip");
+        let loaded =
+            read_trace(&mut Cursor::new(&bytes), &program, &spec, 42, 8, None).expect("round trip");
         assert_eq!(trace, loaded);
     }
 
@@ -833,13 +846,13 @@ mod tests {
         let trace = RecordedTrace::record(&program, 42, 8, 200);
         let bytes = serialize_trace(&spec, 42, 8, &trace);
         // Different seed, different mean trip, different spec: all miss.
-        assert!(read_trace(&mut Cursor::new(&bytes), &spec, 43, 8, None).is_none());
-        assert!(read_trace(&mut Cursor::new(&bytes), &spec, 42, 9, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bytes), &program, &spec, 43, 8, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bytes), &program, &spec, 42, 9, None).is_none());
         let other = ProgramSpec {
             seed: spec.seed ^ 1,
             ..test_spec()
         };
-        assert!(read_trace(&mut Cursor::new(&bytes), &other, 42, 8, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bytes), &program, &other, 42, 8, None).is_none());
     }
 
     #[test]
@@ -848,29 +861,108 @@ mod tests {
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 7, 5, 300);
         let bytes = serialize_trace(&spec, 7, 5, &trace);
+        let load = |b: &[u8]| read_trace(&mut Cursor::new(b), &program, &spec, 7, 5, None);
+        assert_eq!(load(&bytes), Some(trace.clone()));
         // Truncation, a clobbered header byte, and trailing garbage.
-        assert!(read_trace(
-            &mut Cursor::new(&bytes[..bytes.len() - 1]),
-            &spec,
-            7,
-            5,
-            None
-        )
-        .is_none());
-        assert!(read_trace(&mut Cursor::new(&bytes[1..]), &spec, 7, 5, None).is_none());
+        assert!(load(&bytes[..bytes.len() - 1]).is_none());
+        assert!(load(&bytes[1..]).is_none());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(read_trace(&mut Cursor::new(&trailing), &spec, 7, 5, None).is_none());
-        // An out-of-range kind index in the kind column is caught.
-        let mut bad_kind = bytes.clone();
-        let kind_off = bytes.len() - 300 /* len */ - 300 /* kind */ - 8 * 300usize.div_ceil(64);
-        bad_kind[kind_off] = 0xFF;
-        assert!(read_trace(&mut Cursor::new(&bad_kind), &spec, 7, 5, None).is_none());
+        assert!(load(&trailing).is_none());
+        // An index past the program's branches is caught.
+        let mut bad_index = bytes.clone();
+        let index_at = trace_columns(&bytes, &trace).0;
+        bad_index[index_at..index_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(load(&bad_index).is_none());
         // Stray taken bits past the step count are caught.
+        let (_, taken_at, successors_at) = trace_columns(&bytes, &trace);
         let mut bad_taken = bytes.clone();
-        let last = bad_taken.len() - 1;
-        bad_taken[last] |= 0x80; // bit 63 of the tail word; 300 % 64 == 44
-        assert!(read_trace(&mut Cursor::new(&bad_taken), &spec, 7, 5, None).is_none());
+        bad_taken[successors_at - 1] |= 0x80; // bit 63 of the tail word; 300 % 64 == 44
+        assert!(taken_at < successors_at);
+        assert!(load(&bad_taken).is_none());
+    }
+
+    /// Byte offsets of the index, taken and successor columns of a
+    /// serialized `trace`.
+    fn trace_columns(bytes: &[u8], trace: &RecordedTrace) -> (usize, usize, usize) {
+        let successors_at = bytes.len() - trace.successors.len() * 8;
+        let taken_at = successors_at - trace.len().div_ceil(64) * 8;
+        (taken_at - trace.len() * 4, taken_at, successors_at)
+    }
+
+    /// One flipped bit in the index column, the successor column, or a
+    /// taken bit that changes a step's successor makes the stored steps
+    /// stop chaining: the load misses and the walk is re-recorded. A prefix
+    /// load checks the steps it keeps and ignores a flip past them.
+    #[test]
+    fn trace_load_rejects_any_bit_flip_that_breaks_the_chain() {
+        const STEPS: usize = 300;
+        const PREFIX: usize = 200;
+        let dir = std::env::temp_dir().join(format!("skia-trace-flip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = test_spec();
+        let program = Program::generate(&spec);
+        let path = dir.join(format!(
+            "trace-{:016x}-v{TRACE_FORMAT_VERSION}.bin",
+            trace_key(&spec, 3, 8)
+        ));
+        let (reference, _) = load_or_record_trace_in(Some(&dir), &program, &spec, 3, 8, STEPS);
+        let good = std::fs::read(&path).unwrap();
+        let (index_at, taken_at, successors_at) = trace_columns(&good, &reference);
+        let steps: Vec<TraceStep> = reference.replay().collect();
+        // The first step at or after `from` that `keep` accepts. Neither the
+        // last step nor the last kept one qualifies: no later step checks
+        // their successors.
+        let near = |from: usize, keep: &dyn Fn(&TraceStep) -> bool| {
+            (from..STEPS - 1)
+                .find(|&i| i != PREFIX - 1 && keep(&steps[i]))
+                .expect("a qualifying step")
+        };
+
+        // (byte, bit, step the flip corrupts)
+        let mut flips = Vec::new();
+        for from in [0usize, 17, 150, 250] {
+            let i = near(from, &|_| true);
+            for bit in [0, 2, 9] {
+                flips.push((index_at + 4 * i + bit / 8, bit % 8, i));
+            }
+            let i = near(from, &|s| crate::trace::stores_successor(s.kind));
+            let ordinal = steps[..i]
+                .iter()
+                .filter(|s| crate::trace::stores_successor(s.kind))
+                .count();
+            for bit in [2, 7, 12, 30] {
+                flips.push((successors_at + 8 * ordinal + bit / 8, bit % 8, i));
+            }
+            // An unconditional branch, and a conditional one whose target is
+            // not its fall-through.
+            let i = near(from, &|s| s.kind.is_unconditional());
+            flips.push((taken_at + i / 8, i % 8, i));
+            let i = near(from, &|s| {
+                let rec = program.branch_table().record_at(s.branch_pc).unwrap();
+                !s.kind.is_unconditional() && rec.target != Some(rec.fallthrough)
+            });
+            flips.push((taken_at + i / 8, i % 8, i));
+        }
+
+        for (byte, bit, step) in flips {
+            let mut bad = good.clone();
+            bad[byte] ^= 1 << bit;
+            std::fs::write(&path, &bad).unwrap();
+            let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 3, 8, STEPS);
+            assert_eq!(outcome, TraceCacheOutcome::Recorded, "flip {byte}:{bit}");
+            assert_eq!(t, reference);
+            std::fs::write(&path, &bad).unwrap();
+            let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 3, 8, PREFIX);
+            let hit = if step < PREFIX {
+                TraceCacheOutcome::Recorded
+            } else {
+                TraceCacheOutcome::DiskHit
+            };
+            assert_eq!(outcome, hit, "prefix load, flip {byte}:{bit}");
+            assert_eq!(t, reference.prefix(PREFIX));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -971,7 +1063,7 @@ mod tests {
         bumped[TRACE_MAGIC.len()..TRACE_MAGIC.len() + 4]
             .copy_from_slice(&(TRACE_FORMAT_VERSION + 1).to_le_bytes());
         std::fs::write(&path, &bumped).unwrap();
-        assert!(read_trace(&mut Cursor::new(&bumped), &spec, 9, 6, None).is_none());
+        assert!(read_trace(&mut Cursor::new(&bumped), &program, &spec, 9, 6, None).is_none());
         let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 9, 6, 500);
         assert_eq!(outcome, TraceCacheOutcome::Recorded);
         assert_eq!(t, reference);
@@ -992,7 +1084,7 @@ mod tests {
         };
         let program = Program::generate(&spec);
 
-        // The stored trace is deliberately large (~1.4 MB) so the prefix
+        // The stored trace is deliberately large (~0.4 MB) so the prefix
         // upper-bound below has orders-of-magnitude headroom over any bytes
         // concurrent tests might add between the two snapshots.
         const STEPS: usize = 65_536;
@@ -1018,14 +1110,15 @@ mod tests {
             "a full hit reads the whole file"
         );
 
-        // Prefix hit (~1.5% of the file): one prefix load, 6 column seeks,
-        // and far fewer bytes than the full file.
+        // Prefix hit (~1.5% of the file): one prefix load, a seek to each of
+        // the taken and successor columns, and far fewer bytes than the
+        // full file.
         let (short, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 11, 8, 1024);
         assert_eq!(outcome, TraceCacheOutcome::DiskHit);
         assert_eq!(short.len(), 1024);
         let after_prefix = trace_cache_io();
         assert!(after_prefix.prefix_loads > after_full.prefix_loads);
-        assert!(after_prefix.seeks >= after_full.seeks + 6, "6 column seeks");
+        assert!(after_prefix.seeks >= after_full.seeks + 2, "2 column seeks");
         let prefix_bytes = after_prefix.bytes_read - after_full.bytes_read;
         assert!(
             prefix_bytes < stored_bytes / 2,

@@ -165,8 +165,9 @@ pub struct Program {
     base: u64,
     image: Vec<u8>,
     functions: Vec<Function>,
-    /// Dense pc-sorted branch side table (hot-path metadata lookups).
-    table: BranchTable,
+    /// Dense pc-sorted branch side table (hot-path metadata lookups),
+    /// shared with the program's recorded traces.
+    table: Arc<BranchTable>,
     /// `(function index, block index)` of each [`BranchTable`] record, in
     /// table order.
     locations: Vec<(u32, u32)>,
@@ -552,7 +553,7 @@ impl Program {
             base,
             image,
             functions,
-            table,
+            table: Arc::new(table),
             locations,
             decode_tables: DecodeTables::default(),
             burst,
@@ -666,11 +667,16 @@ impl Program {
         &self.table
     }
 
+    /// The branch table, for a [`RecordedTrace`](crate::RecordedTrace) to
+    /// keep alive.
+    pub(crate) fn shared_branch_table(&self) -> &Arc<BranchTable> {
+        &self.table
+    }
+
     /// The program's shadow-decode table for `policy` and `max_valid_paths`,
     /// built empty on first request and shared by every simulator over the
-    /// program. Slot `i` holds the head region at the start of the block
-    /// that [`BranchTable`] record `i` ends and the tail region after that
-    /// branch ([`BranchTable::block_index`], [`BranchTable::exit_index`]).
+    /// program. It has a head slot at every block start and a tail slot at
+    /// every terminator's fall-through, each off a line boundary.
     #[must_use]
     pub fn decode_table(&self, policy: IndexPolicy, max_valid_paths: usize) -> Arc<DecodeTable> {
         // The list only ever grows by whole entries, so a guard poisoned by
@@ -687,11 +693,13 @@ impl Program {
             return Arc::clone(t);
         }
         let lines = self.base..self.base + (self.code_lines() * CACHE_LINE_BYTES) as u64;
+        let blocks = || self.functions.iter().flat_map(|f| &f.blocks);
         let table = Arc::new(DecodeTable::new(
             policy,
             max_valid_paths,
-            self.table.len(),
             lines,
+            blocks().map(|b| b.start),
+            blocks().map(BasicBlock::end),
         ));
         tables.push(Arc::clone(&table));
         table
@@ -882,10 +890,10 @@ mod tests {
 
     #[test]
     fn decode_table_equals_fresh_decodes() {
-        use skia_core::ShadowDecoder;
+        use skia_core::{DecodedRegion, ShadowDecoder};
         let p = Program::generate(&small_spec());
-        let table = p.branch_table();
         let blocks: Vec<&BasicBlock> = p.functions().iter().flat_map(|f| &f.blocks).collect();
+        let line = |addr| p.line(addr);
         for policy in IndexPolicy::ALL {
             for bound in [1, 6] {
                 let decodes = p.decode_table(policy, bound);
@@ -895,24 +903,23 @@ mod tests {
                 // Twice: the second round reads filled slots.
                 for _ in 0..2 {
                     for b in &blocks {
-                        let entry = (b.start % 64) as usize;
-                        if entry != 0 {
-                            let slot = table.block_index(b.start).expect("block start");
-                            let region = decodes.head(slot, entry, || p.line(b.start));
-                            let (base, line) = p.line(b.start);
-                            let hd = fresh.decode_head(&line, base, entry);
-                            assert_eq!(region.branches[..], hd.branches[..], "{:#x}", b.start);
+                        let (base, bytes) = p.line(b.start);
+                        let entry = (b.start - base) as usize;
+                        let head = decodes.head(b.start, line);
+                        assert_eq!(head.is_some(), entry != 0, "{:#x}", b.start);
+                        if let Some(region) = head {
+                            let hd = fresh.decode_head(&bytes, base, entry);
+                            assert_eq!(*region, DecodedRegion::from(&hd), "{:#x}", b.start);
                             counted.count_head(region);
                         }
-                        let t = &b.terminator;
-                        let base = (t.fallthrough - 1) & !63;
-                        let exit = (t.fallthrough - base) as usize;
-                        if exit < CACHE_LINE_BYTES {
-                            let slot = table.exit_index(t.pc, t.len).expect("static exit");
-                            let region = decodes.tail(slot, exit, || p.line(base));
-                            let (_, line) = p.line(base);
-                            let found = fresh.decode_tail(&line, base, exit);
-                            assert_eq!(region.branches[..], found[..], "{:#x}", t.pc);
+                        let end = b.end();
+                        let (base, bytes) = p.line(end);
+                        let exit = (end - base) as usize;
+                        let tail = decodes.tail(end, line);
+                        assert_eq!(tail.is_some(), exit != 0, "{end:#x}");
+                        if let Some(region) = tail {
+                            let found = fresh.decode_tail(&bytes, base, exit);
+                            assert_eq!(usize::from(region.branches), found.len(), "{end:#x}");
                             counted.count_tail(region);
                         }
                     }

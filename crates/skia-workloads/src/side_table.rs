@@ -4,10 +4,12 @@
 //! flat, pc-sorted array of every branch's ground-truth record plus a dense
 //! per-cache-line index (`line →` first branch at or after the line's
 //! base), so an exact-pc or block-start lookup is O(1). The simulator reads
-//! it once per commit (static targets), once per shadow-decoded region
-//! (decode-table slots), and the BPU sizes its BTB residency bitmap to the
-//! table's lines, since every branch the BTB can hold is a block
+//! it once per commit (static targets), a [`RecordedTrace`] replays its
+//! steps as record indices, and the BPU sizes its BTB residency bitmap to
+//! the table's lines, since every branch the BTB can hold is a block
 //! terminator of the program.
+//!
+//! [`RecordedTrace`]: crate::RecordedTrace
 //!
 //! This is the profile-side-table discipline of AsmDB applied to the
 //! simulator's own hot loop: metadata that is a pure function of the binary
@@ -51,8 +53,9 @@ impl BranchRecord {
 /// Immutable pc-sorted branch records with a dense per-line start index.
 ///
 /// Built once per program (at generation or cache load) and shared by every
-/// simulator instance; all queries are `&self` and allocation-free.
-#[derive(Debug, Clone)]
+/// simulator instance and recorded trace; all queries are `&self` and
+/// allocation-free.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchTable {
     /// Line-aligned base of the covered span.
     span_base: u64,
@@ -152,11 +155,10 @@ impl BranchTable {
         (self.recs.get(idx)?.block_start == start).then_some(idx)
     }
 
-    /// Index of the branch at `pc` with encoded length `len`: the branch
-    /// whose fall-through is `pc + len`.
-    #[must_use]
-    pub fn exit_index(&self, pc: u64, len: u8) -> Option<usize> {
-        self.index_of(pc).filter(|&i| self.recs[i].len == len)
+    /// Every record, in pc order (the order [`BranchTable::index_of`]
+    /// counts in).
+    pub(crate) fn records(&self) -> &[BranchRecord] {
+        &self.recs
     }
 
     /// Exact-pc record lookup (O(1) via the line index).

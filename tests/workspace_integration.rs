@@ -99,6 +99,7 @@ fn bolted_layout_agrees_with_oracle_and_packs_hot_code() {
             with_skia: true,
             btb_sets: 8,
             small_sbb: false,
+            small_caches: false,
         };
         if let Err(report) = skia_oracle::run_case(&case, None) {
             panic!("{report}");
