@@ -39,13 +39,16 @@
 //! encode::ret(&mut line);                       // shadow return at offset 3
 //! encode::nop_exact(&mut line, 4);              // entry point at offset 4+4=8
 //! while line.len() < 64 { encode::nop_exact(&mut line, 1); }
+//! let line: [u8; 64] = line.try_into().unwrap();
 //!
 //! // First-index head decoding (the paper's policy) exposes the return.
 //! let mut skia = Skia::new(SkiaConfig {
 //!     index_policy: IndexPolicy::First,
 //!     ..SkiaConfig::default()
 //! });
-//! skia.on_line_entered(&line, 0x1000, 8);       // FTQ entry starts at +8
+//! // A taken branch enters the block at 0x1008, +8 into the line at 0x1000;
+//! // the closures return the line's bytes and its known-branch word.
+//! skia.on_block_entered(0x1008, |_| (0x1000, line), |_| 0);
 //! // The shadow RET at 0x1003 is now visible to the BPU:
 //! let hit = skia.lookup(0x1003).expect("return found by head decoding");
 //! assert_eq!(hit.kind, skia_isa::BranchKind::Return);

@@ -244,30 +244,6 @@ impl Skia {
         &self.config
     }
 
-    /// Head-decode hook: the FTQ entry beginning at `line_base +
-    /// entry_offset` has its line resident; examine bytes `0..entry_offset`.
-    /// The region is decoded afresh.
-    ///
-    /// Returns the number of shadow branches inserted.
-    pub fn on_line_entered(&mut self, line: &[u8], line_base: u64, entry_offset: usize) -> usize {
-        if !self.config.head || entry_offset == 0 {
-            return 0;
-        }
-        let region = self.sbd.decode_head_ref(line, line_base, entry_offset);
-        self.fill(line_base, &region, || line, |_| 0)
-    }
-
-    /// Tail-decode hook: the FTQ entry leaves its last line at
-    /// `exit_offset` (first byte after the taken branch); examine bytes
-    /// `exit_offset..`. The region is decoded afresh.
-    pub fn on_line_exited(&mut self, line: &[u8], line_base: u64, exit_offset: usize) -> usize {
-        if !self.config.tail || exit_offset >= line.len() {
-            return 0;
-        }
-        let region = self.sbd.decode_tail_ref(line, line_base, exit_offset);
-        self.fill(line_base, &region, || line, |_| 0)
-    }
-
     /// Head-decode hook for a block entered at `start` through a taken
     /// branch: examine the bytes of `start`'s line before it. The region is
     /// read from the decode table when it has a slot there and decoded
@@ -286,17 +262,15 @@ impl Skia {
         if !self.config.head || entry == 0 {
             return 0;
         }
+        let base = start - entry as u64;
         let region = match self.table.as_deref().and_then(|t| t.head(start, &line)) {
             Some(region) => {
                 self.sbd.count_head(region);
                 *region
             }
-            None => {
-                let (line_base, bytes) = line(start);
-                self.sbd.decode_head_ref(&bytes, line_base, entry)
-            }
+            None => self.sbd.decode_head_ref(&line(start).1, base, entry),
         };
-        self.fill(start - entry as u64, &region, || line(start).1, known)
+        self.fill(base, &region, || line(start).1, known)
     }
 
     /// Tail-decode hook for a taken branch that ends at `end`: examine the
@@ -312,44 +286,35 @@ impl Skia {
         if !self.config.tail || exit == 0 {
             return 0;
         }
+        let base = end - exit as u64;
         let region = match self.table.as_deref().and_then(|t| t.tail(end, &line)) {
             Some(region) => {
                 self.sbd.count_tail(region);
                 *region
             }
-            None => {
-                let (line_base, bytes) = line(end);
-                self.sbd.decode_tail_ref(&bytes, line_base, exit)
-            }
+            None => self.sbd.decode_tail_ref(&line(end).1, base, exit),
         };
-        self.fill(end - exit as u64, &region, || line(end).1, known)
+        self.fill(base, &region, || line(end).1, known)
     }
 
     /// Insert the branches of `region`, a decode of the line at
     /// `line_base` whose bytes `line` returns, skipping those `known` or
     /// already held.
     ///
-    /// When every branch is held or known, nothing changes but the
-    /// filtered count, and `line` never runs. Otherwise the branches are
-    /// re-decoded from `line` in ascending offset order and each is tested
-    /// when its turn comes, so an insert that evicts a later branch of the
-    /// same region re-inserts it, as a walk over the decoded list does.
-    fn fill<L: AsRef<[u8]>>(
+    /// The branches are tested in ascending offset order, each when its
+    /// turn comes, so an insert that evicts a later branch of the same
+    /// region re-inserts it, as a walk over the decoded list does. Only an
+    /// inserted branch is re-decoded, and `line` runs at the first one, so
+    /// a region whose branches are all held or known reads no line.
+    fn fill(
         &mut self,
         line_base: u64,
         region: &DecodedRegion,
-        line: impl FnOnce() -> L,
+        line: impl Fn() -> [u8; CACHE_LINE_BYTES],
         known: impl FnOnce(u64) -> u64,
     ) -> usize {
-        if region.mask == 0 {
-            return 0;
-        }
         let known = known(line_base);
-        if region.mask & !(self.sbb.resident().line(line_base) | known) == 0 {
-            self.filtered_known += u64::from(region.branches);
-            return 0;
-        }
-        let line = line();
+        let mut bytes = None;
         let mut inserted = 0;
         let mut rest = region.mask;
         while rest != 0 {
@@ -360,7 +325,8 @@ impl Skia {
                 self.filtered_known += 1;
                 continue;
             }
-            let branch = shadow_branch_at(line.as_ref(), line_base, offset as usize)
+            let bytes = bytes.get_or_insert_with(&line);
+            let branch = shadow_branch_at(bytes, line_base, offset as usize)
                 .expect("a region's mask names the shadow branches of its line");
             if let Some((victim, birth)) = self.sbb.insert_at(&branch, self.tel.cycle) {
                 self.tel.note_remove(victim, birth);
@@ -453,79 +419,86 @@ mod tests {
         }
     }
 
-    fn line_with_head_ret() -> (Vec<u8>, usize, u64) {
+    /// Pad `bytes` with one-byte nops to a full line.
+    fn pad_to_line(mut bytes: Vec<u8>) -> [u8; CACHE_LINE_BYTES] {
+        while bytes.len() < CACHE_LINE_BYTES {
+            encode::nop_exact(&mut bytes, 1);
+        }
+        bytes.try_into().unwrap()
+    }
+
+    fn line_with_head_ret() -> ([u8; CACHE_LINE_BYTES], usize, u64) {
         // [nop3][ret][nop4] entry at 8.
         let mut line = Vec::new();
         encode::nop_exact(&mut line, 3);
         encode::ret(&mut line);
         encode::nop_exact(&mut line, 4);
         let entry = line.len();
-        while line.len() < 64 {
-            encode::nop_exact(&mut line, 1);
-        }
-        (line, entry, 0x4000)
+        (pad_to_line(line), entry, 0x4000)
     }
 
-    fn line_with_tail_jmp() -> (Vec<u8>, usize, u64) {
+    fn line_with_tail_jmp() -> ([u8; CACHE_LINE_BYTES], usize, u64) {
         // [jmp rel8 exits at 2][jmp rel32 in shadow]
         let mut line = Vec::new();
         encode::jmp_rel8(&mut line, 20);
         let exit = line.len();
         encode::jmp_rel32(&mut line, 0x80);
-        while line.len() < 64 {
-            encode::nop_exact(&mut line, 1);
-        }
-        (line, exit, 0x5000)
+        (pad_to_line(line), exit, 0x5000)
+    }
+
+    /// Enter the head fixture's block at its entry offset, nothing known.
+    fn enter(skia: &mut Skia) -> usize {
+        let (line, entry, base) = line_with_head_ret();
+        skia.on_block_entered(base + entry as u64, |_| (base, line), |_| 0)
+    }
+
+    /// Leave the tail fixture's line through its exit offset, nothing known.
+    fn exit(skia: &mut Skia) -> usize {
+        let (line, exit, base) = line_with_tail_jmp();
+        skia.on_block_exited(base + exit as u64, |_| (base, line), |_| 0)
     }
 
     #[test]
     fn head_hook_fills_sbb() {
-        let (line, entry, base) = line_with_head_ret();
+        let (_, _, base) = line_with_head_ret();
         let mut skia = Skia::new(first_policy());
-        let n = skia.on_line_entered(&line, base, entry);
-        assert_eq!(n, 1);
+        assert_eq!(enter(&mut skia), 1);
         let hit = skia.lookup(base + 3).unwrap();
         assert_eq!(hit.kind, BranchKind::Return);
     }
 
     #[test]
     fn tail_hook_fills_sbb() {
-        let (line, exit, base) = line_with_tail_jmp();
+        let (_, exit_offset, base) = line_with_tail_jmp();
         let mut skia = Skia::new(SkiaConfig::default());
-        let n = skia.on_line_exited(&line, base, exit);
-        assert_eq!(n, 1);
-        let hit = skia.lookup(base + exit as u64).unwrap();
+        assert_eq!(exit(&mut skia), 1);
+        let hit = skia.lookup(base + exit_offset as u64).unwrap();
         assert_eq!(hit.kind, BranchKind::DirectUncond);
-        assert_eq!(hit.target, Some(base + exit as u64 + 5 + 0x80));
+        assert_eq!(hit.target, Some(base + exit_offset as u64 + 5 + 0x80));
     }
 
     #[test]
     fn head_only_config_ignores_tail() {
-        let (line, exit, base) = line_with_tail_jmp();
+        let (_, exit_offset, base) = line_with_tail_jmp();
         let mut skia = Skia::new(SkiaConfig::head_only());
-        assert_eq!(skia.on_line_exited(&line, base, exit), 0);
-        assert!(skia.lookup(base + exit as u64).is_none());
+        assert_eq!(exit(&mut skia), 0);
+        assert!(skia.lookup(base + exit_offset as u64).is_none());
     }
 
     #[test]
     fn tail_only_config_ignores_head() {
-        let (line, entry, base) = line_with_head_ret();
         let mut skia = Skia::new(SkiaConfig::tail_only());
-        assert_eq!(skia.on_line_entered(&line, base, entry), 0);
+        assert_eq!(enter(&mut skia), 0);
     }
 
     #[test]
     fn known_filter_suppresses_insertion() {
         let (line, entry, base) = line_with_head_ret();
-        let bytes = <[u8; CACHE_LINE_BYTES]>::try_from(&line[..]).unwrap();
         let mut skia = Skia::new(first_policy());
-        let n = skia.on_block_entered(base + entry as u64, |_| (base, bytes), |_| 1 << 3);
+        let n = skia.on_block_entered(base + entry as u64, |_| (base, line), |_| 1 << 3);
         assert_eq!(n, 0);
         assert_eq!(skia.stats().filtered_known, 1);
-        assert_eq!(
-            skia.on_block_entered(base + entry as u64, |_| (base, bytes), |_| 0),
-            1
-        );
+        assert_eq!(enter(&mut skia), 1);
     }
 
     #[test]
@@ -533,15 +506,11 @@ mod tests {
         let (head, entry, head_base) = line_with_head_ret();
         let (tail, exit, tail_base) = line_with_tail_jmp();
         let lines = |addr: u64| {
-            let (base, bytes) = if addr & !63 == head_base {
-                (head_base, &head)
+            if addr & !63 == head_base {
+                (head_base, head)
             } else {
-                (tail_base, &tail)
-            };
-            (
-                base,
-                <[u8; CACHE_LINE_BYTES]>::try_from(&bytes[..]).unwrap(),
-            )
+                (tail_base, tail)
+            }
         };
         let start = head_base + entry as u64;
         let end = tail_base + exit as u64;
@@ -569,18 +538,17 @@ mod tests {
 
     #[test]
     fn duplicate_insertion_is_suppressed() {
-        let (line, entry, base) = line_with_head_ret();
         let mut skia = Skia::new(first_policy());
-        assert_eq!(skia.on_line_entered(&line, base, entry), 1);
-        assert_eq!(skia.on_line_entered(&line, base, entry), 0);
+        assert_eq!(enter(&mut skia), 1);
+        assert_eq!(enter(&mut skia), 0);
         assert_eq!(skia.stats().sbb.r_inserts, 1);
     }
 
     #[test]
     fn bogus_report_drops_entry_and_counts() {
-        let (line, entry, base) = line_with_head_ret();
+        let (_, _, base) = line_with_head_ret();
         let mut skia = Skia::new(first_policy());
-        skia.on_line_entered(&line, base, entry);
+        enter(&mut skia);
         skia.note_bogus(base + 3);
         assert!(skia.lookup(base + 3).is_none());
         assert!(skia.stats().bogus_rate() > 0.0);
@@ -589,13 +557,13 @@ mod tests {
     #[test]
     fn telemetry_records_lifetimes_and_events() {
         use skia_telemetry::TraceConfig;
-        let (line, entry, base) = line_with_head_ret();
+        let (_, _, base) = line_with_head_ret();
         let mut skia = Skia::new(first_policy());
         let trace = EventTrace::new(TraceConfig::default());
         skia.set_trace(trace.clone());
 
         skia.set_cycle(100);
-        assert_eq!(skia.on_line_entered(&line, base, entry), 1);
+        assert_eq!(enter(&mut skia), 1);
         skia.set_cycle(250);
         skia.note_bogus(base + 3);
 
@@ -609,10 +577,10 @@ mod tests {
 
     #[test]
     fn retirement_flows_through() {
-        let (line, exit, base) = line_with_tail_jmp();
+        let (_, exit_offset, base) = line_with_tail_jmp();
         let mut skia = Skia::new(SkiaConfig::default());
-        skia.on_line_exited(&line, base, exit);
-        skia.mark_retired(base + exit as u64);
+        exit(&mut skia);
+        skia.mark_retired(base + exit_offset as u64);
         assert_eq!(skia.stats().sbb.retirements, 1);
         assert_eq!(skia.stats().useful_uses, 1);
     }

@@ -890,10 +890,17 @@ mod tests {
 
     #[test]
     fn decode_table_equals_fresh_decodes() {
-        use skia_core::{DecodedRegion, ShadowDecoder};
+        use skia_core::{shadow_branch_at, DecodedRegion, ShadowBranch, ShadowDecoder};
         let p = Program::generate(&small_spec());
         let blocks: Vec<&BasicBlock> = p.functions().iter().flat_map(|f| &f.blocks).collect();
         let line = |addr| p.line(addr);
+        // The branches a summary names, re-decoded from their line offsets.
+        let redecode = |bytes: &[u8], base: u64, region: &DecodedRegion| -> Vec<ShadowBranch> {
+            (0..CACHE_LINE_BYTES)
+                .filter(|&i| region.mask >> i & 1 == 1)
+                .map(|i| shadow_branch_at(bytes, base, i).expect("a mask bit names a branch"))
+                .collect()
+        };
         for policy in IndexPolicy::ALL {
             for bound in [1, 6] {
                 let decodes = p.decode_table(policy, bound);
@@ -903,13 +910,15 @@ mod tests {
                 // Twice: the second round reads filled slots.
                 for _ in 0..2 {
                     for b in &blocks {
-                        let (base, bytes) = p.line(b.start);
-                        let entry = (b.start - base) as usize;
-                        let head = decodes.head(b.start, line);
-                        assert_eq!(head.is_some(), entry != 0, "{:#x}", b.start);
+                        let start = b.start;
+                        let (base, bytes) = p.line(start);
+                        let entry = (start - base) as usize;
+                        let head = decodes.head(start, line);
+                        assert_eq!(head.is_some(), entry != 0, "{start:#x}");
                         if let Some(region) = head {
                             let hd = fresh.decode_head(&bytes, base, entry);
-                            assert_eq!(*region, DecodedRegion::from(&hd), "{:#x}", b.start);
+                            assert_eq!(*region, DecodedRegion::from(&hd), "{start:#x}");
+                            assert_eq!(redecode(&bytes, base, region), hd.branches, "{start:#x}");
                             counted.count_head(region);
                         }
                         let end = b.end();
@@ -918,8 +927,10 @@ mod tests {
                         let tail = decodes.tail(end, line);
                         assert_eq!(tail.is_some(), exit != 0, "{end:#x}");
                         if let Some(region) = tail {
-                            let found = fresh.decode_tail(&bytes, base, exit);
-                            assert_eq!(usize::from(region.branches), found.len(), "{end:#x}");
+                            let want = fresh.decode_tail_ref(&bytes, base, exit);
+                            assert_eq!(*region, want, "{end:#x}");
+                            let found = ShadowDecoder::default().decode_tail(&bytes, base, exit);
+                            assert_eq!(redecode(&bytes, base, region), found, "{end:#x}");
                             counted.count_tail(region);
                         }
                     }
