@@ -67,31 +67,28 @@ fn main() {
     let mut head_coverable = 0usize;
     let mut interior = 0usize;
     let mut total = 0usize;
-    for f in program.functions() {
-        for b in &f.blocks {
-            let t = &b.terminator;
-            if !t.kind.sbb_eligible() {
-                continue;
-            }
-            total += 1;
-            let line = t.pc & !63;
-            // Tail-coverable: some frequently-taken exit lands in this line
-            // at or before the branch.
-            let tail = hot_exits_by_line
-                .get(&line)
-                .is_some_and(|v| v.iter().any(|&exit| exit <= t.pc));
-            // Head-coverable: some frequently-entered entry point in this
-            // line strictly after the branch end.
-            let head = hot_entries_by_line
-                .get(&line)
-                .is_some_and(|v| v.iter().any(|&e| e >= t.pc + u64::from(t.len)));
-            if tail {
-                tail_coverable += 1;
-            } else if head {
-                head_coverable += 1;
-            } else {
-                interior += 1;
-            }
+    for t in program.branch_table().records() {
+        if !t.kind.sbb_eligible() {
+            continue;
+        }
+        total += 1;
+        let line = t.pc & !63;
+        // Tail-coverable: some frequently-taken exit lands in this line at
+        // or before the branch.
+        let tail = hot_exits_by_line
+            .get(&line)
+            .is_some_and(|v| v.iter().any(|&exit| exit <= t.pc));
+        // Head-coverable: some frequently-entered entry point in this line
+        // strictly after the branch end.
+        let head = hot_entries_by_line
+            .get(&line)
+            .is_some_and(|v| v.iter().any(|&e| e >= t.fallthrough()));
+        if tail {
+            tail_coverable += 1;
+        } else if head {
+            head_coverable += 1;
+        } else {
+            interior += 1;
         }
     }
 

@@ -23,8 +23,8 @@ fn main() {
     .take(steps)
     {
         *blocks.entry(s.block_start).or_default() += 1;
-        if let Some((fi, _)) = w.program.locate_block(s.block_start) {
-            *fns.entry(fi).or_default() += 1;
+        if let Some(rec) = w.program.branch_at(s.branch_pc) {
+            *fns.entry(rec.function).or_default() += 1;
         }
         insns += u64::from(s.insns);
         kinds[s.kind.index()] += 1;
@@ -38,11 +38,7 @@ fn main() {
         steps,
         insns,
         blocks.len(),
-        w.program
-            .functions()
-            .iter()
-            .map(|f| f.blocks.len())
-            .sum::<usize>(),
+        w.program.branch_count(),
         fns.len(),
         w.program.functions().len()
     );

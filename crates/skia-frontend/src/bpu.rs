@@ -117,8 +117,8 @@ pub struct Bpu {
 }
 
 impl Bpu {
-    /// Build the BPU from the front-end configuration. `table` is the
-    /// program's precomputed branch side table (see
+    /// Build the BPU from the front-end configuration. `table` holds the
+    /// program's static branches (see
     /// [`Program::branch_table`](skia_workloads::Program::branch_table)),
     /// whose lines the BTB residency bitmap covers. Skia, when configured,
     /// reads shadow regions through `decode` (the program's
@@ -402,20 +402,26 @@ mod tests {
             pc,
             block_start: pc & !63,
             target: None,
-            fallthrough: pc + u64::from(len),
             insns: 2,
+            function: 0,
+            targets_at: 0,
             len,
             kind,
+            bias: 0,
+            backedge: false,
         }
     }
 
     /// Static branch table covering every pc the unit tests commit.
     fn test_table() -> BranchTable {
-        BranchTable::from_records(vec![
-            rec(0x1010, BranchKind::DirectUncond, 5),
-            rec(0x2000, BranchKind::Return, 1),
-            rec(0x1000 + 500, BranchKind::DirectUncond, 5),
-        ])
+        BranchTable::from_records(
+            vec![
+                rec(0x1010, BranchKind::DirectUncond, 5),
+                rec(0x1000 + 500, BranchKind::DirectUncond, 5),
+                rec(0x2000, BranchKind::Return, 1),
+            ],
+            Vec::new(),
+        )
     }
 
     fn bpu(table: &BranchTable) -> Bpu {
@@ -512,20 +518,13 @@ mod tests {
         let mut b = Bpu::new(&config, 0x1000, program.branch_table(), None);
         // Find a real tail opportunity: any block whose taken terminator
         // ends mid-line.
-        let mut planted = None;
-        'outer: for f in program.functions() {
-            for blk in &f.blocks {
-                let t = &blk.terminator;
-                if t.kind == BranchKind::DirectUncond {
-                    let end = t.pc + u64::from(t.len);
-                    if end % 64 != 0 {
-                        planted = Some((blk.start, t.pc, t.len));
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        let (start, pc, len) = planted.expect("some mid-line uncond exists");
+        let (start, pc, len) = program
+            .branch_table()
+            .records()
+            .iter()
+            .find(|t| t.kind == BranchKind::DirectUncond && t.fallthrough() % 64 != 0)
+            .map(|t| (t.block_start, t.pc, t.len))
+            .expect("some mid-line uncond exists");
         let pb = PredictedBlock {
             start,
             end: pc + u64::from(len),
@@ -559,6 +558,7 @@ mod tests {
                 .step_by(3)
                 .map(|pc| rec(pc, BranchKind::DirectUncond, 2))
                 .collect(),
+            Vec::new(),
         )
     }
 

@@ -397,8 +397,8 @@ impl<'p> Simulator<'p> {
     // -- commit paths --------------------------------------------------------
 
     fn static_target(&self, pc: u64) -> Option<u64> {
-        // Dense side-table lookup (O(1) line index) instead of the
-        // program's HashMap-of-metadata path — this runs once per commit.
+        // One record read through the table's line index (O(1)); this runs
+        // once per commit.
         self.program.branch_table().target_of(pc)
     }
 

@@ -18,10 +18,22 @@
 //! time, never correctness. Writes go through a temp file + rename so
 //! concurrent processes never observe a torn entry.
 //!
-//! The serialization is hand-rolled little-endian (the derived indexes are
-//! rebuilt on load, not stored): the format is private to this module and
-//! every file carries its format version, so it can change freely between
-//! releases — stale files simply miss.
+//! The serialization is hand-rolled little-endian: the format is private to
+//! this module and every file carries its format version (in its name too),
+//! so it can change freely between releases — stale files simply miss. A
+//! program file holds the image, the function weights, then each static
+//! branch once, in table order, with its indirect targets; it stores
+//! nothing a load can compute — not a block's start (the previous block's
+//! end), a fall-through, a function's entry (its first block's start), the
+//! burst parameters (the verified spec's) or the image base (a constant).
+//!
+//! A loaded program passes the same structural check as a generated one
+//! ([`Program`]'s one constructor), so a corrupt file that breaks the
+//! walker's invariants — a target that is no block start, a record that
+//! leaves a gap, a function without a closing return — misses and is
+//! regenerated. A flip that leaves a well-formed program cannot be caught:
+//! an image byte, a bias, a weight or an instruction count loads as a
+//! different program.
 
 use std::ffi::OsStr;
 use std::io::{Read, Seek, SeekFrom, Write as _};
@@ -31,7 +43,8 @@ use std::sync::Arc;
 
 use skia_isa::BranchKind;
 
-use crate::program::{BasicBlock, BranchMeta, Function, Layout, Program, ProgramSpec};
+use crate::program::{Layout, Program, ProgramSpec, IMAGE_BASE};
+use crate::side_table::{is_indirect, BranchRecord};
 use crate::trace::{masked_prefix, RecordedTrace};
 
 /// Process-wide cache I/O totals, accumulated across every program and
@@ -81,8 +94,9 @@ pub fn trace_cache_io() -> TraceCacheIo {
 }
 
 /// Bumped whenever the on-disk layout or the generator's output changes;
-/// mismatched files are regenerated.
-const FORMAT_VERSION: u32 = 1;
+/// mismatched files are regenerated. Version 2 writes each static branch
+/// once, in table order.
+const FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"SKIAPROG";
 
@@ -255,44 +269,35 @@ fn trace_ident(spec: &ProgramSpec, seed: u64, mean_trip: u32) -> Vec<u8> {
 
 fn serialize(spec: &ProgramSpec, program: &Program) -> Vec<u8> {
     let image = program.bytes_at(program.base(), program.code_bytes());
-    let mut out = Vec::with_capacity(64 + image.len());
+    let table = program.branch_table();
+    let mut out = Vec::with_capacity(64 + image.len() + 24 * table.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     let spec_enc = spec_bytes(spec);
     out.extend_from_slice(&(spec_enc.len() as u32).to_le_bytes());
     out.extend_from_slice(&spec_enc);
-    out.extend_from_slice(&program.base().to_le_bytes());
     out.extend_from_slice(&(image.len() as u64).to_le_bytes());
     out.extend_from_slice(image);
-    let (burst_pool, burst_prob) = program.spec_burst();
-    out.extend_from_slice(&(burst_pool as u64).to_le_bytes());
-    out.extend_from_slice(&burst_prob.to_bits().to_le_bytes());
     out.extend_from_slice(&(program.functions().len() as u64).to_le_bytes());
     for f in program.functions() {
-        out.extend_from_slice(&f.entry.to_le_bytes());
         out.extend_from_slice(&f.weight.to_bits().to_le_bytes());
-        out.extend_from_slice(&(f.blocks.len() as u64).to_le_bytes());
-        for b in &f.blocks {
-            out.extend_from_slice(&b.start.to_le_bytes());
-            out.extend_from_slice(&b.insns.to_le_bytes());
-            let t = &b.terminator;
-            out.extend_from_slice(&t.pc.to_le_bytes());
-            out.push(t.len);
-            out.push(t.kind.index() as u8);
-            match t.target {
-                Some(addr) => {
-                    out.push(1);
-                    out.extend_from_slice(&addr.to_le_bytes());
-                }
-                None => out.push(0),
+    }
+    out.extend_from_slice(&(table.len() as u64).to_le_bytes());
+    for (i, r) in table.records().iter().enumerate() {
+        out.extend_from_slice(&r.function.to_le_bytes());
+        let body = u32::try_from(r.pc - r.block_start).expect("block body fits in u32");
+        out.extend_from_slice(&body.to_le_bytes());
+        out.extend_from_slice(&r.insns.to_le_bytes());
+        out.extend_from_slice(&[r.len, r.kind.index() as u8, r.bias, u8::from(r.backedge)]);
+        if let Some(target) = r.target {
+            out.extend_from_slice(&target.to_le_bytes());
+        }
+        if is_indirect(r.kind) {
+            let targets = table.indirect_targets(i);
+            out.extend_from_slice(&(targets.len() as u32).to_le_bytes());
+            for &t in targets {
+                out.extend_from_slice(&t.to_le_bytes());
             }
-            out.extend_from_slice(&t.fallthrough.to_le_bytes());
-            out.extend_from_slice(&(t.indirect_targets.len() as u32).to_le_bytes());
-            for &addr in &t.indirect_targets {
-                out.extend_from_slice(&addr.to_le_bytes());
-            }
-            out.push(u8::from(t.backedge));
-            out.push(t.bias);
         }
     }
     out
@@ -367,71 +372,61 @@ fn deserialize(bytes: &[u8], spec: &ProgramSpec) -> Option<Program> {
     if stored_len != spec_enc.len() || r.take(stored_len)? != spec_enc.as_slice() {
         return None; // hash collision or different generator input
     }
-    let base = r.u64()?;
     let image_len = usize::try_from(r.u64()?).ok()?;
     let image = r.take(image_len)?.to_vec();
-    let burst_pool = usize::try_from(r.u64()?).ok()?;
-    let burst_prob = r.f64()?;
-    let nfuncs = r.len(17)?;
-    let mut functions = Vec::with_capacity(nfuncs);
-    for _ in 0..nfuncs {
-        let entry = r.u64()?;
-        let weight = r.f64()?;
-        let nblocks = r.len(32)?;
-        let mut blocks = Vec::with_capacity(nblocks);
-        for _ in 0..nblocks {
-            let start = r.u64()?;
-            let insns = r.u32()?;
-            let pc = r.u64()?;
-            let len = r.u8()?;
-            let kind = *BranchKind::ALL.get(usize::from(r.u8()?))?;
-            let target = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                _ => return None,
-            };
-            let fallthrough = r.u64()?;
-            let ntargets = usize::try_from(r.u32()?).ok()?;
-            let mut indirect_targets = Vec::with_capacity(ntargets.min(1024));
-            for _ in 0..ntargets {
-                indirect_targets.push(r.u64()?);
+    let nfuncs = r.len(8)?;
+    let weights = (0..nfuncs).map(|_| r.f64()).collect::<Option<Vec<_>>>()?;
+    let nrecs = r.len(16)?;
+    let mut recs = Vec::with_capacity(nrecs);
+    let mut indirect = Vec::new();
+    let mut block_start = IMAGE_BASE;
+    for _ in 0..nrecs {
+        let function = r.u32()?;
+        let pc = block_start.checked_add(u64::from(r.u32()?))?;
+        let insns = r.u32()?;
+        let len = r.u8()?;
+        let kind = *BranchKind::ALL.get(usize::from(r.u8()?))?;
+        let bias = r.u8()?;
+        let backedge = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        };
+        let target = if kind.is_direct() {
+            Some(r.u64()?)
+        } else {
+            None
+        };
+        let targets_at = u32::try_from(indirect.len()).ok()?;
+        if is_indirect(kind) {
+            for _ in 0..r.u32()? {
+                indirect.push(r.u64()?);
             }
-            let backedge = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            let bias = r.u8()?;
-            blocks.push(BasicBlock {
-                start,
-                insns,
-                terminator: BranchMeta {
-                    pc,
-                    len,
-                    kind,
-                    target,
-                    fallthrough,
-                    indirect_targets,
-                    backedge,
-                    bias,
-                },
-            });
         }
-        functions.push(Function {
-            entry,
-            blocks,
-            weight,
+        recs.push(BranchRecord {
+            pc,
+            block_start,
+            target,
+            insns,
+            function,
+            targets_at,
+            len,
+            kind,
+            bias,
+            backedge,
         });
+        block_start = pc.checked_add(u64::from(len))?;
     }
     if r.pos != bytes.len() {
         return None; // trailing garbage — treat as corrupt
     }
-    Some(Program::from_parts(
-        base,
+    Program::from_parts(
         image,
-        functions,
-        (burst_pool, burst_prob),
-    ))
+        weights,
+        recs,
+        indirect,
+        (spec.burst_pool, spec.burst_prob),
+    )
 }
 
 fn serialize_trace(
@@ -646,23 +641,13 @@ mod tests {
 
     fn assert_programs_equal(a: &Program, b: &Program) {
         assert_eq!(a.base(), b.base());
-        assert_eq!(a.code_bytes(), b.code_bytes());
         assert_eq!(
             a.bytes_at(a.base(), a.code_bytes()),
             b.bytes_at(b.base(), b.code_bytes())
         );
         assert_eq!(a.spec_burst(), b.spec_burst());
         assert_eq!(a.functions(), b.functions());
-        // Derived indexes must be rebuilt faithfully.
-        for f in a.functions() {
-            for blk in &f.blocks {
-                assert_eq!(a.locate_block(blk.start), b.locate_block(blk.start));
-                assert_eq!(
-                    a.locate_branch(blk.terminator.pc),
-                    b.locate_branch(blk.terminator.pc)
-                );
-            }
-        }
+        assert_eq!(a.branch_table(), b.branch_table());
     }
 
     #[test]
@@ -745,10 +730,8 @@ mod tests {
         std::fs::write(&path, b"not a cache entry at all").unwrap();
         assert_programs_equal(&reference, &load_or_generate_in(cache, &spec));
 
-        // Flipped byte inside the image payload: the trailing-length check
-        // still rejects or the spec echo mismatches — either way the loader
-        // must not return a silently-wrong program. Flip a byte in the
-        // embedded spec encoding (right after magic + version + length).
+        // Flipped byte in the embedded spec encoding (right after magic +
+        // version + length): the exact echo rejects it.
         let mut flipped = good.clone();
         flipped[MAGIC.len() + 4 + 4] ^= 0xFF;
         std::fs::write(&path, &flipped).unwrap();
@@ -765,6 +748,87 @@ mod tests {
         );
         assert_programs_equal(&reference, &load_or_generate_in(cache, &spec));
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Offset of the record section in a serialized program: past the
+    /// header, the image and the function weights, at the record count.
+    fn records_at(spec: &ProgramSpec, program: &Program) -> usize {
+        MAGIC.len()
+            + 4
+            + 4
+            + spec_bytes(spec).len()
+            + 8
+            + program.code_bytes()
+            + 8
+            + 8 * program.functions().len()
+    }
+
+    /// Every byte of the record section, XORed with 0xFF in turn: a load
+    /// either misses, regenerates and repairs the file, or returns a
+    /// program the walker steps through (a flip that leaves a well-formed
+    /// program — a bias, an instruction count — is not caught).
+    #[test]
+    fn program_load_rejects_record_flips_or_walks_cleanly() {
+        let dir = std::env::temp_dir().join(format!("skia-prog-flip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Some(dir.as_path());
+        let spec = ProgramSpec {
+            functions: 16,
+            dispatch_blocks: 4,
+            ..test_spec()
+        };
+        let path = dir.join(format!(
+            "program-{:016x}-v{FORMAT_VERSION}.bin",
+            spec_key(&spec)
+        ));
+        let reference = load_or_generate_in(cache, &spec);
+        let good = std::fs::read(&path).unwrap();
+        let start = records_at(&spec, &reference);
+        assert_eq!(
+            le_u64(&good[start..start + 8]),
+            reference.branch_count() as u64
+        );
+
+        // A taken call whose target is rewritten to target + 1: the file
+        // parses, but the target is no block start.
+        let recs = reference.branch_table().records();
+        let call = recs
+            .iter()
+            .position(|r| r.kind == BranchKind::Call)
+            .expect("a call");
+        let mut at = start + 8;
+        for (i, r) in recs[..call].iter().enumerate() {
+            at += 16 + if r.kind.is_direct() { 8 } else { 0 };
+            if is_indirect(r.kind) {
+                at += 4 + 8 * reference.branch_table().indirect_targets(i).len();
+            }
+        }
+        let target = recs[call].target.unwrap();
+        assert_eq!(le_u64(&good[at + 16..at + 24]), target);
+        let mut bad = good.clone();
+        bad[at + 16..at + 24].copy_from_slice(&(target + 1).to_le_bytes());
+        assert!(
+            deserialize(&bad, &spec).is_none(),
+            "call target off a block"
+        );
+
+        let (mut missed, mut walked) = (0, 0);
+        for i in start..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 0xFF;
+            std::fs::write(&path, &bad).unwrap();
+            let loaded = load_or_generate_in(cache, &spec);
+            if deserialize(&bad, &spec).is_none() {
+                assert_programs_equal(&reference, &loaded);
+                assert_eq!(std::fs::read(&path).unwrap(), good, "repaired at {i}");
+                missed += 1;
+            } else {
+                assert_eq!(RecordedTrace::record(&loaded, 7, 6, 2_000).len(), 2_000);
+                walked += 1;
+            }
+        }
+        assert!(missed > 0 && walked > 0, "{missed} missed, {walked} walked");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -940,7 +1004,7 @@ mod tests {
             flips.push((taken_at + i / 8, i % 8, i));
             let i = near(from, &|s| {
                 let rec = program.branch_table().record_at(s.branch_pc).unwrap();
-                !s.kind.is_unconditional() && rec.target != Some(rec.fallthrough)
+                !s.kind.is_unconditional() && rec.target != Some(rec.fallthrough())
             });
             flips.push((taken_at + i / 8, i % 8, i));
         }

@@ -15,14 +15,17 @@
 //! * per-workload branch-type mixes matching the paper's Fig. 6 (OLTP
 //!   workloads call/return heavy, kafka conditional-heavy, …).
 //!
-//! The three layers:
+//! The layers:
 //!
 //! * [`program`] — generates a flat code image of functions/basic blocks
 //!   with every instruction emitted through `skia_isa::encode` (so shadow
-//!   decoding runs on genuine bytes), plus ground-truth branch metadata.
+//!   decoding runs on genuine bytes), plus its ground truth: one
+//!   [`BranchRecord`] per static branch, in a [`BranchTable`].
 //! * [`walker`] — a deterministic, infinite control-flow walker producing
 //!   the retired-branch trace the front-end simulator replays (Zipf-weighted
 //!   calls, biased conditionals, trip-counted loops).
+//! * [`trace`] — records a walk once as table indices and replays it.
+//! * [`cache`] — memoizes programs and recorded traces on disk.
 //! * [`profiles`] — the 16 named benchmark profiles of Table 2 plus the
 //!   pre-BOLT verilator variant (§6.1.4).
 
@@ -41,7 +44,7 @@ pub use cache::{
     TraceCacheOutcome,
 };
 pub use profiles::{profile, profile_names, Profile};
-pub use program::{BasicBlock, BranchMeta, Function, Layout, Program, ProgramSpec};
+pub use program::{Function, Layout, Program, ProgramSpec};
 pub use side_table::{BranchRecord, BranchTable};
 pub use trace::{RecordedTrace, Replay};
 pub use walker::{TraceStep, Walker};

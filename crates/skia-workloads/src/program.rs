@@ -1,7 +1,9 @@
 //! Synthetic program generation.
 //!
 //! A [`Program`] is a flat x86-64 code image plus structural ground truth:
-//! functions, basic blocks and branch metadata. Every instruction is emitted
+//! its functions, and one [`BranchRecord`] per static branch — the
+//! terminator of one basic block — in a [`BranchTable`], the only store of
+//! branch metadata. Every instruction is emitted
 //! through [`skia_isa::encode`], so the bytes in the image are genuinely
 //! decodable (and mis-decodable from wrong offsets — exactly what head
 //! shadow decoding must cope with).
@@ -23,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use skia_core::{DecodeTable, IndexPolicy};
 use skia_isa::{encode, BranchKind, CACHE_LINE_BYTES};
 
-use crate::side_table::{BranchRecord, BranchTable};
+use crate::side_table::{is_indirect, BranchRecord, BranchTable};
 
 /// Function layout order in the image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -108,69 +110,27 @@ impl Default for ProgramSpec {
     }
 }
 
-/// Ground-truth metadata for one branch instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BranchMeta {
-    /// Address of the branch's first byte.
-    pub pc: u64,
-    /// Encoded length.
-    pub len: u8,
-    /// Classification.
-    pub kind: BranchKind,
-    /// Static target for direct branches (`None` for returns/indirect).
-    pub target: Option<u64>,
-    /// Address of the next sequential instruction.
-    pub fallthrough: u64,
-    /// Possible targets of an indirect branch (walker's choice set).
-    pub indirect_targets: Vec<u64>,
-    /// Whether a conditional branch is a loop backedge.
-    pub backedge: bool,
-    /// Bias selector for the walker's conditional outcome model.
-    pub bias: u8,
-}
-
-/// One basic block: straight-line instructions ending in a branch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BasicBlock {
-    /// Address of the first instruction.
-    pub start: u64,
-    /// Instructions in the block, including the terminator.
-    pub insns: u32,
-    /// Terminating branch.
-    pub terminator: BranchMeta,
-}
-
-impl BasicBlock {
-    /// First byte after the terminator (block byte range end).
-    #[must_use]
-    pub fn end(&self) -> u64 {
-        self.terminator.pc + u64::from(self.terminator.len)
-    }
-}
-
-/// A function: contiguous blocks, entered at `entry`, exited by return.
+/// A function: contiguous blocks, entered at `entry`, exited by return. Its
+/// blocks are the [`BranchRecord`]s whose `function` names it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
-    /// Entry address (start of block 0).
+    /// Entry address (start of its first block).
     pub entry: u64,
-    /// Blocks in layout order.
-    pub blocks: Vec<BasicBlock>,
     /// Hotness weight used by the walker's call selection.
     pub weight: f64,
 }
 
+/// Address of every image's first byte.
+pub(crate) const IMAGE_BASE: u64 = 0x0040_0000;
+
 /// The generated program.
 #[derive(Debug, Clone)]
 pub struct Program {
-    base: u64,
     image: Vec<u8>,
     functions: Vec<Function>,
-    /// Dense pc-sorted branch side table (hot-path metadata lookups),
-    /// shared with the program's recorded traces.
+    /// One record per static branch, in pc order, shared with the program's
+    /// recorded traces.
     table: Arc<BranchTable>,
-    /// `(function index, block index)` of each [`BranchTable`] record, in
-    /// table order.
-    locations: Vec<(u32, u32)>,
     /// Shadow-decode tables, built on first use.
     decode_tables: DecodeTables,
     /// Burst-locality parameters carried from the spec for the walker.
@@ -189,32 +149,37 @@ impl Clone for DecodeTables {
     }
 }
 
-/// Build the dense side table and its per-record `(function, block)`
-/// locations from the assembled functions. Derived data: never serialized,
-/// rebuilt on generation and cache load alike.
-fn build_branch_table(functions: &[Function]) -> (BranchTable, Vec<(u32, u32)>) {
-    let mut located: Vec<(BranchRecord, (u32, u32))> = functions
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, f)| {
-            f.blocks.iter().enumerate().map(move |(bi, b)| {
-                let t = &b.terminator;
-                let rec = BranchRecord {
-                    pc: t.pc,
-                    block_start: b.start,
-                    target: t.target,
-                    fallthrough: t.fallthrough,
-                    insns: b.insns,
-                    len: t.len,
-                    kind: t.kind,
-                };
-                (rec, (fi as u32, bi as u32))
-            })
-        })
-        .collect();
-    located.sort_by_key(|(r, _)| r.pc);
-    let (recs, locations) = located.into_iter().unzip();
-    (BranchTable::from_records(recs), locations)
+/// Each function's entry, or `None` unless `recs` tile an image of
+/// `image_len` bytes and group into `nfuncs` functions as
+/// [`Program::from_parts`] requires.
+fn function_entries(image_len: usize, nfuncs: usize, recs: &[BranchRecord]) -> Option<Vec<u64>> {
+    if recs.first()?.function != 0 {
+        return None;
+    }
+    let mut entries = vec![None; nfuncs];
+    let mut end = IMAGE_BASE;
+    for (i, r) in recs.iter().enumerate() {
+        if r.block_start != end || r.pc < r.block_start || r.len == 0 {
+            return None;
+        }
+        end = r.pc.checked_add(u64::from(r.len))?;
+        if i == 0 || recs[i - 1].function != r.function {
+            // A new run: its function must not own an earlier one.
+            let entry = entries.get_mut(r.function as usize)?;
+            if entry.is_some() {
+                return None;
+            }
+            *entry = Some(r.block_start);
+        }
+        let run_ends = recs.get(i + 1).is_none_or(|n| n.function != r.function);
+        if run_ends && r.kind != BranchKind::Return {
+            return None;
+        }
+    }
+    if end != IMAGE_BASE + image_len as u64 {
+        return None;
+    }
+    entries.into_iter().collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -405,159 +370,164 @@ impl Program {
         }
 
         // ---- Phase 3: emission with fixups ----
-        let base = 0x0040_0000u64;
         let mut image: Vec<u8> = Vec::new();
-        // Block start addresses, indexed [fn][block].
-        let mut block_addr: Vec<Vec<u64>> = vec![Vec::new(); spec.functions];
-        // Fixups: (image offset of rel32, end-of-insn pc, fn, block).
-        let mut fixups: Vec<(usize, u64, usize, usize)> = Vec::new();
-        // Terminator record: (fn, block, pc, len, kind-specifics).
-        struct TermRec {
-            pc: u64,
-            len: u8,
-            kind: BranchKind,
-            target_ref: Option<(usize, usize)>,
-            indirect_refs: Vec<(usize, usize)>,
-            backedge: bool,
-        }
-        let mut term_recs: Vec<Vec<TermRec>> = Vec::new();
-        term_recs.resize_with(spec.functions, Vec::new);
+        // One record per block, in layout order (which is pc order); direct
+        // targets are patched in once every block is placed.
+        let mut recs: Vec<BranchRecord> =
+            Vec::with_capacity(fns.iter().map(|f| f.blocks.len()).sum());
+        // Record index of each function's first block: block `b` of
+        // function `f` is record `first_rec[f] + b`.
+        let mut first_rec = vec![0usize; spec.functions];
+        // Direct targets to patch: (record index, (target fn, target block)).
+        let mut fixups: Vec<(usize, (usize, usize))> = Vec::new();
+        // Indirect targets, in record order, as (fn, block).
+        let mut indirect_refs: Vec<(usize, usize)> = Vec::new();
 
         for &fi in &order {
             let f = &fns[fi];
-            term_recs[fi] = Vec::with_capacity(f.blocks.len());
-            block_addr[fi] = Vec::with_capacity(f.blocks.len());
-            for (bi, b) in f.blocks.iter().enumerate() {
-                block_addr[fi].push(base + image.len() as u64);
+            first_rec[fi] = recs.len();
+            for b in &f.blocks {
+                let block_start = IMAGE_BASE + image.len() as u64;
                 for &sel in &b.selectors {
                     encode::emit_nonbranch(&mut image, sel);
                 }
-                let pc = base + image.len() as u64;
-                let (len, kind, target_ref, indirect_refs, backedge) = match &b.term {
+                let pc = IMAGE_BASE + image.len() as u64;
+                let targets_at =
+                    u32::try_from(indirect_refs.len()).expect("indirect targets fit in u32");
+                let (len, kind, backedge) = match &b.term {
                     AbsTerm::Cond {
                         target_block,
                         backedge,
                     } => {
                         let cc = (rng.gen_range(0u8..16)) & 0x0F;
-                        let len = encode::jcc_rel32(&mut image, cc, 0) as u8;
-                        fixups.push((image.len() - 4, pc + u64::from(len), fi, *target_block));
-                        (
-                            len,
-                            BranchKind::DirectCond,
-                            Some((fi, *target_block)),
-                            Vec::new(),
-                            *backedge,
-                        )
+                        let len = encode::jcc_rel32(&mut image, cc, 0);
+                        fixups.push((recs.len(), (fi, *target_block)));
+                        (len, BranchKind::DirectCond, *backedge)
                     }
                     AbsTerm::Uncond { target_block } => {
-                        let len = encode::jmp_rel32(&mut image, 0) as u8;
-                        fixups.push((image.len() - 4, pc + u64::from(len), fi, *target_block));
-                        (
-                            len,
-                            BranchKind::DirectUncond,
-                            Some((fi, *target_block)),
-                            Vec::new(),
-                            false,
-                        )
+                        let len = encode::jmp_rel32(&mut image, 0);
+                        fixups.push((recs.len(), (fi, *target_block)));
+                        (len, BranchKind::DirectUncond, false)
                     }
                     AbsTerm::Call { callee } => {
-                        let len = encode::call_rel32(&mut image, 0) as u8;
-                        fixups.push((image.len() - 4, pc + u64::from(len), *callee, 0));
-                        (len, BranchKind::Call, Some((*callee, 0)), Vec::new(), false)
+                        let len = encode::call_rel32(&mut image, 0);
+                        fixups.push((recs.len(), (*callee, 0)));
+                        (len, BranchKind::Call, false)
                     }
                     AbsTerm::IndirectCall { callees } => {
                         let reg = encode::Reg::ALL[rng.gen_range(0..8usize)];
-                        let len = encode::call_reg(&mut image, reg) as u8;
-                        let refs = callees.iter().map(|&c| (c, 0)).collect();
-                        (len, BranchKind::IndirectCall, None, refs, false)
+                        let len = encode::call_reg(&mut image, reg);
+                        indirect_refs.extend(callees.iter().map(|&c| (c, 0)));
+                        (len, BranchKind::IndirectCall, false)
                     }
                     AbsTerm::IndirectJmp { target_blocks } => {
                         let reg = encode::Reg::ALL[rng.gen_range(0..8usize)];
-                        let len = encode::jmp_reg(&mut image, reg) as u8;
-                        let refs = target_blocks.iter().map(|&tb| (fi, tb)).collect();
-                        (len, BranchKind::IndirectJmp, None, refs, false)
+                        let len = encode::jmp_reg(&mut image, reg);
+                        indirect_refs.extend(target_blocks.iter().map(|&tb| (fi, tb)));
+                        (len, BranchKind::IndirectJmp, false)
                     }
-                    AbsTerm::Ret => {
-                        let len = encode::ret(&mut image) as u8;
-                        (len, BranchKind::Return, None, Vec::new(), false)
-                    }
+                    AbsTerm::Ret => (encode::ret(&mut image), BranchKind::Return, false),
                 };
-                term_recs[fi].push(TermRec {
+                recs.push(BranchRecord {
                     pc,
-                    len,
+                    block_start,
+                    target: None,
+                    insns: b.selectors.len() as u32 + 1,
+                    function: fi as u32,
+                    targets_at,
+                    len: len as u8,
                     kind,
-                    target_ref,
-                    indirect_refs,
+                    bias: 0,
                     backedge,
                 });
-                let _ = bi;
             }
         }
 
-        // Patch fixups.
-        for (off, end_pc, tfn, tblock) in fixups {
-            let target = block_addr[tfn][tblock];
-            let rel = target.wrapping_sub(end_pc) as i64 as i32;
+        // Patch each direct branch's rel32, its last four bytes.
+        let start_of =
+            |recs: &[BranchRecord], (f, b): (usize, usize)| recs[first_rec[f] + b].block_start;
+        for (ri, to) in fixups {
+            let target = start_of(&recs, to);
+            let rec = &mut recs[ri];
+            let end = rec.fallthrough();
+            let rel = target.wrapping_sub(end) as i64 as i32;
+            let off = (end - IMAGE_BASE) as usize - 4;
             image[off..off + 4].copy_from_slice(&rel.to_le_bytes());
+            rec.target = Some(target);
         }
+        let indirect = indirect_refs
+            .iter()
+            .map(|&to| start_of(&recs, to))
+            .collect();
 
-        // ---- Phase 4: assemble public structures ----
-        let mut functions: Vec<Function> = Vec::with_capacity(spec.functions);
+        // ---- Phase 4: biases ----
+        // Drawn in function-index, block order, not layout order: the draw
+        // order fixes every bias, and through them every trace.
         let mut bias_rng = SmallRng::seed_from_u64(spec.seed ^ 0xB1A5);
-        for fi in 0..spec.functions {
-            let mut blocks = Vec::with_capacity(fns[fi].blocks.len());
-            for (bi, rec) in term_recs[fi].iter().enumerate() {
-                let target = rec.target_ref.map(|(tf, tb)| block_addr[tf][tb]);
-                let indirect_targets: Vec<u64> = rec
-                    .indirect_refs
-                    .iter()
-                    .map(|&(tf, tb)| block_addr[tf][tb])
-                    .collect();
-                let meta = BranchMeta {
-                    pc: rec.pc,
-                    len: rec.len,
-                    kind: rec.kind,
-                    target,
-                    fallthrough: rec.pc + u64::from(rec.len),
-                    indirect_targets,
-                    backedge: rec.backedge,
-                    bias: bias_rng.gen_range(0..=9),
-                };
-                blocks.push(BasicBlock {
-                    start: block_addr[fi][bi],
-                    insns: fns[fi].blocks[bi].selectors.len() as u32 + 1,
-                    terminator: meta,
-                });
+        for (f, &first) in fns.iter().zip(&first_rec) {
+            for rec in &mut recs[first..first + f.blocks.len()] {
+                rec.bias = bias_rng.gen_range(0..=9);
             }
-            functions.push(Function {
-                entry: block_addr[fi][0],
-                blocks,
-                weight: fns[fi].weight,
-            });
         }
 
-        Program::from_parts(base, image, functions, (spec.burst_pool, spec.burst_prob))
+        let weights = fns.iter().map(|f| f.weight).collect();
+        Program::from_parts(
+            image,
+            weights,
+            recs,
+            indirect,
+            (spec.burst_pool, spec.burst_prob),
+        )
+        .expect("a generated program is well formed")
     }
 
-    /// Assemble a program from its parts (generation and disk cache load),
-    /// building the derived side table and its locations — pure functions
-    /// of `functions`, so the cache never stores them.
+    /// Assemble a program from its parts — generation and disk cache load
+    /// both come through here — or `None` unless the walker can step through
+    /// it without panicking:
+    ///
+    /// * every record is at least a byte long, holds its pc at or after its
+    ///   block start, and starts where the previous ends (the first at the
+    ///   image base), and the last ends at the image end;
+    /// * direct kinds carry a target and others none; indirect kinds carry
+    ///   at least one indirect target and others none; and every target is
+    ///   some record's block start;
+    /// * the first record belongs to function 0, every record's function is
+    ///   one of `weights`, and every function owns one nonempty contiguous
+    ///   run of records ending in a `Return`.
+    ///
+    /// The image bytes are not decoded, so metadata that disagrees with
+    /// them passes.
     pub(crate) fn from_parts(
-        base: u64,
         image: Vec<u8>,
-        functions: Vec<Function>,
+        weights: Vec<f64>,
+        recs: Vec<BranchRecord>,
+        indirect: Vec<u64>,
         burst: (usize, f64),
-    ) -> Self {
-        let (table, locations) = build_branch_table(&functions);
-        Program {
-            base,
+    ) -> Option<Self> {
+        let entries = function_entries(image.len(), weights.len(), &recs)?;
+        let table = BranchTable::from_records(recs, indirect);
+        let is_block = |t: &u64| table.block_index(*t).is_some();
+        let targets_ok = table.records().iter().enumerate().all(|(i, r)| {
+            let indirect = table.indirect_targets(i);
+            r.kind.is_direct() == r.target.is_some()
+                && is_indirect(r.kind) != indirect.is_empty()
+                && r.target.iter().chain(indirect).all(is_block)
+        });
+        if !targets_ok {
+            return None;
+        }
+        let functions = entries
+            .into_iter()
+            .zip(weights)
+            .map(|(entry, weight)| Function { entry, weight })
+            .collect();
+        Some(Program {
             image,
             functions,
             table: Arc::new(table),
-            locations,
             decode_tables: DecodeTables::default(),
             burst,
-        }
+        })
     }
 
     /// `(pool size, repeat probability)` of the request-burst model, for the
@@ -570,7 +540,7 @@ impl Program {
     /// Base address of the image.
     #[must_use]
     pub fn base(&self) -> u64 {
-        self.base
+        IMAGE_BASE
     }
 
     /// Total code bytes.
@@ -600,7 +570,7 @@ impl Program {
     /// Whether `addr` lies inside the image.
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.base && addr < self.base + self.image.len() as u64
+        addr >= IMAGE_BASE && addr < IMAGE_BASE + self.image.len() as u64
     }
 
     /// The 64-byte cache line containing `addr`, zero-padded at the image
@@ -611,12 +581,12 @@ impl Program {
         let mut bytes = [0u8; CACHE_LINE_BYTES];
         // One bulk copy of the line's overlap with the image (hot path:
         // the SBD fetches a line for every shadow-decoded block).
-        let image_end = self.base + self.image.len() as u64;
-        let lo = line_base.max(self.base);
+        let image_end = IMAGE_BASE + self.image.len() as u64;
+        let lo = line_base.max(IMAGE_BASE);
         let hi = (line_base + CACHE_LINE_BYTES as u64).min(image_end);
         if lo < hi {
             let dst = (lo - line_base) as usize;
-            let src = (lo - self.base) as usize;
+            let src = (lo - IMAGE_BASE) as usize;
             let n = (hi - lo) as usize;
             bytes[dst..dst + n].copy_from_slice(&self.image[src..src + n]);
         }
@@ -629,39 +599,20 @@ impl Program {
         if !self.contains(addr) {
             return &[];
         }
-        let off = (addr - self.base) as usize;
+        let off = (addr - IMAGE_BASE) as usize;
         &self.image[off..(off + len).min(self.image.len())]
     }
 
-    /// Ground-truth branch metadata at `pc`, if a block terminator lives
-    /// there.
+    /// Ground-truth record of the branch at `pc`, if a block terminator
+    /// lives there.
     #[must_use]
-    pub fn branch_at(&self, pc: u64) -> Option<&BranchMeta> {
-        let (fi, bi) = self.locate_branch(pc)?;
-        Some(&self.functions[fi as usize].blocks[bi as usize].terminator)
+    pub fn branch_at(&self, pc: u64) -> Option<&BranchRecord> {
+        self.table.record_at(pc)
     }
 
-    /// The block whose first instruction is at `pc`, if any.
-    #[must_use]
-    pub fn block_starting_at(&self, pc: u64) -> Option<&BasicBlock> {
-        let (fi, bi) = self.locate_block(pc)?;
-        Some(&self.functions[fi as usize].blocks[bi as usize])
-    }
-
-    /// `(function index, block index)` of the block starting at `pc`.
-    #[must_use]
-    pub fn locate_block(&self, pc: u64) -> Option<(u32, u32)> {
-        Some(self.locations[self.table.block_index(pc)?])
-    }
-
-    /// `(function index, block index)` of the terminator at `pc`.
-    #[must_use]
-    pub fn locate_branch(&self, pc: u64) -> Option<(u32, u32)> {
-        Some(self.locations[self.table.index_of(pc)?])
-    }
-
-    /// The dense pc-sorted branch side table (built once at generation or
-    /// cache load; shared by every simulator over this program).
+    /// The program's static branches, one record each in pc order (built
+    /// once at generation or cache load; shared by every simulator over
+    /// this program).
     #[must_use]
     pub fn branch_table(&self) -> &BranchTable {
         &self.table
@@ -692,14 +643,14 @@ impl Program {
         {
             return Arc::clone(t);
         }
-        let lines = self.base..self.base + (self.code_lines() * CACHE_LINE_BYTES) as u64;
-        let blocks = || self.functions.iter().flat_map(|f| &f.blocks);
+        let lines = IMAGE_BASE..IMAGE_BASE + (self.code_lines() * CACHE_LINE_BYTES) as u64;
+        let recs = self.table.records();
         let table = Arc::new(DecodeTable::new(
             policy,
             max_valid_paths,
             lines,
-            blocks().map(|b| b.start),
-            blocks().map(BasicBlock::end),
+            recs.iter().map(|r| r.block_start),
+            recs.iter().map(BranchRecord::fallthrough),
         ));
         tables.push(Arc::clone(&table));
         table
@@ -729,26 +680,18 @@ mod tests {
     #[test]
     fn every_block_terminator_decodes_to_its_ground_truth() {
         let p = Program::generate(&small_spec());
-        for f in p.functions() {
-            for b in &f.blocks {
-                let t = &b.terminator;
-                let bytes = p.bytes_at(t.pc, 15);
-                let d = decode::decode(bytes).expect("terminator must decode");
-                assert_eq!(d.len, t.len, "length at {:#x}", t.pc);
-                match d.kind {
-                    InsnKind::Branch(bi) => {
-                        assert_eq!(bi.kind, t.kind, "kind at {:#x}", t.pc);
-                        if let Some(target) = t.target {
-                            assert_eq!(
-                                d.branch_target(t.pc),
-                                Some(target),
-                                "target at {:#x}",
-                                t.pc
-                            );
-                        }
+        for t in p.branch_table().records() {
+            let bytes = p.bytes_at(t.pc, 15);
+            let d = decode::decode(bytes).expect("terminator must decode");
+            assert_eq!(d.len, t.len, "length at {:#x}", t.pc);
+            match d.kind {
+                InsnKind::Branch(bi) => {
+                    assert_eq!(bi.kind, t.kind, "kind at {:#x}", t.pc);
+                    if let Some(target) = t.target {
+                        assert_eq!(d.branch_target(t.pc), Some(target), "target at {:#x}", t.pc);
                     }
-                    InsnKind::Other => panic!("terminator at {:#x} is not a branch", t.pc),
                 }
+                InsnKind::Other => panic!("terminator at {:#x} is not a branch", t.pc),
             }
         }
     }
@@ -756,67 +699,67 @@ mod tests {
     #[test]
     fn block_bodies_decode_cleanly_from_start_to_terminator() {
         let p = Program::generate(&small_spec());
-        for f in p.functions().iter().take(10) {
-            for b in &f.blocks {
-                let mut pc = b.start;
-                let mut count = 0u32;
-                while pc < b.terminator.pc {
-                    let d = decode::decode(p.bytes_at(pc, 15)).expect("body instruction");
-                    assert_eq!(d.kind, InsnKind::Other, "non-terminator at {pc:#x}");
-                    pc += u64::from(d.len);
-                    count += 1;
-                }
-                assert_eq!(pc, b.terminator.pc, "boundaries align");
-                assert_eq!(count + 1, b.insns, "instruction count matches");
+        for r in p.branch_table().records() {
+            let mut pc = r.block_start;
+            let mut count = 0u32;
+            while pc < r.pc {
+                let d = decode::decode(p.bytes_at(pc, 15)).expect("body instruction");
+                assert_eq!(d.kind, InsnKind::Other, "non-terminator at {pc:#x}");
+                pc += u64::from(d.len);
+                count += 1;
             }
+            assert_eq!(pc, r.pc, "boundaries align");
+            assert_eq!(count + 1, r.insns, "instruction count matches");
         }
     }
 
     #[test]
     fn direct_targets_are_block_starts() {
         let p = Program::generate(&small_spec());
-        let starts: std::collections::HashSet<u64> = p
-            .functions()
-            .iter()
-            .flat_map(|f| f.blocks.iter().map(|b| b.start))
-            .collect();
-        for f in p.functions() {
-            for b in &f.blocks {
-                if let Some(t) = b.terminator.target {
-                    assert!(starts.contains(&t), "target {t:#x} is a block start");
-                }
-                for &t in &b.terminator.indirect_targets {
-                    assert!(starts.contains(&t), "indirect target {t:#x} valid");
-                }
+        let table = p.branch_table();
+        let starts: std::collections::HashSet<u64> =
+            table.records().iter().map(|r| r.block_start).collect();
+        for (i, r) in table.records().iter().enumerate() {
+            if let Some(t) = r.target {
+                assert!(starts.contains(&t), "target {t:#x} is a block start");
+            }
+            for &t in table.indirect_targets(i) {
+                assert!(starts.contains(&t), "indirect target {t:#x} valid");
             }
         }
     }
 
     #[test]
-    fn last_block_returns() {
+    fn functions_are_runs_of_records_ending_in_a_return() {
         let p = Program::generate(&small_spec());
-        for f in p.functions() {
-            assert_eq!(f.blocks.last().unwrap().terminator.kind, BranchKind::Return);
+        let recs = p.branch_table().records();
+        let mut runs = 0;
+        for (i, r) in recs.iter().enumerate() {
+            if i == 0 || recs[i - 1].function != r.function {
+                assert_eq!(p.functions()[r.function as usize].entry, r.block_start);
+                runs += 1;
+            }
+            if recs.get(i + 1).is_none_or(|n| n.function != r.function) {
+                assert_eq!(r.kind, BranchKind::Return, "{:#x}", r.pc);
+            }
         }
+        assert_eq!(runs, p.functions().len());
     }
 
     #[test]
     fn backedges_point_backward_and_forward_jumps_forward() {
         let p = Program::generate(&small_spec());
-        for f in p.functions() {
-            for b in &f.blocks {
-                let t = &b.terminator;
-                if t.kind == BranchKind::DirectCond {
-                    let target = t.target.unwrap();
-                    if t.backedge {
-                        assert!(target < b.start, "backedge at {:#x}", t.pc);
-                    } else {
-                        assert!(target > t.pc, "forward cond at {:#x}", t.pc);
-                    }
+        for t in p.branch_table().records() {
+            if t.kind == BranchKind::DirectCond {
+                let target = t.target.unwrap();
+                if t.backedge {
+                    assert!(target < t.block_start, "backedge at {:#x}", t.pc);
+                } else {
+                    assert!(target > t.pc, "forward cond at {:#x}", t.pc);
                 }
-                if t.kind == BranchKind::DirectUncond {
-                    assert!(t.target.unwrap() > t.pc, "uncond forward at {:#x}", t.pc);
-                }
+            }
+            if t.kind == BranchKind::DirectUncond {
+                assert!(t.target.unwrap() > t.pc, "uncond forward at {:#x}", t.pc);
             }
         }
     }
@@ -855,44 +798,147 @@ mod tests {
     }
 
     #[test]
-    fn branch_lookup_by_pc() {
+    fn lookups_answer_from_the_branch_table() {
         let p = Program::generate(&small_spec());
-        let f = &p.functions()[0];
-        let t = &f.blocks[0].terminator;
-        assert_eq!(p.branch_at(t.pc).unwrap().pc, t.pc);
-        assert!(p.branch_at(t.pc + 1).is_none());
+        let table = p.branch_table();
+        for (i, r) in table.records().iter().enumerate() {
+            assert_eq!(table.block_index(r.block_start), Some(i));
+            assert_eq!(table.index_of(r.pc), Some(i));
+            assert_eq!(p.branch_at(r.pc), Some(r));
+            assert_eq!(table.target_of(r.pc), r.target);
+            // Addresses inside a block are neither block starts nor
+            // branches.
+            for pc in r.block_start + 1..r.pc {
+                assert_eq!(table.block_index(pc), None, "{pc:#x}");
+                assert_eq!(p.branch_at(pc), None, "{pc:#x}");
+            }
+            assert_eq!(p.branch_at(r.pc + 1), None);
+        }
+        assert_eq!(table.block_index(p.base() + p.code_bytes() as u64), None);
+        assert_eq!(table.block_index(p.base() - 1), None);
+    }
+
+    /// A program taken apart again for [`Program::from_parts`].
+    struct Parts {
+        image: Vec<u8>,
+        weights: Vec<f64>,
+        recs: Vec<BranchRecord>,
+        indirect: Vec<u64>,
+    }
+
+    impl Parts {
+        fn of(p: &Program) -> Parts {
+            let table = p.branch_table();
+            Parts {
+                image: p.image.clone(),
+                weights: p.functions.iter().map(|f| f.weight).collect(),
+                recs: table.records().to_vec(),
+                indirect: (0..table.len())
+                    .flat_map(|i| table.indirect_targets(i))
+                    .copied()
+                    .collect(),
+            }
+        }
+
+        fn build(self, burst: (usize, f64)) -> Option<Program> {
+            Program::from_parts(self.image, self.weights, self.recs, self.indirect, burst)
+        }
     }
 
     #[test]
-    fn locations_answer_from_the_branch_table() {
+    fn from_parts_rejects_each_malformation() {
         let p = Program::generate(&small_spec());
-        let mut blocks = 0;
-        for (fi, f) in p.functions().iter().enumerate() {
-            for (bi, b) in f.blocks.iter().enumerate() {
-                let loc = Some((fi as u32, bi as u32));
-                assert_eq!(p.locate_block(b.start), loc);
-                assert_eq!(p.locate_branch(b.terminator.pc), loc);
-                assert_eq!(p.block_starting_at(b.start), Some(b));
-                assert_eq!(p.branch_at(b.terminator.pc), Some(&b.terminator));
-                // Addresses inside a block are neither block starts nor
-                // branches.
-                for pc in b.start + 1..b.terminator.pc {
-                    assert_eq!(p.locate_block(pc), None, "{pc:#x}");
-                    assert_eq!(p.locate_branch(pc), None, "{pc:#x}");
-                }
-                blocks += 1;
+        let rebuilt = Parts::of(&p).build(p.spec_burst()).expect("own parts");
+        assert_eq!(rebuilt.branch_table(), p.branch_table());
+        assert_eq!(rebuilt.functions(), p.functions());
+
+        let recs = p.branch_table().records();
+        let first = |kind| recs.iter().position(|r| r.kind == kind).unwrap();
+        let (call, uncond, icall) = (
+            first(BranchKind::Call),
+            first(BranchKind::DirectUncond),
+            first(BranchKind::IndirectCall),
+        );
+        // Where each function's run of records starts.
+        let runs: Vec<usize> = (0..recs.len())
+            .filter(|&i| i == 0 || recs[i - 1].function != recs[i].function)
+            .collect();
+        let dispatcher_end = runs[1] - 1;
+        let entry = recs[0].block_start;
+        let rejects = |name: &str, corrupt: &dyn Fn(&mut Parts)| {
+            let mut x = Parts::of(&p);
+            corrupt(&mut x);
+            assert!(x.build(p.spec_burst()).is_none(), "{name}");
+        };
+        // Each corruption breaks one rule and keeps the others.
+        rejects("zero-length branch", &|x| {
+            x.recs[3].pc = x.recs[3].fallthrough();
+            x.recs[3].len = 0;
+        });
+        rejects("branch before its block", &|x| {
+            let end = x.recs[3].fallthrough();
+            x.recs[3].pc = x.recs[3].block_start - 1;
+            x.recs[3].len = (end - x.recs[3].pc) as u8;
+        });
+        rejects("gap between blocks", &|x| x.recs[3].block_start += 1);
+        rejects("image past the last block", &|x| x.image.push(0x90));
+        rejects("call target off a block", &|x| {
+            x.recs[call].target = recs[call].target.map(|t| t + 1);
+        });
+        rejects("direct kind without a target", &|x| {
+            x.recs[uncond].target = None;
+        });
+        rejects("return with a target", &|x| {
+            x.recs[dispatcher_end].target = Some(entry);
+        });
+        rejects("indirect kind without targets", &|x| {
+            x.recs[uncond].kind = BranchKind::IndirectJmp;
+            x.recs[uncond].target = None;
+        });
+        rejects("direct kind with indirect targets", &|x| {
+            x.recs[icall].kind = BranchKind::DirectUncond;
+            x.recs[icall].target = Some(entry);
+        });
+        rejects("indirect target off a block", &|x| x.indirect[0] += 1);
+        rejects("function out of range", &|x| {
+            x.weights.pop();
+        });
+        rejects("function without records", &|x| x.weights.push(1.0));
+        // Function A's first block returns, its other blocks go to the next
+        // function B, and B's blocks go to A, so A owns two runs.
+        let k = (1..runs.len() - 2)
+            .find(|&k| recs[runs[k]].target.is_some())
+            .unwrap();
+        rejects("function split across runs", &|x| {
+            let (a, b) = (recs[runs[k]].function, recs[runs[k + 1]].function);
+            x.recs[runs[k]].kind = BranchKind::Return;
+            x.recs[runs[k]].target = None;
+            for r in &mut x.recs[runs[k] + 1..runs[k + 1]] {
+                r.function = b;
             }
-        }
-        assert_eq!(p.branch_count(), blocks);
-        assert_eq!(p.locate_block(p.base() + p.code_bytes() as u64), None);
-        assert_eq!(p.locate_block(p.base() - 1), None);
+            for r in &mut x.recs[runs[k + 1]..runs[k + 2]] {
+                r.function = a;
+            }
+        });
+        rejects("run not ending in a return", &|x| {
+            x.recs[dispatcher_end].kind = BranchKind::DirectUncond;
+            x.recs[dispatcher_end].target = Some(entry);
+        });
+        rejects("dispatcher not first", &|x| {
+            for r in &mut x.recs {
+                r.function = match r.function {
+                    0 => 1,
+                    1 => 0,
+                    f => f,
+                };
+            }
+        });
     }
 
     #[test]
     fn decode_table_equals_fresh_decodes() {
         use skia_core::{shadow_branch_at, DecodedRegion, ShadowBranch, ShadowDecoder};
         let p = Program::generate(&small_spec());
-        let blocks: Vec<&BasicBlock> = p.functions().iter().flat_map(|f| &f.blocks).collect();
         let line = |addr| p.line(addr);
         // The branches a summary names, re-decoded from their line offsets.
         let redecode = |bytes: &[u8], base: u64, region: &DecodedRegion| -> Vec<ShadowBranch> {
@@ -909,8 +955,8 @@ mod tests {
                 let mut counted = ShadowDecoder::new(policy, bound);
                 // Twice: the second round reads filled slots.
                 for _ in 0..2 {
-                    for b in &blocks {
-                        let start = b.start;
+                    for r in p.branch_table().records() {
+                        let start = r.block_start;
                         let (base, bytes) = p.line(start);
                         let entry = (start - base) as usize;
                         let head = decodes.head(start, line);
@@ -921,7 +967,7 @@ mod tests {
                             assert_eq!(redecode(&bytes, base, region), hd.branches, "{start:#x}");
                             counted.count_head(region);
                         }
-                        let end = b.end();
+                        let end = r.fallthrough();
                         let (base, bytes) = p.line(end);
                         let exit = (end - base) as usize;
                         let tail = decodes.tail(end, line);

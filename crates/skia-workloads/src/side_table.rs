@@ -1,13 +1,15 @@
-//! Dense per-program branch side table.
+//! The program's static branches.
 //!
-//! [`BranchTable`] precomputes, once per [`Program`](crate::Program), a
-//! flat, pc-sorted array of every branch's ground-truth record plus a dense
-//! per-cache-line index (`line →` first branch at or after the line's
-//! base), so an exact-pc or block-start lookup is O(1). The simulator reads
-//! it once per commit (static targets), a [`RecordedTrace`] replays its
-//! steps as record indices, and the BPU sizes its BTB residency bitmap to
-//! the table's lines, since every branch the BTB can hold is a block
-//! terminator of the program.
+//! [`BranchTable`] is a [`Program`](crate::Program)'s one store of
+//! static-branch ground truth: one [`BranchRecord`] per block terminator, in
+//! pc order, which is also layout order — the records tile the image, each
+//! block ending where the next begins. A dense per-cache-line index (`line →`
+//! first branch at or after the line's base) makes an exact-pc or
+//! block-start lookup O(1). The walker steps by record index, a
+//! [`RecordedTrace`] replays its steps as record indices, the simulator reads
+//! a record once per commit (static targets), and the BPU sizes its BTB
+//! residency bitmap to the table's lines, since every branch the BTB can
+//! hold is a block terminator of the program.
 //!
 //! [`RecordedTrace`]: crate::RecordedTrace
 //!
@@ -17,7 +19,7 @@
 
 use skia_isa::{BranchKind, CACHE_LINE_BYTES};
 
-/// Ground-truth record for one static branch, laid out for the hot path.
+/// Ground-truth record for one static branch and the basic block it ends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchRecord {
     /// Address of the branch's first byte.
@@ -26,31 +28,39 @@ pub struct BranchRecord {
     pub block_start: u64,
     /// Static target for direct branches (`None` for returns/indirect).
     pub target: Option<u64>,
-    /// Address of the next sequential instruction (`pc + len`).
-    pub fallthrough: u64,
     /// Instructions in the owning block, terminator included.
     pub insns: u32,
+    /// Index of the owning function in
+    /// [`Program::functions`](crate::Program::functions).
+    pub function: u32,
+    /// Position of the branch's first indirect target in the table's flat
+    /// target list; the next record's position ends its run.
+    pub targets_at: u32,
     /// Encoded length.
     pub len: u8,
     /// Classification.
     pub kind: BranchKind,
+    /// Bias selector for the walker's conditional outcome model.
+    pub bias: u8,
+    /// Whether a conditional branch is a loop backedge.
+    pub backedge: bool,
+}
+
+/// Whether a branch of `kind` carries indirect targets.
+pub(crate) fn is_indirect(kind: BranchKind) -> bool {
+    matches!(kind, BranchKind::IndirectJmp | BranchKind::IndirectCall)
 }
 
 impl BranchRecord {
-    /// The cache-line span `[first, last]` (line base addresses) that the
-    /// owning block occupies, from its first instruction through the last
-    /// byte of the terminator.
+    /// Address of the next sequential instruction (`pc + len`), where the
+    /// owning block ends.
     #[must_use]
-    pub fn block_line_span(&self) -> (u64, u64) {
-        let mask = !(CACHE_LINE_BYTES as u64 - 1);
-        (
-            self.block_start & mask,
-            self.fallthrough.wrapping_sub(1) & mask,
-        )
+    pub fn fallthrough(&self) -> u64 {
+        self.pc + u64::from(self.len)
     }
 }
 
-/// Immutable pc-sorted branch records with a dense per-line start index.
+/// Immutable pc-ordered branch records with a dense per-line start index.
 ///
 /// Built once per program (at generation or cache load) and shared by every
 /// simulator instance and recorded trace; all queries are `&self` and
@@ -61,25 +71,25 @@ pub struct BranchTable {
     span_base: u64,
     /// First address past the covered span (line-aligned up).
     span_end: u64,
-    /// Branch pcs, ascending. Parallel to `recs`.
-    pcs: Vec<u64>,
-    /// Records, in `pcs` order.
+    /// Records, pcs ascending.
     recs: Vec<BranchRecord>,
-    /// For each cache line of the span: index into `pcs` of the first
+    /// Every record's indirect targets, in record order.
+    indirect: Vec<u64>,
+    /// For each cache line of the span: index into `recs` of the first
     /// branch at or after the line base.
     line_first: Vec<u32>,
 }
 
 impl BranchTable {
-    /// Build the table from a program's branch records (any order).
+    /// Build the table from branch records in pc order and the flat list
+    /// their [`targets_at`](BranchRecord::targets_at) runs index, in record
+    /// order.
     #[must_use]
-    pub fn from_records(mut recs: Vec<BranchRecord>) -> Self {
-        recs.sort_by_key(|r| r.pc);
-        let pcs: Vec<u64> = recs.iter().map(|r| r.pc).collect();
-        debug_assert!(pcs.windows(2).all(|w| w[0] < w[1]), "branch pcs unique");
+    pub fn from_records(recs: Vec<BranchRecord>, indirect: Vec<u64>) -> Self {
+        debug_assert!(recs.windows(2).all(|w| w[0].pc < w[1].pc), "pcs ascend");
         let line = CACHE_LINE_BYTES as u64;
-        let (span_base, span_end) = match (pcs.first(), pcs.last()) {
-            (Some(&lo), Some(&hi)) => (lo & !(line - 1), (hi & !(line - 1)) + line),
+        let (span_base, span_end) = match (recs.first(), recs.last()) {
+            (Some(lo), Some(hi)) => (lo.pc & !(line - 1), (hi.pc & !(line - 1)) + line),
             _ => (0, 0),
         };
         let nlines = ((span_end - span_base) / line) as usize;
@@ -87,7 +97,7 @@ impl BranchTable {
         let mut idx = 0usize;
         for (li, slot) in line_first.iter_mut().enumerate() {
             let base = span_base + li as u64 * line;
-            while idx < pcs.len() && pcs[idx] < base {
+            while idx < recs.len() && recs[idx].pc < base {
                 idx += 1;
             }
             *slot = idx as u32;
@@ -95,8 +105,8 @@ impl BranchTable {
         BranchTable {
             span_base,
             span_end,
-            pcs,
             recs,
+            indirect,
             line_first,
         }
     }
@@ -104,13 +114,13 @@ impl BranchTable {
     /// Number of branch records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pcs.len()
+        self.recs.len()
     }
 
     /// Whether the table holds no branches.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
+        self.recs.is_empty()
     }
 
     /// Index of the first branch with `pc >= addr` (== `len()` when none).
@@ -120,11 +130,11 @@ impl BranchTable {
             return 0;
         }
         if addr >= self.span_end {
-            return self.pcs.len();
+            return self.recs.len();
         }
         let li = ((addr - self.span_base) / CACHE_LINE_BYTES as u64) as usize;
         let mut idx = self.line_first[li] as usize;
-        while idx < self.pcs.len() && self.pcs[idx] < addr {
+        while idx < self.recs.len() && self.recs[idx].pc < addr {
             idx += 1;
         }
         idx
@@ -143,7 +153,7 @@ impl BranchTable {
     #[must_use]
     pub fn index_of(&self, pc: u64) -> Option<usize> {
         let idx = self.start_index(pc);
-        (self.pcs.get(idx) == Some(&pc)).then_some(idx)
+        (self.recs.get(idx)?.pc == pc).then_some(idx)
     }
 
     /// Index of the branch whose block starts at `start`: blocks hold no
@@ -157,8 +167,20 @@ impl BranchTable {
 
     /// Every record, in pc order (the order [`BranchTable::index_of`]
     /// counts in).
-    pub(crate) fn records(&self) -> &[BranchRecord] {
+    #[must_use]
+    pub fn records(&self) -> &[BranchRecord] {
         &self.recs
+    }
+
+    /// The possible targets of the indirect branch at record `index` (empty
+    /// for every other kind).
+    #[must_use]
+    pub fn indirect_targets(&self, index: usize) -> &[u64] {
+        let end = self
+            .recs
+            .get(index + 1)
+            .map_or(self.indirect.len(), |r| r.targets_at as usize);
+        &self.indirect[self.recs[index].targets_at as usize..end]
     }
 
     /// Exact-pc record lookup (O(1) via the line index).
@@ -177,63 +199,51 @@ impl BranchTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Program, ProgramSpec};
 
-    fn rec(pc: u64, len: u8) -> BranchRecord {
+    fn rec(pc: u64, len: u8, targets_at: u32) -> BranchRecord {
         BranchRecord {
             pc,
             block_start: pc.saturating_sub(8),
             target: Some(pc ^ 0xFF0),
-            fallthrough: pc + u64::from(len),
             insns: 3,
+            function: 0,
+            targets_at,
             len,
             kind: BranchKind::DirectUncond,
+            bias: 0,
+            backedge: false,
         }
     }
 
     #[test]
     fn empty_table_never_matches() {
-        let table = BranchTable::from_records(Vec::new());
+        let table = BranchTable::from_records(Vec::new(), Vec::new());
         assert!(table.is_empty());
         assert!(table.lines().is_empty());
         assert_eq!(table.record_at(0x1000), None);
+        assert_eq!(table.block_index(0x1000), None);
     }
 
     #[test]
     fn record_lookup_is_exact() {
-        let table = BranchTable::from_records(vec![rec(0x1005, 2), rec(0x1040, 6)]);
+        let table = BranchTable::from_records(vec![rec(0x1005, 2, 0), rec(0x1040, 6, 0)], vec![]);
         assert_eq!(table.record_at(0x1005).unwrap().len, 2);
+        assert_eq!(table.record_at(0x1005).unwrap().fallthrough(), 0x1007);
         assert_eq!(table.record_at(0x1006), None);
         assert_eq!(table.target_of(0x1040), Some(0x1040 ^ 0xFF0));
         assert_eq!(table.target_of(0x1041), None);
+        assert_eq!(table.block_index(0x1038), Some(1));
+        assert_eq!(table.block_index(0x1039), None);
     }
 
     #[test]
-    fn program_table_agrees_with_ground_truth_maps() {
-        let p = Program::generate(&ProgramSpec {
-            functions: 80,
-            ..ProgramSpec::default()
-        });
-        let table = p.branch_table();
-        assert_eq!(table.len(), p.branch_count());
-        for f in p.functions() {
-            for b in &f.blocks {
-                let t = &b.terminator;
-                let r = table.record_at(t.pc).expect("every terminator indexed");
-                assert!(table.lines().contains(&t.pc));
-                assert_eq!(r.len, t.len);
-                assert_eq!(r.kind, t.kind);
-                assert_eq!(r.target, t.target);
-                assert_eq!(r.fallthrough, t.fallthrough);
-                assert_eq!(r.block_start, b.start);
-                assert_eq!(r.insns, b.insns);
-                assert_eq!(table.target_of(t.pc), t.target);
-                // No phantom record one byte in.
-                assert!(table.record_at(t.pc + 1).is_none_or(|n| n.pc != t.pc));
-                let (first, last) = r.block_line_span();
-                assert!(first <= last);
-                assert_eq!(first % 64, 0);
-            }
-        }
+    fn indirect_targets_run_to_the_next_record() {
+        let table = BranchTable::from_records(
+            vec![rec(0x1005, 2, 0), rec(0x1040, 6, 2), rec(0x1080, 2, 2)],
+            vec![0xA, 0xB, 0xC],
+        );
+        assert_eq!(table.indirect_targets(0), &[0xA, 0xB]);
+        assert!(table.indirect_targets(1).is_empty());
+        assert_eq!(table.indirect_targets(2), &[0xC]);
     }
 }

@@ -22,12 +22,12 @@
 //!
 //! Bit-identity is structural, not probabilistic: [`Replay`] yields the
 //! exact [`TraceStep`] values the recording walker produced, because the
-//! walker takes a step's block fields from the block and its terminator —
-//! the same data the table holds — and a direct branch's successor from its
-//! static target or fall-through. A prefix of a longer recording equals a
-//! shorter walk from the same seed, because the walker is deterministic —
-//! that is what lets the disk cache serve any request no longer than what
-//! it stored.
+//! walker steps by table index, live and replayed steps are built from the
+//! same record by one function, and the walker takes a direct branch's
+//! successor from its static target or fall-through. A prefix of a longer
+//! recording equals a shorter walk from the same seed, because the walker
+//! is deterministic — that is what lets the disk cache serve any request no
+//! longer than what it stored.
 
 use std::sync::Arc;
 
@@ -79,22 +79,19 @@ impl RecordedTrace {
     #[must_use]
     pub fn record(program: &Program, seed: u64, mean_trip: u32, steps: usize) -> Self {
         let table = Arc::clone(program.shared_branch_table());
+        let recs = table.records();
         let mut index = Vec::with_capacity(steps);
         let mut taken = vec![0u64; steps.div_ceil(64)];
         let mut successors = Vec::new();
-        for (i, step) in Walker::new(program, seed, mean_trip)
-            .take(steps)
-            .enumerate()
-        {
-            let ix = table
-                .index_of(step.branch_pc)
-                .expect("every walker step ends at a static branch");
+        let mut walker = Walker::new(program, seed, mean_trip);
+        for i in 0..steps {
+            let (ix, step_taken, next_pc) = walker.advance();
             index.push(u32::try_from(ix).expect("branch table index fits in u32"));
-            if step.taken {
+            if step_taken {
                 taken[i / 64] |= 1 << (i % 64);
             }
-            if stores_successor(step.kind) {
-                successors.push(step.next_pc);
+            if stores_successor(recs[ix].kind) {
+                successors.push(next_pc);
             }
         }
         RecordedTrace {
@@ -237,7 +234,7 @@ pub(crate) fn successor(
     } else if taken {
         rec.target
     } else {
-        Some(rec.fallthrough)
+        Some(rec.fallthrough())
     }
 }
 
@@ -262,15 +259,7 @@ impl Iterator for Replay<'_> {
         let next_pc = successor(rec, taken, &mut self.successors)
             .expect("a recorded trace holds every successor it needs");
         self.idx = i + 1;
-        Some(TraceStep {
-            block_start: rec.block_start,
-            branch_pc: rec.pc,
-            branch_len: rec.len,
-            kind: rec.kind,
-            taken,
-            next_pc,
-            insns: rec.insns,
-        })
+        Some(TraceStep::of(rec, taken, next_pc))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

@@ -22,6 +22,7 @@ use skia_isa::BranchKind;
 use std::collections::HashMap;
 
 use crate::program::Program;
+use crate::side_table::BranchRecord;
 
 /// One executed basic block and its terminating branch outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,6 +45,21 @@ pub struct TraceStep {
 }
 
 impl TraceStep {
+    /// The step that executes `rec`'s block, with its branch's outcome.
+    /// Live walks and replays both build their steps here.
+    #[inline]
+    pub(crate) fn of(rec: &BranchRecord, taken: bool, next_pc: u64) -> TraceStep {
+        TraceStep {
+            block_start: rec.block_start,
+            branch_pc: rec.pc,
+            branch_len: rec.len,
+            kind: rec.kind,
+            taken,
+            next_pc,
+            insns: rec.insns,
+        }
+    }
+
     /// First byte after the terminator.
     #[must_use]
     pub fn block_end(&self) -> u64 {
@@ -56,10 +72,10 @@ impl TraceStep {
 pub struct Walker<'p> {
     program: &'p Program,
     rng: SmallRng,
-    /// (function idx, block idx) currently executing.
-    cur: (u32, u32),
-    /// Return stack: (function idx, block idx) to resume *after* the call.
-    stack: Vec<(u32, u32)>,
+    /// Table index of the block currently executing.
+    cur: usize,
+    /// Return stack: table index of the block to resume *after* each call.
+    stack: Vec<usize>,
     /// Live loop trip counters, keyed by backedge pc.
     trips: HashMap<u64, u32>,
     mean_trip: u32,
@@ -72,20 +88,15 @@ pub struct Walker<'p> {
 }
 
 impl<'p> Walker<'p> {
-    /// Current call-stack depth (diagnostic).
-    #[must_use]
-    pub fn stack_depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Start walking `program` from the dispatcher (function 0).
+    /// Start walking `program` from the dispatcher (function 0), whose
+    /// entry block is the table's first record.
     #[must_use]
     pub fn new(program: &'p Program, seed: u64, mean_trip: u32) -> Self {
         let spec = program.spec_burst();
         Walker {
             program,
             rng: SmallRng::seed_from_u64(seed ^ 0x57A1_C0DE),
-            cur: (0, 0),
+            cur: 0,
             stack: Vec::with_capacity(64),
             trips: HashMap::new(),
             mean_trip: mean_trip.max(1),
@@ -96,44 +107,42 @@ impl<'p> Walker<'p> {
             burst_cap: spec.0,
         }
     }
-}
 
-impl Iterator for Walker<'_> {
-    type Item = TraceStep;
-
-    fn next(&mut self) -> Option<TraceStep> {
+    /// Execute one block: its table index, whether its branch was taken,
+    /// and the next executed address.
+    pub(crate) fn advance(&mut self) -> (usize, bool, u64) {
         let program = self.program;
-        let (fi, bi) = self.cur;
-        let func = &program.functions()[fi as usize];
-        let block = &func.blocks[bi as usize];
-        let t = &block.terminator;
+        let table = program.branch_table();
+        let recs = table.records();
+        let cur = self.cur;
+        let t = &recs[cur];
+        // Targets are block starts: `Program` checks that on construction.
+        let block = |target: u64| table.block_index(target).expect("target is a block");
 
-        let (taken, next_pc, next_loc): (bool, u64, (u32, u32)) = match t.kind {
+        let (taken, next_pc, next) = match t.kind {
             BranchKind::Return => {
-                let resume = self.stack.pop().unwrap_or((0, 0));
-                let addr = program.functions()[resume.0 as usize].blocks[resume.1 as usize].start;
-                (true, addr, resume)
+                let resume = self.stack.pop().unwrap_or(0);
+                (true, recs[resume].block_start, resume)
             }
             BranchKind::DirectUncond => {
                 let target = t.target.expect("uncond has target");
-                let loc = program.locate_block(target).expect("target is a block");
-                (true, target, loc)
+                (true, target, block(target))
             }
             BranchKind::Call => {
                 let target = t.target.expect("call has target");
-                let loc = program.locate_block(target).expect("callee entry");
                 if self.stack.len() < self.max_stack {
-                    self.stack.push((fi, bi + 1));
+                    self.stack.push(cur + 1);
                 } // else: deepest frame lost; resume collapses to dispatcher
-                (true, target, loc)
+                (true, target, block(target))
             }
             BranchKind::IndirectCall => {
                 // Weighted choice among the target set (hotter = likelier).
                 // Dispatcher calls additionally model request bursts: most
                 // requests repeat a recently seen target, so hot sets stay
                 // warm while cold targets recur at long distances.
-                let targets = &t.indirect_targets;
-                let from_pool = fi == 0
+                let targets = table.indirect_targets(cur);
+                let dispatcher = t.function == 0;
+                let from_pool = dispatcher
                     && self.burst_cap > 0
                     && !self.burst_pool.is_empty()
                     && self.rng.gen_bool(self.burst_prob);
@@ -141,7 +150,7 @@ impl Iterator for Walker<'_> {
                     self.burst_pool[self.rng.gen_range(0..self.burst_pool.len())]
                 } else {
                     let fresh = *weighted_pick(&mut self.rng, program, targets);
-                    if fi == 0 && self.burst_cap > 0 {
+                    if dispatcher && self.burst_cap > 0 {
                         if self.burst_pool.len() < self.burst_cap {
                             self.burst_pool.push(fresh);
                         } else {
@@ -151,17 +160,15 @@ impl Iterator for Walker<'_> {
                     }
                     fresh
                 };
-                let loc = program.locate_block(target).expect("indirect callee");
                 if self.stack.len() < self.max_stack {
-                    self.stack.push((fi, bi + 1));
+                    self.stack.push(cur + 1);
                 }
-                (true, target, loc)
+                (true, target, block(target))
             }
             BranchKind::IndirectJmp => {
-                let targets = &t.indirect_targets;
+                let targets = table.indirect_targets(cur);
                 let target = targets[self.rng.gen_range(0..targets.len())];
-                let loc = program.locate_block(target).expect("indirect block");
-                (true, target, loc)
+                (true, target, block(target))
             }
             BranchKind::DirectCond => {
                 let taken = if t.backedge {
@@ -202,24 +209,27 @@ impl Iterator for Walker<'_> {
                 };
                 if taken {
                     let target = t.target.expect("cond has target");
-                    let loc = program.locate_block(target).expect("cond target");
-                    (true, target, loc)
+                    (true, target, block(target))
                 } else {
-                    (false, t.fallthrough, (fi, bi + 1))
+                    // A conditional never ends its function, so the next
+                    // record is the same function's next block.
+                    (false, t.fallthrough(), cur + 1)
                 }
             }
         };
 
-        self.cur = next_loc;
-        Some(TraceStep {
-            block_start: block.start,
-            branch_pc: t.pc,
-            branch_len: t.len,
-            kind: t.kind,
-            taken,
-            next_pc,
-            insns: block.insns,
-        })
+        self.cur = next;
+        (cur, taken, next_pc)
+    }
+}
+
+impl Iterator for Walker<'_> {
+    type Item = TraceStep;
+
+    fn next(&mut self) -> Option<TraceStep> {
+        let (index, taken, next_pc) = self.advance();
+        let rec = &self.program.branch_table().records()[index];
+        Some(TraceStep::of(rec, taken, next_pc))
     }
 }
 
@@ -234,12 +244,13 @@ fn weighted_pick<'a>(rng: &mut SmallRng, program: &Program, targets: &'a [u64]) 
     }
     // Tempered hotness (square root) flattens the Zipf head so one hot
     // callee does not monopolize a call site.
+    let table = program.branch_table();
     let weights: Vec<f64> = targets
         .iter()
         .map(|&t| {
-            program
-                .locate_block(t)
-                .map_or(1e-6, |(fi, _)| program.functions()[fi as usize].weight)
+            let i = table.block_index(t).expect("target is a block");
+            program.functions()[table.records()[i].function as usize]
+                .weight
                 .sqrt()
         })
         .collect();

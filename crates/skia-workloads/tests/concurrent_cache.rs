@@ -24,12 +24,12 @@ fn test_spec(seed: u64) -> ProgramSpec {
 
 fn assert_programs_equal(a: &Program, b: &Program) {
     assert_eq!(a.base(), b.base());
-    assert_eq!(a.code_bytes(), b.code_bytes());
     assert_eq!(
         a.bytes_at(a.base(), a.code_bytes()),
         b.bytes_at(b.base(), b.code_bytes())
     );
     assert_eq!(a.functions(), b.functions());
+    assert_eq!(a.branch_table(), b.branch_table());
 }
 
 fn no_temp_leftovers(dir: &std::path::Path) {

@@ -29,21 +29,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every generated program's ground truth is decode-consistent: each
-    /// block terminator decodes from the image to its recorded metadata.
+    /// block decodes from the image, from its start through its terminator,
+    /// to its record — body instructions that are not branches, as many as
+    /// the record counts, then the recorded branch.
     #[test]
     fn ground_truth_matches_bytes(spec in arb_spec()) {
+        use skia::isa::decode::decode;
         let program = Program::generate(&spec);
-        for f in program.functions().iter().take(40) {
-            for b in &f.blocks {
-                let t = &b.terminator;
-                let d = skia::isa::decode::decode(program.bytes_at(t.pc, 15))
-                    .expect("terminator decodes");
-                prop_assert_eq!(d.len, t.len);
-                let bi = d.kind.branch().expect("terminator is a branch");
-                prop_assert_eq!(bi.kind, t.kind);
-                if let Some(target) = t.target {
-                    prop_assert_eq!(d.branch_target(t.pc), Some(target));
-                }
+        for t in program.branch_table().records() {
+            let mut pc = t.block_start;
+            let mut body = 0u32;
+            while pc < t.pc {
+                let d = decode(program.bytes_at(pc, 15)).expect("body instruction decodes");
+                prop_assert!(d.kind.branch().is_none(), "branch inside the block at {:#x}", pc);
+                pc += u64::from(d.len);
+                body += 1;
+            }
+            prop_assert_eq!(pc, t.pc);
+            prop_assert_eq!(body + 1, t.insns);
+            let d = decode(program.bytes_at(t.pc, 15)).expect("terminator decodes");
+            prop_assert_eq!(d.len, t.len);
+            let bi = d.kind.branch().expect("terminator is a branch");
+            prop_assert_eq!(bi.kind, t.kind);
+            if let Some(target) = t.target {
+                prop_assert_eq!(d.branch_target(t.pc), Some(target));
             }
         }
     }

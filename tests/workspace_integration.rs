@@ -158,18 +158,15 @@ fn shadow_decoder_runs_on_program_bytes() {
     let program = Program::generate(&spec);
     let mut sbd = skia::core::ShadowDecoder::default();
     let mut found = 0usize;
-    for f in program.functions().iter().take(200) {
-        for b in &f.blocks {
-            let t = &b.terminator;
-            if !t.kind.is_unconditional() {
-                continue;
-            }
-            let end = t.pc + u64::from(t.len);
-            let (line_base, line) = program.line(end.saturating_sub(1));
-            let exit = (end - line_base) as usize;
-            if exit < line.len() {
-                found += sbd.decode_tail(&line, line_base, exit).len();
-            }
+    for t in program.branch_table().records() {
+        if t.function >= 200 || !t.kind.is_unconditional() {
+            continue;
+        }
+        let end = t.fallthrough();
+        let (line_base, line) = program.line(end.saturating_sub(1));
+        let exit = (end - line_base) as usize;
+        if exit < line.len() {
+            found += sbd.decode_tail(&line, line_base, exit).len();
         }
     }
     assert!(found > 10, "tail decoding found only {found} branches");
