@@ -40,16 +40,13 @@ pub struct SkiaConfig {
     pub index_policy: IndexPolicy,
     /// Head-decode valid-path bound (paper default: 6).
     pub max_valid_paths: usize,
-    /// SBB geometry.
+    /// SBB geometry and replacement policy.
     pub sbb: SbbConfig,
-    /// Use the retired-bit eviction preference (§4.3). Disabled only for the
-    /// replacement-policy ablation.
-    pub retired_bit_replacement: bool,
     /// Skip inserting shadow branches that are currently BTB-resident.
     /// The paper's SBB fills unconditionally (the structures are parallel);
     /// filtering saves SBB space but loses exactly the branches that will
-    /// miss right after their BTB eviction. Off by default; exposed for the
-    /// ablation bench.
+    /// miss right after their BTB eviction. Off by default; the `ablations`
+    /// binary measures it.
     pub filter_btb_resident: bool,
 }
 
@@ -60,8 +57,8 @@ impl Default for SkiaConfig {
     /// index is almost always the true boundary (the paper reports First >
     /// Zero > Merge); on this crate's synthetic code the pre-merge prefix
     /// of the first path contains phantom branches often enough to poison
-    /// the R-SBB, while the merged suffix is reliable. The policy ablation
-    /// bench (`bench/benches/ablations.rs`) quantifies the difference.
+    /// the R-SBB, while the merged suffix is reliable. The `ablations`
+    /// binary's index-policy rows quantify the difference.
     fn default() -> Self {
         SkiaConfig {
             head: true,
@@ -69,7 +66,6 @@ impl Default for SkiaConfig {
             index_policy: IndexPolicy::Merge,
             max_valid_paths: 6,
             sbb: SbbConfig::default(),
-            retired_bit_replacement: true,
             filter_btb_resident: false,
         }
     }
@@ -196,13 +192,9 @@ impl Skia {
     }
 
     fn build(config: SkiaConfig, table: Option<Arc<DecodeTable>>, lines: Range<u64>) -> Self {
-        let sbb_config = SbbConfig {
-            retired_aware: config.retired_bit_replacement,
-            ..config.sbb
-        };
         Skia {
             sbd: ShadowDecoder::new(config.index_policy, config.max_valid_paths),
-            sbb: Sbb::covering(sbb_config, lines),
+            sbb: Sbb::covering(config.sbb, lines),
             table,
             config,
             filtered_known: 0,
@@ -583,6 +575,38 @@ mod tests {
         skia.mark_retired(base + exit_offset as u64);
         assert_eq!(skia.stats().sbb.retirements, 1);
         assert_eq!(skia.stats().useful_uses, 1);
+    }
+
+    /// `sbb.retired_aware` alone picks the replacement policy: in a full
+    /// one-set R-SBB, a retired LRU entry is the victim under plain LRU and
+    /// outlives a younger unretired one under the retired-aware policy.
+    #[test]
+    fn sbb_retired_aware_selects_the_victim() {
+        let ret = |pc| ShadowBranch {
+            pc,
+            len: 1,
+            kind: BranchKind::Return,
+            target: None,
+            line_offset: 0,
+        };
+        for retired_aware in [false, true] {
+            let mut skia = Skia::new(SkiaConfig {
+                sbb: SbbConfig {
+                    u_entries: 2,
+                    r_entries: 2,
+                    ways: 2,
+                    retired_aware,
+                },
+                ..SkiaConfig::default()
+            });
+            skia.force_insert(&ret(0x100));
+            skia.mark_retired(0x100);
+            skia.force_insert(&ret(0x200));
+            skia.force_insert(&ret(0x300));
+            assert_eq!(skia.probe(0x100).is_some(), retired_aware, "retired");
+            assert_eq!(skia.probe(0x200).is_some(), !retired_aware, "unretired");
+            assert!(skia.probe(0x300).is_some());
+        }
     }
 
     /// The reference fill: a walk over a region's decoded branch list in

@@ -1,7 +1,5 @@
 //! Ablation table: the design choices DESIGN.md calls out, measured at
 //! full experiment scale on a representative subset of benchmarks.
-//! (The Criterion `ablations` bench measures the same knobs at small scale
-//! with timing; this binary prints the metric table.)
 
 use skia_core::{IndexPolicy, SbbConfig, SkiaConfig};
 use skia_experiments::{geomean, row, Args, StandingConfig, Sweep};
@@ -41,7 +39,10 @@ fn main() {
     configs.push((
         "plain LRU (no retired bit)".to_string(),
         SkiaConfig {
-            retired_bit_replacement: false,
+            sbb: SbbConfig {
+                retired_aware: false,
+                ..SbbConfig::default()
+            },
             ..SkiaConfig::default()
         },
     ));

@@ -183,7 +183,7 @@ static TRACE_STATS: TraceStats = TraceStats {
 
 /// Process-wide simulate-phase totals, surfaced by [`JsonEmitter::finish`]
 /// as `sim.steps_total` / `sim.busy_seconds` / `sim.steps_per_sec` — the
-/// raw-throughput numbers the run manifest and `BENCH_sim.json` track.
+/// raw-throughput numbers the run manifest tracks.
 /// Busy time is summed per-job wall time (not elapsed), so it is
 /// thread-count-independent up to scheduling noise.
 struct SimTotals {

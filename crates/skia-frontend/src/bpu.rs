@@ -24,6 +24,10 @@ use skia_workloads::{BranchTable, Program};
 
 use crate::config::{BtbMode, FrontendConfig};
 
+/// Bytes the IAG scans ahead for a known branch when forming one basic
+/// block (a fetch-window worth).
+pub const MAX_BLOCK_BYTES: u64 = 64;
+
 /// The BTB's entries: set-associative or infinite.
 #[derive(Debug, Clone)]
 enum BtbArray {
@@ -113,7 +117,6 @@ pub struct Bpu {
     ras: ReturnAddressStack,
     spec_pc: u64,
     entered_by_branch: bool,
-    max_block_bytes: u64,
 }
 
 impl Bpu {
@@ -153,7 +156,6 @@ impl Bpu {
             ras: ReturnAddressStack::new(config.ras_depth),
             spec_pc: start_pc,
             entered_by_branch: true,
-            max_block_bytes: config.max_block_bytes,
         }
     }
 
@@ -178,7 +180,7 @@ impl Bpu {
     /// Form one predicted basic block from the speculative PC and advance it.
     pub fn predict_block(&mut self) -> PredictedBlock {
         let start = self.spec_pc;
-        let limit = start.saturating_add(self.max_block_bytes);
+        let limit = start.saturating_add(MAX_BLOCK_BYTES);
         let entered_by_branch = self.entered_by_branch;
 
         // Where is the next branch the BPU knows about? BTB and SBB are
@@ -610,7 +612,7 @@ mod tests {
                         line_offset: (pc % 64) as u8,
                     }),
                     _ => {
-                        let limit = pc + config.max_block_bytes;
+                        let limit = pc + MAX_BLOCK_BYTES;
                         let in_sbb = |b: &Bpu, p| b.skia.as_ref().unwrap().probe(p).is_some();
                         let brute = (pc..limit).find(|&p| btb_probe(&b, p) || in_sbb(&b, p));
                         let from_btb = brute.is_some_and(|p| btb_probe(&b, p));

@@ -57,9 +57,6 @@ pub struct FrontendConfig {
     pub btb_extra_latency: u32,
     /// Skia configuration; `None` disables shadow decoding entirely.
     pub skia: Option<SkiaConfig>,
-    /// Maximum bytes the IAG scans ahead for a known branch when forming one
-    /// basic block (a fetch-window worth).
-    pub max_block_bytes: u64,
     /// Back-end pipeline depth added to the final cycle count.
     pub backend_depth: u32,
 }
@@ -87,7 +84,6 @@ impl FrontendConfig {
             exec_detect: 12,
             btb_extra_latency: 0,
             skia: None,
-            max_block_bytes: 64,
             backend_depth: 8,
         }
     }

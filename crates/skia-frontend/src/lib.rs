@@ -38,7 +38,7 @@ pub mod sim;
 pub mod stats;
 pub mod telemetry;
 
-pub use bpu::{Bpu, PredictedBlock, PredictedBranch};
+pub use bpu::{Bpu, PredictedBlock, PredictedBranch, MAX_BLOCK_BYTES};
 pub use config::{BtbMode, FrontendConfig};
 pub use sim::Simulator;
 pub use stats::SimStats;

@@ -20,12 +20,12 @@
 use std::collections::VecDeque;
 
 use skia_core::Skia;
-use skia_isa::BranchKind;
+use skia_isa::{BranchKind, CACHE_LINE_BYTES};
 use skia_telemetry::{EventKind, EventTrace, Snapshot, TraceConfig};
 use skia_uarch::cache::Hierarchy;
 use skia_workloads::{Program, TraceStep};
 
-use crate::bpu::{Bpu, PredictedBlock};
+use crate::bpu::{Bpu, PredictedBlock, MAX_BLOCK_BYTES};
 use crate::config::FrontendConfig;
 use crate::stats::{ResteerStage, SimStats};
 use crate::telemetry::{self, SimHistograms};
@@ -35,10 +35,10 @@ use crate::telemetry::{self, SimHistograms};
 /// throughput).
 const AVG_INSN_BYTES: u64 = 4;
 
-/// Most cache lines one predicted block can span: `max_block_bytes` of scan
-/// window plus a ≤15-byte terminator straddling one more line boundary —
-/// 3 lines at the standing 64-byte window, with one spare.
-const MAX_BLOCK_LINES: usize = 4;
+/// Most cache lines one predicted block can span: a [`MAX_BLOCK_BYTES`]
+/// scan window from any line offset, plus a ≤15-byte terminator straddling
+/// one more line boundary — 3 lines at the 64-byte window — with one spare.
+const MAX_BLOCK_LINES: usize = MAX_BLOCK_BYTES.div_ceil(CACHE_LINE_BYTES as u64) as usize + 3;
 
 /// `sum / count`, or 0 when empty — the arithmetic of
 /// `HistogramSnapshot::mean`, so the FTQ mean in [`SimStats`] equals the
@@ -66,8 +66,7 @@ impl LineSet {
         let i = usize::from(self.len);
         assert!(
             i < MAX_BLOCK_LINES,
-            "block spans more than {MAX_BLOCK_LINES} lines; raise MAX_BLOCK_LINES \
-             alongside FrontendConfig::max_block_bytes"
+            "block spans more than {MAX_BLOCK_LINES} lines"
         );
         self.lines[i] = (addr, resident);
         self.len += 1;

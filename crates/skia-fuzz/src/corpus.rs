@@ -2,7 +2,7 @@
 //!
 //! One file per interesting input under
 //! `<cache root>/fuzz-corpus/<target>/`, named
-//! `<fnv64(body)>-v<CORPUS_VERSION>.case` and containing the replay-token
+//! `<fnv1a(body)>-v<CORPUS_VERSION>.case` and containing the replay-token
 //! *body* (the part after the target prefix). The content hash in the file
 //! name both dedupes entries and detects corruption on load; a version bump
 //! orphans old files, which are simply ignored — exactly the
@@ -11,6 +11,8 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
+
+use skia_telemetry::fnv1a;
 
 /// Bumped whenever any target's token-body encoding changes; stale corpus
 /// files then miss instead of decoding garbage.
@@ -64,7 +66,7 @@ impl Corpus {
             .take(LOAD_CAP)
             .filter_map(|name| {
                 let body = std::fs::read_to_string(dir.join(name)).ok()?;
-                let expect = format!("{:016x}{suffix}", fnv64(body.as_bytes()));
+                let expect = format!("{:016x}{suffix}", fnv1a(body.as_bytes()));
                 (*name == expect).then_some(body)
             })
             .collect()
@@ -76,7 +78,7 @@ impl Corpus {
         let Some(dir) = &self.dir else {
             return;
         };
-        let key = fnv64(body.as_bytes());
+        let key = fnv1a(body.as_bytes());
         let path = dir.join(format!("{key:016x}-v{CORPUS_VERSION}.case"));
         if path.exists() {
             return;
@@ -91,17 +93,6 @@ impl Corpus {
             let _ = std::fs::remove_file(&tmp);
         }
     }
-}
-
-/// FNV-1a 64 — the same stable content hash the on-disk caches use.
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -123,7 +114,7 @@ mod tests {
         assert_eq!(loaded, vec!["alpha:1:2".to_string(), "beta".to_string()]);
 
         // A corrupted entry (content no longer matches its name) is skipped.
-        let victim = dir.join(format!("{:016x}-v{CORPUS_VERSION}.case", fnv64(b"beta")));
+        let victim = dir.join(format!("{:016x}-v{CORPUS_VERSION}.case", fnv1a(b"beta")));
         std::fs::write(&victim, "tampered").unwrap();
         assert_eq!(corpus.load(), vec!["alpha:1:2".to_string()]);
 

@@ -49,12 +49,10 @@
 #![warn(missing_docs)]
 
 pub mod decode;
-pub mod disasm;
 pub mod encode;
 mod kind;
 
 pub use decode::{decode, DecodeError, Decoded};
-pub use disasm::{disasm_one, disasm_range, DisasmInsn};
 pub use kind::{BranchInfo, BranchKind, InsnKind};
 
 /// Size of an instruction cache line in bytes, used throughout the project.

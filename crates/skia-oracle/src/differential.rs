@@ -78,7 +78,9 @@ impl DiffCase {
         )
     }
 
-    /// Parse a replay token produced by [`DiffCase::encode`].
+    /// Parse a replay token produced by [`DiffCase::encode`]. A token that
+    /// cannot build its case (fewer than two functions, or no BTB sets) is
+    /// `None`.
     pub fn decode(s: &str) -> Option<DiffCase> {
         let mut it = s.trim().split(':');
         let case = DiffCase {
@@ -92,7 +94,7 @@ impl DiffCase {
             small_sbb: it.next()? == "1",
             small_caches: it.next()? == "1",
         };
-        if it.next().is_some() {
+        if it.next().is_some() || case.functions < 2 || case.btb_sets == 0 {
             return None;
         }
         Some(case)

@@ -24,6 +24,7 @@ use skia_workloads::{Program, TraceStep};
 
 use skia_frontend::config::{BtbMode, FrontendConfig};
 use skia_frontend::stats::{ResteerStage, SimStats};
+use skia_frontend::MAX_BLOCK_BYTES;
 
 use crate::ref_predict::{RefIttage, RefIttagePrediction, RefTage, RefTagePrediction};
 use crate::ref_skia::{EventSink, RefSkia};
@@ -118,7 +119,6 @@ pub struct RefBpu {
     ras: RefRas,
     spec_pc: u64,
     entered_by_branch: bool,
-    max_block_bytes: u64,
 }
 
 impl RefBpu {
@@ -140,7 +140,6 @@ impl RefBpu {
             ras: RefRas::new(config.ras_depth),
             spec_pc: start_pc,
             entered_by_branch: true,
-            max_block_bytes: config.max_block_bytes,
         }
     }
 
@@ -158,7 +157,7 @@ impl RefBpu {
     /// Form one predicted basic block and advance the speculative PC.
     pub fn predict_block(&mut self) -> RefBlock {
         let start = self.spec_pc;
-        let limit = start.saturating_add(self.max_block_bytes);
+        let limit = start.saturating_add(MAX_BLOCK_BYTES);
         let entered_by_branch = self.entered_by_branch;
 
         let cand_btb = self.btb.next_at_or_after(start).filter(|&p| p < limit);

@@ -291,7 +291,7 @@ impl RefSkia {
                 config.sbb.u_entries,
                 config.sbb.r_entries,
                 config.sbb.ways,
-                config.retired_bit_replacement,
+                config.sbb.retired_aware,
             ),
             config,
             filtered_known: 0,

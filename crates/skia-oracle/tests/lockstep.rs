@@ -399,6 +399,9 @@ fn diff_case_codec_round_trips() {
     assert_eq!(DiffCase::decode("1:2:3"), None);
     assert_eq!(DiffCase::decode("1:2:1:4:5:1:7:0"), None, "no cache flag");
     assert_eq!(DiffCase::decode("1:2:1:4:5:1:7:0:1:extra"), None);
+    assert!(DiffCase::decode("1:2:1:4:5:1:7:0:1").is_some());
+    assert_eq!(DiffCase::decode("1:1:1:4:5:1:7:0:1"), None, "one function");
+    assert_eq!(DiffCase::decode("1:2:1:4:5:1:0:0:1"), None, "no BTB sets");
 }
 
 /// Replay one case from the `SKIA_DIFF_REPLAY` env var (printed by every

@@ -77,8 +77,6 @@ pub struct BtbEntry {
 pub struct Btb {
     arr: TagArray<BtbEntry>,
     config: BtbConfig,
-    lookups: u64,
-    hits: u64,
 }
 
 impl Btb {
@@ -88,8 +86,6 @@ impl Btb {
         Btb {
             arr: TagArray::new(config.sets(), config.ways),
             config,
-            lookups: 0,
-            hits: 0,
         }
     }
 
@@ -103,19 +99,13 @@ impl Btb {
         self.arr.set_of(pc)
     }
 
-    /// Predict: look up the branch at `pc`, updating recency and hit stats.
+    /// Predict: look up the branch at `pc`, updating recency.
     pub fn lookup(&mut self, pc: u64) -> Option<BtbEntry> {
-        self.lookups += 1;
         let set = self.set_of(pc);
-        let hit = self.arr.access(set, pc).copied();
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
+        self.arr.access(set, pc).copied()
     }
 
-    /// Probe without recency/stat updates (used by the shadow-decode scan and
-    /// by tests).
+    /// Probe without a recency update.
     #[must_use]
     pub fn probe(&self, pc: u64) -> Option<BtbEntry> {
         self.arr.probe(self.set_of(pc), pc).copied()
@@ -142,12 +132,6 @@ impl Btb {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.arr.is_empty()
-    }
-
-    /// `(lookups, hits)` counters.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.lookups, self.hits)
     }
 }
 
@@ -222,7 +206,6 @@ mod tests {
         let e = btb.lookup(0x400).unwrap();
         assert_eq!(e.kind, BranchKind::DirectUncond);
         assert_eq!(e.target, 0x500);
-        assert_eq!(btb.stats(), (2, 1));
     }
 
     #[test]
@@ -241,21 +224,17 @@ mod tests {
     }
 
     #[test]
-    fn probe_is_stats_and_recency_neutral() {
-        // The BPU's window scan probes candidate pcs every predict; those
-        // probes must not disturb LRU order or the lookup/hit counters.
+    fn probe_is_recency_neutral() {
         let mut btb = Btb::new(BtbConfig {
             entries: 2,
             ways: 2,
         });
         btb.insert(0x100, BranchKind::Call, 0, 5);
         btb.insert(0x102, BranchKind::Return, 0, 1);
-        let stats_before = btb.stats();
         for _ in 0..100 {
             assert!(btb.probe(0x100).is_some());
             assert!(btb.probe(0x104).is_none());
         }
-        assert_eq!(btb.stats(), stats_before);
         // 0x100 is still LRU despite the probes: the next insert evicts it.
         btb.insert(0x104, BranchKind::Call, 0, 5);
         assert!(btb.probe(0x100).is_none(), "probe must not refresh LRU");

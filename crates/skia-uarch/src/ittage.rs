@@ -44,8 +44,6 @@ pub struct Ittage {
     tagged: Vec<ItEntry>,
     base: Vec<ItEntry>,
     history: FoldedHistory<MAX_TABLES>,
-    predictions: u64,
-    mispredictions: u64,
 }
 
 impl Ittage {
@@ -75,15 +73,7 @@ impl Ittage {
             tagged: vec![ItEntry::default(); num_tables << index_bits],
             base: vec![ItEntry::default(); 1 << index_bits],
             history: FoldedHistory::new(&lens, index_bits, TAG_BITS),
-            predictions: 0,
-            mispredictions: 0,
         }
-    }
-
-    /// The paper-scale configuration (~64 KB class).
-    #[must_use]
-    pub fn default_64kb() -> Self {
-        Ittage::new(6, 11, 320)
     }
 
     /// Tagged table `table`'s entry `index`.
@@ -144,11 +134,7 @@ impl Ittage {
     /// Train with the resolved target.
     pub fn update(&mut self, pc: u64, pred: &IttagePrediction, target: u64) {
         let _ = pc;
-        self.predictions += 1;
         let correct = pred.target == Some(target);
-        if !correct {
-            self.mispredictions += 1;
-        }
 
         // Train provider (or base).
         match pred.provider.map(usize::from) {
@@ -194,12 +180,6 @@ impl Ittage {
                 }
             }
         }
-    }
-
-    /// `(predictions, mispredictions)` counters.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.predictions, self.mispredictions)
     }
 }
 

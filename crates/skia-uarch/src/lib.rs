@@ -13,7 +13,7 @@
 //! * [`tage`] — a TAGE-SC-L-style conditional branch predictor, trained at
 //!   commit.
 //! * [`ittage`] — an ITTAGE indirect target predictor.
-//! * [`ras`] — a repairable return address stack.
+//! * [`ras`] — a return address stack, trained at commit.
 //! * [`cacti`] — an analytical SRAM access-latency model standing in for the
 //!   CACTI tool the paper uses to justify BTB scaling costs.
 //!

@@ -1,10 +1,9 @@
-//! Return Address Stack with speculative repair.
+//! Return Address Stack.
 //!
-//! The BPU pushes on predicted calls and pops on predicted returns; both
-//! happen speculatively, so a resteer must restore the stack. The classic
-//! low-cost repair (used here) checkpoints the stack pointer plus the entry
-//! that the next push would overwrite, which exactly undoes any single
-//! wrong-path excursion bounded by the checkpoint.
+//! A fixed-depth circular stack: a push past capacity overwrites the oldest
+//! entry. The BPU trains it at commit (a call pushes its return address, a
+//! return pops) and peeks at it to predict a return, so it only ever holds
+//! the true path's return addresses and needs no wrong-path repair.
 
 /// Fixed-depth circular return address stack.
 #[derive(Debug, Clone)]
@@ -14,17 +13,6 @@ pub struct ReturnAddressStack {
     top: usize,
     /// Number of valid entries (saturates at capacity).
     depth: usize,
-    pushes: u64,
-    pops: u64,
-    underflows: u64,
-}
-
-/// Repair token for [`ReturnAddressStack`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RasCheckpoint {
-    top: usize,
-    depth: usize,
-    top_value: u64,
 }
 
 impl ReturnAddressStack {
@@ -40,15 +28,11 @@ impl ReturnAddressStack {
             entries: vec![0; capacity],
             top: 0,
             depth: 0,
-            pushes: 0,
-            pops: 0,
-            underflows: 0,
         }
     }
 
     /// Push a return address (on a call).
     pub fn push(&mut self, return_address: u64) {
-        self.pushes += 1;
         self.top = (self.top + 1) % self.entries.len();
         self.entries[self.top] = return_address;
         self.depth = (self.depth + 1).min(self.entries.len());
@@ -57,9 +41,7 @@ impl ReturnAddressStack {
     /// Pop the predicted return address (on a return). Returns `None` on
     /// underflow (the stack has wrapped past all valid entries).
     pub fn pop(&mut self) -> Option<u64> {
-        self.pops += 1;
         if self.depth == 0 {
-            self.underflows += 1;
             return None;
         }
         let v = self.entries[self.top];
@@ -74,33 +56,10 @@ impl ReturnAddressStack {
         (self.depth > 0).then(|| self.entries[self.top])
     }
 
-    /// Capture repair state (call before speculating past a branch).
-    #[must_use]
-    pub fn checkpoint(&self) -> RasCheckpoint {
-        RasCheckpoint {
-            top: self.top,
-            depth: self.depth,
-            top_value: self.entries[self.top],
-        }
-    }
-
-    /// Undo wrong-path pushes/pops back to `cp`.
-    pub fn restore(&mut self, cp: RasCheckpoint) {
-        self.top = cp.top;
-        self.depth = cp.depth;
-        self.entries[cp.top] = cp.top_value;
-    }
-
     /// Current number of valid entries.
     #[must_use]
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// `(pushes, pops, underflows)` counters.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.pushes, self.pops, self.underflows)
     }
 }
 
@@ -118,7 +77,6 @@ mod tests {
         assert_eq!(ras.pop(), Some(2));
         assert_eq!(ras.pop(), Some(1));
         assert_eq!(ras.pop(), None);
-        assert_eq!(ras.stats().2, 1);
     }
 
     #[test]
@@ -131,41 +89,6 @@ mod tests {
         assert_eq!(ras.pop(), Some(2));
         // Depth saturated at 2 so entry "1" is gone.
         assert_eq!(ras.pop(), None);
-    }
-
-    #[test]
-    fn checkpoint_undoes_wrong_path_push() {
-        let mut ras = ReturnAddressStack::new(4);
-        ras.push(0xA);
-        let cp = ras.checkpoint();
-        ras.push(0xBAD); // wrong path call
-        ras.restore(cp);
-        assert_eq!(ras.pop(), Some(0xA));
-    }
-
-    #[test]
-    fn checkpoint_undoes_wrong_path_pop() {
-        let mut ras = ReturnAddressStack::new(4);
-        ras.push(0xA);
-        ras.push(0xB);
-        let cp = ras.checkpoint();
-        assert_eq!(ras.pop(), Some(0xB)); // wrong path return
-        ras.restore(cp);
-        assert_eq!(ras.pop(), Some(0xB));
-        assert_eq!(ras.pop(), Some(0xA));
-    }
-
-    #[test]
-    fn checkpoint_undoes_pop_then_push() {
-        let mut ras = ReturnAddressStack::new(4);
-        ras.push(0xA);
-        ras.push(0xB);
-        let cp = ras.checkpoint();
-        ras.pop();
-        ras.push(0xBAD); // overwrites the slot holding 0xB
-        ras.restore(cp);
-        assert_eq!(ras.pop(), Some(0xB), "top entry repaired from checkpoint");
-        assert_eq!(ras.pop(), Some(0xA));
     }
 
     #[test]

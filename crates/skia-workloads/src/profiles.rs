@@ -292,15 +292,6 @@ pub fn profile_names() -> &'static [&'static str] {
     &PAPER_BENCHMARKS
 }
 
-/// All 16 paper profiles, materialized.
-#[must_use]
-pub fn all_profiles() -> Vec<Profile> {
-    PAPER_BENCHMARKS
-        .iter()
-        .map(|n| profile(n).expect("paper benchmark exists"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +299,6 @@ mod tests {
 
     #[test]
     fn all_sixteen_resolve() {
-        assert_eq!(all_profiles().len(), 16);
         for name in PAPER_BENCHMARKS {
             assert!(profile(name).is_some(), "{name} missing");
         }

@@ -221,10 +221,14 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics if the spec is degenerate (zero functions or empty ranges).
+    /// Panics if the spec is degenerate (fewer than two functions, or empty
+    /// ranges).
     #[must_use]
     pub fn generate(spec: &ProgramSpec) -> Self {
-        assert!(spec.functions > 0, "need at least one function");
+        assert!(
+            spec.functions >= 2,
+            "need at least two functions: the dispatcher (function 0) calls the others"
+        );
         assert!(spec.blocks_per_fn.start >= 1);
         let mut rng = SmallRng::seed_from_u64(spec.seed);
 
@@ -241,7 +245,7 @@ impl Program {
         // fanning out across the whole program (a server's request loop).
         // Without it the walk could get trapped in a call-free region.
         {
-            let fanout_blocks = spec.dispatch_blocks.min(spec.functions.max(2) - 1).max(1);
+            let fanout_blocks = spec.dispatch_blocks.min(spec.functions - 1).max(1);
             let mut blocks = Vec::with_capacity(fanout_blocks + 1);
             for _ in 0..fanout_blocks {
                 let ninsns = sample_range(&mut rng, &spec.insns_per_block);
@@ -675,6 +679,15 @@ mod tests {
         let b = Program::generate(&small_spec());
         assert_eq!(a.code_bytes(), b.code_bytes());
         assert_eq!(a.bytes_at(a.base(), 256), b.bytes_at(b.base(), 256));
+    }
+
+    #[test]
+    #[should_panic(expected = "the dispatcher (function 0) calls the others")]
+    fn one_function_spec_is_rejected() {
+        let _ = Program::generate(&ProgramSpec {
+            functions: 1,
+            ..ProgramSpec::default()
+        });
     }
 
     #[test]
