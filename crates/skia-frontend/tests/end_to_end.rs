@@ -1,6 +1,6 @@
 //! End-to-end simulator properties on generated workloads.
 
-use skia_core::SkiaConfig;
+use skia_core::{SbbConfig, SkiaConfig};
 use skia_frontend::{run, BtbMode, FrontendConfig};
 use skia_uarch::btb::BtbConfig;
 use skia_workloads::{Program, ProgramSpec, Walker};
@@ -175,6 +175,31 @@ fn head_only_and_tail_only_are_subsets_of_both() {
         "both {} vs min single {}",
         both.sbb_rescues,
         min_single
+    );
+}
+
+#[test]
+fn ablation_knobs_reach_the_simulator() {
+    // The `ablations` golden's 2,000 steps print the default row for both
+    // knobs, so this is what shows each one reaches the SBB or the BPU.
+    let p = program(600, 8);
+    let run = |skia: SkiaConfig| sim(&p, FrontendConfig::test_small().with_skia(skia), 5_000);
+    let default = run(SkiaConfig::default());
+    let plain_lru = run(SkiaConfig {
+        sbb: SbbConfig {
+            retired_aware: false,
+            ..SbbConfig::default()
+        },
+        ..SkiaConfig::default()
+    });
+    let filtered = run(SkiaConfig {
+        filter_btb_resident: true,
+        ..SkiaConfig::default()
+    });
+    assert_ne!(plain_lru, default, "retired_aware: false changes nothing");
+    assert_ne!(
+        filtered, default,
+        "filter_btb_resident: true changes nothing"
     );
 }
 

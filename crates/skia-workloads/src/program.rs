@@ -198,7 +198,9 @@ enum AbsTerm {
 
 #[derive(Debug, Clone)]
 struct AbsBlock {
-    selectors: Vec<u64>,
+    /// The block's non-branch instruction selectors, a range of the
+    /// program's one selector list.
+    selectors: Range<usize>,
     term: AbsTerm,
 }
 
@@ -240,6 +242,13 @@ impl Program {
         let leaves: Vec<usize> = (1..spec.functions).filter(|&fi| is_leaf[fi]).collect();
 
         let mut fns: Vec<AbsFn> = Vec::with_capacity(spec.functions);
+        // Every block's non-branch instruction selectors, in draw order.
+        let mut selectors: Vec<u64> = Vec::new();
+        let mut draw = |rng: &mut SmallRng, n: usize| {
+            let at = selectors.len();
+            selectors.extend((0..n).map(|_| rng.gen::<u64>()));
+            at..selectors.len()
+        };
 
         // Function 0 is the dispatcher: an event loop of indirect calls
         // fanning out across the whole program (a server's request loop).
@@ -249,7 +258,7 @@ impl Program {
             let mut blocks = Vec::with_capacity(fanout_blocks + 1);
             for _ in 0..fanout_blocks {
                 let ninsns = sample_range(&mut rng, &spec.insns_per_block);
-                let selectors: Vec<u64> = (0..ninsns).map(|_| rng.gen()).collect();
+                let selectors = draw(&mut rng, ninsns);
                 let n = spec.dispatch_callees.clamp(2, 256).min(spec.functions - 1);
                 let callees: Vec<usize> =
                     (0..n).map(|_| rng.gen_range(1..spec.functions)).collect();
@@ -259,7 +268,7 @@ impl Program {
                 });
             }
             blocks.push(AbsBlock {
-                selectors: vec![rng.gen()],
+                selectors: draw(&mut rng, 1),
                 term: AbsTerm::Ret,
             });
             fns.push(AbsFn {
@@ -278,7 +287,7 @@ impl Program {
             let mut blocks = Vec::with_capacity(nblocks);
             for bi in 0..nblocks {
                 let ninsns = sample_range(&mut rng, &spec.insns_per_block);
-                let selectors: Vec<u64> = (0..ninsns).map(|_| rng.gen()).collect();
+                let selectors = draw(&mut rng, ninsns);
                 let last = bi + 1 == nblocks;
                 let term = if last {
                     AbsTerm::Ret
@@ -392,7 +401,7 @@ impl Program {
             first_rec[fi] = recs.len();
             for b in &f.blocks {
                 let block_start = IMAGE_BASE + image.len() as u64;
-                for &sel in &b.selectors {
+                for &sel in &selectors[b.selectors.clone()] {
                     encode::emit_nonbranch(&mut image, sel);
                 }
                 let pc = IMAGE_BASE + image.len() as u64;

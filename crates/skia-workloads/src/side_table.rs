@@ -176,11 +176,16 @@ impl BranchTable {
     /// for every other kind).
     #[must_use]
     pub fn indirect_targets(&self, index: usize) -> &[u64] {
+        &self.indirect[self.indirect_range(index)]
+    }
+
+    /// Where record `index`'s indirect targets sit in the flat target list.
+    pub(crate) fn indirect_range(&self, index: usize) -> std::ops::Range<usize> {
         let end = self
             .recs
             .get(index + 1)
             .map_or(self.indirect.len(), |r| r.targets_at as usize);
-        &self.indirect[self.recs[index].targets_at as usize..end]
+        self.recs[index].targets_at as usize..end
     }
 
     /// Exact-pc record lookup (O(1) via the line index).

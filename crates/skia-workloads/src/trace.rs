@@ -3,9 +3,10 @@
 //!
 //! Every figure in the paper is a sweep — one workload trace replayed under
 //! many front-end configurations. The live [`Walker`] pays RNG draws, trip
-//! bookkeeping and (for indirect calls) a per-step weight vector allocation
-//! on every block; a sweep re-pays all of it once per configuration for a
-//! stream that is, by construction, identical across configurations. A
+//! bookkeeping and (for indirect calls) a weighted pick on every block, and
+//! resolves the program's successors once per walk; a sweep re-pays all of
+//! it once per configuration for a stream that is, by construction,
+//! identical across configurations. A
 //! [`RecordedTrace`] materializes the stream so replay is a pure column
 //! read: no RNG, no hashing, no allocation. This is the checkpoint-reuse
 //! discipline of SimPoint-style sampling applied to the simulator's own

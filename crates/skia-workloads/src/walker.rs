@@ -19,10 +19,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use skia_isa::BranchKind;
-use std::collections::HashMap;
 
 use crate::program::Program;
-use crate::side_table::BranchRecord;
+use crate::side_table::{BranchRecord, BranchTable};
 
 /// One executed basic block and its terminating branch outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,21 +66,32 @@ impl TraceStep {
     }
 }
 
+/// Deepest call stack a walk keeps; a call past it loses its frame, so that
+/// return resumes at the dispatcher.
+const MAX_STACK: usize = 256;
+
 /// Infinite trace iterator over a [`Program`].
 #[derive(Debug, Clone)]
 pub struct Walker<'p> {
-    program: &'p Program,
+    table: &'p BranchTable,
     rng: SmallRng,
     /// Table index of the block currently executing.
     cur: usize,
     /// Return stack: table index of the block to resume *after* each call.
     stack: Vec<usize>,
-    /// Live loop trip counters, keyed by backedge pc.
-    trips: HashMap<u64, u32>,
+    /// Per record: the table index of a direct branch's target.
+    target_index: Vec<u32>,
+    /// Per indirect target, in the table's flat target list (which the
+    /// records' runs tile in record order): its table index and its
+    /// tempered pick weight.
+    indirect_index: Vec<u32>,
+    indirect_weight: Vec<f64>,
+    /// Per record: a live loop backedge's remaining trip count.
+    trips: Vec<Option<u32>>,
     mean_trip: u32,
-    max_stack: usize,
-    /// Recent dispatcher targets (request-burst temporal locality).
-    burst_pool: Vec<u64>,
+    /// Table indices of recent dispatcher targets (request-burst temporal
+    /// locality).
+    burst_pool: Vec<usize>,
     burst_next: usize,
     burst_prob: f64,
     burst_cap: usize,
@@ -90,17 +100,46 @@ pub struct Walker<'p> {
 impl<'p> Walker<'p> {
     /// Start walking `program` from the dispatcher (function 0), whose
     /// entry block is the table's first record.
+    ///
+    /// Resolves every static successor once: each direct branch's target
+    /// and each indirect target to its table index, and each indirect
+    /// target's pick weight, the square root of its function's hotness —
+    /// tempered so cold targets recur at long intervals instead of never
+    /// (the paper's "cold branch" capacity-miss behaviour, §1), and so one
+    /// hot callee does not monopolize a call site.
     #[must_use]
     pub fn new(program: &'p Program, seed: u64, mean_trip: u32) -> Self {
         let spec = program.spec_burst();
+        let table = program.branch_table();
+        let recs = table.records();
+        // Targets are block starts: `Program` checks that on construction.
+        let block = |target: u64| {
+            let i = table.block_index(target).expect("target is a block");
+            u32::try_from(i).expect("branch table index fits in u32")
+        };
+        let target_index = recs.iter().map(|r| r.target.map_or(0, block)).collect();
+        let indirect_index: Vec<u32> = (0..recs.len())
+            .flat_map(|i| table.indirect_targets(i))
+            .map(|&t| block(t))
+            .collect();
+        let indirect_weight = indirect_index
+            .iter()
+            .map(|&i| {
+                program.functions()[recs[i as usize].function as usize]
+                    .weight
+                    .sqrt()
+            })
+            .collect();
         Walker {
-            program,
+            table,
             rng: SmallRng::seed_from_u64(seed ^ 0x57A1_C0DE),
             cur: 0,
             stack: Vec::with_capacity(64),
-            trips: HashMap::new(),
+            target_index,
+            indirect_index,
+            indirect_weight,
+            trips: vec![None; recs.len()],
             mean_trip: mean_trip.max(1),
-            max_stack: 256,
             burst_pool: Vec::with_capacity(spec.0),
             burst_next: 0,
             burst_prob: spec.1,
@@ -111,45 +150,35 @@ impl<'p> Walker<'p> {
     /// Execute one block: its table index, whether its branch was taken,
     /// and the next executed address.
     pub(crate) fn advance(&mut self) -> (usize, bool, u64) {
-        let program = self.program;
-        let table = program.branch_table();
-        let recs = table.records();
+        let recs = self.table.records();
         let cur = self.cur;
         let t = &recs[cur];
-        // Targets are block starts: `Program` checks that on construction.
-        let block = |target: u64| table.block_index(target).expect("target is a block");
-
-        let (taken, next_pc, next) = match t.kind {
-            BranchKind::Return => {
-                let resume = self.stack.pop().unwrap_or(0);
-                (true, recs[resume].block_start, resume)
-            }
-            BranchKind::DirectUncond => {
-                let target = t.target.expect("uncond has target");
-                (true, target, block(target))
-            }
+        let target = self.target_index[cur] as usize;
+        let (taken, next) = match t.kind {
+            BranchKind::Return => (true, self.stack.pop().unwrap_or(0)),
+            BranchKind::DirectUncond => (true, target),
             BranchKind::Call => {
-                let target = t.target.expect("call has target");
-                if self.stack.len() < self.max_stack {
+                if self.stack.len() < MAX_STACK {
                     self.stack.push(cur + 1);
                 } // else: deepest frame lost; resume collapses to dispatcher
-                (true, target, block(target))
+                (true, target)
             }
             BranchKind::IndirectCall => {
                 // Weighted choice among the target set (hotter = likelier).
                 // Dispatcher calls additionally model request bursts: most
                 // requests repeat a recently seen target, so hot sets stay
                 // warm while cold targets recur at long distances.
-                let targets = table.indirect_targets(cur);
+                let site = self.table.indirect_range(cur);
                 let dispatcher = t.function == 0;
                 let from_pool = dispatcher
                     && self.burst_cap > 0
                     && !self.burst_pool.is_empty()
                     && self.rng.gen_bool(self.burst_prob);
-                let target = if from_pool {
+                let next = if from_pool {
                     self.burst_pool[self.rng.gen_range(0..self.burst_pool.len())]
                 } else {
-                    let fresh = *weighted_pick(&mut self.rng, program, targets);
+                    let pick = weighted_pick(&mut self.rng, &self.indirect_weight[site.clone()]);
+                    let fresh = self.indirect_index[site.start + pick] as usize;
                     if dispatcher && self.burst_cap > 0 {
                         if self.burst_pool.len() < self.burst_cap {
                             self.burst_pool.push(fresh);
@@ -160,21 +189,21 @@ impl<'p> Walker<'p> {
                     }
                     fresh
                 };
-                if self.stack.len() < self.max_stack {
+                if self.stack.len() < MAX_STACK {
                     self.stack.push(cur + 1);
                 }
-                (true, target, block(target))
+                (true, next)
             }
             BranchKind::IndirectJmp => {
-                let targets = table.indirect_targets(cur);
-                let target = targets[self.rng.gen_range(0..targets.len())];
-                (true, target, block(target))
+                let site = &self.indirect_index[self.table.indirect_range(cur)];
+                (true, site[self.rng.gen_range(0..site.len())] as usize)
             }
             BranchKind::DirectCond => {
                 let taken = if t.backedge {
                     // Trip-counted loop: taken while iterations remain.
                     let mean = self.mean_trip;
-                    let remaining = self.trips.entry(t.pc).or_insert_with(|| {
+                    let slot = &mut self.trips[cur];
+                    let remaining = slot.get_or_insert_with(|| {
                         // 1..2·mean, deterministic per (pc, entry).
                         self.rng.gen_range(1..=mean * 2)
                     });
@@ -182,7 +211,7 @@ impl<'p> Walker<'p> {
                         *remaining -= 1;
                         true
                     } else {
-                        self.trips.remove(&t.pc);
+                        *slot = None;
                         false
                     }
                 } else {
@@ -207,19 +236,14 @@ impl<'p> Walker<'p> {
                     };
                     self.rng.gen_bool(p)
                 };
-                if taken {
-                    let target = t.target.expect("cond has target");
-                    (true, target, block(target))
-                } else {
-                    // A conditional never ends its function, so the next
-                    // record is the same function's next block.
-                    (false, t.fallthrough(), cur + 1)
-                }
+                // A conditional never ends its function, so a fall-through
+                // is the same function's next block.
+                (taken, if taken { target } else { cur + 1 })
             }
         };
 
         self.cur = next;
-        (cur, taken, next_pc)
+        (cur, taken, recs[next].block_start)
     }
 }
 
@@ -228,41 +252,29 @@ impl Iterator for Walker<'_> {
 
     fn next(&mut self) -> Option<TraceStep> {
         let (index, taken, next_pc) = self.advance();
-        let rec = &self.program.branch_table().records()[index];
-        Some(TraceStep::of(rec, taken, next_pc))
+        Some(TraceStep::of(&self.table.records()[index], taken, next_pc))
     }
 }
 
-/// Pick an address from `targets`, weighted by the owning function's
-/// hotness — tempered so cold targets recur at long intervals instead of
-/// never (the paper's "cold branch" capacity-miss behaviour, §1).
-fn weighted_pick<'a>(rng: &mut SmallRng, program: &Program, targets: &'a [u64]) -> &'a u64 {
-    debug_assert!(!targets.is_empty());
-    // 30% of picks are uniform: every callee, however cold, keeps recurring.
+/// Position in a call site's target list of a pick weighted by `weights`:
+/// 30% of picks are uniform, so every callee, however cold, keeps
+/// recurring. The weights are summed and scanned left to right: prefix sums
+/// or a binary search would round differently and move picks, and every
+/// stored trace depends on them.
+fn weighted_pick(rng: &mut SmallRng, weights: &[f64]) -> usize {
+    debug_assert!(!weights.is_empty());
     if rng.gen_bool(0.30) {
-        return &targets[rng.gen_range(0..targets.len())];
+        return rng.gen_range(0..weights.len());
     }
-    // Tempered hotness (square root) flattens the Zipf head so one hot
-    // callee does not monopolize a call site.
-    let table = program.branch_table();
-    let weights: Vec<f64> = targets
-        .iter()
-        .map(|&t| {
-            let i = table.block_index(t).expect("target is a block");
-            program.functions()[table.records()[i].function as usize]
-                .weight
-                .sqrt()
-        })
-        .collect();
     let total: f64 = weights.iter().sum();
     let mut pick = rng.gen_range(0.0..total.max(1e-12));
     for (i, w) in weights.iter().enumerate() {
         if pick < *w {
-            return &targets[i];
+            return i;
         }
         pick -= w;
     }
-    targets.last().expect("nonempty")
+    weights.len() - 1
 }
 
 #[cfg(test)]
