@@ -685,14 +685,12 @@ impl JsonEmitter {
                 .gauges
                 .insert("sim.steps_per_sec".into(), sim_steps as f64 / busy);
         }
-        // Cache I/O totals: bytes actually moved and per-column seeks issued
-        // by the program/trace caches (skia-workloads process-wide meters).
+        // Cache I/O totals: bytes moved and trace files read by the
+        // program/trace caches (skia-workloads process-wide meters).
         let io = skia_workloads::trace_cache_io();
         c.insert("trace_cache.bytes_read".into(), io.bytes_read);
         c.insert("trace_cache.bytes_written".into(), io.bytes_written);
-        c.insert("trace_cache.seeks".into(), io.seeks);
         c.insert("trace_cache.full_loads".into(), io.full_loads);
-        c.insert("trace_cache.prefix_loads".into(), io.prefix_loads);
         // Profiling spans: drain the process-wide collector into the merged
         // snapshot (spans are per-process, not per-run, so they ride on the
         // merged snapshot rather than individual run snapshots).

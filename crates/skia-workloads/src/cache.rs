@@ -36,7 +36,7 @@
 //! different program.
 
 use std::ffi::OsStr;
-use std::io::{Read, Seek, SeekFrom, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,30 +54,18 @@ use crate::trace::{masked_prefix, RecordedTrace};
 /// totals as `trace_cache.*` counters at finish time.
 static IO_BYTES_READ: AtomicU64 = AtomicU64::new(0);
 static IO_BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
-static IO_SEEKS: AtomicU64 = AtomicU64::new(0);
 static IO_FULL_LOADS: AtomicU64 = AtomicU64::new(0);
-static IO_PREFIX_LOADS: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the process-wide cache I/O totals.
-///
-/// `seeks` counts positioned reads: a prefix-bounded trace load reads the
-/// index prefix where the header ends, then seeks once to each of the taken
-/// and successor columns, so `seeks == 2 * prefix_loads` when nothing else
-/// seeks. `bytes_read` / `bytes_written` count payload bytes actually moved
-/// (headers included), not file sizes — a prefix load of 5% of a file adds
-/// ~5% of its bytes.
+/// A snapshot of the process-wide cache I/O totals. Every load reads its
+/// whole file, so `bytes_read` grows by the size of each file read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCacheIo {
     /// Bytes read from cache files (program + trace, headers included).
     pub bytes_read: u64,
     /// Bytes written to cache files (program + trace).
     pub bytes_written: u64,
-    /// Positioned per-column reads issued by prefix-bounded trace loads.
-    pub seeks: u64,
-    /// Trace loads that read the whole file in one pass.
+    /// Trace files read, each whole in one pass.
     pub full_loads: u64,
-    /// Trace loads that materialized a prefix via column seeks.
-    pub prefix_loads: u64,
 }
 
 /// Read the process-wide cache I/O totals (monotonic since process start;
@@ -87,9 +75,7 @@ pub fn trace_cache_io() -> TraceCacheIo {
     TraceCacheIo {
         bytes_read: IO_BYTES_READ.load(Ordering::Relaxed),
         bytes_written: IO_BYTES_WRITTEN.load(Ordering::Relaxed),
-        seeks: IO_SEEKS.load(Ordering::Relaxed),
         full_loads: IO_FULL_LOADS.load(Ordering::Relaxed),
-        prefix_loads: IO_PREFIX_LOADS.load(Ordering::Relaxed),
     }
 }
 
@@ -101,9 +87,9 @@ const FORMAT_VERSION: u32 = 2;
 const MAGIC: &[u8; 8] = b"SKIAPROG";
 
 /// Bumped whenever the trace columns or the walker's behaviour change;
-/// mismatched files are re-recorded. Version 2 stores branch-table indices
-/// and the run-time successors only.
-const TRACE_FORMAT_VERSION: u32 = 2;
+/// mismatched files are re-recorded. Version 3 stores the taken bitset and
+/// each indirect step's successor record index behind a checksum.
+const TRACE_FORMAT_VERSION: u32 = 3;
 
 const TRACE_MAGIC: &[u8; 8] = b"SKIATRAC";
 
@@ -170,14 +156,15 @@ pub fn load_or_record_trace_in(
     };
     let key = trace_key(spec, seed, mean_trip);
     let path = dir.join(format!("trace-{key:016x}-v{TRACE_FORMAT_VERSION}.bin"));
-    // A prefix-bounded load materializes at most `steps` steps; it comes
-    // back shorter only when the stored recording itself is shorter, in
-    // which case the walk is re-recorded at the longer length below.
+    // A load keeps at most `steps` steps; it comes back shorter only when
+    // the stored recording itself is shorter, in which case the walk is
+    // re-recorded at the longer length below.
     {
         let _g = skia_telemetry::span("trace_cache.load");
-        let stored = std::fs::File::open(&path)
-            .ok()
-            .and_then(|mut f| read_trace(&mut f, program, spec, seed, mean_trip, Some(steps)));
+        let stored = read_file(&path).and_then(|bytes| {
+            IO_FULL_LOADS.fetch_add(1, Ordering::Relaxed);
+            read_trace(&bytes, program, spec, seed, mean_trip, steps)
+        });
         if let Some(stored) = stored.filter(|t| t.len() >= steps) {
             return (stored, TraceCacheOutcome::DiskHit);
         }
@@ -429,27 +416,34 @@ fn deserialize(bytes: &[u8], spec: &ProgramSpec) -> Option<Program> {
     )
 }
 
+/// Bytes of a trace file before its columns: magic, version, identity
+/// length and bytes, step count and choice count.
+fn trace_header_len(ident: &[u8]) -> usize {
+    TRACE_MAGIC.len() + 4 + 4 + ident.len() + 8 + 8
+}
+
 fn serialize_trace(
     spec: &ProgramSpec,
     seed: u64,
     mean_trip: u32,
     trace: &RecordedTrace,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96 + trace.byte_size());
+    let ident = trace_ident(spec, seed, mean_trip);
+    let mut out = Vec::with_capacity(trace_header_len(&ident) + trace.byte_size() + 8);
     out.extend_from_slice(TRACE_MAGIC);
     out.extend_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-    let ident = trace_ident(spec, seed, mean_trip);
     out.extend_from_slice(&(ident.len() as u32).to_le_bytes());
     out.extend_from_slice(&ident);
     out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
-    out.extend_from_slice(&trace.first_block_start().to_le_bytes());
-    out.extend_from_slice(&(trace.successors.len() as u64).to_le_bytes());
-    for &i in &trace.index {
-        out.extend_from_slice(&i.to_le_bytes());
-    }
-    for &w in trace.taken.iter().chain(&trace.successors) {
+    out.extend_from_slice(&(trace.choices.len() as u64).to_le_bytes());
+    for &w in &trace.taken {
         out.extend_from_slice(&w.to_le_bytes());
     }
+    for &c in &trace.choices {
+        out.extend_from_slice(&c.to_le_bytes());
+    }
+    let checksum = skia_telemetry::fnv1a(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -457,141 +451,78 @@ fn serialize_trace(
 // File I/O (best-effort)
 // ---------------------------------------------------------------------------
 
-fn try_load(path: &Path, spec: &ProgramSpec) -> Option<Program> {
+/// The whole of the cache file at `path`, metered, or `None` when it
+/// cannot be read.
+fn read_file(path: &Path) -> Option<Vec<u8>> {
     let bytes = std::fs::read(path).ok()?;
     IO_BYTES_READ.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-    deserialize(&bytes, spec)
+    Some(bytes)
 }
 
-/// Read a stored trace of `program` from `file`, materializing at most
+fn try_load(path: &Path, spec: &ProgramSpec) -> Option<Program> {
+    deserialize(&read_file(path)?, spec)
+}
+
+/// Read a stored trace of `program` from the file `bytes`, keeping at most
 /// `want` steps.
 ///
-/// The file holds three columns after its header: one branch-table index
-/// per step, the taken bitset, and the successors of the steps that store
-/// one. When the request covers the whole recording, the columns are read
-/// in one sequential pass. When the stored trace is longer, the loader
-/// reads the index prefix, counts the successor-bearing steps in it, then
-/// seeks to the taken and successor columns and reads only their prefixes,
-/// so a hit costs I/O and decode proportional to the *request*, not to the
-/// stored length (a 20K-step load from a 400K-step file reads ~5% of it).
-/// Columns are decoded through one bounded buffer, never a file-sized one.
-/// The returned trace equals [`RecordedTrace::prefix`] of a full load.
+/// After its header the file holds the taken bitset, one `u32` successor
+/// record index per indirect step, and an FNV-1a checksum of every byte
+/// before it. A stored trace is at most a few hundred kilobytes (0.56–0.71
+/// bytes per step over the paper profiles), so a load reads it whole,
+/// whatever the request.
 ///
-/// The structural checks cover the whole file — magic, version, exact
-/// identity echo, and the file size implied by the stored step and
-/// successor counts. The materialized steps must form a walk of `program`
-/// ([`RecordedTrace::is_walk_from`]): every index in range, each step
-/// chained to its predecessor's successor, unconditional branches taken,
-/// and the successors read exactly the ones the steps consume. So a
-/// corrupted index, taken bit or successor misses and is re-recorded
-/// rather than replayed as a different trace.
-fn read_trace<F: Read + Seek>(
-    file: &mut F,
+/// The load checks the magic, the version, the exact identity echo, the
+/// checksum, and that the header's step and choice counts account for the
+/// file's length, before it allocates a column. Then it replays the kept
+/// steps ([`RecordedTrace::choices_within`]): they must form a walk of
+/// `program` (unconditional branches taken, every choice a record index),
+/// and a full load must consume every stored choice. So a flipped bit
+/// anywhere in the file misses and is re-recorded rather than replayed as
+/// a different trace. The returned trace equals [`RecordedTrace::prefix`]
+/// of a full load.
+fn read_trace(
+    bytes: &[u8],
     program: &Program,
     spec: &ProgramSpec,
     seed: u64,
     mean_trip: u32,
-    want: Option<usize>,
+    want: usize,
 ) -> Option<RecordedTrace> {
-    let file_len = file.seek(SeekFrom::End(0)).ok()?;
-    file.rewind().ok()?;
-    let ident = trace_ident(spec, seed, mean_trip);
-    // magic + version + ident_len + ident + steps + first block + successors
-    let header_len = 8 + 4 + 4 + ident.len() + 8 + 8 + 8;
-    if file_len < header_len as u64 {
+    let (body, checksum) = bytes.split_at_checked(bytes.len().checked_sub(8)?)?;
+    if skia_telemetry::fnv1a(body) != le_u64(checksum) {
         return None;
     }
-    let mut head = vec![0u8; header_len];
-    file.read_exact(&mut head).ok()?;
-    IO_BYTES_READ.fetch_add(header_len as u64, Ordering::Relaxed);
-    let mut r = Reader { buf: &head, pos: 0 };
+    let mut r = Reader { buf: body, pos: 0 };
     if r.take(TRACE_MAGIC.len())? != TRACE_MAGIC || r.u32()? != TRACE_FORMAT_VERSION {
         return None;
     }
+    let ident = trace_ident(spec, seed, mean_trip);
     if usize::try_from(r.u32()?).ok()? != ident.len() || r.take(ident.len())? != ident.as_slice() {
         return None; // hash collision or different walk identity
     }
-    let n = usize::try_from(r.u64()?).ok()?;
-    let first_block_start = r.u64()?;
+    let steps = usize::try_from(r.u64()?).ok()?;
     let stored = usize::try_from(r.u64()?).ok()?;
-    let taken_at = (header_len as u64).checked_add((n as u64).checked_mul(4)?)?;
-    let successors_at = taken_at.checked_add((n.div_ceil(64) as u64).checked_mul(8)?)?;
-    if file_len != successors_at.checked_add((stored as u64).checked_mul(8)?)? {
-        return None; // truncated or trailing garbage — treat as corrupt
+    let words = steps.div_ceil(64);
+    if words.checked_mul(8)?.checked_add(stored.checked_mul(4)?)? != body.len() - r.pos {
+        return None; // the counts disagree with the file's length
     }
-    let keep = want.map_or(n, |w| w.min(n));
-    let prefix = keep < n;
-    let _g = prefix.then(|| skia_telemetry::span("trace_cache.seek_prefix"));
-    let counter = if prefix {
-        &IO_PREFIX_LOADS
-    } else {
-        &IO_FULL_LOADS
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    // A prefix load skips the rest of each column it reads.
-    let seek = |file: &mut F, at: u64| -> Option<()> {
-        if prefix {
-            file.seek(SeekFrom::Start(at)).ok()?;
-            IO_SEEKS.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(())
-    };
-
+    let keep = want.min(steps);
     let mut trace = RecordedTrace {
         seed,
         mean_trip,
         table: Arc::clone(program.shared_branch_table()),
-        index: read_column(file, keep, 4, le_u32)?,
-        taken: Vec::new(),
-        successors: Vec::new(),
+        steps: keep,
+        taken: masked_prefix(r.take(words * 8)?.chunks_exact(8).map(le_u64), keep),
+        choices: r.take(stored * 4)?.chunks_exact(4).map(le_u32).collect(),
     };
-    // A full load reads every stored successor, and the walk check below
-    // fails unless the steps consume exactly those; a prefix load reads the
-    // ones its steps consume.
-    let kept_stored = if prefix {
-        trace.successor_count(&trace.index)?
-    } else {
-        stored
-    };
-    if kept_stored > stored {
-        return None; // the header's successor count disagrees with the steps
+    let used = trace.choices_within(keep)?;
+    if keep == steps && used != stored {
+        return None; // choices no step consumes
     }
-    seek(file, taken_at)?;
-    trace.taken = read_column(file, keep.div_ceil(64), 8, le_u64)?;
-    seek(file, successors_at)?;
-    trace.successors = read_column(file, kept_stored, 8, le_u64)?;
-    if !prefix && trace.taken != masked_prefix(&trace.taken, n) {
-        return None; // stray bits past the step count — corrupt
-    }
-    // Prefix load: bits past `keep` belong to the stored tail.
-    trace.taken = masked_prefix(&trace.taken, keep);
-    trace.is_walk_from(first_block_start).then_some(trace)
-}
-
-/// Bytes one `read` of a column moves: columns are decoded through a
-/// bounded buffer rather than a byte copy of the whole column.
-const COLUMN_CHUNK: usize = 1 << 16;
-
-/// Read `count` little-endian elements of `width` bytes from `file`'s
-/// current position, decoding each with `parse`.
-fn read_column<F: Read, T>(
-    file: &mut F,
-    count: usize,
-    width: usize,
-    parse: impl Fn(&[u8]) -> T,
-) -> Option<Vec<T>> {
-    let bytes = count.checked_mul(width)?;
-    let mut out = Vec::with_capacity(count);
-    let mut buf = vec![0u8; bytes.min(COLUMN_CHUNK)];
-    let mut left = bytes;
-    while left > 0 {
-        let chunk = &mut buf[..left.min(COLUMN_CHUNK)];
-        file.read_exact(chunk).ok()?;
-        out.extend(chunk.chunks_exact(width).map(&parse));
-        left -= chunk.len();
-    }
-    IO_BYTES_READ.fetch_add(bytes as u64, Ordering::Relaxed);
-    Some(out)
+    trace.choices.truncate(used);
+    trace.choices.shrink_to_fit();
+    Some(trace)
 }
 
 /// Per-process sequence number folded into temp-file names. The process id
@@ -627,8 +558,6 @@ fn store(dir: &Path, path: &Path, bytes: &[u8]) {
 
 #[cfg(test)]
 mod tests {
-    use std::io::Cursor;
-
     use super::*;
     use crate::walker::TraceStep;
 
@@ -898,9 +827,10 @@ mod tests {
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 42, 8, 777);
         let bytes = serialize_trace(&spec, 42, 8, &trace);
-        let loaded =
-            read_trace(&mut Cursor::new(&bytes), &program, &spec, 42, 8, None).expect("round trip");
+        let loaded = read_trace(&bytes, &program, &spec, 42, 8, usize::MAX).expect("round trip");
         assert_eq!(trace, loaded);
+        let short = read_trace(&bytes, &program, &spec, 42, 8, 300).expect("prefix");
+        assert_eq!(trace.prefix(300), short);
     }
 
     #[test]
@@ -910,13 +840,13 @@ mod tests {
         let trace = RecordedTrace::record(&program, 42, 8, 200);
         let bytes = serialize_trace(&spec, 42, 8, &trace);
         // Different seed, different mean trip, different spec: all miss.
-        assert!(read_trace(&mut Cursor::new(&bytes), &program, &spec, 43, 8, None).is_none());
-        assert!(read_trace(&mut Cursor::new(&bytes), &program, &spec, 42, 9, None).is_none());
+        assert!(read_trace(&bytes, &program, &spec, 43, 8, usize::MAX).is_none());
+        assert!(read_trace(&bytes, &program, &spec, 42, 9, usize::MAX).is_none());
         let other = ProgramSpec {
             seed: spec.seed ^ 1,
             ..test_spec()
         };
-        assert!(read_trace(&mut Cursor::new(&bytes), &program, &other, 42, 8, None).is_none());
+        assert!(read_trace(&bytes, &program, &other, 42, 8, usize::MAX).is_none());
     }
 
     #[test]
@@ -925,41 +855,87 @@ mod tests {
         let program = Program::generate(&spec);
         let trace = RecordedTrace::record(&program, 7, 5, 300);
         let bytes = serialize_trace(&spec, 7, 5, &trace);
-        let load = |b: &[u8]| read_trace(&mut Cursor::new(b), &program, &spec, 7, 5, None);
+        let load = |b: &[u8]| read_trace(b, &program, &spec, 7, 5, usize::MAX);
         assert_eq!(load(&bytes), Some(trace.clone()));
-        // Truncation, a clobbered header byte, and trailing garbage.
+        // Truncation, a clobbered header byte, trailing garbage, and files
+        // too short to hold a checksum.
         assert!(load(&bytes[..bytes.len() - 1]).is_none());
         assert!(load(&bytes[1..]).is_none());
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(load(&trailing).is_none());
-        // An index past the program's branches is caught.
-        let mut bad_index = bytes.clone();
-        let index_at = trace_columns(&bytes, &trace).0;
-        bad_index[index_at..index_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(load(&bad_index).is_none());
-        // Stray taken bits past the step count are caught.
-        let (_, taken_at, successors_at) = trace_columns(&bytes, &trace);
-        let mut bad_taken = bytes.clone();
-        bad_taken[successors_at - 1] |= 0x80; // bit 63 of the tail word; 300 % 64 == 44
-        assert!(taken_at < successors_at);
-        assert!(load(&bad_taken).is_none());
+        assert!(load(&bytes[..7]).is_none());
+        assert!(load(&[]).is_none());
     }
 
-    /// Byte offsets of the index, taken and successor columns of a
-    /// serialized `trace`.
-    fn trace_columns(bytes: &[u8], trace: &RecordedTrace) -> (usize, usize, usize) {
-        let successors_at = bytes.len() - trace.successors.len() * 8;
-        let taken_at = successors_at - trace.len().div_ceil(64) * 8;
-        (taken_at - trace.len() * 4, taken_at, successors_at)
+    /// `bytes` with its checksum recomputed over the rest, as a writer
+    /// would have stored them.
+    fn resealed(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 8;
+        let checksum = skia_telemetry::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        bytes
     }
 
-    /// One flipped bit in the index column, the successor column, or a
-    /// taken bit that changes a step's successor makes the stored steps
-    /// stop chaining: the load misses and the walk is re-recorded. A prefix
-    /// load checks the steps it keeps and ignores a flip past them.
+    /// Byte offsets of the taken and choice columns of a serialized
+    /// `trace`.
+    fn trace_columns(bytes: &[u8], trace: &RecordedTrace) -> (usize, usize) {
+        let choices_at = bytes.len() - 8 - trace.choices.len() * 4;
+        (choices_at - trace.len().div_ceil(64) * 8, choices_at)
+    }
+
+    /// Behind a valid checksum a load still checks the header's counts
+    /// against the file's length and replays the steps it keeps: a file
+    /// whose steps stop forming a walk misses, however it was written.
     #[test]
-    fn trace_load_rejects_any_bit_flip_that_breaks_the_chain() {
+    fn trace_load_replays_the_kept_steps() {
+        let spec = test_spec();
+        let program = Program::generate(&spec);
+        let trace = RecordedTrace::record(&program, 7, 5, 300);
+        let bytes = serialize_trace(&spec, 7, 5, &trace);
+        let load = |b: &[u8], want| read_trace(b, &program, &spec, 7, 5, want);
+        let (taken_at, choices_at) = trace_columns(&bytes, &trace);
+        let steps: Vec<TraceStep> = trace.replay().collect();
+
+        // A return's taken bit cleared.
+        let ret = steps
+            .iter()
+            .rposition(|s| s.kind == BranchKind::Return)
+            .unwrap();
+        let mut bad = bytes.clone();
+        bad[taken_at + ret / 8] ^= 1 << (ret % 8);
+        let bad = resealed(bad);
+        assert!(load(&bad, usize::MAX).is_none());
+        assert!(load(&bad, ret).is_some(), "the steps before it still walk");
+        // The last choice pointed past the table.
+        let mut bad = bytes.clone();
+        let last = choices_at + 4 * (trace.choices.len() - 1);
+        bad[last..last + 4].copy_from_slice(&(program.branch_count() as u32).to_le_bytes());
+        assert!(load(&resealed(bad), usize::MAX).is_none());
+        // A choice no step consumes: a full load misses, a prefix load keeps
+        // only the choices its steps consume.
+        let mut bad = bytes[..bytes.len() - 8].to_vec();
+        let choice_count_at = taken_at - 8;
+        bad[choice_count_at..choice_count_at + 8]
+            .copy_from_slice(&(trace.choices.len() as u64 + 1).to_le_bytes());
+        bad.extend_from_slice(&0u32.to_le_bytes());
+        bad.extend_from_slice(&[0; 8]);
+        let bad = resealed(bad);
+        assert!(load(&bad, usize::MAX).is_none());
+        assert_eq!(load(&bad, 299), Some(trace.prefix(299)));
+        // Step and choice counts past the file's length.
+        for at in [choice_count_at - 8, choice_count_at] {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(load(&resealed(bad), 10).is_none());
+        }
+    }
+
+    /// Every bit of a small stored file, flipped in turn — header, taken
+    /// column, choice column and checksum: the load misses and re-records
+    /// the reference trace, for a full request and for a prefix request.
+    #[test]
+    fn trace_load_rejects_every_bit_flip() {
         const STEPS: usize = 300;
         const PREFIX: usize = 200;
         let dir = std::env::temp_dir().join(format!("skia-trace-flip-{}", std::process::id()));
@@ -972,59 +948,24 @@ mod tests {
         ));
         let (reference, _) = load_or_record_trace_in(Some(&dir), &program, &spec, 3, 8, STEPS);
         let good = std::fs::read(&path).unwrap();
-        let (index_at, taken_at, successors_at) = trace_columns(&good, &reference);
-        let steps: Vec<TraceStep> = reference.replay().collect();
-        // The first step at or after `from` that `keep` accepts. Neither the
-        // last step nor the last kept one qualifies: no later step checks
-        // their successors.
-        let near = |from: usize, keep: &dyn Fn(&TraceStep) -> bool| {
-            (from..STEPS - 1)
-                .find(|&i| i != PREFIX - 1 && keep(&steps[i]))
-                .expect("a qualifying step")
-        };
-
-        // (byte, bit, step the flip corrupts)
-        let mut flips = Vec::new();
-        for from in [0usize, 17, 150, 250] {
-            let i = near(from, &|_| true);
-            for bit in [0, 2, 9] {
-                flips.push((index_at + 4 * i + bit / 8, bit % 8, i));
-            }
-            let i = near(from, &|s| crate::trace::stores_successor(s.kind));
-            let ordinal = steps[..i]
-                .iter()
-                .filter(|s| crate::trace::stores_successor(s.kind))
-                .count();
-            for bit in [2, 7, 12, 30] {
-                flips.push((successors_at + 8 * ordinal + bit / 8, bit % 8, i));
-            }
-            // An unconditional branch, and a conditional one whose target is
-            // not its fall-through.
-            let i = near(from, &|s| s.kind.is_unconditional());
-            flips.push((taken_at + i / 8, i % 8, i));
-            let i = near(from, &|s| {
-                let rec = program.branch_table().record_at(s.branch_pc).unwrap();
-                !s.kind.is_unconditional() && rec.target != Some(rec.fallthrough())
-            });
-            flips.push((taken_at + i / 8, i % 8, i));
-        }
-
-        for (byte, bit, step) in flips {
+        let (taken_at, choices_at) = trace_columns(&good, &reference);
+        assert_eq!(taken_at, trace_header_len(&trace_ident(&spec, 3, 8)));
+        assert!(taken_at < choices_at && choices_at < good.len() - 8);
+        let short = reference.prefix(PREFIX);
+        for bit in 0..good.len() * 8 {
             let mut bad = good.clone();
-            bad[byte] ^= 1 << bit;
-            std::fs::write(&path, &bad).unwrap();
-            let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 3, 8, STEPS);
-            assert_eq!(outcome, TraceCacheOutcome::Recorded, "flip {byte}:{bit}");
-            assert_eq!(t, reference);
-            std::fs::write(&path, &bad).unwrap();
-            let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 3, 8, PREFIX);
-            let hit = if step < PREFIX {
-                TraceCacheOutcome::Recorded
-            } else {
-                TraceCacheOutcome::DiskHit
-            };
-            assert_eq!(outcome, hit, "prefix load, flip {byte}:{bit}");
-            assert_eq!(t, reference.prefix(PREFIX));
+            bad[bit / 8] ^= 1 << (bit % 8);
+            for (steps, want) in [(STEPS, &reference), (PREFIX, &short)] {
+                std::fs::write(&path, &bad).unwrap();
+                let (t, outcome) =
+                    load_or_record_trace_in(Some(&dir), &program, &spec, 3, 8, steps);
+                assert_eq!(
+                    outcome,
+                    TraceCacheOutcome::Recorded,
+                    "bit {bit}, {steps} steps"
+                );
+                assert_eq!(&t, want, "bit {bit}, {steps} steps");
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1126,8 +1067,9 @@ mod tests {
         let mut bumped = good.clone();
         bumped[TRACE_MAGIC.len()..TRACE_MAGIC.len() + 4]
             .copy_from_slice(&(TRACE_FORMAT_VERSION + 1).to_le_bytes());
+        let bumped = resealed(bumped);
         std::fs::write(&path, &bumped).unwrap();
-        assert!(read_trace(&mut Cursor::new(&bumped), &program, &spec, 9, 6, None).is_none());
+        assert!(read_trace(&bumped, &program, &spec, 9, 6, usize::MAX).is_none());
         let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 9, 6, 500);
         assert_eq!(outcome, TraceCacheOutcome::Recorded);
         assert_eq!(t, reference);
@@ -1139,7 +1081,7 @@ mod tests {
     /// every assertion here is a *lower bound on the delta* — concurrent
     /// cache traffic can only add to the counters, never subtract.
     #[test]
-    fn io_counters_meter_bytes_and_seeks() {
+    fn io_counters_meter_whole_file_reads() {
         let dir = std::env::temp_dir().join(format!("skia-cache-io-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = ProgramSpec {
@@ -1147,48 +1089,32 @@ mod tests {
             ..test_spec()
         };
         let program = Program::generate(&spec);
-
-        // The stored trace is deliberately large (~0.4 MB) so the prefix
-        // upper-bound below has orders-of-magnitude headroom over any bytes
-        // concurrent tests might add between the two snapshots.
-        const STEPS: usize = 65_536;
+        const STEPS: usize = 4096;
 
         // Store: bytes_written grows by at least the serialized trace size.
         let before = trace_cache_io();
         let (trace, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 11, 8, STEPS);
         assert_eq!(outcome, TraceCacheOutcome::Recorded);
         let stored_bytes = serialize_trace(&spec, 11, 8, &trace).len() as u64;
-        let after_store = trace_cache_io();
+        let mut last = trace_cache_io();
         assert!(
-            after_store.bytes_written >= before.bytes_written + stored_bytes,
-            "store must meter its bytes: {before:?} -> {after_store:?}"
+            last.bytes_written >= before.bytes_written + stored_bytes,
+            "store must meter its bytes: {before:?} -> {last:?}"
         );
 
-        // Full-length hit: one full load reading the whole file.
-        let (_, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 11, 8, STEPS);
-        assert_eq!(outcome, TraceCacheOutcome::DiskHit);
-        let after_full = trace_cache_io();
-        assert!(after_full.full_loads > after_store.full_loads);
-        assert!(
-            after_full.bytes_read >= after_store.bytes_read + stored_bytes,
-            "a full hit reads the whole file"
-        );
-
-        // Prefix hit (~1.5% of the file): one prefix load, a seek to each of
-        // the taken and successor columns, and far fewer bytes than the
-        // full file.
-        let (short, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 11, 8, 1024);
-        assert_eq!(outcome, TraceCacheOutcome::DiskHit);
-        assert_eq!(short.len(), 1024);
-        let after_prefix = trace_cache_io();
-        assert!(after_prefix.prefix_loads > after_full.prefix_loads);
-        assert!(after_prefix.seeks >= after_full.seeks + 2, "2 column seeks");
-        let prefix_bytes = after_prefix.bytes_read - after_full.bytes_read;
-        assert!(
-            prefix_bytes < stored_bytes / 2,
-            "a ~1.5% prefix load must not read most of the file \
-             ({prefix_bytes} of {stored_bytes} bytes)"
-        );
+        // A full hit and a prefix hit each read the whole file.
+        for steps in [STEPS, 64] {
+            let (t, outcome) = load_or_record_trace_in(Some(&dir), &program, &spec, 11, 8, steps);
+            assert_eq!(outcome, TraceCacheOutcome::DiskHit);
+            assert_eq!(t.len(), steps);
+            let now = trace_cache_io();
+            assert!(now.full_loads > last.full_loads);
+            assert!(
+                now.bytes_read >= last.bytes_read + stored_bytes,
+                "a {steps}-step hit reads the whole file"
+            );
+            last = now;
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -24,7 +24,8 @@
 //! * [`walker`] — a deterministic, infinite control-flow walker producing
 //!   the retired-branch trace the front-end simulator replays (Zipf-weighted
 //!   calls, biased conditionals, trip-counted loops).
-//! * [`trace`] — records a walk once as table indices and replays it.
+//! * [`trace`] — records a walk once as the walker's decisions and replays
+//!   it.
 //! * [`cache`] — memoizes programs and recorded traces on disk.
 //! * [`profiles`] — the 16 named benchmark profiles of Table 2 plus the
 //!   pre-BOLT verilator variant (§6.1.4).

@@ -519,14 +519,11 @@ impl Program {
     ) -> Option<Self> {
         let entries = function_entries(image.len(), weights.len(), &recs)?;
         let table = BranchTable::from_records(recs, indirect);
-        let is_block = |t: &u64| table.block_index(*t).is_some();
-        let targets_ok = table.records().iter().enumerate().all(|(i, r)| {
-            let indirect = table.indirect_targets(i);
+        let kinds_ok = table.records().iter().enumerate().all(|(i, r)| {
             r.kind.is_direct() == r.target.is_some()
-                && is_indirect(r.kind) != indirect.is_empty()
-                && r.target.iter().chain(indirect).all(is_block)
+                && is_indirect(r.kind) != table.indirect_targets(i).is_empty()
         });
-        if !targets_ok {
+        if !kinds_ok || !table.targets_resolve() {
             return None;
         }
         let functions = entries

@@ -5,11 +5,13 @@
 //! pc order, which is also layout order — the records tile the image, each
 //! block ending where the next begins. A dense per-cache-line index (`line →`
 //! first branch at or after the line's base) makes an exact-pc or
-//! block-start lookup O(1). The walker steps by record index, a
-//! [`RecordedTrace`] replays its steps as record indices, the simulator reads
-//! a record once per commit (static targets), and the BPU sizes its BTB
-//! residency bitmap to the table's lines, since every branch the BTB can
-//! hold is a block terminator of the program.
+//! block-start lookup O(1), and the table resolves every direct and
+//! indirect target to the record whose block it starts once, when it is
+//! built. The walker steps by record index, a [`RecordedTrace`] replays its
+//! steps through the same successor function, the simulator reads a record
+//! once per commit (static targets), and the BPU sizes its BTB residency
+//! bitmap to the table's lines, since every branch the BTB can hold is a
+//! block terminator of the program.
 //!
 //! [`RecordedTrace`]: crate::RecordedTrace
 //!
@@ -75,10 +77,20 @@ pub struct BranchTable {
     recs: Vec<BranchRecord>,
     /// Every record's indirect targets, in record order.
     indirect: Vec<u64>,
+    /// Per record: the index of the record whose block its direct target
+    /// starts ([`UNRESOLVED`] for no target, or one that starts no block).
+    target_index: Vec<u32>,
+    /// Per indirect target: the index of the record whose block it starts
+    /// ([`UNRESOLVED`] when it starts none).
+    indirect_index: Vec<u32>,
     /// For each cache line of the span: index into `recs` of the first
     /// branch at or after the line base.
     line_first: Vec<u32>,
 }
+
+/// A target index that names no record: the branch has no such target, or
+/// its target starts no block.
+const UNRESOLVED: u32 = u32::MAX;
 
 impl BranchTable {
     /// Build the table from branch records in pc order and the flat list
@@ -102,13 +114,47 @@ impl BranchTable {
             }
             *slot = idx as u32;
         }
-        BranchTable {
+        let mut table = BranchTable {
             span_base,
             span_end,
             recs,
             indirect,
+            target_index: Vec::new(),
+            indirect_index: Vec::new(),
             line_first,
-        }
+        };
+        let resolve = |t: u64| table.block_index(t).map_or(UNRESOLVED, |i| i as u32);
+        let target_index = table
+            .recs
+            .iter()
+            .map(|r| r.target.map_or(UNRESOLVED, resolve))
+            .collect();
+        let indirect_index = table.indirect.iter().map(|&t| resolve(t)).collect();
+        table.target_index = target_index;
+        table.indirect_index = indirect_index;
+        table
+    }
+
+    /// Whether every target, direct or indirect, starts a block of the
+    /// table.
+    pub(crate) fn targets_resolve(&self) -> bool {
+        let mut direct = self.recs.iter().zip(&self.target_index);
+        direct.all(|(r, &i)| r.target.is_none() || i != UNRESOLVED)
+            && !self.indirect_index.contains(&UNRESOLVED)
+    }
+
+    /// Index of the record whose block record `index`'s direct target
+    /// starts. Meaningful only for a direct branch of a table whose
+    /// [targets resolve](Self::targets_resolve).
+    #[inline]
+    pub(crate) fn target_index(&self, index: usize) -> usize {
+        self.target_index[index] as usize
+    }
+
+    /// Indices of the records whose blocks record `index`'s indirect targets
+    /// start, in [`indirect_targets`](Self::indirect_targets) order.
+    pub(crate) fn indirect_indices(&self, index: usize) -> &[u32] {
+        &self.indirect_index[self.indirect_range(index)]
     }
 
     /// Number of branch records.
@@ -250,5 +296,24 @@ mod tests {
         assert_eq!(table.indirect_targets(0), &[0xA, 0xB]);
         assert!(table.indirect_targets(1).is_empty());
         assert_eq!(table.indirect_targets(2), &[0xC]);
+    }
+
+    #[test]
+    fn targets_resolve_to_the_records_whose_blocks_they_start() {
+        let mut recs = vec![rec(0x1008, 2, 0), rec(0x1040, 6, 0), rec(0x1080, 2, 1)];
+        recs[0].target = Some(0x1078); // record 2's block start
+        recs[1].target = None;
+        recs[1].kind = BranchKind::IndirectJmp;
+        recs[2].target = Some(0x1000); // record 0's block start
+        let table = BranchTable::from_records(recs.clone(), vec![0x1038]);
+        assert!(table.targets_resolve());
+        assert_eq!(table.target_index(0), 2);
+        assert_eq!(table.target_index(2), 0);
+        assert_eq!(table.indirect_indices(1), &[1]);
+        assert!(table.indirect_indices(0).is_empty());
+        // A target inside a block, direct or indirect, resolves to nothing.
+        assert!(!BranchTable::from_records(recs.clone(), vec![0x1039]).targets_resolve());
+        recs[0].target = Some(0x1079);
+        assert!(!BranchTable::from_records(recs, vec![0x1038]).targets_resolve());
     }
 }

@@ -3,68 +3,52 @@
 //!
 //! Every figure in the paper is a sweep — one workload trace replayed under
 //! many front-end configurations. The live [`Walker`] pays RNG draws, trip
-//! bookkeeping and (for indirect calls) a weighted pick on every block, and
-//! resolves the program's successors once per walk; a sweep re-pays all of
-//! it once per configuration for a stream that is, by construction,
-//! identical across configurations. A
-//! [`RecordedTrace`] materializes the stream so replay is a pure column
-//! read: no RNG, no hashing, no allocation. This is the checkpoint-reuse
-//! discipline of SimPoint-style sampling applied to the simulator's own
-//! trace generator.
+//! bookkeeping and (for indirect calls) a weighted pick on every block; a
+//! sweep re-pays all of it once per configuration for a stream that is, by
+//! construction, identical across configurations. A [`RecordedTrace`]
+//! materializes the stream so replay is a pure column read: no RNG, no
+//! hashing, no allocation. This is the checkpoint-reuse discipline of
+//! SimPoint-style sampling applied to the simulator's own trace generator.
 //!
-//! A step keeps only what the program cannot re-derive. Its block, branch
-//! pc, length, kind and instruction count are one [`BranchTable`] record,
-//! so the step stores the record's index (4 bytes) and one taken bit. Its
-//! successor is the static target when a direct branch is taken and the
-//! fall-through otherwise; only returns and indirect branches, whose
-//! successor the walker chose at run time, store it (8 bytes each, in step
-//! order). With 28–34% of steps storing one, that is about 6.5 bytes per
-//! step.
+//! A recording keeps only the walker's decisions. A step's block is its
+//! predecessor's successor, and the successor of a call, a return or a
+//! direct branch follows from the program, a call stack and the step's
+//! taken bit; only an indirect branch's successor is the walker's choice.
+//! So a recording is the step count, one taken bit per step and, for each
+//! indirect step, the record index it went to: under a byte per step. A
+//! position in the site's own target list would not do, because a
+//! request-burst pick may name another dispatcher site's target.
 //!
 //! Bit-identity is structural, not probabilistic: [`Replay`] yields the
-//! exact [`TraceStep`] values the recording walker produced, because the
-//! walker steps by table index, live and replayed steps are built from the
-//! same record by one function, and the walker takes a direct branch's
-//! successor from its static target or fall-through. A prefix of a longer
-//! recording equals a shorter walk from the same seed, because the walker
-//! is deterministic — that is what lets the disk cache serve any request no
-//! longer than what it stored.
+//! exact [`TraceStep`] values the recording walker produced, because both
+//! step through one successor function with the same decisions and build
+//! their steps from the same record. A prefix of a longer recording equals
+//! a shorter walk from the same seed, because the walker is deterministic —
+//! that is what lets the disk cache serve any request no longer than what
+//! it stored.
 
 use std::sync::Arc;
 
-use skia_isa::BranchKind;
-
 use crate::program::Program;
-use crate::side_table::{BranchRecord, BranchTable};
-use crate::walker::{TraceStep, Walker};
+use crate::side_table::{is_indirect, BranchTable};
+use crate::walker::{CallStack, TraceStep, Walker};
 
-/// Whether a step of `kind` stores its successor: the walker picks the
-/// successor of a return or an indirect branch at run time, while a direct
-/// branch's is its static target or its fall-through.
-pub(crate) fn stores_successor(kind: BranchKind) -> bool {
-    matches!(
-        kind,
-        BranchKind::Return | BranchKind::IndirectJmp | BranchKind::IndirectCall
-    )
-}
-
-/// A recorded walker stream: one [`BranchTable`] index and one taken bit
-/// per step, plus the successors of the steps that store one.
+/// A recorded walker stream: one taken bit per step, plus the successor
+/// record index of each indirect step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedTrace {
     /// Seed the recording walker was created with (identity/debug).
     pub seed: u64,
     /// Mean trip count the recording walker was created with.
     pub mean_trip: u32,
-    /// The recorded program's branch table, which the indices name.
+    /// The recorded program's branch table, which the steps walk.
     pub(crate) table: Arc<BranchTable>,
-    /// Table index of each step's terminating branch.
-    pub(crate) index: Vec<u32>,
+    /// Recorded step count.
+    pub(crate) steps: usize,
     /// Taken bitset, one bit per step, LSB-first within each word.
     pub(crate) taken: Vec<u64>,
-    /// Next executed address of each step whose branch
-    /// [stores its successor](stores_successor), in step order.
-    pub(crate) successors: Vec<u64>,
+    /// The table index each indirect step went to, in step order.
+    pub(crate) choices: Vec<u32>,
 }
 
 impl RecordedTrace {
@@ -73,55 +57,47 @@ impl RecordedTrace {
     /// The walker is constructed locally and dropped afterwards, so
     /// recording can never perturb the RNG state of any other walker (the
     /// differential harness's seed-logged cases replay unchanged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program holds more than `u32::MAX` branches.
     #[must_use]
     pub fn record(program: &Program, seed: u64, mean_trip: u32, steps: usize) -> Self {
         let table = Arc::clone(program.shared_branch_table());
         let recs = table.records();
-        let mut index = Vec::with_capacity(steps);
         let mut taken = vec![0u64; steps.div_ceil(64)];
-        let mut successors = Vec::new();
+        let mut choices = Vec::new();
         let mut walker = Walker::new(program, seed, mean_trip);
         for i in 0..steps {
-            let (ix, step_taken, next_pc) = walker.advance();
-            index.push(u32::try_from(ix).expect("branch table index fits in u32"));
-            if step_taken {
-                taken[i / 64] |= 1 << (i % 64);
-            }
-            if stores_successor(recs[ix].kind) {
-                successors.push(next_pc);
+            let (cur, step_taken, next) = walker.advance();
+            taken[i / 64] |= u64::from(step_taken) << (i % 64);
+            if is_indirect(recs[cur].kind) {
+                choices.push(next as u32);
             }
         }
         RecordedTrace {
             seed,
             mean_trip,
             table,
-            index,
+            steps,
             taken,
-            successors,
+            choices,
         }
     }
 
     /// Recorded step count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.steps
     }
 
     /// Whether no steps were recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.steps == 0
     }
 
     /// Heap bytes held by the columns (telemetry; the shared branch table
     /// belongs to the program).
     #[must_use]
     pub fn byte_size(&self) -> usize {
-        self.index.len() * 4 + (self.taken.len() + self.successors.len()) * 8
+        self.taken.len() * 8 + self.choices.len() * 4
     }
 
     /// A copy holding only the first `steps` steps. Because the walker is
@@ -135,60 +111,29 @@ impl RecordedTrace {
     #[must_use]
     pub fn prefix(&self, steps: usize) -> RecordedTrace {
         assert!(steps <= self.len(), "prefix longer than recording");
-        let index = self.index[..steps].to_vec();
-        let stored = self
-            .successor_count(&index)
-            .expect("a recording's indices are in its table's range");
+        let used = self
+            .choices_within(steps)
+            .expect("a recording forms a walk");
         RecordedTrace {
             seed: self.seed,
             mean_trip: self.mean_trip,
             table: Arc::clone(&self.table),
-            taken: masked_prefix(&self.taken, steps),
-            successors: self.successors[..stored].to_vec(),
-            index,
+            steps,
+            taken: masked_prefix(self.taken.iter().copied(), steps),
+            choices: self.choices[..used].to_vec(),
         }
     }
 
-    /// How many of the steps `index` names store their successor, or
-    /// `None` when an index is out of the table's range.
-    pub(crate) fn successor_count(&self, index: &[u32]) -> Option<usize> {
-        let recs = self.table.records();
-        index.iter().try_fold(0, |n, &i| {
-            Some(n + usize::from(stores_successor(recs.get(i as usize)?.kind)))
-        })
-    }
-
-    /// The first step's block start (0 for an empty recording).
-    pub(crate) fn first_block_start(&self) -> u64 {
-        self.index
-            .first()
-            .map_or(0, |&i| self.table.records()[i as usize].block_start)
-    }
-
-    /// Whether the steps form a walk of the table's program from `first`:
-    /// step 0's block starts at `first`, each later step's block starts at
-    /// its predecessor's successor, every unconditional branch is taken,
-    /// the stored successors are exactly the ones the steps consume, and
-    /// the last successor is a block start. An index out of the table's
-    /// range fails the check.
-    pub(crate) fn is_walk_from(&self, first: u64) -> bool {
-        let recs = self.table.records();
-        let mut stored = self.successors.iter().copied();
-        let mut expect = first;
-        for (i, &ix) in self.index.iter().enumerate() {
-            let Some(rec) = recs.get(ix as usize) else {
-                return false;
-            };
-            let taken = (self.taken[i / 64] >> (i % 64)) & 1 == 1;
-            if rec.block_start != expect || (rec.kind.is_unconditional() && !taken) {
-                return false;
-            }
-            match successor(rec, taken, &mut stored) {
-                Some(next) => expect = next,
-                None => return false,
-            }
+    /// How many choices the first `steps` steps consume, or `None` unless
+    /// they form a walk of the table's program: every unconditional branch
+    /// taken, and every indirect step holding a choice that is a record
+    /// index. A loaded trace must pass this before anything replays it.
+    pub(crate) fn choices_within(&self, steps: usize) -> Option<usize> {
+        let mut replay = self.replay();
+        for _ in 0..steps {
+            replay.advance()?;
         }
-        stored.next().is_none() && (self.is_empty() || self.table.block_index(expect).is_some())
+        Some(replay.used)
     }
 
     /// Allocation-free, RNG-free iterator over the recorded steps,
@@ -198,19 +143,22 @@ impl RecordedTrace {
     #[must_use]
     pub fn replay(&self) -> Replay<'_> {
         Replay {
-            recs: self.table.records(),
-            index: &self.index,
+            table: &self.table,
             taken: &self.taken,
-            successors: self.successors.iter().copied(),
+            choices: &self.choices,
+            steps: self.steps,
             idx: 0,
+            used: 0,
+            cur: 0,
+            stack: CallStack::new(),
         }
     }
 }
 
 /// The first `steps` bits of the bitset `words`, with the bits past
 /// `steps` in the last word cleared.
-pub(crate) fn masked_prefix(words: &[u64], steps: usize) -> Vec<u64> {
-    let mut out = words[..steps.div_ceil(64)].to_vec();
+pub(crate) fn masked_prefix(words: impl IntoIterator<Item = u64>, steps: usize) -> Vec<u64> {
+    let mut out: Vec<u64> = words.into_iter().take(steps.div_ceil(64)).collect();
     if !steps.is_multiple_of(64) {
         if let Some(last) = out.last_mut() {
             *last &= (1u64 << (steps % 64)) - 1;
@@ -219,34 +167,55 @@ pub(crate) fn masked_prefix(words: &[u64], steps: usize) -> Vec<u64> {
     out
 }
 
-/// The successor of the step whose branch is `rec`: the next stored
-/// successor for a return or an indirect branch, else the static target
-/// when taken and the fall-through when not. `None` when a stored
-/// successor is due but `stored` is exhausted, or a taken direct branch
-/// has no static target.
-#[inline]
-pub(crate) fn successor(
-    rec: &BranchRecord,
-    taken: bool,
-    stored: &mut impl Iterator<Item = u64>,
-) -> Option<u64> {
-    if stores_successor(rec.kind) {
-        stored.next()
-    } else if taken {
-        rec.target
-    } else {
-        Some(rec.fallthrough())
-    }
-}
-
-/// Iterator over a [`RecordedTrace`]. Pure column and table reads.
+/// Iterator over a [`RecordedTrace`]: the walk from record 0 that the
+/// recorded decisions steer.
 #[derive(Debug, Clone)]
 pub struct Replay<'t> {
-    recs: &'t [BranchRecord],
-    index: &'t [u32],
+    table: &'t BranchTable,
     taken: &'t [u64],
-    successors: std::iter::Copied<std::slice::Iter<'t, u64>>,
+    choices: &'t [u32],
+    steps: usize,
+    /// Steps yielded so far.
     idx: usize,
+    /// Choices consumed so far.
+    used: usize,
+    /// Table index of the next step's block.
+    cur: usize,
+    stack: CallStack,
+}
+
+impl Replay<'_> {
+    /// The next step's table index, taken bit and successor's table index;
+    /// `None` past the last step, or where the steps stop forming a walk (an
+    /// unconditional branch not taken, or an indirect step without a choice
+    /// or whose choice is no record index), which a recorded or checked
+    /// trace never does.
+    #[inline]
+    fn advance(&mut self) -> Option<(usize, bool, usize)> {
+        let i = self.idx;
+        if i == self.steps {
+            return None;
+        }
+        let cur = self.cur;
+        let kind = self.table.records()[cur].kind;
+        let taken = (self.taken[i / 64] >> (i % 64)) & 1 == 1;
+        if kind.is_unconditional() && !taken {
+            return None;
+        }
+        let chosen = if is_indirect(kind) {
+            let chosen = *self.choices.get(self.used)? as usize;
+            if chosen >= self.table.len() {
+                return None;
+            }
+            self.used += 1;
+            chosen
+        } else {
+            0
+        };
+        self.cur = self.stack.successor(self.table, cur, taken, chosen);
+        self.idx = i + 1;
+        Some((cur, taken, self.cur))
+    }
 }
 
 impl Iterator for Replay<'_> {
@@ -254,17 +223,13 @@ impl Iterator for Replay<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<TraceStep> {
-        let i = self.idx;
-        let rec = &self.recs[*self.index.get(i)? as usize];
-        let taken = (self.taken[i / 64] >> (i % 64)) & 1 == 1;
-        let next_pc = successor(rec, taken, &mut self.successors)
-            .expect("a recorded trace holds every successor it needs");
-        self.idx = i + 1;
-        Some(TraceStep::of(rec, taken, next_pc))
+        let (cur, taken, next) = self.advance()?;
+        let recs = self.table.records();
+        Some(TraceStep::of(&recs[cur], taken, recs[next].block_start))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.index.len() - self.idx;
+        let rem = self.steps - self.idx;
         (rem, Some(rem))
     }
 }
@@ -273,6 +238,8 @@ impl ExactSizeIterator for Replay<'_> {}
 
 #[cfg(test)]
 mod tests {
+    use skia_isa::BranchKind;
+
     use super::*;
     use crate::program::ProgramSpec;
 
@@ -316,19 +283,50 @@ mod tests {
     }
 
     #[test]
-    fn only_returns_and_indirect_branches_store_successors() {
+    fn only_indirect_steps_store_their_successor() {
         let p = program();
         let trace = RecordedTrace::record(&p, 5, 8, 2000);
-        let stored = trace
+        let recs = p.branch_table().records();
+        let chosen = trace
             .replay()
-            .filter(|s| stores_successor(s.kind))
+            .filter(|s| is_indirect(s.kind))
             .map(|s| s.next_pc);
-        assert!(stored.eq(trace.successors.iter().copied()));
-        assert!(trace.successors.len() < trace.len());
+        let stored = trace.choices.iter().map(|&i| recs[i as usize].block_start);
+        assert!(chosen.eq(stored));
+        assert!(!trace.choices.is_empty() && trace.choices.len() < trace.len() / 4);
         assert_eq!(
             trace.byte_size(),
-            2000 * 4 + 2000usize.div_ceil(64) * 8 + trace.successors.len() * 8
+            2000usize.div_ceil(64) * 8 + trace.choices.len() * 4
         );
+    }
+
+    #[test]
+    fn a_replay_stops_where_the_steps_stop_forming_a_walk() {
+        let p = program();
+        let trace = RecordedTrace::record(&p, 5, 8, 600);
+        let steps: Vec<TraceStep> = trace.replay().collect();
+        assert_eq!(trace.choices_within(600), Some(trace.choices.len()));
+        // Clearing a return's taken bit, or pointing the first indirect step
+        // past the table, ends the walk at that step.
+        let uncond = steps
+            .iter()
+            .position(|s| s.kind == BranchKind::Return)
+            .unwrap();
+        let mut bad = trace.clone();
+        bad.taken[uncond / 64] &= !(1 << (uncond % 64));
+        assert_eq!(bad.replay().count(), uncond);
+        assert_eq!(bad.choices_within(uncond), trace.choices_within(uncond));
+        assert_eq!(bad.choices_within(uncond + 1), None);
+        let first = steps.iter().position(|s| is_indirect(s.kind)).unwrap();
+        let mut bad = trace.clone();
+        bad.choices[0] = p.branch_count() as u32;
+        assert_eq!(bad.replay().count(), first);
+        // A recording missing its last choice stops at its last indirect
+        // step.
+        let last = steps.iter().rposition(|s| is_indirect(s.kind)).unwrap();
+        let mut bad = trace.clone();
+        bad.choices.pop();
+        assert_eq!(bad.replay().count(), last);
     }
 
     #[test]

@@ -66,9 +66,62 @@ impl TraceStep {
     }
 }
 
-/// Deepest call stack a walk keeps; a call past it loses its frame, so that
-/// return resumes at the dispatcher.
-const MAX_STACK: usize = 256;
+/// Deepest call stack a walk keeps. A call past it loses its frame, so the
+/// return that would have popped that frame resumes one frame higher, or at
+/// the dispatcher once the stack is empty.
+pub(crate) const MAX_STACK: usize = 256;
+
+/// A walk's return stack: the record index to resume after each call that
+/// kept its frame.
+#[derive(Debug, Clone)]
+pub(crate) struct CallStack {
+    frames: [u32; MAX_STACK],
+    depth: usize,
+}
+
+impl CallStack {
+    pub(crate) fn new() -> Self {
+        CallStack {
+            frames: [0; MAX_STACK],
+            depth: 0,
+        }
+    }
+
+    /// The record executed after record `cur` of `table`, whose branch was
+    /// `taken` and, for an indirect branch, went to record `chosen`. A call
+    /// pushes its return record `cur + 1` while the stack is below
+    /// [`MAX_STACK`]; a return pops, or resumes at record 0 (the
+    /// dispatcher's entry) on an empty stack; an indirect branch goes to
+    /// `chosen`; and any other branch goes to its direct target when taken
+    /// and its fall-through `cur + 1` when not (a conditional never ends its
+    /// function, so that is the same function's next block). The live
+    /// walker, whose RNG decides `taken` and `chosen`, and a replay, where
+    /// the recording decides them, both step here.
+    #[inline]
+    pub(crate) fn successor(
+        &mut self,
+        table: &BranchTable,
+        cur: usize,
+        taken: bool,
+        chosen: usize,
+    ) -> usize {
+        let kind = table.records()[cur].kind;
+        if matches!(kind, BranchKind::Call | BranchKind::IndirectCall) && self.depth < MAX_STACK {
+            self.frames[self.depth] = (cur + 1) as u32;
+            self.depth += 1;
+        }
+        match kind {
+            BranchKind::Return if self.depth == 0 => 0,
+            BranchKind::Return => {
+                self.depth -= 1;
+                self.frames[self.depth] as usize
+            }
+            BranchKind::IndirectCall | BranchKind::IndirectJmp => chosen,
+            _ if taken => table.target_index(cur),
+            _ => cur + 1,
+        }
+    }
+}
 
 /// Infinite trace iterator over a [`Program`].
 #[derive(Debug, Clone)]
@@ -77,21 +130,16 @@ pub struct Walker<'p> {
     rng: SmallRng,
     /// Table index of the block currently executing.
     cur: usize,
-    /// Return stack: table index of the block to resume *after* each call.
-    stack: Vec<usize>,
-    /// Per record: the table index of a direct branch's target.
-    target_index: Vec<u32>,
+    stack: CallStack,
     /// Per indirect target, in the table's flat target list (which the
-    /// records' runs tile in record order): its table index and its
-    /// tempered pick weight.
-    indirect_index: Vec<u32>,
+    /// records' runs tile in record order): its tempered pick weight.
     indirect_weight: Vec<f64>,
     /// Per record: a live loop backedge's remaining trip count.
     trips: Vec<Option<u32>>,
     mean_trip: u32,
     /// Table indices of recent dispatcher targets (request-burst temporal
     /// locality).
-    burst_pool: Vec<usize>,
+    burst_pool: Vec<u32>,
     burst_next: usize,
     burst_prob: f64,
     burst_cap: usize,
@@ -101,29 +149,17 @@ impl<'p> Walker<'p> {
     /// Start walking `program` from the dispatcher (function 0), whose
     /// entry block is the table's first record.
     ///
-    /// Resolves every static successor once: each direct branch's target
-    /// and each indirect target to its table index, and each indirect
-    /// target's pick weight, the square root of its function's hotness —
-    /// tempered so cold targets recur at long intervals instead of never
-    /// (the paper's "cold branch" capacity-miss behaviour, §1), and so one
-    /// hot callee does not monopolize a call site.
+    /// Weighs every indirect target once: the square root of its function's
+    /// hotness, tempered so cold targets recur at long intervals instead of
+    /// never (the paper's "cold branch" capacity-miss behaviour, §1), and so
+    /// one hot callee does not monopolize a call site.
     #[must_use]
     pub fn new(program: &'p Program, seed: u64, mean_trip: u32) -> Self {
         let spec = program.spec_burst();
         let table = program.branch_table();
         let recs = table.records();
-        // Targets are block starts: `Program` checks that on construction.
-        let block = |target: u64| {
-            let i = table.block_index(target).expect("target is a block");
-            u32::try_from(i).expect("branch table index fits in u32")
-        };
-        let target_index = recs.iter().map(|r| r.target.map_or(0, block)).collect();
-        let indirect_index: Vec<u32> = (0..recs.len())
-            .flat_map(|i| table.indirect_targets(i))
-            .map(|&t| block(t))
-            .collect();
-        let indirect_weight = indirect_index
-            .iter()
+        let indirect_weight = (0..recs.len())
+            .flat_map(|i| table.indirect_indices(i))
             .map(|&i| {
                 program.functions()[recs[i as usize].function as usize]
                     .weight
@@ -134,9 +170,7 @@ impl<'p> Walker<'p> {
             table,
             rng: SmallRng::seed_from_u64(seed ^ 0x57A1_C0DE),
             cur: 0,
-            stack: Vec::with_capacity(64),
-            target_index,
-            indirect_index,
+            stack: CallStack::new(),
             indirect_weight,
             trips: vec![None; recs.len()],
             mean_trip: mean_trip.max(1),
@@ -148,21 +182,15 @@ impl<'p> Walker<'p> {
     }
 
     /// Execute one block: its table index, whether its branch was taken,
-    /// and the next executed address.
-    pub(crate) fn advance(&mut self) -> (usize, bool, u64) {
+    /// and the table index of the next block.
+    pub(crate) fn advance(&mut self) -> (usize, bool, usize) {
         let recs = self.table.records();
         let cur = self.cur;
         let t = &recs[cur];
-        let target = self.target_index[cur] as usize;
-        let (taken, next) = match t.kind {
-            BranchKind::Return => (true, self.stack.pop().unwrap_or(0)),
-            BranchKind::DirectUncond => (true, target),
-            BranchKind::Call => {
-                if self.stack.len() < MAX_STACK {
-                    self.stack.push(cur + 1);
-                } // else: deepest frame lost; resume collapses to dispatcher
-                (true, target)
-            }
+        // The RNG decides a conditional's outcome and an indirect branch's
+        // successor; the call stack and the table decide the rest.
+        let (taken, chosen) = match t.kind {
+            BranchKind::Return | BranchKind::DirectUncond | BranchKind::Call => (true, 0),
             BranchKind::IndirectCall => {
                 // Weighted choice among the target set (hotter = likelier).
                 // Dispatcher calls additionally model request bursts: most
@@ -177,8 +205,8 @@ impl<'p> Walker<'p> {
                 let next = if from_pool {
                     self.burst_pool[self.rng.gen_range(0..self.burst_pool.len())]
                 } else {
-                    let pick = weighted_pick(&mut self.rng, &self.indirect_weight[site.clone()]);
-                    let fresh = self.indirect_index[site.start + pick] as usize;
+                    let pick = weighted_pick(&mut self.rng, &self.indirect_weight[site]);
+                    let fresh = self.table.indirect_indices(cur)[pick];
                     if dispatcher && self.burst_cap > 0 {
                         if self.burst_pool.len() < self.burst_cap {
                             self.burst_pool.push(fresh);
@@ -189,13 +217,10 @@ impl<'p> Walker<'p> {
                     }
                     fresh
                 };
-                if self.stack.len() < MAX_STACK {
-                    self.stack.push(cur + 1);
-                }
-                (true, next)
+                (true, next as usize)
             }
             BranchKind::IndirectJmp => {
-                let site = &self.indirect_index[self.table.indirect_range(cur)];
+                let site = self.table.indirect_indices(cur);
                 (true, site[self.rng.gen_range(0..site.len())] as usize)
             }
             BranchKind::DirectCond => {
@@ -236,14 +261,11 @@ impl<'p> Walker<'p> {
                     };
                     self.rng.gen_bool(p)
                 };
-                // A conditional never ends its function, so a fall-through
-                // is the same function's next block.
-                (taken, if taken { target } else { cur + 1 })
+                (taken, 0)
             }
         };
-
-        self.cur = next;
-        (cur, taken, recs[next].block_start)
+        self.cur = self.stack.successor(self.table, cur, taken, chosen);
+        (cur, taken, self.cur)
     }
 }
 
@@ -251,8 +273,9 @@ impl Iterator for Walker<'_> {
     type Item = TraceStep;
 
     fn next(&mut self) -> Option<TraceStep> {
-        let (index, taken, next_pc) = self.advance();
-        Some(TraceStep::of(&self.table.records()[index], taken, next_pc))
+        let (cur, taken, next) = self.advance();
+        let recs = self.table.records();
+        Some(TraceStep::of(&recs[cur], taken, recs[next].block_start))
     }
 }
 
@@ -279,8 +302,11 @@ fn weighted_pick(rng: &mut SmallRng, weights: &[f64]) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use skia_isa::encode;
+
     use super::*;
-    use crate::program::{Program, ProgramSpec};
+    use crate::program::{Program, ProgramSpec, IMAGE_BASE};
+    use crate::trace::RecordedTrace;
 
     fn program() -> Program {
         Program::generate(&ProgramSpec {
@@ -360,5 +386,72 @@ mod tests {
         let distinct: std::collections::HashSet<u64> =
             steps.iter().map(|s| s.block_start).collect();
         assert!(distinct.len() > 20);
+    }
+
+    /// A chain of `n` functions, each calling the next and then returning;
+    /// the last only returns. Every block is just its terminator.
+    fn call_chain(n: usize) -> Program {
+        let mut image = Vec::new();
+        let mut recs = Vec::new();
+        for f in 0..n {
+            let mut push = |kind, len: usize, at: u64, target| {
+                recs.push(BranchRecord {
+                    pc: at,
+                    block_start: at,
+                    target,
+                    insns: 1,
+                    function: f as u32,
+                    targets_at: 0,
+                    len: len as u8,
+                    kind,
+                    bias: 0,
+                    backedge: false,
+                });
+            };
+            if f + 1 < n {
+                let at = IMAGE_BASE + image.len() as u64;
+                // The next function starts past this call and its return.
+                let len = encode::call_rel32(&mut image, 1);
+                push(BranchKind::Call, len, at, Some(at + len as u64 + 1));
+            }
+            let at = IMAGE_BASE + image.len() as u64;
+            push(BranchKind::Return, encode::ret(&mut image), at, None);
+        }
+        Program::from_parts(image, vec![1.0; n], recs, Vec::new(), (0, 0.0)).expect("a chain")
+    }
+
+    /// Past [`MAX_STACK`] frames a call loses its frame, and the return that
+    /// would have popped it resumes one frame higher; replay applies the
+    /// same rule.
+    #[test]
+    fn replay_past_the_stack_bound_equals_the_live_walk() {
+        const FUNCTIONS: usize = 300;
+        const STEPS: usize = 2_000;
+        let p = call_chain(FUNCTIONS);
+        let recs = p.branch_table().records();
+        let mut live = Walker::new(&p, 1, 8);
+        let mut deepest = 0;
+        let steps: Vec<TraceStep> = (0..STEPS)
+            .map(|_| {
+                let step = live.next().unwrap();
+                deepest = deepest.max(live.stack.depth);
+                step
+            })
+            .collect();
+        assert_eq!(deepest, MAX_STACK);
+        // The last function's return resumes at the return block of the
+        // deepest caller that kept its frame, function MAX_STACK - 1.
+        let last = &recs[2 * (FUNCTIONS - 1)];
+        let step = steps.iter().find(|s| s.branch_pc == last.pc).unwrap();
+        assert_eq!(step.next_pc, recs[2 * (MAX_STACK - 1) + 1].block_start);
+        // A full cycle: every call, the last return, then the kept frames'
+        // returns, the dispatcher's last among them, back at record 0.
+        let cycle = (FUNCTIONS - 1) + 1 + MAX_STACK;
+        assert_eq!(steps[cycle - 1].next_pc, recs[0].block_start);
+        assert!(STEPS > 3 * cycle);
+
+        let trace = RecordedTrace::record(&p, 1, 8, STEPS);
+        let replayed: Vec<TraceStep> = trace.replay().collect();
+        assert!(replayed == steps, "replay diverges from the live walk");
     }
 }
