@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use skia_experiments::{workload, Args, StandingConfig, Sweep};
+use skia_experiments::{Args, StandingConfig, Sweep, Workload};
 use skia_workloads::Walker;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     let name = args.bench.as_deref().unwrap_or("tpcc");
     let steps = args.steps;
     let mut em = args.emitter();
-    let w = workload(name, args.cache.as_deref());
+    let w = Workload::by_name(name, args.cache.as_deref());
     let program = &w.program;
 
     // Pass 1: execution frequency of every block (oracle trace walk).

@@ -3,7 +3,10 @@
 
 use skia_core::SkiaConfig;
 use skia_experiments::{row, Args};
+use skia_frontend::config::{DECODE_REPAIR, DECODE_WIDTH, EXEC_DETECT, FTQ_DEPTH, RETIRE_WIDTH};
 use skia_frontend::{BtbMode, FrontendConfig};
+use skia_isa::CACHE_LINE_BYTES;
+use skia_uarch::cache::CacheConfig;
 
 fn main() {
     // No simulations here; parsing still validates flags (and rejects
@@ -21,33 +24,17 @@ fn main() {
     row(&["---".into(), "---".into()]);
     row(&["ISA".into(), "x86-64 subset (skia-isa)".into()]);
     let h = c.hierarchy;
-    row(&[
-        "Private L1-I Cache".into(),
-        format!(
-            "{}KB ({}-way, {}B)",
-            h.l1i.size_bytes / 1024,
-            h.l1i.ways,
-            h.l1i.line_bytes
-        ),
-    ]);
-    row(&[
-        "Private L2 Cache".into(),
-        format!(
-            "{}KB ({}-way, {}B)",
-            h.l2.size_bytes / 1024,
-            h.l2.ways,
-            h.l2.line_bytes
-        ),
-    ]);
-    row(&[
-        "Shared L3 Cache".into(),
-        format!(
-            "{}KB ({}-way, {}B)",
-            h.l3.size_bytes / 1024,
-            h.l3.ways,
-            h.l3.line_bytes
-        ),
-    ]);
+    for (name, level) in [
+        ("Private L1-I Cache", h.l1i),
+        ("Private L2 Cache", h.l2),
+        ("Shared L3 Cache", h.l3),
+    ] {
+        let CacheConfig { size_bytes, ways } = level;
+        row(&[
+            name.into(),
+            format!("{}KB ({ways}-way, {CACHE_LINE_BYTES}B)", size_bytes / 1024),
+        ]);
+    }
     row(&[
         "Branch Predictor".into(),
         format!("TAGE-class ({:.1}KB) + ITTAGE", c.tage.storage_kb()),
@@ -82,17 +69,14 @@ fn main() {
             skia.sbb.ways
         ),
     ]);
-    row(&["FTQ".into(), format!("{} entries", c.ftq_depth)]);
+    row(&["FTQ".into(), format!("{FTQ_DEPTH} entries")]);
     row(&[
         "Decode / Retire".into(),
-        format!("{} / {} wide", c.decode_width, c.retire_width),
+        format!("{DECODE_WIDTH} / {RETIRE_WIDTH} wide"),
     ]);
     row(&[
         "Resteer penalties".into(),
-        format!(
-            "decode-detect +1, execute-detect +{}, repair {}",
-            c.exec_detect, c.decode_repair
-        ),
+        format!("decode-detect +1, execute-detect +{EXEC_DETECT}, repair {DECODE_REPAIR}"),
     ]);
     drop(render_span);
     em.finish();

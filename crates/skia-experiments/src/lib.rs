@@ -9,8 +9,6 @@
 use std::collections::HashMap;
 use std::ffi::{OsStr, OsString};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use skia_core::SkiaConfig;
@@ -129,72 +127,6 @@ impl Workload {
         )
     }
 }
-
-/// Process-wide [`Workload`] memo keyed by benchmark name.
-///
-/// Figure binaries sweep many configurations over the same 16 benchmarks;
-/// the workload (profile + generated program image) is identical across
-/// configurations and across sweep worker threads, so it is materialized
-/// once per process and shared by `Arc`. Each name gets its own cell so
-/// distinct benchmarks can generate concurrently while a second request for
-/// the *same* name blocks on the first instead of duplicating the work.
-/// The first request for a name decides which cache directory serves it;
-/// a process runs with one.
-#[must_use]
-pub fn workload(name: &str, cache: Option<&Path>) -> Arc<Workload> {
-    type Cell = Arc<OnceLock<Arc<Workload>>>;
-    static MEMO: OnceLock<Mutex<HashMap<String, Cell>>> = OnceLock::new();
-    let cell = {
-        let mut map = MEMO
-            .get_or_init(|| Mutex::new(HashMap::new()))
-            .lock()
-            .expect("workload memo poisoned");
-        map.entry(name.to_string()).or_default().clone()
-    };
-    cell.get_or_init(|| Arc::new(Workload::by_name(name, cache)))
-        .clone()
-}
-
-/// Process-wide trace-pipeline counters, surfaced by
-/// [`JsonEmitter::finish`] so `--emit-json` output proves whether the
-/// replay fast path ran (the CI perf-smoke step asserts on them).
-#[derive(Debug)]
-struct TraceStats {
-    /// Traces served from the on-disk cache.
-    disk_hits: AtomicU64,
-    /// Traces recorded live (cold cache or longer request).
-    recorded: AtomicU64,
-    /// Column bytes of live recordings.
-    recorded_bytes: AtomicU64,
-    /// Sweep jobs that replayed an already-prepared trace instead of
-    /// walking (jobs − unique workloads, summed over sweeps).
-    replay_reuses: AtomicU64,
-    /// Accumulated prepare-phase wall time, microseconds.
-    prepare_micros: AtomicU64,
-}
-
-static TRACE_STATS: TraceStats = TraceStats {
-    disk_hits: AtomicU64::new(0),
-    recorded: AtomicU64::new(0),
-    recorded_bytes: AtomicU64::new(0),
-    replay_reuses: AtomicU64::new(0),
-    prepare_micros: AtomicU64::new(0),
-};
-
-/// Process-wide simulate-phase totals, surfaced by [`JsonEmitter::finish`]
-/// as `sim.steps_total` / `sim.busy_seconds` / `sim.steps_per_sec` — the
-/// raw-throughput numbers the run manifest tracks.
-/// Busy time is summed per-job wall time (not elapsed), so it is
-/// thread-count-independent up to scheduling noise.
-struct SimTotals {
-    steps: AtomicU64,
-    busy_micros: AtomicU64,
-}
-
-static SIM_TOTALS: SimTotals = SimTotals {
-    steps: AtomicU64::new(0),
-    busy_micros: AtomicU64::new(0),
-};
 
 /// The run configuration of an experiment binary: parsed once, at the edge,
 /// from its command line and environment, and passed down from here. No
@@ -410,8 +342,7 @@ impl Args {
     pub fn emitter(&self) -> JsonEmitter {
         JsonEmitter {
             path: self.emit_json.clone(),
-            merged: Snapshot::default(),
-            runs: 0,
+            ..JsonEmitter::default()
         }
     }
 }
@@ -497,12 +428,13 @@ impl Sweep {
     ///
     /// Runs in two phases. **Prepare**: the distinct workloads among the
     /// queued jobs are identified (folding each to its longest requested
-    /// step count — a recorded trace serves any prefix) and their traces
-    /// are recorded or loaded once each, in parallel, through the trace
-    /// cache. **Simulate**: every job replays its workload's shared
-    /// [`RecordedTrace`] — an N-config sweep walks each trace once, not
-    /// N times, and the simulate phase is RNG- and walker-free. Replay is
-    /// bit-identical to the live walk, so results are unchanged.
+    /// step count — a recorded trace serves any prefix), and each one's
+    /// program and trace are loaded or generated once, in parallel, through
+    /// the program and trace caches. **Simulate**: every job replays its
+    /// workload's shared [`RecordedTrace`] — an N-config sweep walks each
+    /// trace once, not N times, and the simulate phase is RNG- and
+    /// walker-free. Replay is bit-identical to the live walk, so results are
+    /// unchanged. The sweep holds its workloads until it returns.
     pub fn run(self, emitter: &mut JsonEmitter) -> Vec<SimStats> {
         // -- prepare phase ---------------------------------------------------
         let prepare_span = skia_telemetry::span("sweep.prepare");
@@ -520,30 +452,21 @@ impl Sweep {
             }
         }
         let cache = self.cache.as_deref();
-        let traces: Vec<RecordedTrace> =
-            skia_runner::run_indexed(&uniq, self.threads, |_, (name, steps)| {
-                let _g = skia_telemetry::span_with(|| format!("prepare.trace:{name}"));
-                let (trace, outcome) = workload(name, cache).record_trace(*steps, cache);
-                let counter = match outcome {
-                    TraceCacheOutcome::DiskHit => &TRACE_STATS.disk_hits,
-                    TraceCacheOutcome::Recorded => {
-                        TRACE_STATS
-                            .recorded_bytes
-                            .fetch_add(trace.byte_size() as u64, Ordering::Relaxed);
-                        &TRACE_STATS.recorded
-                    }
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                trace
-            });
+        let prepared = skia_runner::run_indexed(&uniq, self.threads, |_, (name, steps)| {
+            let _g = skia_telemetry::span_with(|| format!("prepare.trace:{name}"));
+            let w = Workload::by_name(name, cache);
+            let (trace, outcome) = w.record_trace(*steps, cache);
+            (w, trace, outcome)
+        });
+        for (_, _, outcome) in &prepared {
+            match outcome {
+                TraceCacheOutcome::DiskHit => emitter.disk_hits += 1,
+                TraceCacheOutcome::Recorded => emitter.recorded += 1,
+            }
+        }
         let reuses = (self.jobs.len() - uniq.len()) as u64;
-        TRACE_STATS
-            .replay_reuses
-            .fetch_add(reuses, Ordering::Relaxed);
+        emitter.replay_reuses += reuses;
         let prepare = t0.elapsed();
-        TRACE_STATS
-            .prepare_micros
-            .fetch_add(prepare.as_micros() as u64, Ordering::Relaxed);
         if !self.quiet && !self.jobs.is_empty() {
             eprintln!(
                 "prepare: {} trace(s) for {} job(s) in {:.2}s ({} replay reuse(s))",
@@ -561,8 +484,7 @@ impl Sweep {
         let tc = emitter.trace_config();
         let (timed, report) = skia_runner::run_timed(&self.jobs, self.threads, |_, job| {
             let _g = skia_telemetry::span_with(|| format!("sim.job:{}", job.bench));
-            let w = workload(&job.bench, cache);
-            let trace = &traces[index[job.bench.as_str()]];
+            let (w, trace, _) = &prepared[index[job.bench.as_str()]];
             match tc {
                 None => (w.run_trace(job.config.clone(), trace, job.steps), None),
                 Some(tc) => {
@@ -572,14 +494,8 @@ impl Sweep {
                 }
             }
         });
-        SIM_TOTALS.steps.fetch_add(
-            self.jobs.iter().map(|job| job.steps as u64).sum::<u64>(),
-            Ordering::Relaxed,
-        );
-        SIM_TOTALS.busy_micros.fetch_add(
-            timed.iter().map(|t| t.wall.as_micros() as u64).sum::<u64>(),
-            Ordering::Relaxed,
-        );
+        emitter.sim_steps += self.jobs.iter().map(|job| job.steps as u64).sum::<u64>();
+        emitter.sim_busy_micros += timed.iter().map(|t| t.wall.as_micros() as u64).sum::<u64>();
         let mut out = Vec::with_capacity(timed.len());
         for t in timed {
             let (stats, snapshot) = t.value;
@@ -605,14 +521,28 @@ impl Sweep {
 ///
 /// When the flag is present, [`Sweep::run`] runs every job instrumented
 /// (with a sampled event trace) and merges its snapshot into an aggregate;
-/// [`JsonEmitter::finish`] adds the process-wide counters and spans and
-/// writes it as JSON to `<path>` (conventionally under `results/`). Without
-/// the flag the emitter is inert and sweeps run plain.
+/// [`JsonEmitter::finish`] adds the sweeps' trace-pipeline and simulate
+/// totals, the cache I/O meters and the spans, and writes it as JSON to
+/// `<path>` (conventionally under `results/`). Without the flag the emitter
+/// is inert and sweeps run plain.
 #[derive(Debug, Default)]
 pub struct JsonEmitter {
     path: Option<PathBuf>,
     merged: Snapshot,
     runs: u64,
+    /// Traces the sweeps loaded from the on-disk cache.
+    disk_hits: u64,
+    /// Traces the sweeps recorded live (cold cache or longer request).
+    recorded: u64,
+    /// Sweep jobs that replayed a trace prepared for an earlier job of
+    /// their sweep instead of walking (the CI perf-smoke step asserts on
+    /// it).
+    replay_reuses: u64,
+    /// Steps the sweeps simulated.
+    sim_steps: u64,
+    /// Summed per-job simulate wall time (not elapsed), microseconds, so
+    /// that `sim.steps_per_sec` does not depend on the thread count.
+    sim_busy_micros: u64,
 }
 
 impl JsonEmitter {
@@ -651,46 +581,27 @@ impl JsonEmitter {
             .counters
             .insert("emit.runs_merged".into(), self.runs);
         // Trace-pipeline counters: how the record-once/replay-many machinery
-        // behaved for this process (disk cache hits vs. fresh recordings, and
-        // how many sweep jobs replayed an already-recorded trace).
+        // behaved (disk cache hits vs. fresh recordings, and how many sweep
+        // jobs replayed an already-recorded trace).
         let c = &mut self.merged.counters;
-        c.insert(
-            "trace_cache.disk_hits".into(),
-            TRACE_STATS.disk_hits.load(Ordering::Relaxed),
-        );
-        c.insert(
-            "trace_cache.recorded".into(),
-            TRACE_STATS.recorded.load(Ordering::Relaxed),
-        );
-        c.insert(
-            "trace_cache.recorded_bytes".into(),
-            TRACE_STATS.recorded_bytes.load(Ordering::Relaxed),
-        );
-        c.insert(
-            "trace.replay_reuses".into(),
-            TRACE_STATS.replay_reuses.load(Ordering::Relaxed),
-        );
-        self.merged.gauges.insert(
-            "trace.prepare_seconds".into(),
-            TRACE_STATS.prepare_micros.load(Ordering::Relaxed) as f64 / 1e6,
-        );
+        c.insert("trace_cache.disk_hits".into(), self.disk_hits);
+        c.insert("trace_cache.recorded".into(), self.recorded);
+        c.insert("trace.replay_reuses".into(), self.replay_reuses);
         // Simulate-phase throughput: raw replay-simulate steps per second of
         // summed per-job busy time (thread-count-independent).
-        let sim_steps = SIM_TOTALS.steps.load(Ordering::Relaxed);
-        let busy = SIM_TOTALS.busy_micros.load(Ordering::Relaxed) as f64 / 1e6;
-        c.insert("sim.steps_total".into(), sim_steps);
+        let busy = self.sim_busy_micros as f64 / 1e6;
+        c.insert("sim.steps_total".into(), self.sim_steps);
         self.merged.gauges.insert("sim.busy_seconds".into(), busy);
         if busy > 0.0 {
             self.merged
                 .gauges
-                .insert("sim.steps_per_sec".into(), sim_steps as f64 / busy);
+                .insert("sim.steps_per_sec".into(), self.sim_steps as f64 / busy);
         }
-        // Cache I/O totals: bytes moved and trace files read by the
-        // program/trace caches (skia-workloads process-wide meters).
+        // Cache I/O totals: bytes the program and trace caches moved
+        // (skia-workloads process-wide meters).
         let io = skia_workloads::trace_cache_io();
         c.insert("trace_cache.bytes_read".into(), io.bytes_read);
         c.insert("trace_cache.bytes_written".into(), io.bytes_written);
-        c.insert("trace_cache.full_loads".into(), io.full_loads);
         // Profiling spans: drain the process-wide collector into the merged
         // snapshot (spans are per-process, not per-run, so they ride on the
         // merged snapshot rather than individual run snapshots).
@@ -933,17 +844,10 @@ mod tests {
     }
 
     #[test]
-    fn workload_memo_returns_shared_instance() {
-        let a = workload("tpcc", None);
-        let b = workload("tpcc", None);
-        assert!(Arc::ptr_eq(&a, &b), "same name, same materialization");
-    }
-
-    #[test]
     fn sweep_matches_direct_runs_and_is_thread_invariant() {
         let config = FrontendConfig::test_small();
         let steps = 2_000;
-        let direct = workload("tpcc", None).run(config.clone(), steps);
+        let direct = Workload::by_name("tpcc", None).run(config.clone(), steps);
 
         for threads in [1, 4] {
             let mut sweep = Sweep::new(threads, None).quiet();

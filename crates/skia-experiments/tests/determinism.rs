@@ -2,7 +2,7 @@
 //! every field of every `SimStats` — including the f64 IPC-weighting
 //! bookkeeping — must match bitwise regardless of thread count.
 
-use skia_experiments::{StandingConfig, Sweep};
+use skia_experiments::{StandingConfig, Sweep, Workload};
 
 const BENCHES: [&str; 3] = ["tpcc", "voter", "kafka"];
 const STEPS: usize = 2_000;
@@ -42,7 +42,7 @@ fn sweep_replay_matches_direct_live_walk() {
     let direct: Vec<_> = BENCHES
         .iter()
         .flat_map(|name| {
-            let w = skia_experiments::workload(name, None);
+            let w = Workload::by_name(name, None);
             [
                 w.run(StandingConfig::Btb(8192).frontend(), STEPS),
                 w.run(StandingConfig::BtbPlusSkia(8192).frontend(), STEPS),

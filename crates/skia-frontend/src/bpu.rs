@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use skia_core::{DecodeTable, Skia};
-use skia_isa::BranchKind;
+use skia_isa::{BranchKind, CACHE_LINE_BYTES};
 use skia_uarch::btb::{Btb, IdealBtb};
 use skia_uarch::ittage::Ittage;
 use skia_uarch::line_bitmap::{first_set_in, LineBitmap};
@@ -196,7 +196,7 @@ impl Bpu {
         let Some(bpc) = branch_pc else {
             // No known branch in the window: sequential block to the end of
             // the scan window, aligned to the line grid.
-            let end = (start | 63) + 1;
+            let end = (start | (CACHE_LINE_BYTES as u64 - 1)) + 1;
             self.spec_pc = end;
             self.entered_by_branch = false;
             return PredictedBlock {

@@ -1,9 +1,32 @@
 //! Front-end configuration (the paper's Table 1).
+//!
+//! [`FrontendConfig`] holds what an experiment or a test varies: the BTB,
+//! the cache geometry, the predictors' sizes and Skia. The Table 1 timings
+//! that no experiment varies are the constants below, and the CACTI bubble
+//! of an oversized BTB follows from the BTB itself
+//! ([`BtbMode::extra_cycles`]).
 
 use skia_core::SkiaConfig;
 use skia_uarch::btb::BtbConfig;
 use skia_uarch::cache::HierarchyConfig;
 use skia_uarch::tage::TageConfig;
+
+/// Fetch Target Queue entries (24 in the paper).
+pub const FTQ_DEPTH: usize = 24;
+/// Decode width in instructions per cycle (12 in the paper).
+pub const DECODE_WIDTH: u64 = 12;
+/// Retire width in instructions per cycle (12 in the paper).
+pub const RETIRE_WIDTH: u64 = 12;
+/// Pipeline stages from the IAG to decode (fetch pipeline depth).
+pub const FETCH_TO_DECODE: u64 = 4;
+/// Cycles after decode start until an execute-stage resteer is signalled
+/// (branch resolution depth).
+pub const EXEC_DETECT: u64 = 12;
+/// Cycles to repair the IAG after a resteer signal (the paper's working
+/// example uses 2, §2.6).
+pub const DECODE_REPAIR: u64 = 2;
+/// Back-end pipeline depth added to the final cycle count.
+pub const BACKEND_DEPTH: u64 = 8;
 
 /// Which BTB the BPU uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,6 +35,20 @@ pub enum BtbMode {
     Finite(BtbConfig),
     /// The paper's "Infinite, Fully Associative BTB" upper bound (Fig. 3).
     Infinite,
+}
+
+impl BtbMode {
+    /// Extra IAG cycles every resteer pays for this BTB's access time: the
+    /// CACTI model's [`btb_extra_cycles`](skia_uarch::cacti::btb_extra_cycles)
+    /// for a finite BTB (0 up to the nominal 8K entries), and 0 for the
+    /// infinite upper bound.
+    #[must_use]
+    pub fn extra_cycles(self) -> u64 {
+        match self {
+            BtbMode::Finite(b) => u64::from(skia_uarch::cacti::btb_extra_cycles(b.entries)),
+            BtbMode::Infinite => 0,
+        }
+    }
 }
 
 /// ITTAGE geometry knobs (tables × 2^index_bits entries).
@@ -38,27 +75,8 @@ pub struct FrontendConfig {
     pub ittage: IttageParams,
     /// Return address stack depth.
     pub ras_depth: usize,
-    /// Fetch Target Queue entries (24 in the paper).
-    pub ftq_depth: usize,
-    /// Decode width in instructions/cycle (12 in the paper).
-    pub decode_width: u32,
-    /// Retire width in instructions/cycle (12 in the paper).
-    pub retire_width: u32,
-    /// Pipeline stages from IAG to decode (fetch pipeline depth).
-    pub fetch_to_decode: u32,
-    /// Extra cycles after decode start until an execute-stage resteer is
-    /// signalled (branch resolution depth).
-    pub exec_detect: u32,
-    /// Cycles to repair the IAG after a resteer signal (the paper's working
-    /// example uses 2, §2.6).
-    pub decode_repair: u32,
-    /// Extra IAG latency per resteer charged for BTB capacity scaling
-    /// (derived from the CACTI model; 0 at the nominal 8K size).
-    pub btb_extra_latency: u32,
     /// Skia configuration; `None` disables shadow decoding entirely.
     pub skia: Option<SkiaConfig>,
-    /// Back-end pipeline depth added to the final cycle count.
-    pub backend_depth: u32,
 }
 
 impl FrontendConfig {
@@ -76,15 +94,7 @@ impl FrontendConfig {
                 max_history: 320,
             },
             ras_depth: 64,
-            ftq_depth: 24,
-            decode_width: 12,
-            retire_width: 12,
-            fetch_to_decode: 4,
-            decode_repair: 2,
-            exec_detect: 12,
-            btb_extra_latency: 0,
             skia: None,
-            backend_depth: 8,
         }
     }
 
@@ -116,12 +126,12 @@ impl FrontendConfig {
         }
     }
 
-    /// Replace the BTB entry count (4-way), charging CACTI-model latency for
-    /// sizes beyond the nominal 8K (the Fig. 3 sweep).
+    /// Replace the BTB with a 4-way one of `entries` entries (the Fig. 3
+    /// sweep). Sizes beyond the nominal 8K pay their CACTI bubble
+    /// ([`BtbMode::extra_cycles`]) however the BTB is set.
     #[must_use]
     pub fn with_btb_entries(mut self, entries: usize) -> Self {
         self.btb = BtbMode::Finite(BtbConfig::with_entries(entries));
-        self.btb_extra_latency = skia_uarch::cacti::btb_extra_cycles(entries);
         self
     }
 
@@ -148,9 +158,6 @@ mod tests {
             }
             BtbMode::Infinite => panic!("baseline BTB must be finite"),
         }
-        assert_eq!(c.ftq_depth, 24);
-        assert_eq!(c.decode_width, 12);
-        assert_eq!(c.retire_width, 12);
         assert!(c.skia.is_none());
         assert_eq!(c.hierarchy.l1i.size_bytes, 32 * 1024);
     }
@@ -163,11 +170,16 @@ mod tests {
         assert!(skia.head && skia.tail);
     }
 
+    /// The bubble follows from the BTB's size: none up to and including
+    /// the storage-budget BTB of Figs. 3 and 16, then the CACTI staircase.
     #[test]
     fn btb_scaling_charges_latency() {
-        let base = FrontendConfig::alder_lake_like().with_btb_entries(8192);
-        assert_eq!(base.btb_extra_latency, 0);
-        let big = FrontendConfig::alder_lake_like().with_btb_entries(128 * 1024);
-        assert!(big.btb_extra_latency >= 1);
+        let budget = 8192 + BtbConfig::entries_for_budget_kb(12.25, 4);
+        assert_eq!(budget, 9476);
+        for (entries, cycles) in [(8192, 0), (budget, 0), (16_384, 1), (65_536, 3)] {
+            let c = FrontendConfig::alder_lake_like().with_btb_entries(entries);
+            assert_eq!(c.btb.extra_cycles(), cycles, "{entries} entries");
+        }
+        assert_eq!(BtbMode::Infinite.extra_cycles(), 0);
     }
 }

@@ -26,7 +26,10 @@ use skia_uarch::cache::Hierarchy;
 use skia_workloads::{Program, TraceStep};
 
 use crate::bpu::{Bpu, PredictedBlock, MAX_BLOCK_BYTES};
-use crate::config::FrontendConfig;
+use crate::config::{
+    FrontendConfig, BACKEND_DEPTH, DECODE_REPAIR, DECODE_WIDTH, EXEC_DETECT, FETCH_TO_DECODE,
+    FTQ_DEPTH, RETIRE_WIDTH,
+};
 use crate::stats::{ResteerStage, SimStats};
 use crate::telemetry::{self, SimHistograms};
 
@@ -35,10 +38,13 @@ use crate::telemetry::{self, SimHistograms};
 /// throughput).
 const AVG_INSN_BYTES: u64 = 4;
 
+/// The cache line, as an address stride.
+const LINE: u64 = CACHE_LINE_BYTES as u64;
+
 /// Most cache lines one predicted block can span: a [`MAX_BLOCK_BYTES`]
 /// scan window from any line offset, plus a ≤15-byte terminator straddling
 /// one more line boundary — 3 lines at the 64-byte window — with one spare.
-const MAX_BLOCK_LINES: usize = MAX_BLOCK_BYTES.div_ceil(CACHE_LINE_BYTES as u64) as usize + 3;
+const MAX_BLOCK_LINES: usize = MAX_BLOCK_BYTES.div_ceil(LINE) as usize + 3;
 
 /// `sum / count`, or 0 when empty — the arithmetic of
 /// `HistogramSnapshot::mean`, so the FTQ mean in [`SimStats`] equals the
@@ -95,7 +101,8 @@ struct InFlight {
 #[derive(Debug)]
 pub struct Simulator<'p> {
     program: &'p Program,
-    config: FrontendConfig,
+    /// The BTB's CACTI bubble, paid on every resteer.
+    btb_bubble: u64,
     bpu: Bpu,
     hier: Hierarchy,
     /// The counter store. Every incremented `u64` field is live; the
@@ -126,7 +133,7 @@ impl<'p> Simulator<'p> {
             bpu: Bpu::new(&config, start, program.branch_table(), decode),
             hier: Hierarchy::new(config.hierarchy),
             program,
-            config,
+            btb_bubble: config.btb.extra_cycles(),
             counts: SimStats::default(),
             hists: SimHistograms::default(),
             trace: None,
@@ -181,12 +188,9 @@ impl<'p> Simulator<'p> {
     /// floor, whichever binds, plus the back-end depth.
     #[must_use]
     pub fn stats(&self) -> SimStats {
-        let retire_floor = self
-            .counts
-            .instructions
-            .div_ceil(u64::from(self.config.retire_width));
+        let retire_floor = self.counts.instructions.div_ceil(RETIRE_WIDTH);
         SimStats {
-            cycles: self.decode_free.max(retire_floor) + u64::from(self.config.backend_depth),
+            cycles: self.decode_free.max(retire_floor) + BACKEND_DEPTH,
             l1i: self.hier.l1i_stats(),
             l2: self.hier.l2_stats(),
             l3: self.hier.l3_stats(),
@@ -233,7 +237,7 @@ impl<'p> Simulator<'p> {
             self.ftq.pop_front();
         }
         // Back-pressure: a full FTQ stalls the IAG until the head drains.
-        if self.ftq.len() >= self.config.ftq_depth {
+        if self.ftq.len() >= FTQ_DEPTH {
             let head = self.ftq.pop_front().expect("non-empty");
             self.iag_cycle = self.iag_cycle.max(head);
         }
@@ -248,8 +252,7 @@ impl<'p> Simulator<'p> {
     fn issue_block(&mut self, block: PredictedBlock) -> InFlight {
         let lines = self.prefetch_lines(&block);
         let fill_done = self.last_fill_done;
-        let frontier =
-            (self.iag_cycle + u64::from(self.config.fetch_to_decode)).max(self.decode_free);
+        let frontier = (self.iag_cycle + FETCH_TO_DECODE).max(self.decode_free);
         if frontier > self.decode_free {
             self.counts.idle_resteer_cycles += frontier - self.decode_free;
         }
@@ -258,9 +261,7 @@ impl<'p> Simulator<'p> {
             self.counts.idle_icache_cycles += decode_start - frontier;
         }
         let bytes = block.end.saturating_sub(block.start).max(1);
-        let decode_cycles = bytes
-            .div_ceil(u64::from(self.config.decode_width) * AVG_INSN_BYTES)
-            .max(1);
+        let decode_cycles = bytes.div_ceil(DECODE_WIDTH * AVG_INSN_BYTES).max(1);
         self.counts.decode_busy_cycles += decode_cycles;
         self.decode_free = decode_start + decode_cycles;
         self.ftq.push_back(self.decode_free);
@@ -297,8 +298,8 @@ impl<'p> Simulator<'p> {
     /// per-line pre-fetch L1-I residency and records the fill-completion
     /// cycle in `last_fill_done`.
     fn prefetch_lines(&mut self, block: &PredictedBlock) -> LineSet {
-        let first = block.start & !63;
-        let last = block.end.saturating_sub(1).max(block.start) & !63;
+        let first = block.start & !(LINE - 1);
+        let last = block.end.saturating_sub(1).max(block.start) & !(LINE - 1);
         let mut lines = LineSet::default();
         let mut max_latency = 0u32;
         let mut la = first;
@@ -310,7 +311,7 @@ impl<'p> Simulator<'p> {
             if la >= last {
                 break;
             }
-            la += 64;
+            la += LINE;
         }
         self.last_fill_done = self.iag_cycle + u64::from(max_latency);
         lines
@@ -472,7 +473,7 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        let la = step.branch_pc & !63;
+        let la = step.branch_pc & !(LINE - 1);
         let resident_before = pending
             .lines
             .iter()
@@ -555,7 +556,7 @@ impl<'p> Simulator<'p> {
             }
             ResteerStage::Execute => {
                 self.counts.exec_resteers += 1;
-                pending.decode_start + u64::from(self.config.exec_detect)
+                pending.decode_start + EXEC_DETECT
             }
         };
 
@@ -563,7 +564,7 @@ impl<'p> Simulator<'p> {
         // bounded by the FTQ) until the resteer signal arrived. These blocks
         // prefetch real lines — the pollution FDIP mis-speculation causes.
         let shadow_cycles = detect.saturating_sub(pending.iag_cycle);
-        let wp_blocks = shadow_cycles.min(self.config.ftq_depth as u64);
+        let wp_blocks = shadow_cycles.min(FTQ_DEPTH as u64);
         for _ in 0..wp_blocks {
             let blk = self.bpu.predict_block();
             let lines = self.prefetch_lines(&blk);
@@ -574,9 +575,7 @@ impl<'p> Simulator<'p> {
 
         // Repair: the IAG restarts after the signal plus the repair cycles
         // (plus the CACTI surcharge for oversized BTBs).
-        self.iag_cycle = detect
-            + u64::from(self.config.decode_repair)
-            + u64::from(self.config.btb_extra_latency);
+        self.iag_cycle = detect + DECODE_REPAIR + self.btb_bubble;
         self.ftq.clear();
         self.bpu.resteer(resume_pc, entered_by_branch);
         self.pending = None;

@@ -79,6 +79,32 @@ fn bigger_btb_never_hurts_miss_rate() {
     );
 }
 
+/// The CACTI bubble follows from the BTB's size, however the BTB is set: a
+/// 64K-entry BTB assigned field by field pays it as `with_btb_entries`
+/// does.
+#[test]
+fn btb_bubble_does_not_depend_on_how_the_btb_is_set() {
+    let p = program(120, 12);
+    let direct = sim(
+        &p,
+        FrontendConfig {
+            btb: BtbMode::Finite(BtbConfig::with_entries(65_536)),
+            ..FrontendConfig::alder_lake_like()
+        },
+        5_000,
+    );
+    let built = sim(
+        &p,
+        FrontendConfig::alder_lake_like().with_btb_entries(65_536),
+        5_000,
+    );
+    assert!(
+        direct.decode_resteers + direct.exec_resteers > 0,
+        "no resteer paid a bubble"
+    );
+    assert_eq!(direct, built);
+}
+
 #[test]
 fn infinite_btb_only_misses_compulsory() {
     let p = program(200, 9);

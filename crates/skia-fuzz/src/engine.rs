@@ -176,7 +176,6 @@ pub struct FuzzReport {
 /// dir is configured). The first failing input is greedily minimized and
 /// returned; its replay command is also printed to stderr.
 pub fn fuzz<T: FuzzTarget>(target: &mut T, config: &FuzzConfig) -> FuzzReport {
-    let _run_span = skia_telemetry::span_with(|| format!("fuzz.run:{}", target.token_prefix()));
     let started = Instant::now();
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let disk = Corpus::new(config.corpus_dir.clone());
@@ -198,7 +197,6 @@ pub fn fuzz<T: FuzzTarget>(target: &mut T, config: &FuzzConfig) -> FuzzReport {
 
     // Phase 1: the whole starting corpus runs once (deterministically, in
     // order), seeding the feature map. A failing seed short-circuits.
-    let _seeds_span = skia_telemetry::span("fuzz.seeds");
     for i in 0..corpus.len() {
         let input = corpus[i].clone();
         executions += 1;
@@ -214,10 +212,7 @@ pub fn fuzz<T: FuzzTarget>(target: &mut T, config: &FuzzConfig) -> FuzzReport {
         }
     }
 
-    drop(_seeds_span);
-
     // Phase 2: mutate corpus picks.
-    let _mutations_span = skia_telemetry::span("fuzz.mutations");
     for _ in 0..config.iters {
         if out_of_time(started) {
             break;

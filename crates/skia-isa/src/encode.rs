@@ -87,13 +87,6 @@ pub fn ret(out: &mut Vec<u8>) -> usize {
     1
 }
 
-/// `RET imm16` (3 bytes).
-pub fn ret_imm16(out: &mut Vec<u8>, imm: u16) -> usize {
-    out.push(0xC2);
-    out.extend_from_slice(&imm.to_le_bytes());
-    3
-}
-
 /// `JMP r64` (2 bytes).
 pub fn jmp_reg(out: &mut Vec<u8>, r: Reg) -> usize {
     out.extend_from_slice(&[0xFF, modrm(0b11, 4, r.idx())]);
@@ -104,13 +97,6 @@ pub fn jmp_reg(out: &mut Vec<u8>, r: Reg) -> usize {
 pub fn call_reg(out: &mut Vec<u8>, r: Reg) -> usize {
     out.extend_from_slice(&[0xFF, modrm(0b11, 2, r.idx())]);
     2
-}
-
-/// `JMP [RIP+disp32]` (6 bytes) — the common PLT/jump-table form.
-pub fn jmp_mem_rip(out: &mut Vec<u8>, disp: i32) -> usize {
-    out.extend_from_slice(&[0xFF, modrm(0b00, 4, 0b101)]);
-    out.extend_from_slice(&disp.to_le_bytes());
-    6
 }
 
 /// `CALL [RIP+disp32]` (6 bytes).

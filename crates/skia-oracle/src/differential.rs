@@ -24,7 +24,6 @@ use std::rc::Rc;
 use skia_core::{SbbConfig, SkiaConfig};
 use skia_frontend::config::{BtbMode, FrontendConfig};
 use skia_frontend::{SimStats, Simulator};
-use skia_isa::CACHE_LINE_BYTES;
 use skia_telemetry::{Snapshot, TraceConfig};
 use skia_uarch::btb::BtbConfig;
 use skia_uarch::cache::{CacheConfig, HierarchyConfig};
@@ -137,13 +136,11 @@ impl DiffCase {
             let cache = |kb: usize, ways: usize| CacheConfig {
                 size_bytes: kb * 1024,
                 ways,
-                line_bytes: CACHE_LINE_BYTES,
             };
             c.hierarchy = HierarchyConfig {
                 l1i: cache(1, 4),
                 l2: cache(2, 4),
                 l3: cache(8, 8),
-                ..c.hierarchy
             };
         }
         c
@@ -308,7 +305,6 @@ pub fn run_case(
     case: &DiffCase,
     fault: Option<OracleFault>,
 ) -> Result<CaseOutcome, Box<DivergenceReport>> {
-    let _case_span = skia_telemetry::span("oracle.case");
     let program = Program::generate(&case.spec());
     let config = case.config();
 

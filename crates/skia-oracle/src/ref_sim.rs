@@ -22,7 +22,10 @@ use skia_isa::BranchKind;
 use skia_telemetry::{Event, EventKind};
 use skia_workloads::{Program, TraceStep};
 
-use skia_frontend::config::{BtbMode, FrontendConfig};
+use skia_frontend::config::{
+    BtbMode, FrontendConfig, BACKEND_DEPTH, DECODE_REPAIR, DECODE_WIDTH, EXEC_DETECT,
+    FETCH_TO_DECODE, FTQ_DEPTH, RETIRE_WIDTH,
+};
 use skia_frontend::stats::{ResteerStage, SimStats};
 use skia_frontend::MAX_BLOCK_BYTES;
 
@@ -381,7 +384,8 @@ struct RefInFlight {
 #[derive(Debug)]
 pub struct RefSimulator<'p> {
     program: &'p Program,
-    config: FrontendConfig,
+    /// The BTB's CACTI bubble, paid on every resteer.
+    btb_bubble: u64,
     /// The reference BPU (public so fault knobs can be reached).
     pub bpu: RefBpu,
     hier: RefHierarchy,
@@ -409,7 +413,7 @@ impl<'p> RefSimulator<'p> {
             bpu,
             hier: RefHierarchy::new(config.hierarchy),
             program,
-            config,
+            btb_bubble: config.btb.extra_cycles(),
             c: RefCounters::default(),
             by_kind: [0; 6],
             ftq_sum: 0,
@@ -436,13 +440,10 @@ impl<'p> RefSimulator<'p> {
     /// finalize-formula cycle count (the production `run()` finalizes on
     /// every call, so a per-step comparison sees exactly this value).
     pub fn stats_now(&self) -> SimStats {
-        let retire_floor = self
-            .c
-            .instructions
-            .div_ceil(u64::from(self.config.retire_width));
+        let retire_floor = self.c.instructions.div_ceil(RETIRE_WIDTH);
         SimStats {
             instructions: self.c.instructions,
-            cycles: self.decode_free.max(retire_floor) + u64::from(self.config.backend_depth),
+            cycles: self.decode_free.max(retire_floor) + BACKEND_DEPTH,
             branches: self.c.branches,
             taken_branches: self.c.taken_branches,
             btb_misses: self.c.btb_misses,
@@ -492,7 +493,7 @@ impl<'p> RefSimulator<'p> {
         while self.ftq.front().is_some_and(|&t| t <= self.iag_cycle) {
             self.ftq.pop_front();
         }
-        if self.ftq.len() >= self.config.ftq_depth {
+        if self.ftq.len() >= FTQ_DEPTH {
             let head = self.ftq.pop_front().expect("non-empty");
             self.iag_cycle = self.iag_cycle.max(head);
         }
@@ -507,8 +508,7 @@ impl<'p> RefSimulator<'p> {
     fn issue_block(&mut self, block: RefBlock) -> RefInFlight {
         let lines = self.prefetch_lines(&block);
         let fill_done = self.last_fill_done;
-        let frontier =
-            (self.iag_cycle + u64::from(self.config.fetch_to_decode)).max(self.decode_free);
+        let frontier = (self.iag_cycle + FETCH_TO_DECODE).max(self.decode_free);
         if frontier > self.decode_free {
             self.c.idle_resteer_cycles += frontier - self.decode_free;
         }
@@ -517,9 +517,7 @@ impl<'p> RefSimulator<'p> {
             self.c.idle_icache_cycles += decode_start - frontier;
         }
         let bytes = block.end.saturating_sub(block.start).max(1);
-        let decode_cycles = bytes
-            .div_ceil(u64::from(self.config.decode_width) * AVG_INSN_BYTES)
-            .max(1);
+        let decode_cycles = bytes.div_ceil(DECODE_WIDTH * AVG_INSN_BYTES).max(1);
         self.c.decode_busy_cycles += decode_cycles;
         self.decode_free = decode_start + decode_cycles;
         self.ftq.push_back(self.decode_free);
@@ -782,12 +780,12 @@ impl<'p> RefSimulator<'p> {
             }
             ResteerStage::Execute => {
                 self.c.exec_resteers += 1;
-                pending.decode_start + u64::from(self.config.exec_detect)
+                pending.decode_start + EXEC_DETECT
             }
         };
 
         let shadow_cycles = detect.saturating_sub(pending.iag_cycle);
-        let wp_blocks = shadow_cycles.min(self.config.ftq_depth as u64);
+        let wp_blocks = shadow_cycles.min(FTQ_DEPTH as u64);
         for _ in 0..wp_blocks {
             let blk = self.bpu.predict_block();
             let lines = self.prefetch_lines(&blk);
@@ -796,9 +794,7 @@ impl<'p> RefSimulator<'p> {
             self.shadow_decode(&blk);
         }
 
-        self.iag_cycle = detect
-            + u64::from(self.config.decode_repair)
-            + u64::from(self.config.btb_extra_latency);
+        self.iag_cycle = detect + DECODE_REPAIR + self.btb_bubble;
         self.ftq.clear();
         self.bpu.resteer(resume_pc, entered_by_branch);
         self.pending = None;

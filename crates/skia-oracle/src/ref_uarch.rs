@@ -188,9 +188,15 @@ impl<V> RefArray<V> {
     }
 }
 
-use skia_isa::BranchKind;
+use skia_isa::{BranchKind, CACHE_LINE_BYTES};
 use skia_uarch::btb::BtbEntry;
-use skia_uarch::cache::{CacheConfig, CacheStats, HierarchyConfig, LevelLatencies};
+use skia_uarch::cache::{
+    CacheConfig, CacheStats, HierarchyConfig, DRAM_FILL_CYCLES, L1_HIT_CYCLES, L2_FILL_CYCLES,
+    L3_FILL_CYCLES,
+};
+
+/// The line every reference cache level holds.
+const LINE: u64 = CACHE_LINE_BYTES as u64;
 
 /// Reference finite BTB: a [`RefArray`] of [`BtbEntry`] with the production
 /// geometry mapping (PC modulo sets) and plain LRU.
@@ -280,29 +286,27 @@ impl RefIdealBtb {
 #[derive(Debug, Clone)]
 struct RefCache {
     arr: RefArray<bool>,
-    line_bytes: u64,
     stats: CacheStats,
 }
 
 impl RefCache {
     fn new(config: CacheConfig) -> Self {
-        let sets = config.size_bytes / (config.ways * config.line_bytes);
+        let sets = config.size_bytes / (config.ways * CACHE_LINE_BYTES);
         RefCache {
             arr: RefArray::new(sets, config.ways),
-            line_bytes: config.line_bytes as u64,
             stats: CacheStats::default(),
         }
     }
 
     fn contains(&self, addr: u64) -> bool {
-        let line = addr / self.line_bytes;
+        let line = addr / LINE;
         self.arr.probe(self.arr.set_of(line), line).is_some()
     }
 
     /// Look the line up, refreshing its recency on a hit. A demand hit
     /// clears the prefetched-unused flag; a prefetch hit does not.
     fn lookup(&mut self, addr: u64, prefetch: bool) -> bool {
-        let line = addr / self.line_bytes;
+        let line = addr / LINE;
         let set = self.arr.set_of(line);
         let hit = match self.arr.access(set, line) {
             Some(unused) => {
@@ -325,7 +329,7 @@ impl RefCache {
 
     /// Install the line unless resident, counting the displaced line.
     fn fill(&mut self, addr: u64, prefetch: bool) {
-        let line = addr / self.line_bytes;
+        let line = addr / LINE;
         let set = self.arr.set_of(line);
         if self.arr.probe(set, line).is_some() {
             return;
@@ -347,7 +351,6 @@ pub struct RefHierarchy {
     l1i: RefCache,
     l2: RefCache,
     l3: RefCache,
-    latencies: LevelLatencies,
 }
 
 impl RefHierarchy {
@@ -357,7 +360,6 @@ impl RefHierarchy {
             l1i: RefCache::new(config.l1i),
             l2: RefCache::new(config.l2),
             l3: RefCache::new(config.l3),
-            latencies: config.latencies,
         }
     }
 
@@ -369,17 +371,17 @@ impl RefHierarchy {
     /// Fetch the line of `addr`; returns the cycles until it is usable.
     pub fn fetch_line(&mut self, addr: u64, prefetch: bool) -> u32 {
         if self.l1i.lookup(addr, prefetch) {
-            return self.latencies.l1_hit;
+            return L1_HIT_CYCLES;
         }
         let latency = if self.l2.lookup(addr, false) {
-            self.latencies.l2
+            L2_FILL_CYCLES
         } else if self.l3.lookup(addr, false) {
             self.l2.fill(addr, prefetch);
-            self.latencies.l3
+            L3_FILL_CYCLES
         } else {
             self.l3.fill(addr, prefetch);
             self.l2.fill(addr, prefetch);
-            self.latencies.dram
+            DRAM_FILL_CYCLES
         };
         self.l1i.fill(addr, prefetch);
         latency
@@ -489,13 +491,11 @@ mod tests {
         let level = |lines: usize, ways: usize| CacheConfig {
             size_bytes: lines * 64,
             ways,
-            line_bytes: 64,
         };
         let config = HierarchyConfig {
             l1i: level(4, 2),
             l2: level(16, 4),
             l3: level(32, 4),
-            latencies: LevelLatencies::default(),
         };
         let (mut prod, mut reference) = (Hierarchy::new(config), RefHierarchy::new(config));
         let mut x = 0x9E37_79B9_7F4A_7C15u64;

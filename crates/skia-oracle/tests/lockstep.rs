@@ -20,7 +20,8 @@ use skia_oracle::{run_case, DiffCase, OracleFault};
 
 /// The fixed regression corpus. Every combination a divergence has been
 /// (or plausibly could be) sensitive to: layout × Skia × SBB pressure ×
-/// BTB pressure, plus one long run.
+/// BTB pressure, plus one long run, small caches and a BTB large enough to
+/// pay the CACTI bubble.
 fn fixed_corpus() -> Vec<DiffCase> {
     vec![
         // Baseline, no Skia, interleaved.
@@ -142,6 +143,19 @@ fn fixed_corpus() -> Vec<DiffCase> {
             btb_sets: 4,
             small_sbb: true,
             small_caches: true,
+        },
+        // A 64K-entry BTB (16,384 sets): the one case whose BTB pays the
+        // CACTI bubble, 3 cycles on every resteer.
+        DiffCase {
+            spec_seed: 37,
+            functions: 80,
+            bolted: false,
+            trace_seed: 12,
+            steps: 700,
+            with_skia: true,
+            btb_sets: 16_384,
+            small_sbb: false,
+            small_caches: false,
         },
     ]
 }

@@ -6,8 +6,8 @@
 //! (name, thread, nesting depth, start, duration) into a process-wide
 //! collector. The experiment pipeline brackets its phases — sweep prepare
 //! and simulate, per-job simulation, trace-cache record/load, workload
-//! generation, oracle lockstep cases, fuzz rounds — so every run can be
-//! attributed millisecond by millisecond.
+//! generation, table rendering — so every run can be attributed
+//! millisecond by millisecond.
 //!
 //! Profiling is **off by default** and the disabled path is a single
 //! relaxed atomic load: no clock read, no allocation, no lock. Binaries

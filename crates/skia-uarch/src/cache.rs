@@ -10,15 +10,24 @@ use skia_isa::CACHE_LINE_BYTES;
 
 use crate::tag_array::TagArray;
 
-/// Geometry of one cache level.
+/// Fill latency of an L1-I hit, in core cycles (pipelined at fetch).
+pub const L1_HIT_CYCLES: u32 = 0;
+/// Fill latency from the L2, in core cycles.
+pub const L2_FILL_CYCLES: u32 = 14;
+/// Fill latency from the L3, in core cycles.
+pub const L3_FILL_CYCLES: u32 = 42;
+/// Fill latency from DRAM, in core cycles.
+pub const DRAM_FILL_CYCLES: u32 = 180;
+
+/// Geometry of one cache level. Every level holds
+/// [`CACHE_LINE_BYTES`]-byte lines, the line the ISA crate, the shadow
+/// decoder and the line bitmaps all assume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes (64 everywhere in the paper).
-    pub line_bytes: usize,
 }
 
 impl CacheConfig {
@@ -29,8 +38,8 @@ impl CacheConfig {
     /// Panics if the geometry does not divide evenly.
     #[must_use]
     pub fn sets(&self) -> usize {
-        assert_eq!(self.size_bytes % (self.ways * self.line_bytes), 0);
-        self.size_bytes / (self.ways * self.line_bytes)
+        assert_eq!(self.size_bytes % (self.ways * CACHE_LINE_BYTES), 0);
+        self.size_bytes / (self.ways * CACHE_LINE_BYTES)
     }
 }
 
@@ -73,11 +82,10 @@ struct LineMeta {
     prefetched_unused: bool,
 }
 
-/// A single cache level holding 64-byte lines.
+/// A single cache level holding [`CACHE_LINE_BYTES`]-byte lines.
 #[derive(Debug, Clone)]
 pub struct Cache {
     arr: TagArray<LineMeta>,
-    line_shift: u32,
     stats: CacheStats,
 }
 
@@ -85,17 +93,14 @@ impl Cache {
     /// Build a cache from its geometry.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
-        assert!(config.line_bytes.is_power_of_two());
         Cache {
-            arr: TagArray::new(sets, config.ways),
-            line_shift: config.line_bytes.trailing_zeros(),
+            arr: TagArray::new(config.sets(), config.ways),
             stats: CacheStats::default(),
         }
     }
 
     fn line_of(&self, addr: u64) -> u64 {
-        addr >> self.line_shift
+        addr / CACHE_LINE_BYTES as u64
     }
 
     fn set_of(&self, line: u64) -> usize {
@@ -192,31 +197,6 @@ impl Cache {
     }
 }
 
-/// Fill latencies (in cycles) for each place a line can be found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelLatencies {
-    /// L1-I hit (pipelined; normally 0 extra cycles at fetch).
-    pub l1_hit: u32,
-    /// Fill from L2.
-    pub l2: u32,
-    /// Fill from L3.
-    pub l3: u32,
-    /// Fill from DRAM.
-    pub dram: u32,
-}
-
-impl Default for LevelLatencies {
-    fn default() -> Self {
-        // Golden-Cove-like round-trip latencies in core cycles.
-        LevelLatencies {
-            l1_hit: 0,
-            l2: 14,
-            l3: 42,
-            dram: 180,
-        }
-    }
-}
-
 /// Geometry of the full hierarchy (Table 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
@@ -226,31 +206,24 @@ pub struct HierarchyConfig {
     pub l2: CacheConfig,
     /// Shared L3.
     pub l3: CacheConfig,
-    /// Latencies per level.
-    pub latencies: LevelLatencies,
 }
 
 impl Default for HierarchyConfig {
-    /// The paper's Table 1: 32 KB 8-way L1-I, 1 MB 16-way L2, 2 MB 16-way L3,
-    /// 64-byte lines.
+    /// The paper's Table 1: 32 KB 8-way L1-I, 1 MB 16-way L2, 2 MB 16-way L3.
     fn default() -> Self {
         HierarchyConfig {
             l1i: CacheConfig {
                 size_bytes: 32 * 1024,
                 ways: 8,
-                line_bytes: CACHE_LINE_BYTES,
             },
             l2: CacheConfig {
                 size_bytes: 1024 * 1024,
                 ways: 16,
-                line_bytes: CACHE_LINE_BYTES,
             },
             l3: CacheConfig {
                 size_bytes: 2 * 1024 * 1024,
                 ways: 16,
-                line_bytes: CACHE_LINE_BYTES,
             },
-            latencies: LevelLatencies::default(),
         }
     }
 }
@@ -261,7 +234,6 @@ pub struct Hierarchy {
     l1i: Cache,
     l2: Cache,
     l3: Cache,
-    latencies: LevelLatencies,
 }
 
 impl Hierarchy {
@@ -272,7 +244,6 @@ impl Hierarchy {
             l1i: Cache::new(config.l1i),
             l2: Cache::new(config.l2),
             l3: Cache::new(config.l3),
-            latencies: config.latencies,
         }
     }
 
@@ -295,18 +266,18 @@ impl Hierarchy {
             self.l1i.demand_access(addr)
         };
         if l1_hit {
-            return (true, self.latencies.l1_hit);
+            return (true, L1_HIT_CYCLES);
         }
         // L2 lookup. Each level filled below has just missed.
         let latency = if self.l2.demand_access(addr) {
-            self.latencies.l2
+            L2_FILL_CYCLES
         } else if self.l3.demand_access(addr) {
             self.l2.fill_missed(addr, prefetch);
-            self.latencies.l3
+            L3_FILL_CYCLES
         } else {
             self.l3.fill_missed(addr, prefetch);
             self.l2.fill_missed(addr, prefetch);
-            self.latencies.dram
+            DRAM_FILL_CYCLES
         };
         self.l1i.fill_missed(addr, prefetch);
         (false, latency)
@@ -351,7 +322,6 @@ mod tests {
         Cache::new(CacheConfig {
             size_bytes: 4 * 64, // 4 lines
             ways: 2,
-            line_bytes: 64,
         })
     }
 
@@ -360,7 +330,6 @@ mod tests {
         let c = CacheConfig {
             size_bytes: 32 * 1024,
             ways: 8,
-            line_bytes: 64,
         };
         assert_eq!(c.sets(), 64);
     }
@@ -407,16 +376,15 @@ mod tests {
     #[test]
     fn hierarchy_latency_ladder() {
         let mut h = Hierarchy::new(HierarchyConfig::default());
-        let lat = h.latencies;
         // Cold: DRAM.
-        assert_eq!(h.fetch_line(0x4000, false), lat.dram);
+        assert_eq!(h.fetch_line(0x4000, false), DRAM_FILL_CYCLES);
         // Now in L1.
-        assert_eq!(h.fetch_line(0x4000, false), lat.l1_hit);
+        assert_eq!(h.fetch_line(0x4000, false), L1_HIT_CYCLES);
         // Evict from tiny? L1 is 32KB; use a fresh address for L2 behaviour:
         // fill another line, invalidate it from L1 only → L2 hit.
-        assert_eq!(h.fetch_line(0x8000, false), lat.dram);
+        assert_eq!(h.fetch_line(0x8000, false), DRAM_FILL_CYCLES);
         h.l1i_mut().invalidate(0x8000);
-        assert_eq!(h.fetch_line(0x8000, false), lat.l2);
+        assert_eq!(h.fetch_line(0x8000, false), L2_FILL_CYCLES);
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub fn access_cycles(bytes: usize, ways: usize, freq_ghz: f64) -> u32 {
 }
 
 /// Extra BTB pipeline cycles relative to the nominal 8K-entry design, at
-/// 4 GHz. Used by the Fig. 3 sweep so that very large BTBs pay a bubble on
-/// every predicted taken branch.
+/// 4 GHz. The front end adds them to every resteer's repair, so that the
+/// very large BTBs of the Fig. 3 sweep pay for their access time.
 #[must_use]
 pub fn btb_extra_cycles(entries: usize) -> u32 {
     const NOMINAL_BYTES: usize = 8192 * 78 / 8;

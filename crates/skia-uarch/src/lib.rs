@@ -35,7 +35,7 @@ pub mod tag_array;
 pub mod tage;
 
 pub use btb::{Btb, BtbConfig, BtbEntry, IdealBtb};
-pub use cache::{Cache, CacheConfig, CacheStats, Hierarchy, HierarchyConfig, LevelLatencies};
+pub use cache::{Cache, CacheConfig, CacheStats, Hierarchy, HierarchyConfig};
 pub use ittage::Ittage;
 pub use line_bitmap::LineBitmap;
 pub use ras::ReturnAddressStack;

@@ -37,7 +37,6 @@ proptest! {
         let mut c = Cache::new(CacheConfig {
             size_bytes: 8 * 64,
             ways: 2,
-            line_bytes: 64,
         });
         for &a in &addrs {
             let addr = u64::from(a);

@@ -54,7 +54,6 @@ use crate::trace::{masked_prefix, RecordedTrace};
 /// totals as `trace_cache.*` counters at finish time.
 static IO_BYTES_READ: AtomicU64 = AtomicU64::new(0);
 static IO_BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
-static IO_FULL_LOADS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the process-wide cache I/O totals. Every load reads its
 /// whole file, so `bytes_read` grows by the size of each file read.
@@ -64,8 +63,6 @@ pub struct TraceCacheIo {
     pub bytes_read: u64,
     /// Bytes written to cache files (program + trace).
     pub bytes_written: u64,
-    /// Trace files read, each whole in one pass.
-    pub full_loads: u64,
 }
 
 /// Read the process-wide cache I/O totals (monotonic since process start;
@@ -75,7 +72,6 @@ pub fn trace_cache_io() -> TraceCacheIo {
     TraceCacheIo {
         bytes_read: IO_BYTES_READ.load(Ordering::Relaxed),
         bytes_written: IO_BYTES_WRITTEN.load(Ordering::Relaxed),
-        full_loads: IO_FULL_LOADS.load(Ordering::Relaxed),
     }
 }
 
@@ -161,10 +157,8 @@ pub fn load_or_record_trace_in(
     // re-recorded at the longer length below.
     {
         let _g = skia_telemetry::span("trace_cache.load");
-        let stored = read_file(&path).and_then(|bytes| {
-            IO_FULL_LOADS.fetch_add(1, Ordering::Relaxed);
-            read_trace(&bytes, program, spec, seed, mean_trip, steps)
-        });
+        let stored = read_file(&path)
+            .and_then(|bytes| read_trace(&bytes, program, spec, seed, mean_trip, steps));
         if let Some(stored) = stored.filter(|t| t.len() >= steps) {
             return (stored, TraceCacheOutcome::DiskHit);
         }
@@ -509,8 +503,6 @@ fn read_trace(
     }
     let keep = want.min(steps);
     let mut trace = RecordedTrace {
-        seed,
-        mean_trip,
         table: Arc::clone(program.shared_branch_table()),
         steps: keep,
         taken: masked_prefix(r.take(words * 8)?.chunks_exact(8).map(le_u64), keep),
@@ -1108,7 +1100,6 @@ mod tests {
             assert_eq!(outcome, TraceCacheOutcome::DiskHit);
             assert_eq!(t.len(), steps);
             let now = trace_cache_io();
-            assert!(now.full_loads > last.full_loads);
             assert!(
                 now.bytes_read >= last.bytes_read + stored_bytes,
                 "a {steps}-step hit reads the whole file"

@@ -37,10 +37,6 @@ use crate::walker::{CallStack, TraceStep, Walker};
 /// record index of each indirect step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedTrace {
-    /// Seed the recording walker was created with (identity/debug).
-    pub seed: u64,
-    /// Mean trip count the recording walker was created with.
-    pub mean_trip: u32,
     /// The recorded program's branch table, which the steps walk.
     pub(crate) table: Arc<BranchTable>,
     /// Recorded step count.
@@ -72,8 +68,6 @@ impl RecordedTrace {
             }
         }
         RecordedTrace {
-            seed,
-            mean_trip,
             table,
             steps,
             taken,
@@ -115,8 +109,6 @@ impl RecordedTrace {
             .choices_within(steps)
             .expect("a recording forms a walk");
         RecordedTrace {
-            seed: self.seed,
-            mean_trip: self.mean_trip,
             table: Arc::clone(&self.table),
             steps,
             taken: masked_prefix(self.taken.iter().copied(), steps),
