@@ -272,8 +272,8 @@ impl Args {
             if flag == "--bench" {
                 if profile(v).is_none() {
                     return Err(format!(
-                        "--bench {v}: unknown benchmark (known: {})",
-                        skia_workloads::profile_names().join(", ")
+                        "--bench {v}: unknown benchmark (known: {}, verilator_prebolt)",
+                        PAPER_BENCHMARKS.join(", ")
                     ));
                 }
                 bench = Some(v.to_string());
@@ -367,7 +367,6 @@ struct SweepJob {
 pub struct Sweep {
     threads: usize,
     cache: Option<PathBuf>,
-    quiet: bool,
     jobs: Vec<SweepJob>,
 }
 
@@ -379,7 +378,6 @@ impl Sweep {
         Sweep {
             threads,
             cache,
-            quiet: false,
             jobs: Vec::new(),
         }
     }
@@ -389,13 +387,6 @@ impl Sweep {
     #[must_use]
     pub fn from_args(args: &Args) -> Sweep {
         Sweep::new(skia_runner::thread_count(args.threads), args.cache.clone())
-    }
-
-    /// Suppress the stderr timing summary (benches and tests).
-    #[must_use]
-    pub fn quiet(mut self) -> Sweep {
-        self.quiet = true;
-        self
     }
 
     /// Queue one run; the returned id indexes [`Sweep::run`]'s result
@@ -467,7 +458,7 @@ impl Sweep {
         let reuses = (self.jobs.len() - uniq.len()) as u64;
         emitter.replay_reuses += reuses;
         let prepare = t0.elapsed();
-        if !self.quiet && !self.jobs.is_empty() {
+        if !self.jobs.is_empty() {
             eprintln!(
                 "prepare: {} trace(s) for {} job(s) in {:.2}s ({} replay reuse(s))",
                 uniq.len(),
@@ -504,7 +495,7 @@ impl Sweep {
             }
             out.push(stats);
         }
-        if !self.quiet && report.runs > 0 {
+        if report.runs > 0 {
             eprintln!("sweep: {}", report.summary());
         }
         out
@@ -841,6 +832,17 @@ mod tests {
         assert_eq!(a.filter_names(&["kafka", "dotty"]), Vec::<&str>::new());
         let none = parse(&[]).unwrap();
         assert_eq!(none.benchmarks().len(), PAPER_BENCHMARKS.len());
+        // The pre-BOLT variant is accepted, and the error for an unknown
+        // name lists it with the 16 paper benchmarks.
+        let pre = parse(&["--bench", "verilator_prebolt"]).unwrap();
+        assert_eq!(
+            pre.filter_names(&["verilator", "verilator_prebolt"]),
+            vec!["verilator_prebolt"]
+        );
+        let err = parse(&["--bench", "doom"]).unwrap_err();
+        for name in PAPER_BENCHMARKS.iter().chain(&["verilator_prebolt"]) {
+            assert!(err.contains(name), "{name}: {err}");
+        }
     }
 
     #[test]
@@ -850,7 +852,7 @@ mod tests {
         let direct = Workload::by_name("tpcc", None).run(config.clone(), steps);
 
         for threads in [1, 4] {
-            let mut sweep = Sweep::new(threads, None).quiet();
+            let mut sweep = Sweep::new(threads, None);
             let a = sweep.add("tpcc", config.clone(), steps);
             let b = sweep.add("voter", config.clone(), steps);
             let c = sweep.add("tpcc", config.clone(), steps);

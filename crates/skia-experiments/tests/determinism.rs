@@ -8,7 +8,7 @@ const BENCHES: [&str; 3] = ["tpcc", "voter", "kafka"];
 const STEPS: usize = 2_000;
 
 fn sweep_stats(threads: usize) -> Vec<skia_frontend::SimStats> {
-    let mut sweep = Sweep::new(threads, None).quiet();
+    let mut sweep = Sweep::new(threads, None);
     for name in BENCHES {
         for config in [
             StandingConfig::Btb(8192).frontend(),

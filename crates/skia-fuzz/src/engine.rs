@@ -1,19 +1,20 @@
 //! The mutation loop: seed → mutate → run → coverage/minimize.
 //!
 //! Deliberately small and deterministic. One [`SmallRng`] drives every
-//! mutation decision, the corpus is visited in insertion order, and the
-//! iteration budget is the only stop condition besides an optional wall
-//! clock — so a fixed `(seed, iters)` pair replays the exact same search,
-//! which is what lets CI assert "the planted bug *is* rediscovered".
+//! mutation decision, the corpus starts from the target's seeds, lives in
+//! memory and is visited in insertion order, and the iteration budget is the
+//! only stop condition besides an optional wall clock — so a fixed
+//! `(seed, iters)` pair replays the exact same search, which is what lets CI
+//! assert "the planted bug *is* rediscovered".
 
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::corpus::Corpus;
+/// Maximum executions the minimizer may spend shrinking a failure.
+const SHRINK_BUDGET: u64 = 300;
 
 /// Outcome of running one input through a target.
 #[derive(Debug, Clone, Default)]
@@ -53,8 +54,8 @@ pub trait FuzzTarget {
     /// The structured input the target mutates and executes.
     type Input: Clone;
 
-    /// Stable base name: the corpus subdirectory and the replay-token
-    /// prefix. Must not contain `:` or `@`.
+    /// Stable base name: the replay-token prefix. Must not contain `:` or
+    /// `@`.
     fn name(&self) -> &'static str;
 
     /// Injected-fault tag, appended to the token prefix as `name@tag` so a
@@ -106,22 +107,16 @@ pub struct FuzzConfig {
     pub iters: u64,
     /// Optional wall-clock cap; the loop stops early once exceeded.
     pub time_budget: Option<Duration>,
-    /// On-disk corpus directory (`None` keeps the corpus in memory only).
-    pub corpus_dir: Option<PathBuf>,
-    /// Maximum executions the minimizer may spend shrinking a failure.
-    pub shrink_budget: u64,
 }
 
 impl FuzzConfig {
-    /// In-memory config with a fixed seed — unit tests and replay.
+    /// A config with the fixed seed and no wall-clock cap.
     #[must_use]
     pub fn ephemeral(iters: u64) -> FuzzConfig {
         FuzzConfig {
             seed: 0x5F3A_F022,
             iters,
             time_budget: None,
-            corpus_dir: None,
-            shrink_budget: 300,
         }
     }
 }
@@ -159,10 +154,10 @@ impl FuzzFailure {
 pub struct FuzzReport {
     /// Token prefix of the fuzzed target (includes the fault tag, if any).
     pub target: String,
-    /// Total inputs executed (seeds + stored corpus + mutations; the
-    /// minimizer's executions are not counted).
+    /// Total inputs executed (seeds + mutations; the minimizer's executions
+    /// are not counted).
     pub executions: u64,
-    /// Final in-memory corpus size.
+    /// Final corpus size (seeds plus novel mutations).
     pub corpus_len: usize,
     /// Distinct coverage features seen.
     pub features: usize,
@@ -170,23 +165,16 @@ pub struct FuzzReport {
     pub failure: Option<FuzzFailure>,
 }
 
-/// Run the coverage-guided loop: execute the seeds and any persisted corpus
-/// entries, then mutate corpus picks until the budget is spent. Inputs that
-/// exercise new features join the corpus (and are persisted when a corpus
-/// dir is configured). The first failing input is greedily minimized and
-/// returned; its replay command is also printed to stderr.
+/// Run the coverage-guided loop: execute the seeds, then mutate corpus picks
+/// until the budget is spent. Inputs that exercise new features join the
+/// corpus. The first failing input is greedily minimized and returned; its
+/// replay command is also printed to stderr.
 pub fn fuzz<T: FuzzTarget>(target: &mut T, config: &FuzzConfig) -> FuzzReport {
     let started = Instant::now();
     let mut rng = SmallRng::seed_from_u64(config.seed);
-    let disk = Corpus::new(config.corpus_dir.clone());
 
     let mut corpus: Vec<T::Input> = target.seeds();
     assert!(!corpus.is_empty(), "target must provide at least one seed");
-    for body in disk.load() {
-        if let Some(input) = target.decode_input(&body) {
-            corpus.push(input);
-        }
-    }
 
     let mut features: HashSet<u64> = HashSet::new();
     let mut executions: u64 = 0;
@@ -195,16 +183,14 @@ pub fn fuzz<T: FuzzTarget>(target: &mut T, config: &FuzzConfig) -> FuzzReport {
         None => false,
     };
 
-    // Phase 1: the whole starting corpus runs once (deterministically, in
-    // order), seeding the feature map. A failing seed short-circuits.
+    // Phase 1: every seed runs once, in order, seeding the feature map. A
+    // failing seed short-circuits.
     for i in 0..corpus.len() {
         let input = corpus[i].clone();
         executions += 1;
         let result = target.run(&input);
         if let Some(detail) = result.failure {
-            return finish(
-                target, config, executions, &corpus, &features, input, detail,
-            );
+            return finish(target, executions, &corpus, &features, input, detail);
         }
         features.extend(result.features);
         if out_of_time(started) {
@@ -222,16 +208,13 @@ pub fn fuzz<T: FuzzTarget>(target: &mut T, config: &FuzzConfig) -> FuzzReport {
         executions += 1;
         let result = target.run(&input);
         if let Some(detail) = result.failure {
-            return finish(
-                target, config, executions, &corpus, &features, input, detail,
-            );
+            return finish(target, executions, &corpus, &features, input, detail);
         }
         let mut novel = false;
         for f in result.features {
             novel |= features.insert(f);
         }
         if novel {
-            disk.store(&target.encode_input(&input));
             corpus.push(input);
         }
     }
@@ -248,7 +231,6 @@ pub fn fuzz<T: FuzzTarget>(target: &mut T, config: &FuzzConfig) -> FuzzReport {
 /// Minimize a failure and assemble the final report.
 fn finish<T: FuzzTarget>(
     target: &mut T,
-    config: &FuzzConfig,
     executions: u64,
     corpus: &[T::Input],
     features: &HashSet<u64>,
@@ -256,7 +238,7 @@ fn finish<T: FuzzTarget>(
     detail: String,
 ) -> FuzzReport {
     let original_token = target.token(&input);
-    let (min_input, min_detail) = minimize(target, input, detail, config.shrink_budget);
+    let (min_input, min_detail) = minimize(target, input, detail);
     let failure = FuzzFailure {
         token: target.token(&min_input),
         original_token,
@@ -275,17 +257,16 @@ fn finish<T: FuzzTarget>(
 
 /// Greedy minimizer: try each shrink candidate in order; the first one that
 /// still fails becomes the new current input and the pass restarts. Stops
-/// when no candidate fails or the execution budget is spent.
+/// when no candidate fails or [`SHRINK_BUDGET`] executions are spent.
 fn minimize<T: FuzzTarget>(
     target: &mut T,
     mut current: T::Input,
     mut detail: String,
-    budget: u64,
 ) -> (T::Input, String) {
     let mut spent: u64 = 0;
-    'passes: while spent < budget {
+    'passes: while spent < SHRINK_BUDGET {
         for candidate in target.shrink(&current) {
-            if spent >= budget {
+            if spent >= SHRINK_BUDGET {
                 break 'passes;
             }
             spent += 1;

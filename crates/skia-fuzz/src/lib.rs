@@ -7,10 +7,10 @@
 //! and differential agreement against the `skia-oracle` reference model.
 //! The engine keeps a feature-coverage set (branch-kind × offset-class ×
 //! outcome buckets from the targets, plus snapshot-counter magnitude
-//! buckets via [`skia_telemetry::Snapshot::counter_features`]), persists
-//! interesting inputs under `<cache root>/fuzz-corpus/<target>/` with the
-//! same versioned-file discipline as the program/trace caches, greedily
-//! minimizes any failure, and prints a `SKIA_FUZZ_REPLAY` token that
+//! buckets via [`skia_telemetry::Snapshot::counter_features`]) and an
+//! in-memory corpus that starts from the target's seeds and grows by inputs
+//! with new features; nothing persists between sessions. It greedily
+//! minimizes any failure and prints a `SKIA_FUZZ_REPLAY` token that
 //! reproduces it — the same UX as the lockstep `SKIA_DIFF_REPLAY` reports.
 //!
 //! Targets:
@@ -34,11 +34,9 @@
 //! [`skia_oracle::SbdFault`]) prove the loop actually finds bugs: see
 //! `tests/fuzz.rs`.
 
-pub mod corpus;
 pub mod engine;
 pub mod targets;
 
-pub use corpus::{Corpus, CORPUS_VERSION};
 pub use engine::{fuzz, FuzzConfig, FuzzFailure, FuzzReport, FuzzTarget, RunResult};
 pub use targets::decode::DecodeTarget;
 pub use targets::lockstep::LockstepTarget;
@@ -109,21 +107,5 @@ fn parse_sbd_fault(tag: &str) -> Result<SbdFault, String> {
         "tail-skip-first-byte" => Ok(SbdFault::TailSkipFirstByte),
         "head-chooses-last-start" => Ok(SbdFault::HeadChoosesLastStart),
         _ => Err(format!("unknown fault tag {tag:?} for shadow")),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::feature;
-
-    /// The corpus stores coverage keys, so `feature` must keep its values.
-    #[test]
-    fn feature_values_are_pinned() {
-        assert_eq!(feature(&[]), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(feature(&[34, 1]), 0x275e_cb3e_1997_42a6);
-        assert_eq!(
-            feature(&[u64::MAX, 0x0123_4567_89ab_cdef, 7]),
-            0x7e75_5a96_7f00_f92a
-        );
     }
 }

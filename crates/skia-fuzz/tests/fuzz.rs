@@ -12,7 +12,6 @@
 //! included). One test per planted knob.
 
 use std::ffi::OsString;
-use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -26,17 +25,15 @@ use skia_oracle::{OracleFault, SbdFault};
 // ---------------------------------------------------------------------------
 
 /// The environment's settings for green runs: mutation budget, master seed
-/// and wall-clock cap per target, and the cache root the corpus lives under.
+/// and wall-clock cap per target.
 #[derive(Debug)]
 struct Knobs {
     iters: Option<u64>,
     seed: Option<u64>,
     millis: Option<u64>,
-    cache: Option<PathBuf>,
 }
 
-/// Read the knobs `env` looks up. `SKIA_CACHE` follows the program and
-/// trace caches' rule; any other malformed value is an error naming its
+/// Read the knobs `env` looks up; a malformed value is an error naming its
 /// knob.
 fn parse_knobs(env: impl Fn(&str) -> Option<OsString>) -> Result<Knobs, String> {
     let number = |knob: &str| -> Result<Option<u64>, String> {
@@ -51,14 +48,12 @@ fn parse_knobs(env: impl Fn(&str) -> Option<OsString>) -> Result<Knobs, String> 
         iters: number("SKIA_FUZZ_ITERS")?,
         seed: number("SKIA_FUZZ_SEED")?,
         millis: number("SKIA_FUZZ_MILLIS")?,
-        cache: skia_workloads::resolve_cache_dir(env("SKIA_CACHE").as_deref()),
     })
 }
 
-/// The green-run config for `target`: the environment's knobs over
-/// `default_iters` and the fixed seed, with the corpus persisted under
-/// `<cache root>/fuzz-corpus/<target>` (in memory when caching is off).
-fn green_config(target: &str, default_iters: u64) -> FuzzConfig {
+/// The green-run config: the environment's knobs over `default_iters` and
+/// the fixed seed.
+fn green_config(default_iters: u64) -> FuzzConfig {
     static KNOBS: OnceLock<Knobs> = OnceLock::new();
     let knobs = KNOBS.get_or_init(|| {
         parse_knobs(|knob| std::env::var_os(knob)).unwrap_or_else(|e| panic!("{e}"))
@@ -67,10 +62,6 @@ fn green_config(target: &str, default_iters: u64) -> FuzzConfig {
     FuzzConfig {
         seed: knobs.seed.unwrap_or(base.seed),
         time_budget: knobs.millis.map(Duration::from_millis),
-        corpus_dir: knobs
-            .cache
-            .as_ref()
-            .map(|root| root.join("fuzz-corpus").join(target)),
         ..base
     }
 }
@@ -81,14 +72,9 @@ fn malformed_knobs_are_errors_naming_the_knob() {
         let err = parse_knobs(|k| (k == knob).then(|| "abc".into())).unwrap_err();
         assert!(err.contains(knob), "{knob}: {err}");
     }
-    let knobs = parse_knobs(|k| match k {
-        "SKIA_FUZZ_ITERS" => Some("5000".into()),
-        "SKIA_CACHE" => Some("0".into()),
-        _ => None,
-    })
-    .unwrap();
+    let knobs = parse_knobs(|k| (k == "SKIA_FUZZ_ITERS").then(|| "5000".into())).unwrap();
     assert_eq!(knobs.iters, Some(5000));
-    assert_eq!((knobs.seed, knobs.millis, knobs.cache), (None, None, None));
+    assert_eq!((knobs.seed, knobs.millis), (None, None));
 }
 
 // ---------------------------------------------------------------------------
@@ -97,7 +83,7 @@ fn malformed_knobs_are_errors_naming_the_knob() {
 
 #[test]
 fn decode_target_is_green() {
-    let report = fuzz(&mut DecodeTarget, &green_config("decode", 400));
+    let report = fuzz(&mut DecodeTarget, &green_config(400));
     assert!(
         report.failure.is_none(),
         "decode target found a real divergence:\n{}",
@@ -108,7 +94,7 @@ fn decode_target_is_green() {
 
 #[test]
 fn shadow_target_is_green() {
-    let report = fuzz(&mut ShadowTarget::new(), &green_config("shadow", 150));
+    let report = fuzz(&mut ShadowTarget::new(), &green_config(150));
     assert!(
         report.failure.is_none(),
         "shadow target found a real divergence:\n{}",
@@ -119,7 +105,7 @@ fn shadow_target_is_green() {
 
 #[test]
 fn sbb_target_is_green() {
-    let report = fuzz(&mut SbbTarget::new(), &green_config("sbb", 500));
+    let report = fuzz(&mut SbbTarget::new(), &green_config(500));
     assert!(
         report.failure.is_none(),
         "sbb target found a real divergence:\n{}",
@@ -130,7 +116,7 @@ fn sbb_target_is_green() {
 
 #[test]
 fn lockstep_target_is_green() {
-    let report = fuzz(&mut LockstepTarget::new(), &green_config("lockstep", 8));
+    let report = fuzz(&mut LockstepTarget::new(), &green_config(8));
     assert!(
         report.failure.is_none(),
         "lockstep target found a real divergence:\n{}",
@@ -304,11 +290,11 @@ fn healthy_seed_tokens_replay_clean() {
     check(&ShadowTarget::new());
     check(&SbbTarget::new());
     // Lockstep seeds are covered by `lockstep_target_is_green` (they are
-    // its phase-1 corpus); replaying them here too would double the cost.
+    // its phase-1 seeds); replaying them here too would double the cost.
 }
 
 // ---------------------------------------------------------------------------
-// Engine behaviour: determinism, corpus persistence, minimization. Driven
+// Engine behaviour: determinism and minimization. Driven
 // through a toy target so the properties are isolated from simulator cost.
 // ---------------------------------------------------------------------------
 
@@ -404,69 +390,4 @@ fn minimizer_reduces_to_the_magic_byte() {
         "greedy shrink should reach the 1-byte reproducer"
     );
     assert_ne!(failure.original_token, failure.token);
-}
-
-#[test]
-fn corpus_persists_interesting_inputs_across_sessions() {
-    let dir = std::env::temp_dir().join(format!("skia-fuzz-corpus-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Session 1: a coverage-guided run over an input space with no failures
-    // (magic byte masked off) grows an on-disk corpus.
-    struct NoFailToy;
-    impl FuzzTarget for NoFailToy {
-        type Input = Vec<u8>;
-        fn name(&self) -> &'static str {
-            "toy"
-        }
-        fn seeds(&self) -> Vec<Vec<u8>> {
-            ToyTarget.seeds()
-        }
-        fn mutate(&self, base: &Vec<u8>, rng: &mut rand::rngs::SmallRng) -> Vec<u8> {
-            ToyTarget.mutate(base, rng)
-        }
-        fn run(&mut self, input: &Vec<u8>) -> skia_fuzz::RunResult {
-            let masked: Vec<u8> = input.iter().map(|&b| b & !0x42).collect();
-            ToyTarget.run(&masked)
-        }
-        fn encode_input(&self, input: &Vec<u8>) -> String {
-            ToyTarget.encode_input(input)
-        }
-        fn decode_input(&self, body: &str) -> Option<Vec<u8>> {
-            ToyTarget.decode_input(body)
-        }
-        fn shrink(&self, input: &Vec<u8>) -> Vec<Vec<u8>> {
-            ToyTarget.shrink(input)
-        }
-    }
-
-    let config = FuzzConfig {
-        corpus_dir: Some(dir.clone()),
-        ..FuzzConfig::ephemeral(200)
-    };
-    let first = fuzz(&mut NoFailToy, &config);
-    assert!(first.failure.is_none());
-    let stored = std::fs::read_dir(&dir).unwrap().count();
-    assert!(stored > 0, "novel-coverage inputs should be persisted");
-
-    // Session 2: the persisted corpus seeds phase 1, so with a ZERO
-    // mutation budget the report still reflects the stored entries.
-    let reload = FuzzConfig {
-        corpus_dir: Some(dir.clone()),
-        iters: 0,
-        ..FuzzConfig::ephemeral(0)
-    };
-    let second = fuzz(&mut NoFailToy, &reload);
-    assert!(second.failure.is_none());
-    assert_eq!(
-        second.corpus_len,
-        1 + stored,
-        "stored corpus (plus the built-in seed) must reload"
-    );
-    assert!(
-        second.features >= first.features / 2,
-        "reloaded corpus should reproduce a healthy share of coverage"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -71,9 +71,9 @@ pub use trace::{to_chrome_trace, to_chrome_trace_full, Event, EventKind, EventTr
 
 /// FNV-1a hash of a byte slice — the repo's standing content fingerprint.
 ///
-/// The same constants back [`Snapshot::counter_features`], whose outputs are
-/// pinned by the fuzz-corpus contract. Deterministic across runs and
-/// platforms.
+/// The program and trace caches key their files with it and the trace
+/// cache checksums them with it, so its outputs must not change.
+/// Deterministic across runs and platforms.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

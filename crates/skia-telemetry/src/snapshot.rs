@@ -670,29 +670,4 @@ mod tests {
             assert_eq!(back, Ok(snap), "pc {pc:#x}");
         }
     }
-
-    /// The feature hashes are part of the fuzz corpus' on-disk contract: a
-    /// silent change to the FNV mixing (or to `ilog2` bucketing) would
-    /// orphan every persisted corpus entry's coverage. Pin exact values.
-    #[test]
-    fn counter_features_are_pinned() {
-        let f = with_counters(&[
-            ("a", 3),
-            ("b", 1),
-            ("btb.misses", 17),
-            ("sim.steps_total", 400_000),
-        ])
-        .counter_features();
-        // BTreeMap order: a, b, btb.misses, sim.steps_total.
-        assert_eq!(
-            f,
-            vec![
-                0xe57a_9c19_03db_f5f5,
-                0xfed3_ec19_1209_5893,
-                0x965a_0a85_571e_b719,
-                0x430c_7f35_5cba_f2b0,
-            ],
-            "counter_features changed — this breaks persisted fuzz-corpus coverage"
-        );
-    }
 }

@@ -44,6 +44,13 @@ impl CacheConfig {
 }
 
 /// Hit/miss/fill counters for one cache level.
+///
+/// The front-end simulator reaches the hierarchy only through
+/// [`Hierarchy::fetch_line_tracking`] with `prefetch` set: every L1-I access
+/// is an FDIP prefetch. So the L1-I's `demand_hits` and `demand_misses` are
+/// always 0, and since only a demand hit clears a line's prefetched mark,
+/// its `polluting_fills` always equals its `evictions`. The L2 and L3 are
+/// looked up on demand.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand lookups that hit.

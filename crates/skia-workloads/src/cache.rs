@@ -24,8 +24,8 @@
 //! program file holds the image, the function weights, then each static
 //! branch once, in table order, with its indirect targets; it stores
 //! nothing a load can compute — not a block's start (the previous block's
-//! end), a fall-through, a function's entry (its first block's start), the
-//! burst parameters (the verified spec's) or the image base (a constant).
+//! end), a fall-through, a function's entry (its first block's start) or
+//! the image base (a constant).
 //!
 //! A loaded program passes the same structural check as a generated one
 //! ([`Program`]'s one constructor), so a corrupt file that breaks the
@@ -43,9 +43,13 @@ use std::sync::Arc;
 
 use skia_isa::BranchKind;
 
-use crate::program::{Layout, Program, ProgramSpec, IMAGE_BASE};
+use crate::program::{
+    Layout, Program, ProgramSpec, BACKEDGE_FRACTION, BLOCKS_PER_FN, DISPATCH_BLOCKS,
+    DISPATCH_CALLEES, IMAGE_BASE, INDIRECT_CALLEES, INSNS_PER_BLOCK, LEAF_FRACTION,
+};
 use crate::side_table::{is_indirect, BranchRecord};
 use crate::trace::{masked_prefix, RecordedTrace};
+use crate::walker::{BURST_POOL, BURST_PROB};
 
 /// Process-wide cache I/O totals, accumulated across every program and
 /// trace cache operation since process start. Atomics (not per-run
@@ -196,32 +200,47 @@ fn spec_key(spec: &ProgramSpec) -> u64 {
     skia_telemetry::fnv1a(&spec_bytes(spec))
 }
 
-/// Canonical byte encoding of a spec: every field in declaration order,
-/// little-endian, floats via `to_bits`. Embedded in the cache file and
-/// compared exactly on load, so the key hash only narrows the candidate —
-/// it never decides a match.
+/// Canonical byte encoding of a spec: its fields and the generator's and
+/// walker's constants, little-endian, floats via `to_bits`. Embedded in the
+/// cache file and compared exactly on load, so the key hash only narrows the
+/// candidate — it never decides a match.
+///
+/// Each constant is written where it was once a spec field, so files stored
+/// before it became a constant keep their identity, and changing one changes
+/// the identity of every program and trace. The pattern names every field:
+/// a field added to the spec fails to build until it is encoded.
 fn spec_bytes(spec: &ProgramSpec) -> Vec<u8> {
+    let ProgramSpec {
+        seed,
+        functions,
+        cond_fraction,
+        call_fraction,
+        indirect_fraction,
+        zipf_s,
+        mean_trip_count,
+        layout,
+    } = spec;
     let mut out = Vec::with_capacity(160);
     let mut u64le = |v: u64| out.extend_from_slice(&v.to_le_bytes());
-    u64le(spec.seed);
-    u64le(spec.functions as u64);
-    u64le(spec.blocks_per_fn.start as u64);
-    u64le(spec.blocks_per_fn.end as u64);
-    u64le(spec.insns_per_block.start as u64);
-    u64le(spec.insns_per_block.end as u64);
-    u64le(spec.cond_fraction.to_bits());
-    u64le(spec.call_fraction.to_bits());
-    u64le(spec.indirect_fraction.to_bits());
-    u64le(spec.zipf_s.to_bits());
-    u64le(spec.backedge_fraction.to_bits());
-    u64le(u64::from(spec.mean_trip_count));
-    u64le(spec.callees_per_fn as u64);
-    u64le(spec.leaf_fraction.to_bits());
-    u64le(spec.dispatch_blocks as u64);
-    u64le(spec.dispatch_callees as u64);
-    u64le(spec.burst_pool as u64);
-    u64le(spec.burst_prob.to_bits());
-    u64le(match spec.layout {
+    u64le(*seed);
+    u64le(*functions as u64);
+    u64le(BLOCKS_PER_FN.start as u64);
+    u64le(BLOCKS_PER_FN.end as u64);
+    u64le(INSNS_PER_BLOCK.start as u64);
+    u64le(INSNS_PER_BLOCK.end as u64);
+    u64le(cond_fraction.to_bits());
+    u64le(call_fraction.to_bits());
+    u64le(indirect_fraction.to_bits());
+    u64le(zipf_s.to_bits());
+    u64le(BACKEDGE_FRACTION.to_bits());
+    u64le(u64::from(*mean_trip_count));
+    u64le(INDIRECT_CALLEES as u64);
+    u64le(LEAF_FRACTION.to_bits());
+    u64le(DISPATCH_BLOCKS as u64);
+    u64le(DISPATCH_CALLEES as u64);
+    u64le(BURST_POOL as u64);
+    u64le(BURST_PROB.to_bits());
+    u64le(match layout {
         Layout::Interleaved => 0,
         Layout::Bolted => 1,
     });
@@ -401,13 +420,7 @@ fn deserialize(bytes: &[u8], spec: &ProgramSpec) -> Option<Program> {
     if r.pos != bytes.len() {
         return None; // trailing garbage — treat as corrupt
     }
-    Program::from_parts(
-        image,
-        weights,
-        recs,
-        indirect,
-        (spec.burst_pool, spec.burst_prob),
-    )
+    Program::from_parts(image, weights, recs, indirect)
 }
 
 /// Bytes of a trace file before its columns: magic, version, identity
@@ -566,7 +579,6 @@ mod tests {
             a.bytes_at(a.base(), a.code_bytes()),
             b.bytes_at(b.base(), b.code_bytes())
         );
-        assert_eq!(a.spec_burst(), b.spec_burst());
         assert_eq!(a.functions(), b.functions());
         assert_eq!(a.branch_table(), b.branch_table());
     }
@@ -608,16 +620,38 @@ mod tests {
     fn spec_key_is_stable_and_distinguishes() {
         let a = spec_key(&test_spec());
         assert_eq!(a, spec_key(&test_spec()), "same spec, same key");
-        let other = ProgramSpec {
-            zipf_s: 1.2,
-            ..test_spec()
-        };
-        assert_ne!(a, spec_key(&other));
-        let bolted = ProgramSpec {
-            layout: Layout::Bolted,
-            ..test_spec()
-        };
-        assert_ne!(a, spec_key(&bolted));
+        // Each field changed in turn: every key differs from the base and
+        // from each other.
+        type Change = fn(&mut ProgramSpec);
+        let changes: [(&str, Change); 8] = [
+            ("seed", |s| s.seed ^= 1),
+            ("functions", |s| s.functions += 1),
+            ("cond_fraction", |s| s.cond_fraction = 0.5),
+            ("call_fraction", |s| s.call_fraction = 0.5),
+            ("indirect_fraction", |s| s.indirect_fraction = 0.05),
+            ("zipf_s", |s| s.zipf_s = 1.2),
+            ("mean_trip_count", |s| s.mean_trip_count += 1),
+            ("layout", |s| s.layout = Layout::Bolted),
+        ];
+        let mut keys = vec![a];
+        for (field, change) in changes {
+            let mut spec = test_spec();
+            change(&mut spec);
+            let key = spec_key(&spec);
+            assert!(!keys.contains(&key), "{field}");
+            keys.push(key);
+        }
+    }
+
+    /// The keys a build stored its files under, computed when the
+    /// generator's constants were still spec fields. A constant of
+    /// `spec_bytes` that is reordered, dropped or given another value
+    /// re-keys every stored program and trace, and fails here.
+    #[test]
+    fn spec_keys_are_pinned() {
+        assert_eq!(spec_key(&ProgramSpec::default()), 0x2226_b181_915a_23a6);
+        let voter = crate::profile("voter").unwrap().spec;
+        assert_eq!(spec_key(&voter), 0x286e_993b_c4a8_95fb);
     }
 
     #[test]
@@ -695,8 +729,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Some(dir.as_path());
         let spec = ProgramSpec {
-            functions: 16,
-            dispatch_blocks: 4,
+            functions: 10,
             ..test_spec()
         };
         let path = dir.join(format!(

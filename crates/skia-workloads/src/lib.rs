@@ -44,7 +44,7 @@ pub use cache::{
     load_or_generate_in, load_or_record_trace_in, resolve_cache_dir, trace_cache_io, TraceCacheIo,
     TraceCacheOutcome,
 };
-pub use profiles::{profile, profile_names, Profile};
+pub use profiles::{profile, Profile};
 pub use program::{Function, Layout, Program, ProgramSpec};
 pub use side_table::{BranchRecord, BranchTable};
 pub use trace::{RecordedTrace, Replay};

@@ -286,12 +286,6 @@ pub fn profile(name: &str) -> Option<Profile> {
     Some(p)
 }
 
-/// The 16 paper benchmark names (reporting order).
-#[must_use]
-pub fn profile_names() -> &'static [&'static str] {
-    &PAPER_BENCHMARKS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,17 +39,15 @@ pub enum Layout {
     Bolted,
 }
 
-/// Generation parameters.
+/// Generation parameters: what the profiles, the oracle's cases and the
+/// property tests vary. Everything else about a program's shape is a
+/// constant of this module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramSpec {
     /// RNG seed; everything about the program is a pure function of the spec.
     pub seed: u64,
     /// Number of functions.
     pub functions: usize,
-    /// Blocks per function (inclusive range).
-    pub blocks_per_fn: Range<usize>,
-    /// Non-branch instructions per block (inclusive range).
-    pub insns_per_block: Range<usize>,
     /// Probability that a non-final block terminator is conditional.
     pub cond_fraction: f64,
     /// Probability that a non-final, non-conditional terminator is a call
@@ -59,29 +57,9 @@ pub struct ProgramSpec {
     pub indirect_fraction: f64,
     /// Zipf skew for function hotness (higher = more skewed).
     pub zipf_s: f64,
-    /// Fraction of conditional terminators that are loop backedges.
-    pub backedge_fraction: f64,
-    /// Mean loop trip count for backedges.
+    /// Mean loop trip count for backedges. Generation does not read it:
+    /// it is the walk's, passed to [`Walker::new`](crate::Walker::new).
     pub mean_trip_count: u32,
-    /// Callees listed per function (targets of its calls).
-    pub callees_per_fn: usize,
-    /// Fraction of functions that are *leaves* (no outgoing calls), like
-    /// real utility/getter functions. Calls are biased toward leaves, which
-    /// keeps the call tree of one dispatcher request bounded — without this
-    /// a branching factor above 1 makes request trees effectively infinite.
-    pub leaf_fraction: f64,
-    /// Dispatcher (function 0) blocks: each is one indirect call site of the
-    /// event loop. Together with `dispatch_callees` this sets how many entry
-    /// points the workload's active set spans — the main BTB-pressure knob.
-    pub dispatch_blocks: usize,
-    /// Callee candidates per dispatcher call site.
-    pub dispatch_callees: usize,
-    /// Size of the walker's recent-request pool (temporal locality model:
-    /// servers see bursts of similar requests). 0 disables burstiness.
-    pub burst_pool: usize,
-    /// Probability that a dispatcher call repeats a pooled recent target
-    /// instead of drawing a fresh one.
-    pub burst_prob: f64,
     /// Layout order.
     pub layout: Layout,
 }
@@ -91,24 +69,37 @@ impl Default for ProgramSpec {
         ProgramSpec {
             seed: 0xC0FFEE,
             functions: 2000,
-            blocks_per_fn: 2..7,
-            insns_per_block: 2..7,
             cond_fraction: 0.55,
             call_fraction: 0.45,
             indirect_fraction: 0.03,
             zipf_s: 1.1,
-            backedge_fraction: 0.18,
             mean_trip_count: 6,
-            leaf_fraction: 0.55,
-            callees_per_fn: 6,
-            dispatch_blocks: 64,
-            dispatch_callees: 64,
-            burst_pool: 64,
-            burst_prob: 0.5,
             layout: Layout::Interleaved,
         }
     }
 }
+
+/// Blocks per function, drawn from this half-open range.
+pub(crate) const BLOCKS_PER_FN: Range<usize> = 2..7;
+/// Non-branch instructions per block, drawn from this half-open range.
+pub(crate) const INSNS_PER_BLOCK: Range<usize> = 2..7;
+/// Fraction of conditional terminators that are loop backedges.
+pub(crate) const BACKEDGE_FRACTION: f64 = 0.18;
+/// Fraction of functions that are *leaves* (no outgoing calls), like real
+/// utility/getter functions. Calls are biased toward leaves, which keeps the
+/// call tree of one dispatcher request bounded: without this a branching
+/// factor above 1 makes request trees effectively infinite.
+pub(crate) const LEAF_FRACTION: f64 = 0.55;
+/// Targets of each indirect call outside the dispatcher.
+pub(crate) const INDIRECT_CALLEES: usize = 6;
+/// Dispatcher (function 0) blocks, at most one per other function: each is
+/// one indirect call site of the event loop. Together with
+/// [`DISPATCH_CALLEES`] this sets how many entry points the workload's
+/// active set spans, the main BTB-pressure mechanism.
+pub(crate) const DISPATCH_BLOCKS: usize = 64;
+/// Callee candidates per dispatcher call site, at most one per other
+/// function.
+pub(crate) const DISPATCH_CALLEES: usize = 64;
 
 /// A function: contiguous blocks, entered at `entry`, exited by return. Its
 /// blocks are the [`BranchRecord`]s whose `function` names it.
@@ -133,8 +124,6 @@ pub struct Program {
     table: Arc<BranchTable>,
     /// Shadow-decode tables, built on first use.
     decode_tables: DecodeTables,
-    /// Burst-locality parameters carried from the spec for the walker.
-    burst: (usize, f64),
 }
 
 /// A program's shadow-decode tables, one per (index policy, path bound)
@@ -210,34 +199,24 @@ struct AbsFn {
     weight: f64,
 }
 
-fn sample_range(rng: &mut SmallRng, r: &Range<usize>) -> usize {
-    if r.start + 1 >= r.end {
-        r.start
-    } else {
-        rng.gen_range(r.start..r.end)
-    }
-}
-
 impl Program {
     /// Generate a program from its spec.
     ///
     /// # Panics
     ///
-    /// Panics if the spec is degenerate (fewer than two functions, or empty
-    /// ranges).
+    /// Panics if the spec has fewer than two functions.
     #[must_use]
     pub fn generate(spec: &ProgramSpec) -> Self {
         assert!(
             spec.functions >= 2,
             "need at least two functions: the dispatcher (function 0) calls the others"
         );
-        assert!(spec.blocks_per_fn.start >= 1);
         let mut rng = SmallRng::seed_from_u64(spec.seed);
 
         // ---- Phase 1: abstract structure ----
         // Leaf assignment: leaves make no calls; call sites prefer them.
         let is_leaf: Vec<bool> = (0..spec.functions)
-            .map(|fi| fi != 0 && rng.gen_bool(spec.leaf_fraction))
+            .map(|fi| fi != 0 && rng.gen_bool(LEAF_FRACTION))
             .collect();
         let leaves: Vec<usize> = (1..spec.functions).filter(|&fi| is_leaf[fi]).collect();
 
@@ -254,12 +233,12 @@ impl Program {
         // fanning out across the whole program (a server's request loop).
         // Without it the walk could get trapped in a call-free region.
         {
-            let fanout_blocks = spec.dispatch_blocks.min(spec.functions - 1).max(1);
+            let fanout_blocks = DISPATCH_BLOCKS.min(spec.functions - 1);
             let mut blocks = Vec::with_capacity(fanout_blocks + 1);
             for _ in 0..fanout_blocks {
-                let ninsns = sample_range(&mut rng, &spec.insns_per_block);
+                let ninsns = rng.gen_range(INSNS_PER_BLOCK);
                 let selectors = draw(&mut rng, ninsns);
-                let n = spec.dispatch_callees.clamp(2, 256).min(spec.functions - 1);
+                let n = DISPATCH_CALLEES.min(spec.functions - 1);
                 let callees: Vec<usize> =
                     (0..n).map(|_| rng.gen_range(1..spec.functions)).collect();
                 blocks.push(AbsBlock {
@@ -279,20 +258,20 @@ impl Program {
 
         #[allow(clippy::needless_range_loop)] // fi also derives entry PCs, not just is_leaf
         for fi in 1..spec.functions {
-            let nblocks = sample_range(&mut rng, &spec.blocks_per_fn).max(1);
+            let nblocks = rng.gen_range(BLOCKS_PER_FN);
             // Zipf-like hotness over a random permutation: weight by rank.
             let rank = 1 + rng.gen_range(0..spec.functions);
             let weight = 1.0 / (rank as f64).powf(spec.zipf_s);
 
             let mut blocks = Vec::with_capacity(nblocks);
             for bi in 0..nblocks {
-                let ninsns = sample_range(&mut rng, &spec.insns_per_block);
+                let ninsns = rng.gen_range(INSNS_PER_BLOCK);
                 let selectors = draw(&mut rng, ninsns);
                 let last = bi + 1 == nblocks;
                 let term = if last {
                     AbsTerm::Ret
                 } else if rng.gen_bool(spec.cond_fraction) {
-                    let backedge = bi > 0 && rng.gen_bool(spec.backedge_fraction);
+                    let backedge = bi > 0 && rng.gen_bool(BACKEDGE_FRACTION);
                     let target_block = if backedge {
                         rng.gen_range(0..bi)
                     } else {
@@ -321,8 +300,7 @@ impl Program {
                             target_block: rng.gen_range(bi + 1..nblocks),
                         }
                     } else if rng.gen_bool(spec.indirect_fraction) {
-                        let n = spec.callees_per_fn.clamp(2, 8);
-                        let callees: Vec<usize> = (0..n)
+                        let callees: Vec<usize> = (0..INDIRECT_CALLEES)
                             .map(|_| {
                                 if leaf_call {
                                     pick_leaf(&mut rng)
@@ -484,14 +462,8 @@ impl Program {
         }
 
         let weights = fns.iter().map(|f| f.weight).collect();
-        Program::from_parts(
-            image,
-            weights,
-            recs,
-            indirect,
-            (spec.burst_pool, spec.burst_prob),
-        )
-        .expect("a generated program is well formed")
+        Program::from_parts(image, weights, recs, indirect)
+            .expect("a generated program is well formed")
     }
 
     /// Assemble a program from its parts — generation and disk cache load
@@ -515,7 +487,6 @@ impl Program {
         weights: Vec<f64>,
         recs: Vec<BranchRecord>,
         indirect: Vec<u64>,
-        burst: (usize, f64),
     ) -> Option<Self> {
         let entries = function_entries(image.len(), weights.len(), &recs)?;
         let table = BranchTable::from_records(recs, indirect);
@@ -536,15 +507,7 @@ impl Program {
             functions,
             table: Arc::new(table),
             decode_tables: DecodeTables::default(),
-            burst,
         })
-    }
-
-    /// `(pool size, repeat probability)` of the request-burst model, for the
-    /// walker.
-    #[must_use]
-    pub fn spec_burst(&self) -> (usize, f64) {
-        self.burst
     }
 
     /// Base address of the image.
@@ -859,15 +822,15 @@ mod tests {
             }
         }
 
-        fn build(self, burst: (usize, f64)) -> Option<Program> {
-            Program::from_parts(self.image, self.weights, self.recs, self.indirect, burst)
+        fn build(self) -> Option<Program> {
+            Program::from_parts(self.image, self.weights, self.recs, self.indirect)
         }
     }
 
     #[test]
     fn from_parts_rejects_each_malformation() {
         let p = Program::generate(&small_spec());
-        let rebuilt = Parts::of(&p).build(p.spec_burst()).expect("own parts");
+        let rebuilt = Parts::of(&p).build().expect("own parts");
         assert_eq!(rebuilt.branch_table(), p.branch_table());
         assert_eq!(rebuilt.functions(), p.functions());
 
@@ -887,7 +850,7 @@ mod tests {
         let rejects = |name: &str, corrupt: &dyn Fn(&mut Parts)| {
             let mut x = Parts::of(&p);
             corrupt(&mut x);
-            assert!(x.build(p.spec_burst()).is_none(), "{name}");
+            assert!(x.build().is_none(), "{name}");
         };
         // Each corruption breaks one rule and keeps the others.
         rejects("zero-length branch", &|x| {

@@ -66,6 +66,13 @@ impl TraceStep {
     }
 }
 
+/// Size of the walker's recent-request pool (temporal locality model:
+/// servers see bursts of similar requests).
+pub(crate) const BURST_POOL: usize = 64;
+/// Probability that a dispatcher call repeats a pooled recent target
+/// instead of drawing a fresh one.
+pub(crate) const BURST_PROB: f64 = 0.5;
+
 /// Deepest call stack a walk keeps. A call past it loses its frame, so the
 /// return that would have popped that frame resumes one frame higher, or at
 /// the dispatcher once the stack is empty.
@@ -138,11 +145,9 @@ pub struct Walker<'p> {
     trips: Vec<Option<u32>>,
     mean_trip: u32,
     /// Table indices of recent dispatcher targets (request-burst temporal
-    /// locality).
+    /// locality), at most [`BURST_POOL`].
     burst_pool: Vec<u32>,
     burst_next: usize,
-    burst_prob: f64,
-    burst_cap: usize,
 }
 
 impl<'p> Walker<'p> {
@@ -155,7 +160,6 @@ impl<'p> Walker<'p> {
     /// one hot callee does not monopolize a call site.
     #[must_use]
     pub fn new(program: &'p Program, seed: u64, mean_trip: u32) -> Self {
-        let spec = program.spec_burst();
         let table = program.branch_table();
         let recs = table.records();
         let indirect_weight = (0..recs.len())
@@ -174,10 +178,8 @@ impl<'p> Walker<'p> {
             indirect_weight,
             trips: vec![None; recs.len()],
             mean_trip: mean_trip.max(1),
-            burst_pool: Vec::with_capacity(spec.0),
+            burst_pool: Vec::with_capacity(BURST_POOL),
             burst_next: 0,
-            burst_prob: spec.1,
-            burst_cap: spec.0,
         }
     }
 
@@ -198,21 +200,19 @@ impl<'p> Walker<'p> {
                 // warm while cold targets recur at long distances.
                 let site = self.table.indirect_range(cur);
                 let dispatcher = t.function == 0;
-                let from_pool = dispatcher
-                    && self.burst_cap > 0
-                    && !self.burst_pool.is_empty()
-                    && self.rng.gen_bool(self.burst_prob);
+                let from_pool =
+                    dispatcher && !self.burst_pool.is_empty() && self.rng.gen_bool(BURST_PROB);
                 let next = if from_pool {
                     self.burst_pool[self.rng.gen_range(0..self.burst_pool.len())]
                 } else {
                     let pick = weighted_pick(&mut self.rng, &self.indirect_weight[site]);
                     let fresh = self.table.indirect_indices(cur)[pick];
-                    if dispatcher && self.burst_cap > 0 {
-                        if self.burst_pool.len() < self.burst_cap {
+                    if dispatcher {
+                        if self.burst_pool.len() < BURST_POOL {
                             self.burst_pool.push(fresh);
                         } else {
                             self.burst_pool[self.burst_next] = fresh;
-                            self.burst_next = (self.burst_next + 1) % self.burst_cap;
+                            self.burst_next = (self.burst_next + 1) % BURST_POOL;
                         }
                     }
                     fresh
@@ -417,7 +417,7 @@ mod tests {
             let at = IMAGE_BASE + image.len() as u64;
             push(BranchKind::Return, encode::ret(&mut image), at, None);
         }
-        Program::from_parts(image, vec![1.0; n], recs, Vec::new(), (0, 0.0)).expect("a chain")
+        Program::from_parts(image, vec![1.0; n], recs, Vec::new()).expect("a chain")
     }
 
     /// Past [`MAX_STACK`] frames a call loses its frame, and the return that

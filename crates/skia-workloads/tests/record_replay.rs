@@ -18,9 +18,6 @@ fn small_spec(seed: u64, bolted: bool) -> ProgramSpec {
     ProgramSpec {
         seed,
         functions: 60,
-        dispatch_blocks: 8,
-        dispatch_callees: 8,
-        burst_pool: 4,
         layout: if bolted {
             Layout::Bolted
         } else {

@@ -227,6 +227,13 @@ fn telemetry_snapshot_agrees_with_simstats_end_to_end() {
         );
     }
 
+    // Every L1-I access is an FDIP prefetch (see `CacheStats`): the run
+    // evicts L1-I lines, its demand counters stay 0 and every eviction is
+    // counted as a polluting fill.
+    assert!(stats.l1i.evictions > 0);
+    assert_eq!((stats.l1i.demand_hits, stats.l1i.demand_misses), (0, 0));
+    assert_eq!(stats.l1i.polluting_fills, stats.l1i.evictions);
+
     // Pull-model exports: cache stats and Skia counters.
     assert_eq!(snap.counter("l1i.demand_hits"), Some(stats.l1i.demand_hits));
     assert_eq!(
